@@ -26,8 +26,9 @@ from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
 from .octet import (FrenetOctet, JetNeighbors, NonPrincipalParamsError,
                     TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
-from .rotational import (CurveCurvatures, DegenerateCurveError,
-                         RotationalSurface, closed_forms_at,
+from .rotational import (ClosedFormRangeError, CurveCurvatures,
+                         DegenerateCurveError, RotationalSurface,
+                         closed_forms_at,
                          closed_invariants_at, closed_octet_at,
                          curve_frenet_oracle, frames_at, meridian_curvature,
                          vline_curvatures, vline_derivatives)

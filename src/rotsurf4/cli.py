@@ -23,7 +23,6 @@ import csv
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import msc as msc_mod
@@ -65,6 +64,8 @@ def _range_spec(text: str) -> tuple[float, float, int]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"bounds must be finite, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("count must be at least 1")
     if count > 1 and hi <= lo:
@@ -174,9 +175,7 @@ def cmd_invariants(args, parser) -> int:
     cfg = _build_config(args, parser)
     us = cfg.grid.u_values()
     vs = cfg.grid.v_values()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(
-            lambda u: _invariant_row(cfg.surface, u, vs[0], args.tol_class), us))
+    records = [_invariant_row(cfg.surface, u, vs[0], args.tol_class) for u in us]
     stream, owned = _open_out(args.out)
     try:
         writer = csv.writer(stream)
@@ -203,8 +202,7 @@ def cmd_octet(args, parser) -> int:
         except (GeometryError, EvalDomainError) as exc:
             raise _PointError(u, cfg.grid.v_min, exc) from exc
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        octets = list(pool.map(row, us))
+    octets = [row(u) for u in us]
     stream, owned = _open_out(args.out)
     try:
         writer = csv.writer(stream)

@@ -12,17 +12,34 @@ Accepted grammar, lowest to highest precedence::
 ``NUMBER`` covers decimal and scientific notation.
 
 Trees are immutable dataclasses compared structurally.  ``differentiate``
-returns a fresh tree and performs no simplification; correctness is judged
-by evaluation, not by normal form.  Exponentiation with a negative base is
-exact for integer exponents and a domain error otherwise.
+returns a fresh tree and folds only the identities that evaluate to the
+same double in IEEE arithmetic for every finite input, sign of zero and
+domain errors included:
+
+* ``1*x`` and ``x*1`` become ``x``;
+* ``x - 0`` becomes ``x`` (a positive zero only: ``-0 - (-0)`` is ``+0``);
+* an operation on two constants becomes its value, when that is finite
+  and raises no domain error.
+
+``0*x``, ``x+0``, ``x^1`` and ``x^0`` are left alone.  ``0*x`` is ``-0``
+for negative ``x`` and ``-0 + 0`` is ``+0``, so either fold can turn a
+``-0`` result into ``0``; ``x^1`` is ``+0`` at ``x = -0``; and replacing
+``0*x`` or ``x^0`` by a constant would drop a domain error raised inside
+``x``.  Correctness is judged by evaluation, not by normal form.
+Exponentiation with a negative base is exact for integer exponents and a
+domain error otherwise.
+
+``evaluate`` walks a tree; ``compile_expr`` turns it once into nested
+closures that do the same float operations in the same order and raise
+the same errors, which is what ``Profile`` evaluates.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 __all__ = [
     "Constant",
@@ -39,6 +56,7 @@ __all__ = [
     "parse",
     "unparse",
     "evaluate",
+    "compile_expr",
     "differentiate",
     "format_number",
     "constant_profile",
@@ -352,8 +370,103 @@ def _power(e: Expr, base: float, p: float) -> float:
         raise EvalDomainError(e, "overflow") from None
 
 
+def compile_expr(e: Expr) -> Callable[[float], float]:
+    """Turn ``e`` into a function of ``u`` built from nested closures.
+
+    The function does the float operations of ``evaluate(e, u)`` in the
+    same order and raises the same :class:`EvalDomainError`, carrying the
+    same node, so its results are bit-identical; only the per-call walk
+    over the tree is gone.
+    """
+    match e:
+        case Constant(v):
+            return lambda u: v
+        case Variable():
+            return lambda u: u
+        case Unary(op, child):
+            return _compile_unary(e, op, compile_expr(child))
+        case Binary(op, a, b):
+            return _compile_binary(e, op, compile_expr(a), compile_expr(b))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile_unary(e: Expr, op: str, c: Callable[[float], float]) -> Callable[[float], float]:
+    if op == "neg":
+        return lambda u: -c(u)
+    if op == "sin":
+        return lambda u: math.sin(c(u))
+    if op == "cos":
+        return lambda u: math.cos(c(u))
+    if op == "exp":
+        def exp(u):
+            try:
+                return math.exp(c(u))
+            except OverflowError:
+                raise EvalDomainError(e, "overflow") from None
+        return exp
+    if op == "log":
+        def log(u):
+            v = c(u)
+            if v <= 0.0:
+                raise EvalDomainError(e, f"log of non-positive value {v!r}")
+            return math.log(v)
+        return log
+    if op == "sqrt":
+        def sqrt(u):
+            v = c(u)
+            if v < 0.0:
+                raise EvalDomainError(e, f"square root of negative value {v!r}")
+            return math.sqrt(v)
+        return sqrt
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile_binary(e: Expr, op: str, a: Callable[[float], float],
+                    b: Callable[[float], float]) -> Callable[[float], float]:
+    if op == "+":
+        return lambda u: _finite(e, a(u) + b(u))
+    if op == "-":
+        return lambda u: _finite(e, a(u) - b(u))
+    if op == "*":
+        return lambda u: _finite(e, a(u) * b(u))
+    if op == "/":
+        def div(u):
+            num = a(u)
+            den = b(u)
+            if den == 0.0:
+                raise EvalDomainError(e, "division by zero")
+            return _finite(e, num / den)
+        return div
+    if op == "^":
+        return lambda u: _power(e, a(u), b(u))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 # ---------------------------------------------------------------------------
 # differentiation
+
+_ONE = Constant(1.0)
+
+
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    """``Binary(op, a, b)`` with the IEEE-exact identities of the module
+    docstring folded."""
+    if op == "*":
+        if a == _ONE:
+            return b
+        if b == _ONE:
+            return a
+    elif (op == "-" and isinstance(b, Constant) and b.value == 0.0
+          and math.copysign(1.0, b.value) > 0.0):
+        return a
+    node = Binary(op, a, b)
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        try:
+            return Constant(evaluate(node, 0.0))
+        except EvalDomainError:
+            pass  # keep the node, so the domain error is raised at eval time
+    return node
+
 
 def differentiate(e: Expr) -> Expr:
     """Symbolic derivative with respect to ``u``.
@@ -370,48 +483,48 @@ def differentiate(e: Expr) -> Expr:
         case Unary("neg", child):
             return Unary("neg", differentiate(child))
         case Unary("sin", child):
-            return Binary("*", Unary("cos", child), differentiate(child))
+            return _fold("*", Unary("cos", child), differentiate(child))
         case Unary("cos", child):
-            return Unary("neg", Binary("*", Unary("sin", child), differentiate(child)))
+            return Unary("neg", _fold("*", Unary("sin", child), differentiate(child)))
         case Unary("exp", child):
-            return Binary("*", e, differentiate(child))
+            return _fold("*", e, differentiate(child))
         case Unary("log", child):
-            return Binary("/", differentiate(child), child)
+            return _fold("/", differentiate(child), child)
         case Unary("sqrt", child):
-            return Binary("/", differentiate(child), Binary("*", Constant(2.0), e))
+            return _fold("/", differentiate(child), _fold("*", Constant(2.0), e))
         case Binary("+" | "-" as op, a, b):
-            return Binary(op, differentiate(a), differentiate(b))
+            return _fold(op, differentiate(a), differentiate(b))
         case Binary("*", a, b):
-            return Binary(
+            return _fold(
                 "+",
-                Binary("*", differentiate(a), b),
-                Binary("*", a, differentiate(b)),
+                _fold("*", differentiate(a), b),
+                _fold("*", a, differentiate(b)),
             )
         case Binary("/", a, b):
-            return Binary(
+            return _fold(
                 "/",
-                Binary(
+                _fold(
                     "-",
-                    Binary("*", differentiate(a), b),
-                    Binary("*", a, differentiate(b)),
+                    _fold("*", differentiate(a), b),
+                    _fold("*", a, differentiate(b)),
                 ),
-                Binary("^", b, Constant(2.0)),
+                _fold("^", b, Constant(2.0)),
             )
         case Binary("^", a, Constant(p)):
             if p == 0.0:
                 return Constant(0.0)
-            return Binary(
+            return _fold(
                 "*",
-                Binary("*", Constant(p), Binary("^", a, Constant(p - 1.0))),
+                _fold("*", Constant(p), _fold("^", a, Constant(p - 1.0))),
                 differentiate(a),
             )
         case Binary("^", a, b):
-            inner = Binary(
+            inner = _fold(
                 "+",
-                Binary("*", differentiate(b), Unary("log", a)),
-                Binary("/", Binary("*", b, differentiate(a)), a),
+                _fold("*", differentiate(b), Unary("log", a)),
+                _fold("/", _fold("*", b, differentiate(a)), a),
             )
-            return Binary("*", e, inner)
+            return _fold("*", e, inner)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -444,12 +557,21 @@ class Interval:
 @dataclass(frozen=True)
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
-    derivatives, carried as expression trees."""
+    derivatives, carried as expression trees and compiled once into the
+    functions that ``value``, ``deriv1`` and ``deriv2`` call."""
 
     expr: Expr
     d1: Expr
     d2: Expr
     domain: Interval = Interval()
+    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_value", compile_expr(self.expr))
+        object.__setattr__(self, "_deriv1", compile_expr(self.d1))
+        object.__setattr__(self, "_deriv2", compile_expr(self.d2))
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
@@ -470,15 +592,15 @@ class Profile:
 
     def value(self, u: float) -> float:
         self._check_domain(u)
-        return evaluate(self.expr, u)
+        return self._value(u)
 
     def deriv1(self, u: float) -> float:
         self._check_domain(u)
-        return evaluate(self.d1, u)
+        return self._deriv1(u)
 
     def deriv2(self, u: float) -> float:
         self._check_domain(u)
-        return evaluate(self.d2, u)
+        return self._deriv2(u)
 
 
 def constant_profile(v: float) -> Profile:

@@ -8,7 +8,9 @@ curvatures of the parametric curves.  Every quantity here is independent
 of v.
 
 Shorthand used throughout: E = f'^2 + g'^2, G = a^2 f^2 + b^2 g^2 (F = 0
-identically for this family).
+identically for this family).  Where a closed form divides by zero or
+leaves the double range, it raises :class:`ClosedFormRangeError` naming u
+rather than return inf or nan.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "RotationalSurface",
     "CurveCurvatures",
     "DegenerateCurveError",
+    "ClosedFormRangeError",
     "closed_forms_at",
     "closed_invariants_at",
     "closed_octet_at",
@@ -44,6 +47,20 @@ class DegenerateCurveError(GeometryError):
     def __init__(self, message: str, rank: int):
         super().__init__(message)
         self.rank = rank
+
+
+class ClosedFormRangeError(GeometryError):
+    """A closed form divided by zero or left the double range at ``u``
+    (the profile data underflow or overflow there)."""
+
+    def __init__(self, u: float, reason: str):
+        super().__init__(f"closed forms at u={u!r}: {reason}")
+        self.u = u
+
+
+def _finite_at(u: float, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ClosedFormRangeError(u, "non-finite result")
 
 
 @dataclass(frozen=True)
@@ -98,12 +115,17 @@ def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondTe
     """
     f, f1, f2, g, g1, g2, ee, gg = _profile_data(s, u)
     a, b = s.alpha, s.beta
-    c11_1 = (g1 * f2 - f1 * g2) / math.sqrt(ee)
-    c12_2 = a * b * (g * f1 - f * g1) / math.sqrt(gg)
-    c22_1 = (b * b * g * f1 - a * a * f * g1) / math.sqrt(ee)
-    big_l = 2.0 * a * b * (g * f1 - f * g1) * (g1 * f2 - f1 * g2) / (gg * ee)
-    big_n = -2.0 * a * b * (g * f1 - f * g1) * (b * b * g * f1 - a * a * f * g1) / (gg * ee)
-    return (FirstForm(ee, 0.0, gg, math.sqrt(ee * gg)),
+    try:
+        c11_1 = (g1 * f2 - f1 * g2) / math.sqrt(ee)
+        c12_2 = a * b * (g * f1 - f * g1) / math.sqrt(gg)
+        c22_1 = (b * b * g * f1 - a * a * f * g1) / math.sqrt(ee)
+        big_l = 2.0 * a * b * (g * f1 - f * g1) * (g1 * f2 - f1 * g2) / (gg * ee)
+        big_n = -2.0 * a * b * (g * f1 - f * g1) * (b * b * g * f1 - a * a * f * g1) / (gg * ee)
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    w = math.sqrt(ee * gg)
+    _finite_at(u, (ee, gg, w, c11_1, c12_2, c22_1, big_l, big_n))
+    return (FirstForm(ee, 0.0, gg, w),
             SecondTensor(c11_1, 0.0, 0.0, c12_2, c22_1, 0.0),
             SecondForm(big_l, 0.0, big_n))
 
@@ -123,9 +145,13 @@ def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, 
     mixed = g * f1 - f * g1
     bend = g1 * f2 - f1 * g2
     radial = b * b * g * f1 - a * a * f * g1
-    k = -4.0 * a * a * b * b * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
-    kappa = a * b * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
-    gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / (gg * gg * ee * ee)
+    try:
+        k = -4.0 * a * a * b * b * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
+        kappa = a * b * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
+        gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / (gg * gg * ee * ee)
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    _finite_at(u, (k, kappa, gauss))
     return k, kappa, gauss
 
 
@@ -142,11 +168,15 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
     f, f1, f2, g, g1, g2, ee, gg = _profile_data(s, u)
     a, b = s.alpha, s.beta
     sqrt_e = math.sqrt(ee)
-    nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
-    gamma2 = -(a * a * f * f1 + b * b * g * g1) / (sqrt_e * gg)
-    nu2 = (b * b * g * f1 - a * a * f * g1) / (sqrt_e * gg)
-    mu = a * b * (g * f1 - f * g1) / (sqrt_e * gg)
-    beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * math.sqrt(gg))
+    try:
+        nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
+        gamma2 = -(a * a * f * f1 + b * b * g * g1) / (sqrt_e * gg)
+        nu2 = (b * b * g * f1 - a * a * f * g1) / (sqrt_e * gg)
+        mu = a * b * (g * f1 - f * g1) / (sqrt_e * gg)
+        beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * math.sqrt(gg))
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    _finite_at(u, (nu1, gamma2, nu2, mu, beta2))
     return FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
 
 

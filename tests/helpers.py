@@ -1,5 +1,6 @@
 """Shared test utilities, kept independent of the library internals where
-they act as oracles (tolerance math, finite differences, random trees)."""
+they act as oracles (tolerance math, finite differences, random trees, the
+unfolded differentiator)."""
 
 import math
 import random
@@ -69,3 +70,42 @@ def tame_at(e, u: float, h: float, bound: float = 1e4) -> bool:
     except Exception:
         return False
     return True
+
+
+def reference_differentiate(e):
+    """The symbolic derivative built node for node by the textbook rules,
+    with nothing folded: the oracle for ``rotsurf4.expr.differentiate``."""
+    d = reference_differentiate
+    match e:
+        case Constant(_):
+            return Constant(0.0)
+        case Variable():
+            return Constant(1.0)
+        case Unary("neg", child):
+            return Unary("neg", d(child))
+        case Unary("sin", child):
+            return Binary("*", Unary("cos", child), d(child))
+        case Unary("cos", child):
+            return Unary("neg", Binary("*", Unary("sin", child), d(child)))
+        case Unary("exp", child):
+            return Binary("*", e, d(child))
+        case Unary("log", child):
+            return Binary("/", d(child), child)
+        case Unary("sqrt", child):
+            return Binary("/", d(child), Binary("*", Constant(2.0), e))
+        case Binary("+" | "-" as op, a, b):
+            return Binary(op, d(a), d(b))
+        case Binary("*", a, b):
+            return Binary("+", Binary("*", d(a), b), Binary("*", a, d(b)))
+        case Binary("/", a, b):
+            return Binary("/", Binary("-", Binary("*", d(a), b), Binary("*", a, d(b))),
+                          Binary("^", b, Constant(2.0)))
+        case Binary("^", a, Constant(p)):
+            if p == 0.0:
+                return Constant(0.0)
+            return Binary("*", Binary("*", Constant(p), Binary("^", a, Constant(p - 1.0))),
+                          d(a))
+        case Binary("^", a, b):
+            return Binary("*", e, Binary("+", Binary("*", d(b), Unary("log", a)),
+                                         Binary("/", Binary("*", b, d(a)), a)))
+    raise TypeError(f"not an expression node: {e!r}")

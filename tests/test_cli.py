@@ -60,6 +60,20 @@ def test_invariants_domain_error_names_first_point(tmp_path, capsys):
     assert "(u, v)" in err and "0.5" in err
 
 
+@pytest.mark.parametrize("f, g, reason", [
+    ("1e-120*u", "1e-120*u^2", "zero divisor"),   # E*G underflows to 0
+    ("1e200*u", "u^2", "non-finite result"),       # E and G overflow
+])
+def test_invariants_out_of_range_point_names_it(tmp_path, capsys, f, g, reason):
+    out = tmp_path / "inv.csv"
+    code = main(["invariants", "--f", f, "--g", g, "--alpha", "1", "--beta", "2",
+                 "--u", "1:1:1", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "(u, v) = (1.0, 0.0)" in err and reason in err
+    assert not out.exists()
+
+
 def test_invariants_type_column_recomputable(tmp_path):
     out = tmp_path / "inv.csv"
     main(["invariants", *RUN, "--u", "0.5:2:8", "--v", "0:0:1", "--out", str(out)])
@@ -254,3 +268,5 @@ def test_bad_grid_spec_rejected():
     assert main(["invariants", *RUN, "--u", "1:2"]) == 2
     assert main(["invariants", *RUN, "--u", "2:1:5"]) == 2
     assert main(["invariants", *RUN, "--u", "1:2:0"]) == 2
+    assert main(["invariants", *RUN, "--u", "1:1:1", "--v", "nan:nan:1"]) == 2
+    assert main(["invariants", *RUN, "--u", "inf:inf:1"]) == 2

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, random_expr, tame_at
+from helpers import central_diff, random_expr, reference_differentiate, tame_at
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, differentiate, evaluate, parse, unparse)
+                           Variable, compile_expr, differentiate, evaluate,
+                           parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,94 @@ def test_round_trip_on_sample_texts():
                  "1.5e-3*u + sqrt(u+2)", "u^-2", "-(2)", "(u+1)*(u-1)"):
         e = parse(text)
         assert parse(unparse(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation and folding, checked bit for bit
+
+SAMPLE_U = (-1.5, -0.0, 0.0, 0.7, 2.0)
+
+
+def _run(fn, u):
+    """(float.hex() of fn(u), None), or (None, the domain error raised)."""
+    try:
+        return fn(u).hex(), None
+    except EvalDomainError as exc:
+        return None, exc
+
+
+def _failed_operation(exc, u):
+    """The operation a domain error names, as its kind and the exact values
+    of its operands; folded and unfolded trees share no node objects."""
+    node = exc.node
+    operands = (node.child,) if isinstance(node, Unary) else (node.left, node.right)
+    return type(node), node.op, tuple(evaluate(x, u).hex() for x in operands)
+
+
+def _assert_compiled_matches_evaluate(e):
+    compiled = compile_expr(e)
+    for u in SAMPLE_U:
+        want, want_err = _run(lambda x: evaluate(e, x), u)
+        got, got_err = _run(compiled, u)
+        assert got == want, (unparse(e), u)
+        if want_err is not None:
+            assert type(got_err) is type(want_err)
+            assert got_err.node is want_err.node
+            assert str(got_err) == str(want_err)
+
+
+@settings(max_examples=300)
+@given(expr_trees)
+def test_compiled_matches_evaluate(e):
+    _assert_compiled_matches_evaluate(e)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(709.5)+exp(709.5)", "-exp(709.5)-exp(709.5)", "exp(709)*(u+3)", "exp(709)/0.25",
+    "1/(u-u)", "exp(1000*u)", "log(u-3)", "sqrt(u-3)", "(u+3)^1000",
+    "(u-3)^0.5", "(u-u)^-1",
+])
+def test_compiled_raises_where_evaluate_does(text):
+    # every error branch, each raising at some of the sample points
+    _assert_compiled_matches_evaluate(parse(text))
+
+
+@settings(max_examples=300)
+@given(expr_trees)
+def test_folded_derivative_matches_unfolded_reference(e):
+    # the second level sees the shapes differentiate builds (x*1, x - 0, ...)
+    for tree in (e, differentiate(e)):
+        folded, reference = differentiate(tree), reference_differentiate(tree)
+        for u in SAMPLE_U:
+            want, want_err = _run(lambda x: evaluate(reference, x), u)
+            got, got_err = _run(lambda x: evaluate(folded, x), u)
+            assert got == want, (unparse(tree), u)
+            if want_err is not None:
+                assert type(got_err) is type(want_err)
+                assert _failed_operation(got_err, u) == _failed_operation(want_err, u)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # d = -(2*u^1) + 0 is -0 + 0 = +0 at u = 0; folding x+0 would give -0
+    ("-u^2 + 5", 0.0),
+    # d = 0*(-u^2) + 2*(-(2*u^1)) is -0 + -0 = -0; folding 0*x to 0 would give +0
+    ("2*(-u^2)", -0.0),
+])
+def test_folding_keeps_the_sign_of_zero(text, expected):
+    e = parse(text)
+    assert evaluate(reference_differentiate(e), 0.0).hex() == expected.hex()
+    assert evaluate(differentiate(e), 0.0).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("text, derivative", [
+    ("u^2", "2*u^1"),            # x*1
+    ("u^2 - 3", "2*u^1"),        # x - 0
+    ("u + 1", "1"),              # 1 + 0 on two constants
+    ("3*u", "0*u+3"),            # 0*x and x+0 stay
+    ("sin(u) + 1", "cos(u)+0"),
+])
+def test_differentiate_folds_only_exact_identities(text, derivative):
+    assert unparse(differentiate(parse(text))) == derivative
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from helpers import rel_dev
 from rotsurf4.expr import Profile
 from rotsurf4.geometry import RegularityError, Vec4, fd_jet2
 from rotsurf4.octet import invariants_from_octet
-from rotsurf4.rotational import (DegenerateCurveError,
+from rotsurf4.rotational import (ClosedFormRangeError, DegenerateCurveError,
                                  RotationalSurface, closed_forms_at,
                                  closed_invariants_at, closed_octet_at,
                                  curve_frenet_oracle, frames_at,
@@ -65,6 +65,15 @@ def test_closed_forms_regularity_error():
     s = RotationalSurface(Profile.from_text("u^2"), Profile.from_text("u^3"), 1.0, 2.0)
     with pytest.raises(RegularityError):
         closed_forms_at(s, 0.0)  # f' = g' = 0 there
+
+
+@pytest.mark.parametrize("f, g", [("1e-120*u", "1e-120*u^2"), ("1e200*u", "u^2")])
+def test_closed_forms_out_of_range_raise_with_u(f, g):
+    s = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+    for fn in (closed_forms_at, closed_invariants_at, closed_octet_at):
+        with pytest.raises(ClosedFormRangeError) as err:
+            fn(s, 1.0)
+        assert err.value.u == 1.0 and "u=1.0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
