@@ -11,7 +11,8 @@ from .expr import (Binary, Constant, EvalDomainError, Expr, ExprSyntaxError,
                    Interval, Profile, Unary, UnknownIdentifierError, Variable,
                    differentiate, evaluate, parse, unparse)
 from .forms import (Christoffel, CircleReport, FirstForm, FrameError,
-                    InvariantRecord, PointType, SecondForm, SecondTensor,
+                    InvariantRecord, NonFiniteInvariantError, PointType,
+                    SecondForm, SecondTensor,
                     christoffel, classify, ellipse_samples, first_form,
                     gauss_curvature, invariants, is_circle, is_minimal,
                     is_principal_params, is_superconformal, lmn,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
-from .forms import (ellipse_samples, first_form, gauss_curvature,
-                    invariants, is_circle, lmn, second_tensor)
+from .forms import (NonFiniteInvariantError, ellipse_samples, first_form,
+                    gauss_curvature, invariants, is_circle, lmn, second_tensor)
 from .geometry import (GeometryError, analytic_jet2, fd_jet2,
                        gram_schmidt_normals, norm)
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
@@ -565,9 +565,11 @@ def cmd_plot(args, parser) -> int:
             ff = first_form(jet)
             ct = second_tensor(jet, e1, e2)
             samples = ellipse_samples(ff, ct, e1, e2, args.samples)
+            report = is_circle(samples, 1e-6)
+            if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
+                raise NonFiniteInvariantError("curvature ellipse is not finite")
         except (GeometryError, EvalDomainError) as exc:
             raise _PointError(u0, v0, exc) from exc
-        report = is_circle(samples, 1e-6)
         points = [(sum(a * b for a, b in zip(s, e1)),
                    sum(a * b for a, b in zip(s, e2))) for s in samples]
         center = (sum(a * b for a, b in zip(report.center, e1)),

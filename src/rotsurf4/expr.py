@@ -567,11 +567,15 @@ class Profile:
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    # the closed whole line contains every float (NaN too, as contains()
+    # says), so evaluation can skip the interval test
+    _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_value", compile_expr(self.expr))
         object.__setattr__(self, "_deriv1", compile_expr(self.d1))
         object.__setattr__(self, "_deriv2", compile_expr(self.d2))
+        object.__setattr__(self, "_whole_line", self.domain == Interval())
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
@@ -583,7 +587,7 @@ class Profile:
         return cls.from_expr(parse(text), domain)
 
     def _check_domain(self, u: float) -> None:
-        if not self.domain.contains(u):
+        if not self._whole_line and not self.domain.contains(u):
             raise EvalDomainError(
                 None,
                 f"u={u!r} outside the profile domain "

@@ -38,6 +38,7 @@ __all__ = [
     "PointType",
     "CircleReport",
     "FrameError",
+    "NonFiniteInvariantError",
     "first_form",
     "second_tensor",
     "christoffel",
@@ -57,6 +58,11 @@ __all__ = [
 
 class FrameError(GeometryError):
     """The supplied frame is not an orthonormal normal frame."""
+
+
+class NonFiniteInvariantError(GeometryError):
+    """An invariant or a point of the normal-curvature ellipse is inf or
+    NaN, so there is nothing to classify or draw."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +182,16 @@ def classify(k: float, kappa: float, sf: SecondForm, tol: float = 1e-8) -> Point
     Both are normalized by max(1, L^2, M^2, N^2, LN) before the comparison
     with ``tol``: k and kappa already divide by metric determinants, so the
     residual scale comes from the second form.  k > 0 elliptic, k < 0
-    hyperbolic, k = 0 with kappa != 0 parabolic, both zero flat.
+    hyperbolic, k = 0 with kappa != 0 parabolic, both zero flat.  Raises
+    :class:`NonFiniteInvariantError` when the normalized k or kappa is NaN,
+    which no sign comparison can place.
     """
     scale = max(1.0, sf.L * sf.L, sf.M * sf.M, sf.N * sf.N, sf.L * sf.N)
     kn = k / scale
     xn = kappa / scale
+    if math.isnan(kn) or math.isnan(xn):
+        raise NonFiniteInvariantError(
+            f"cannot classify: k={k!r} kappa={kappa!r} (second-form scale {scale!r})")
     if kn > tol:
         return PointType.ELLIPTIC
     if kn < -tol:

@@ -42,8 +42,12 @@ class RegularityError(GeometryError):
     """A regularity condition of the surface family fails at the point."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Vec4:
+    """A point or vector of R^4.  A value type by convention: nothing
+    assigns its fields after construction (slots, not ``frozen``, keep
+    construction cheap on the hot paths)."""
+
     x1: float
     x2: float
     x3: float
@@ -80,31 +84,37 @@ def norm(a: Vec4) -> float:
     return math.sqrt(dot(a, a))
 
 
-def _det3(r1, r2, r3) -> float:
-    return (r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-            - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-            + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0]))
+def _det3(a1, a2, a3, b1, b2, b3, c1, c2, c3) -> float:
+    """Determinant of the 3x3 matrix with rows (a1, a2, a3), (b1, b2, b3),
+    (c1, c2, c3), expanded along the first row."""
+    return (a1 * (b2 * c3 - b3 * c2)
+            - a2 * (b1 * c3 - b3 * c1)
+            + a3 * (b1 * c2 - b2 * c1))
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> float:
-    """Determinant of the 4x4 matrix with rows a, b, c, d."""
-    head = tuple(a)
-    rows = (tuple(b), tuple(c), tuple(d))
+    """Determinant of the 4x4 matrix with rows a, b, c, d, expanded along
+    the first row."""
+    b1, b2, b3, b4 = b.x1, b.x2, b.x3, b.x4
+    c1, c2, c3, c4 = c.x1, c.x2, c.x3, c.x4
+    d1, d2, d3, d4 = d.x1, d.x2, d.x3, d.x4
     total = 0.0
-    for j, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
-        minor = [r[:j] + r[j + 1:] for r in rows]
-        total += sign * head[j] * _det3(*minor)
+    total += a.x1 * _det3(b2, b3, b4, c2, c3, c4, d2, d3, d4)
+    total += -a.x2 * _det3(b1, b3, b4, c1, c3, c4, d1, d3, d4)
+    total += a.x3 * _det3(b1, b2, b4, c1, c2, c4, d1, d2, d4)
+    total += -a.x4 * _det3(b1, b2, b3, c1, c2, c3, d1, d2, d3)
     return total
 
 
 def cross4(a: Vec4, b: Vec4, c: Vec4) -> Vec4:
     """The vector d with dot(d, w) == det4(a, b, c, w) for every w."""
-    rows = (tuple(a), tuple(b), tuple(c))
-    comps = []
-    for j, sign in enumerate((-1.0, 1.0, -1.0, 1.0)):
-        minor = [r[:j] + r[j + 1:] for r in rows]
-        comps.append(sign * _det3(*minor))
-    return Vec4(*comps)
+    a1, a2, a3, a4 = a.x1, a.x2, a.x3, a.x4
+    b1, b2, b3, b4 = b.x1, b.x2, b.x3, b.x4
+    c1, c2, c3, c4 = c.x1, c.x2, c.x3, c.x4
+    return Vec4(-_det3(a2, a3, a4, b2, b3, b4, c2, c3, c4),
+                _det3(a1, a3, a4, b1, b3, b4, c1, c3, c4),
+                -_det3(a1, a2, a4, b1, b2, b4, c1, c2, c4),
+                _det3(a1, a2, a3, b1, b2, b3, c1, c2, c3))
 
 
 @dataclass(frozen=True)
@@ -222,8 +232,28 @@ def _fd_parts(m, u, v, h, z) -> dict[str, Vec4]:
     }
 
 
-_BASIS = (Vec4(1.0, 0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0),
-          Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0))
+_BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+          (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
+def _pick_seed(frame: tuple[Vec4, ...]) -> tuple[Vec4, float]:
+    """The longest residual of a standard basis vector after removing its
+    components along the orthonormal ``frame`` (lowest index on ties),
+    and its norm.
+
+    Runs on plain floats with the float operations of
+    ``r = r - q * dot(r, q)`` and ``norm(r)`` on :class:`Vec4`, in the
+    same order, so the seed is the same bit for bit."""
+    qs = [(q.x1, q.x2, q.x3, q.x4) for q in frame]
+    best, best_norm = None, -1.0
+    for r1, r2, r3, r4 in _BASIS:
+        for q1, q2, q3, q4 in qs:
+            s = r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4
+            r1, r2, r3, r4 = r1 - q1 * s, r2 - q2 * s, r3 - q3 * s, r4 - q4 * s
+        n = math.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
+        if n > best_norm:
+            best, best_norm = (r1, r2, r3, r4), n
+    return Vec4(*best), best_norm
 
 
 def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
@@ -247,21 +277,9 @@ def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
     if nw == 0.0:
         raise DegenerateMetricError("tangent vectors are collinear")
     t2 = w / nw
-
-    def pick(frame: tuple[Vec4, ...]) -> tuple[Vec4, float]:
-        best, best_norm = None, -1.0
-        for cand in _BASIS:
-            r = cand
-            for q in frame:
-                r = r - q * dot(r, q)
-            n = norm(r)
-            if n > best_norm:
-                best, best_norm = r, n
-        return best, best_norm
-
-    r1, n1 = pick((t1, t2))
+    r1, n1 = _pick_seed((t1, t2))
     e1 = r1 / n1
-    r2, n2 = pick((t1, t2, e1))
+    r2, n2 = _pick_seed((t1, t2, e1))
     e2 = r2 / n2
     if det4(zu, zv, e1, e2) < 0.0:
         e2 = -e2

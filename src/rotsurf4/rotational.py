@@ -151,6 +151,8 @@ def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, 
         gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / (gg * gg * ee * ee)
     except ZeroDivisionError:
         raise ClosedFormRangeError(u, "zero divisor") from None
+    except OverflowError:  # float ** raises where * would give inf
+        raise ClosedFormRangeError(u, "non-finite result") from None
     _finite_at(u, (k, kappa, gauss))
     return k, kappa, gauss
 
@@ -243,13 +245,22 @@ def vline_derivatives(a: float, b: float, alpha: float, beta: float,
 
 def meridian_curvature(s: RotationalSurface, u: float) -> float:
     """Curvature |g' f'' - f' g''| / sqrt(E)^3 of the meridian.  The
-    meridian is a plane curve, so its torsion vanishes identically."""
+    meridian is a plane curve, so its torsion vanishes identically.
+    Raises :class:`ClosedFormRangeError` where sqrt(E)^3 underflows to zero
+    or overflows, or the result is not finite."""
     _, f1, f2, _, g1, g2 = (s.f.value(u), s.f.deriv1(u), s.f.deriv2(u),
                             s.g.value(u), s.g.deriv1(u), s.g.deriv2(u))
     ee = f1 * f1 + g1 * g1
     if ee <= 0.0:
         raise RegularityError(f"meridian speed vanishes at u={u!r}")
-    return abs(g1 * f2 - f1 * g2) / math.sqrt(ee) ** 3
+    try:
+        curvature = abs(g1 * f2 - f1 * g2) / math.sqrt(ee) ** 3
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    except OverflowError:
+        raise ClosedFormRangeError(u, "non-finite result") from None
+    _finite_at(u, (curvature,))
+    return curvature
 
 
 def curve_frenet_oracle(d1: Vec4, d2: Vec4, d3: Vec4, d4: Vec4, *,

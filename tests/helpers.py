@@ -1,11 +1,12 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
-unfolded differentiator)."""
+unfolded differentiator, the Vec4-based frame kernel)."""
 
 import math
 import random
 
 from rotsurf4.expr import Binary, Constant, Unary, Variable, evaluate
+from rotsurf4.geometry import DegenerateMetricError, Vec4, dot, norm
 from rotsurf4.octet import FrenetOctet
 
 
@@ -109,3 +110,72 @@ def reference_differentiate(e):
             return Binary("*", e, Binary("+", Binary("*", d(b), Unary("log", a)),
                                          Binary("/", Binary("*", b, d(a)), a)))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# The frame kernel written with Vec4 arithmetic throughout: the bit-for-bit
+# oracle for the scalar ``rotsurf4.geometry`` det4, cross4 and
+# gram_schmidt_normals.
+
+def _reference_det3(r1, r2, r3) -> float:
+    return (r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+            - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+            + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0]))
+
+
+def reference_det4(a, b, c, d) -> float:
+    head = tuple(a)
+    rows = (tuple(b), tuple(c), tuple(d))
+    total = 0.0
+    for j, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        minor = [r[:j] + r[j + 1:] for r in rows]
+        total += sign * head[j] * _reference_det3(*minor)
+    return total
+
+
+def reference_cross4(a, b, c):
+    rows = (tuple(a), tuple(b), tuple(c))
+    comps = []
+    for j, sign in enumerate((-1.0, 1.0, -1.0, 1.0)):
+        minor = [r[:j] + r[j + 1:] for r in rows]
+        comps.append(sign * _reference_det3(*minor))
+    return Vec4(*comps)
+
+
+_REFERENCE_BASIS = (Vec4(1.0, 0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0),
+                    Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0))
+
+
+def reference_gram_schmidt_normals(jet):
+    zu, zv = jet.z_u, jet.z_v
+    ee = dot(zu, zu)
+    ff = dot(zu, zv)
+    gg = dot(zv, zv)
+    if ee <= 0.0 or ee * gg - ff * ff <= 0.0:
+        raise DegenerateMetricError(
+            f"tangent plane degenerate: EG-F^2 = {ee * gg - ff * ff!r}")
+    t1 = zu / math.sqrt(ee)
+    w = zv - t1 * dot(zv, t1)
+    nw = norm(w)
+    if nw == 0.0:
+        raise DegenerateMetricError("tangent vectors are collinear")
+    t2 = w / nw
+
+    def pick(frame):
+        best, best_norm = None, -1.0
+        for cand in _REFERENCE_BASIS:
+            r = cand
+            for q in frame:
+                r = r - q * dot(r, q)
+            n = norm(r)
+            if n > best_norm:
+                best, best_norm = r, n
+        return best, best_norm
+
+    r1, n1 = pick((t1, t2))
+    e1 = r1 / n1
+    r2, n2 = pick((t1, t2, e1))
+    e2 = r2 / n2
+    if reference_det4(zu, zv, e1, e2) < 0.0:
+        e2 = -e2
+    return e1, e2

@@ -247,6 +247,26 @@ def test_plot_ellipse(tmp_path):
     assert "<polygon" in text
 
 
+def test_plot_ellipse_non_finite_names_point(tmp_path, capsys):
+    out = tmp_path / "e.svg"
+    code = main(["plot", "--f", "1e200*u", "--g", "u^2", "--alpha", "1", "--beta", "2",
+                 "--u", "1:1:1", "--quantity", "ellipse", "--point", "1", "0",
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "(u, v) = (1.0, 0.0)" in err and "not finite" in err
+    assert not out.exists()
+
+
+def test_plot_invariant_power_overflow_names_point(tmp_path, capsys):
+    out = tmp_path / "k.svg"
+    code = main(["plot", "--f", "1e110*u", "--g", "u^2", "--alpha", "1", "--beta", "2",
+                 "--u", "1:1:1", "--quantity", "k", "--out", str(out)])
+    assert code == 3
+    assert "(u, v) = (1.0, 0.0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_unknown_quantity_usage_error(tmp_path):
     assert main(["plot", *RUN, "--u", "1:1:1", "--quantity", "bogus",
                  "--out", str(tmp_path / "x.svg")]) == 2

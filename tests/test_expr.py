@@ -343,3 +343,21 @@ def test_profile_domain_enforced():
         p.value(0.0)
     with pytest.raises(EvalDomainError):
         p.value(-1.0)
+
+
+def test_profile_whole_line_domain_admits_every_float():
+    p = Profile.from_text("u")
+    assert p.domain == Interval()
+    assert p.value(-math.inf) == -math.inf and p.deriv1(math.inf) == 1.0
+    assert math.isnan(p.value(math.nan))  # Interval().contains(nan) is True
+    assert Interval().contains(math.nan)
+
+
+def test_profile_half_line_domain_still_checked():
+    closed = Profile.from_text("u", domain=Interval(-math.inf, math.inf, open_lo=True))
+    with pytest.raises(EvalDomainError):
+        closed.deriv2(-math.inf)
+    bounded = Profile.from_text("u", domain=Interval(0.0, 1.0))
+    assert bounded.value(1.0) == 1.0
+    with pytest.raises(EvalDomainError):
+        bounded.deriv1(1.5)

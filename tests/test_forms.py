@@ -5,8 +5,9 @@ import pytest
 
 from helpers import rel_dev
 from rotsurf4.expr import Profile
-from rotsurf4.forms import (CircleReport, FrameError, PointType, SecondForm,
-                            SecondTensor, christoffel, ellipse_samples,
+from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
+                            PointType, SecondForm, SecondTensor, christoffel,
+                            classify, ellipse_samples,
                             first_form, gauss_curvature, invariants,
                             is_circle, is_minimal, is_principal_params,
                             is_superconformal, lmn, mean_curvature_vector,
@@ -159,6 +160,17 @@ def test_invariants_flat_for_zero_forms():
     rec = invariants(FirstForm(1.0, 0.0, 1.0, 1.0), SecondForm(0.0, 0.0, 0.0), 0.0)
     assert rec.k == 0.0 and rec.kappa == 0.0
     assert rec.point_type is PointType.FLAT
+
+
+@pytest.mark.parametrize("k, kappa, sf", [
+    (math.nan, math.nan, SecondForm(0.0, 0.0, 0.0)),
+    (math.nan, 0.0, SecondForm(1.0, 0.0, 1.0)),
+    (0.0, math.nan, SecondForm(1.0, 0.0, 1.0)),
+    (math.inf, 0.0, SecondForm(1e200, 0.0, 1e200)),  # inf / inf scale
+])
+def test_classify_refuses_nan(k, kappa, sf):
+    with pytest.raises(NonFiniteInvariantError):
+        classify(k, kappa, sf)
 
 
 def test_invariants_hyperbolic_example():

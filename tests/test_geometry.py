@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import jet_dev, vec_dev
+from helpers import (jet_dev, reference_cross4, reference_det4,
+                     reference_gram_schmidt_normals, vec_dev)
 from rotsurf4.expr import Profile, constant_profile
 from rotsurf4.geometry import (Curve4, DegenerateMetricError, Jet2,
                                RegularityError, Vec4, analytic_jet2, cross4,
@@ -213,3 +214,62 @@ def test_gram_schmidt_degenerate_tangent_plane():
                Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
     with pytest.raises(DegenerateMetricError):
         gram_schmidt_normals(jet)
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel against the Vec4-based reference, bit for bit
+
+# signed zeros and small integers make axis-aligned vectors, on which the
+# seed residuals tie and the lowest index must win
+kernel_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+kernel_vecs = st.builds(Vec4, kernel_floats, kernel_floats, kernel_floats, kernel_floats)
+axis_vecs = st.builds(lambda i, s: Vec4(*(s if j == i else 0.0 for j in range(4))),
+                      st.integers(0, 3), st.sampled_from([1.0, -1.0, 2.5, -3.0]))
+
+
+def _hex(v):
+    return tuple(float.hex(c) for c in v)
+
+
+def _frame_or_error(fn, jet):
+    try:
+        e1, e2 = fn(jet)
+    except DegenerateMetricError as exc:
+        return str(exc)
+    return _hex(e1), _hex(e2)
+
+
+@settings(max_examples=400)
+@given(st.one_of(kernel_vecs, axis_vecs), st.one_of(kernel_vecs, axis_vecs))
+def test_gram_schmidt_bit_identical_to_reference(zu, zv):
+    zero = Vec4(0.0, 0.0, 0.0, 0.0)
+    jet = Jet2(zero, zu, zv, zero, zero, zero)
+    assert (_frame_or_error(gram_schmidt_normals, jet)
+            == _frame_or_error(reference_gram_schmidt_normals, jet))
+
+
+def test_gram_schmidt_axis_ties_pick_lowest_index():
+    zero = Vec4(0.0, 0.0, 0.0, 0.0)
+    jet = Jet2(zero, Vec4(1.0, 0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0), zero, zero, zero)
+    e1, e2 = gram_schmidt_normals(jet)
+    assert e1 == Vec4(0.0, 0.0, 1.0, 0.0) and e2 == Vec4(0.0, 0.0, 0.0, 1.0)
+    assert _frame_or_error(reference_gram_schmidt_normals, jet) == (_hex(e1), _hex(e2))
+
+
+@settings(max_examples=400)
+@given(st.one_of(kernel_vecs, axis_vecs), st.one_of(kernel_vecs, axis_vecs),
+       st.one_of(kernel_vecs, axis_vecs), st.one_of(kernel_vecs, axis_vecs))
+def test_det4_cross4_bit_identical_to_reference(a, b, c, d):
+    assert float.hex(det4(a, b, c, d)) == float.hex(reference_det4(a, b, c, d))
+    assert _hex(cross4(a, b, c)) == _hex(reference_cross4(a, b, c))
+
+
+def test_vec4_value_semantics():
+    a = Vec4(1.0, -0.0, 2.5, 3.0)
+    assert a == Vec4(1.0, -0.0, 2.5, 3.0)
+    assert a != Vec4(1.0, -0.0, 2.5, 4.0)
+    assert repr(a) == "Vec4(x1=1.0, x2=-0.0, x3=2.5, x4=3.0)"
+    assert tuple(a) == (1.0, -0.0, 2.5, 3.0)

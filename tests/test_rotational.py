@@ -79,6 +79,14 @@ def test_closed_forms_out_of_range_raise_with_u(f, g):
 # ---------------------------------------------------------------------------
 # closed invariants
 
+def test_closed_invariants_power_overflow_raises_with_u():
+    # G^3 overflows, which float ** reports as OverflowError, not inf
+    s = RotationalSurface(Profile.from_text("1e110*u"), Profile.from_text("u^2"), 1.0, 2.0)
+    with pytest.raises(ClosedFormRangeError) as err:
+        closed_invariants_at(s, 1.0)
+    assert err.value.u == 1.0 and "non-finite result" in str(err.value)
+
+
 def test_closed_invariants_running_example(parabola):
     k, kappa, gauss = closed_invariants_at(parabola, 1.0)
     assert k == pytest.approx(64 / 15625, rel=1e-14)
@@ -172,6 +180,18 @@ def test_vline_degenerate_rejected():
 
 def test_meridian_curvature_running_example(parabola):
     assert meridian_curvature(parabola, 1.0) == pytest.approx(2 / SQRT5 ** 3, rel=1e-14)
+
+
+@pytest.mark.parametrize("f, g, reason", [
+    ("1e-120*u", "1e-120*u^2", "zero divisor"),          # sqrt(E)^3 underflows to 0
+    ("1e110*(u-1)^2 + 1e-100*u", "1e-100*u", "non-finite result"),  # 2e10 / 2.8e-300
+    ("1e-150*u", "1e150*u^2", "non-finite result"),      # sqrt(E)^3 overflows
+])
+def test_meridian_curvature_out_of_range_raises_with_u(f, g, reason):
+    s = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+    with pytest.raises(ClosedFormRangeError) as err:
+        meridian_curvature(s, 1.0)
+    assert err.value.u == 1.0 and reason in str(err.value)
 
 
 def test_meridian_curvature_linear_meridian(linear):
