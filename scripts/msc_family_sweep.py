@@ -12,9 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rotsurf4.forms import (first_form, gauss_curvature, invariants, lmn,
-                            second_tensor)
-from rotsurf4.geometry import analytic_jet2, gram_schmidt_normals
+from rotsurf4.forms import generic_at, generic_invariants, superconformal_residuals
+from rotsurf4.geometry import analytic_jet2
 from rotsurf4.msc import MscParams, msc_invariants, msc_profile_text, msc_residual, msc_surface
 
 
@@ -35,15 +34,10 @@ def main() -> int:
             residual = max(abs(msc_residual(surface, u, eps)) for u in us)
             identity = 0.0
             for u in us:
-                jet = analytic_jet2(surface, u, 0.0)
-                ff = first_form(jet)
-                e1, e2 = gram_schmidt_normals(jet)
-                ct = second_tensor(jet, e1, e2)
-                rec = invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
-                scale = max(1.0, rec.kappa ** 2, abs(rec.k), rec.K ** 2)
-                identity = max(identity,
-                               abs(rec.kappa ** 2 - rec.k) / scale,
-                               abs(rec.K ** 2 - rec.kappa ** 2) / scale)
+                _, _, ff, ct = generic_at(analytic_jet2(surface, u, 0.0))
+                rec = generic_invariants(ff, ct)
+                minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+                identity = max(identity, minimal / scale, conformal / scale)
             k1, x1, _ = msc_invariants(params, 1.0)
             print(f"{msc_profile_text(params):<14}{params.p:>6.2f}{k1:>13.4e}"
                   f"{x1:>13.4e}{residual:>13.2e}{identity:>13.2e}")

@@ -14,9 +14,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rotsurf4.expr import Profile
-from rotsurf4.forms import (first_form, gauss_curvature, invariants, lmn,
-                            second_tensor)
-from rotsurf4.geometry import fd_jet2, gram_schmidt_normals
+from rotsurf4.forms import generic_at, generic_invariants
+from rotsurf4.geometry import fd_jet2
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
                                  closed_invariants_at)
 
@@ -46,14 +45,10 @@ def main() -> int:
         u = args.u_min + (args.u_max - args.u_min) * i / max(1, args.points - 1)
         ffc, _, sfc = closed_forms_at(surface, u)
         kc, xc, gc = closed_invariants_at(surface, u)
-        jet = fd_jet2(amap, u, args.v)
-        ff = first_form(jet)
-        e1, e2 = gram_schmidt_normals(jet)
-        ct = second_tensor(jet, e1, e2)
-        sf = lmn(ct, ff.W)
-        rec = invariants(ff, sf, gauss_curvature(ff, ct))
+        _, _, ff, ct = generic_at(fd_jet2(amap, u, args.v))
+        rec = generic_invariants(ff, ct)
         dev_forms = max(rel(ff.E, ffc.E), rel(ff.F, ffc.F), rel(ff.G, ffc.G),
-                        rel(sf.L, sfc.L), rel(sf.M, sfc.M), rel(sf.N, sfc.N))
+                        rel(rec.L, sfc.L), rel(rec.M, sfc.M), rel(rec.N, sfc.N))
         dev_inv = max(rel(rec.k, kc), rel(rec.kappa, xc), rel(rec.K, gc))
         worst = max(worst, dev_forms, dev_inv)
         print(f"{u:>8.4f}{kc:>14.6e}{rec.k:>14.6e}{dev_forms:>12.2e}{dev_inv:>12.2e}")

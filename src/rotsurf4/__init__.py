@@ -14,16 +14,18 @@ from .forms import (Christoffel, CircleReport, FirstForm, FrameError,
                     InvariantRecord, NonFiniteInvariantError, PointType,
                     SecondForm, SecondTensor,
                     christoffel, classify, ellipse_samples, first_form,
-                    gauss_curvature, invariants, is_circle, is_minimal,
-                    is_principal_params, is_superconformal, lmn,
-                    mean_curvature_vector, second_form_value, second_tensor)
+                    gauss_curvature, generic_at, generic_invariants,
+                    invariants, is_circle, is_minimal, is_principal_params,
+                    is_superconformal, lmn, mean_curvature_vector,
+                    second_form_value, second_tensor, superconformal_residuals)
 from .geometry import (Curve4, DegenerateMetricError, GeometryError, Jet2,
                        RegularityError, Vec4, analytic_jet2, cross4, det4,
                        dot, double_rotation, fd_jet2, gram_schmidt_normals,
                        norm)
 from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
                   msc_profile_text, msc_residual, msc_surface,
-                  power_law_invariants, reduced_invariants)
+                  power_law_invariants, reduced_invariants,
+                  scaled_msc_residual)
 from .octet import (FrenetOctet, JetNeighbors, NonPrincipalParamsError,
                     TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)

@@ -23,14 +23,15 @@ import csv
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
-from .forms import (NonFiniteInvariantError, ellipse_samples, first_form,
-                    gauss_curvature, invariants, is_circle, lmn, second_tensor)
-from .geometry import (GeometryError, analytic_jet2, fd_jet2,
-                       gram_schmidt_normals, norm)
+from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
+                    generic_invariants, invariants, is_circle,
+                    superconformal_residuals)
+from .geometry import GeometryError, analytic_jet2, fd_jet2, norm
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
 from .rotational import RotationalSurface, closed_forms_at, closed_invariants_at, closed_octet_at
@@ -96,13 +97,6 @@ class GridSpec:
         return _linspace(self.v_min, self.v_max, self.nv)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    surface: RotationalSurface
-    grid: GridSpec
-    msc_params: msc_mod.MscParams | None = None
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -120,7 +114,7 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  default_v=(0.0, 0.0, 1)) -> RunConfig:
+                  default_v=(0.0, 0.0, 1)) -> tuple[RotationalSurface, GridSpec]:
     expr_source = args.f is not None or args.g is not None
     msc_source = args.msc_c is not None or args.eps is not None
     if expr_source and msc_source:
@@ -128,7 +122,6 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     if not expr_source and not msc_source:
         parser.error("a surface source is required: --f/--g or --msc-c/--eps")
 
-    params = None
     if msc_source:
         if args.msc_c is None or args.eps is None:
             parser.error("--msc-c and --eps go together")
@@ -150,13 +143,17 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     v_range = args.v if args.v else default_v
     grid = GridSpec(u_range[0], u_range[1], u_range[2],
                     v_range[0], v_range[1], v_range[2])
-    return RunConfig(surface, grid, params)
+    return surface, grid
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _csv_out(path: str | None):
+    """A CSV writer on ``path``, or on stdout for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield csv.writer(sys.stdout)
+        return
+    with open(path, "w", newline="") as stream:
+        yield csv.writer(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +169,11 @@ def _invariant_row(surface: RotationalSurface, u: float, v_first: float, class_t
 
 
 def cmd_invariants(args, parser) -> int:
-    cfg = _build_config(args, parser)
-    us = cfg.grid.u_values()
-    vs = cfg.grid.v_values()
-    records = [_invariant_row(cfg.surface, u, vs[0], args.tol_class) for u in us]
-    stream, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(stream)
+    surface, grid = _build_config(args, parser)
+    us = grid.u_values()
+    vs = grid.v_values()
+    records = [_invariant_row(surface, u, vs[0], args.tol_class) for u in us]
+    with _csv_out(args.out) as writer:
         writer.writerow(_INVARIANT_HEADER)
         for u, rec in zip(us, records):
             for v in vs:
@@ -186,34 +181,26 @@ def cmd_invariants(args, parser) -> int:
                                  _num(rec.G), _num(rec.L), _num(rec.M), _num(rec.N),
                                  _num(rec.k), _num(rec.kappa), _num(rec.K),
                                  rec.point_type.value])
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
 def cmd_octet(args, parser) -> int:
-    cfg = _build_config(args, parser)
-    us = cfg.grid.u_values()
+    surface, grid = _build_config(args, parser)
+    us = grid.u_values()
 
     def row(u):
         try:
-            return closed_octet_at(cfg.surface, u)
+            return closed_octet_at(surface, u)
         except (GeometryError, EvalDomainError) as exc:
-            raise _PointError(u, cfg.grid.v_min, exc) from exc
+            raise _PointError(u, grid.v_min, exc) from exc
 
     octets = [row(u) for u in us]
-    stream, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(stream)
+    with _csv_out(args.out) as writer:
         writer.writerow(_OCTET_HEADER)
         for u, o in zip(us, octets):
             writer.writerow([_num(u), _num(o.gamma1), _num(o.gamma2), _num(o.nu1),
                              _num(o.nu2), _num(o.lam), _num(o.mu), _num(o.beta1),
                              _num(o.beta2)])
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
@@ -258,10 +245,9 @@ class _Check:
 
 
 def cmd_verify(args, parser) -> int:
-    cfg = _build_config(args, parser)
-    surface = cfg.surface
-    us = cfg.grid.u_values()
-    vs = cfg.grid.v_values()
+    surface, grid = _build_config(args, parser)
+    us = grid.u_values()
+    vs = grid.v_values()
     surface_map = surface.as_map()
 
     checks = {
@@ -290,14 +276,11 @@ def cmd_verify(args, parser) -> int:
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_jet_dev(jet_a, jet_f), (u, v))
 
-                e1, e2 = gram_schmidt_normals(jet_f)
-                ff = first_form(jet_f)
-                ct = second_tensor(jet_f, e1, e2)
-                sf = lmn(ct, ff.W)
+                _, _, ff, ct = generic_at(jet_f)
+                rec = generic_invariants(ff, ct)
                 checks["forms"].update(max(
                     _rel(ff.E, ffc.E), _rel(ff.F, ffc.F), _rel(ff.G, ffc.G),
-                    _rel(sf.L, sfc.L), _rel(sf.M, sfc.M), _rel(sf.N, sfc.N)), (u, v))
-                rec = invariants(ff, sf, gauss_curvature(ff, ct))
+                    _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
                 checks["invariants"].update(max(
                     _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
 
@@ -313,19 +296,7 @@ def cmd_verify(args, parser) -> int:
         residual_note = None
         member = False
         try:
-            worst_residual = 0.0
-            for u in us:
-                best = None
-                for eps in (1, -1):
-                    r = msc_mod.msc_residual(surface, u, eps)
-                    g = surface.g.value(u)
-                    g1 = surface.g.deriv1(u)
-                    a, b = surface.alpha, surface.beta
-                    scale = max(1.0, abs(a * b * (g - u * g1)),
-                                abs(a * a * u * g1 - b * b * g))
-                    d = abs(r) / scale
-                    best = d if best is None else min(best, d)
-                worst_residual = max(worst_residual, best)
+            worst_residual = max(0.0, *(msc_mod.scaled_msc_residual(surface, u) for u in us))
             member = worst_residual <= args.tol_residual
             verdict = "member" if member else "not a member"
             residual_note = (f"max scaled residual {worst_residual:.3e} "
@@ -341,15 +312,10 @@ def cmd_verify(args, parser) -> int:
             checks["ellipse-circle"].note = "surface does not satisfy the msc equation"
         else:
             for u in us:
-                jet = jet_at(u, vs[0])
-                e1, e2 = gram_schmidt_normals(jet)
-                ff = first_form(jet)
-                ct = second_tensor(jet, e1, e2)
-                rec = invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
-                scale = max(1.0, rec.kappa ** 2, abs(rec.k), rec.K ** 2)
-                checks["superconformal"].update(
-                    max(abs(rec.kappa ** 2 - rec.k), abs(rec.K ** 2 - rec.kappa ** 2)) / scale,
-                    (u, vs[0]))
+                e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
+                rec = generic_invariants(ff, ct)
+                minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+                checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
                 report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), args.tol_circle)
                 center_dev = norm(report.center) / max(1.0, report.radius)
                 checks["ellipse-circle"].update(
@@ -405,22 +371,17 @@ def cmd_msc(args, parser) -> int:
     for u in us:
         k, kappa, gauss = msc_mod.msc_invariants(params, u)
         residual = msc_mod.msc_residual(surface, u, params.eps)
-        scale = max(1.0, kappa * kappa, abs(k), gauss * gauss)
-        minimal = abs(kappa * kappa - k) <= tol * scale
-        superconformal = minimal and abs(gauss * gauss - kappa * kappa) <= tol * scale
+        minimal_dev, conformal_dev, scale = superconformal_residuals(k, kappa, gauss)
+        minimal = minimal_dev <= tol * scale
+        superconformal = minimal and conformal_dev <= tol * scale
         all_pass = all_pass and superconformal
         rows.append((u, k, kappa, gauss, residual, minimal, superconformal))
 
-    stream, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(stream)
+    with _csv_out(args.out) as writer:
         writer.writerow(["u", "k", "kappa", "K", "residual", "minimal", "superconformal"])
         for u, k, kappa, gauss, residual, minimal, sc in rows:
             writer.writerow([_num(u), _num(k), _num(kappa), _num(gauss),
                              _num(residual), str(minimal).lower(), str(sc).lower()])
-    finally:
-        if owned:
-            stream.close()
     npass = sum(1 for r in rows if r[6])
     print(f"minimal super-conformal at {npass}/{len(rows)} grid points")
     return EXIT_OK if all_pass else EXIT_VERIFY
@@ -438,12 +399,12 @@ _PROJECTIONS = {
 
 
 def cmd_export(args, parser) -> int:
-    cfg = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
-    if cfg.grid.nu < 2 or cfg.grid.nv < 2:
+    surface, grid = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
+    if grid.nu < 2 or grid.nv < 2:
         parser.error("export needs at least a 2x2 grid")
-    us = cfg.grid.u_values()
-    vs = cfg.grid.v_values()
-    surface_map = cfg.surface.as_map()
+    us = grid.u_values()
+    vs = grid.v_values()
+    surface_map = surface.as_map()
     keep = _PROJECTIONS[args.projection]
 
     lines = []
@@ -456,7 +417,7 @@ def cmd_export(args, parser) -> int:
             coords = [point[i] for i in keep]
             lines.append("v " + " ".join(_num(c) for c in coords))
 
-    nu, nv = cfg.grid.nu, cfg.grid.nv
+    nu, nv = grid.nu, grid.nv
     wrap = nv if args.close_v else nv - 1
     for i in range(nu - 1):
         for j in range(wrap):
@@ -553,17 +514,13 @@ def _svg_ellipse_plot(points: list[tuple[float, float]], center: tuple[float, fl
 
 
 def cmd_plot(args, parser) -> int:
-    cfg = _build_config(args, parser)
-    surface = cfg.surface
+    surface, grid = _build_config(args, parser)
     if args.quantity == "ellipse":
         if args.point is None:
             parser.error("--point U V is required for the ellipse plot")
         u0, v0 = args.point
         try:
-            jet = analytic_jet2(surface, u0, v0)
-            e1, e2 = gram_schmidt_normals(jet)
-            ff = first_form(jet)
-            ct = second_tensor(jet, e1, e2)
+            e1, e2, ff, ct = generic_at(analytic_jet2(surface, u0, v0))
             samples = ellipse_samples(ff, ct, e1, e2, args.samples)
             report = is_circle(samples, 1e-6)
             if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
@@ -576,7 +533,7 @@ def cmd_plot(args, parser) -> int:
                   sum(a * b for a, b in zip(report.center, e2)))
         text = _svg_ellipse_plot(points, center)
     else:
-        us = cfg.grid.u_values()
+        us = grid.u_values()
         values = []
         for u in us:
             try:
@@ -588,7 +545,7 @@ def cmd_plot(args, parser) -> int:
                     values.append({"nu1": o.nu1, "nu2": o.nu2, "mu": o.mu,
                                    "gamma2": o.gamma2, "beta2": o.beta2}[args.quantity])
             except (GeometryError, EvalDomainError) as exc:
-                raise _PointError(u, cfg.grid.v_min, exc) from exc
+                raise _PointError(u, grid.v_min, exc) from exc
         text = _svg_line_plot(us, values, args.quantity)
     with open(args.out, "w", newline="") as stream:
         stream.write(text)

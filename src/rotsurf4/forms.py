@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot,
-                       norm)
+                       gram_schmidt_normals, norm)
 
 __all__ = [
     "FirstForm",
@@ -41,6 +41,8 @@ __all__ = [
     "NonFiniteInvariantError",
     "first_form",
     "second_tensor",
+    "generic_at",
+    "generic_invariants",
     "christoffel",
     "lmn",
     "classify",
@@ -48,6 +50,7 @@ __all__ = [
     "gauss_curvature",
     "second_form_value",
     "is_principal_params",
+    "superconformal_residuals",
     "is_minimal",
     "is_superconformal",
     "mean_curvature_vector",
@@ -181,15 +184,21 @@ def classify(k: float, kappa: float, sf: SecondForm, tol: float = 1e-8) -> Point
 
     Both are normalized by max(1, L^2, M^2, N^2, LN) before the comparison
     with ``tol``: k and kappa already divide by metric determinants, so the
-    residual scale comes from the second form.  k > 0 elliptic, k < 0
-    hyperbolic, k = 0 with kappa != 0 parabolic, both zero flat.  Raises
-    :class:`NonFiniteInvariantError` when the normalized k or kappa is NaN,
-    which no sign comparison can place.
+    residual scale comes from the second form.  When that scale overflows,
+    they are divided twice by max(1, |L|, |M|, |N|), its square root.  k > 0
+    elliptic, k < 0 hyperbolic, k = 0 with kappa != 0 parabolic, both zero
+    flat.  Raises :class:`NonFiniteInvariantError` when the normalized k or
+    kappa is inf or NaN, which no sign comparison can place.
     """
     scale = max(1.0, sf.L * sf.L, sf.M * sf.M, sf.N * sf.N, sf.L * sf.N)
-    kn = k / scale
-    xn = kappa / scale
-    if math.isnan(kn) or math.isnan(xn):
+    if math.isinf(scale):
+        root = max(1.0, abs(sf.L), abs(sf.M), abs(sf.N))
+        kn = k / root / root
+        xn = kappa / root / root
+    else:
+        kn = k / scale
+        xn = kappa / scale
+    if not (math.isfinite(kn) and math.isfinite(xn)):
         raise NonFiniteInvariantError(
             f"cannot classify: k={k!r} kappa={kappa!r} (second-form scale {scale!r})")
     if kn > tol:
@@ -210,6 +219,19 @@ def invariants(ff: FirstForm, sf: SecondForm, gauss: float, *,
     kappa = (ff.E * sf.N + ff.G * sf.L - 2.0 * ff.F * sf.M) / (2.0 * disc)
     return InvariantRecord(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N,
                            k, kappa, gauss, classify(k, kappa, sf, class_tol))
+
+
+def generic_at(jet: Jet2) -> tuple[Vec4, Vec4, FirstForm, SecondTensor]:
+    """Normal frame (e1, e2), first form and second tensor of ``jet``.  The
+    frame comes first, so a degenerate jet raises its error message."""
+    e1, e2 = gram_schmidt_normals(jet)
+    ff = first_form(jet)
+    return e1, e2, ff, second_tensor(jet, e1, e2)
+
+
+def generic_invariants(ff: FirstForm, ct: SecondTensor, class_tol: float = 1e-8) -> InvariantRecord:
+    """The invariant record of the forms that :func:`generic_at` returns."""
+    return invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct), class_tol=class_tol)
 
 
 def _sigma_pair_coords(ff: FirstForm, ct: SecondTensor):
@@ -245,20 +267,25 @@ def is_principal_params(ff: FirstForm, sf: SecondForm, tol: float) -> bool:
     return abs(ff.F) <= tol and abs(sf.M) <= tol
 
 
-def _sc_scale(rec: InvariantRecord) -> float:
-    return max(1.0, rec.kappa * rec.kappa, abs(rec.k), rec.K * rec.K)
+def superconformal_residuals(k: float, kappa: float, gauss: float) -> tuple[float, float, float]:
+    """(|kappa^2 - k|, |K^2 - kappa^2|, max(1, kappa^2, |k|, K^2)): the two
+    msc residuals and the scale that both are compared against."""
+    kappa2, gauss2 = kappa * kappa, gauss * gauss
+    return abs(kappa2 - k), abs(gauss2 - kappa2), max(1.0, kappa2, abs(k), gauss2)
 
 
 def is_minimal(rec: InvariantRecord, tol: float) -> bool:
     """Minimal surfaces satisfy kappa^2 - k = 0."""
-    return abs(rec.kappa * rec.kappa - rec.k) <= tol * _sc_scale(rec)
+    minimal, _, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+    return minimal <= tol * scale
 
 
 def is_superconformal(rec: InvariantRecord, tol: float) -> bool:
     """Minimal super-conformal points satisfy kappa^2 - k = 0 and
     K^2 - kappa^2 = 0.  Flat points pass degenerately; the record's
     ``point_type`` carries that flag."""
-    return is_minimal(rec, tol) and abs(rec.K * rec.K - rec.kappa * rec.kappa) <= tol * _sc_scale(rec)
+    minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+    return minimal <= tol * scale and conformal <= tol * scale
 
 
 def mean_curvature_vector(ff: FirstForm, ct: SecondTensor, e1: Vec4, e2: Vec4) -> Vec4:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .expr import Interval, Profile, format_number
-from .rotational import RotationalSurface
+from .rotational import ClosedFormRangeError, RotationalSurface, _finite_at
 
 __all__ = [
     "MscParams",
@@ -29,6 +29,7 @@ __all__ = [
     "msc_profile_text",
     "msc_surface",
     "msc_residual",
+    "scaled_msc_residual",
     "reduced_invariants",
     "msc_invariants",
     "power_law_invariants",
@@ -102,16 +103,30 @@ def _check_identity_meridian(s: RotationalSurface, u: float) -> None:
         raise ValueError("the meridian first component must be f(u) = u")
 
 
+def _msc_sides(s: RotationalSurface, u: float) -> tuple[float, float]:
+    """The sides a b (g - u g') and a^2 u g' - b^2 g of the msc equation."""
+    _check_identity_meridian(s, u)
+    g = s.g.value(u)
+    g1 = s.g.deriv1(u)
+    a, b = s.alpha, s.beta
+    return a * b * (g - u * g1), a * a * u * g1 - b * b * g
+
+
 def msc_residual(s: RotationalSurface, u: float, eps: int) -> float:
     """a b (g - u g') - eps (a^2 u g' - b^2 g) at ``u``; zero exactly on the
     power-law members for the matching branch sign."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    _check_identity_meridian(s, u)
-    g = s.g.value(u)
-    g1 = s.g.deriv1(u)
-    a, b = s.alpha, s.beta
-    return a * b * (g - u * g1) - eps * (a * a * u * g1 - b * b * g)
+    lhs, rhs = _msc_sides(s, u)
+    return lhs - eps * rhs
+
+
+def scaled_msc_residual(s: RotationalSurface, u: float) -> float:
+    """The smaller of |msc_residual| over both branch signs, divided by
+    max(1, |a b (g - u g')|, |a^2 u g' - b^2 g|): the membership test's
+    deviation at ``u``, comparable with a relative tolerance."""
+    lhs, rhs = _msc_sides(s, u)
+    return min(abs(lhs - eps * rhs) for eps in (1, -1)) / max(1.0, abs(lhs), abs(rhs))
 
 
 def reduced_invariants(s: RotationalSurface, u: float) -> tuple[float, float, float]:
@@ -143,14 +158,21 @@ def power_law_invariants(c: float, p: float, eps: int, u: float) -> tuple[float,
     eps enters only as the sign of kappa, so flipping it (with p fixed)
     flips kappa and leaves k and K unchanged; kappa^2 = k, K^2 = kappa^2
     and K = -eps*kappa hold identically.
+
+    Raises :class:`ClosedFormRangeError` naming u when a result overflows
+    or is not finite.
     """
     if u <= 0.0:
         raise ValueError("u must be positive")
-    base = 1.0 + c * c * p * p * u ** (2.0 * (p - 1.0))
-    amp = c * c * p * p * (1.0 - p) ** 2 * u ** (2.0 * (p - 2.0))
-    k = 4.0 * c ** 4 * p ** 4 * (1.0 - p) ** 4 * u ** (4.0 * (p - 2.0)) / base ** 6
-    kappa = 2.0 * eps * amp / base ** 3
-    gauss = -2.0 * amp / base ** 3
+    try:
+        base = 1.0 + c * c * p * p * u ** (2.0 * (p - 1.0))
+        amp = c * c * p * p * (1.0 - p) ** 2 * u ** (2.0 * (p - 2.0))
+        k = 4.0 * c ** 4 * p ** 4 * (1.0 - p) ** 4 * u ** (4.0 * (p - 2.0)) / base ** 6
+        kappa = 2.0 * eps * amp / base ** 3
+        gauss = -2.0 * amp / base ** 3
+    except OverflowError:  # float ** raises where * would give inf
+        raise ClosedFormRangeError(u, "non-finite result") from None
+    _finite_at(u, (k, kappa, gauss))
     return k, kappa, gauss
 
 

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .forms import first_form, lmn, second_tensor
-from .geometry import (GeometryError, Jet2, Vec4, cross4, dot,
-                       gram_schmidt_normals, norm)
+from .forms import generic_at, lmn
+from .geometry import GeometryError, Jet2, Vec4, cross4, dot, norm
 
 __all__ = [
     "FrenetOctet",
@@ -86,9 +85,7 @@ def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float,
 def _sigma_ambient(jet: Jet2):
     """First form plus sigma(x,x), sigma(x,y), sigma(y,y) as ambient
     vectors, for the principal unit tangents x, y."""
-    ff = first_form(jet)
-    e1, e2 = gram_schmidt_normals(jet)
-    ct = second_tensor(jet, e1, e2)
+    e1, e2, ff, ct = generic_at(jet)
     sqrt_eg = math.sqrt(ff.E) * math.sqrt(ff.G)
     sxx = (e1 * ct.c11_1 + e2 * ct.c11_2) / ff.E
     sxy = (e1 * ct.c12_1 + e2 * ct.c12_2) / sqrt_eg

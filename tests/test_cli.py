@@ -161,6 +161,16 @@ def test_msc_square_profile(tmp_path, capsys):
     assert all(abs(float(row["residual"])) <= 1e-10 for row in rows)
 
 
+def test_msc_overflow_names_point(tmp_path, capsys):
+    out = tmp_path / "msc.csv"
+    code = main(["msc", "--c", "1e60", "--alpha", "1", "--beta", "2", "--u", "1:2:2",
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "u=1.0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_msc_equal_speeds_usage_error():
     assert main(["msc", "--c", "1", "--alpha", "1", "--beta", "1", "--eps", "1"]) == 2
 

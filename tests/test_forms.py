@@ -2,18 +2,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rel_dev
 from rotsurf4.expr import Profile
 from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             PointType, SecondForm, SecondTensor, christoffel,
                             classify, ellipse_samples,
-                            first_form, gauss_curvature, invariants,
+                            first_form, gauss_curvature, generic_at,
+                            generic_invariants, invariants,
                             is_circle, is_minimal, is_principal_params,
                             is_superconformal, lmn, mean_curvature_vector,
-                            second_form_value, second_tensor)
+                            second_form_value, second_tensor,
+                            superconformal_residuals)
 from rotsurf4.geometry import (DegenerateMetricError, Jet2, Vec4,
-                               analytic_jet2, dot, gram_schmidt_normals, norm)
+                               analytic_jet2, dot, fd_jet2,
+                               gram_schmidt_normals, norm)
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
                                  closed_invariants_at, frames_at)
 
@@ -433,3 +438,105 @@ def test_minimality_iff_centered_ellipse(g_text, is_member):
         scale = max(1.0, rec.kappa ** 2, abs(rec.k), rec.K ** 2)
         minimal = abs(rec.kappa ** 2 - rec.k) <= 1e-10 * scale
         assert h_small == minimal == is_member
+
+
+# ---------------------------------------------------------------------------
+# the generic pipeline behind generic_at / generic_invariants
+
+GENERIC_SURFACES = [("u", "u^2", 1.0, 2.0), ("u", "u^3", 1.0, 2.0),
+                    ("u", "sin(u)*exp(-u^2)+sqrt(u)", 1.0, 2.0),
+                    ("cos(u)+2", "u^2+1", 2.0, 3.0), ("u", "2*u", 1.0, 2.0)]
+
+
+def _hexes(*values):
+    return [x.hex() for v in values for x in (v if isinstance(v, Vec4) else [v])]
+
+
+@pytest.mark.parametrize("f_text, g_text, alpha, beta", GENERIC_SURFACES)
+@pytest.mark.parametrize("u, v", [(0.5, 0.0), (1.3, 0.7), (2.2, 4.0)])
+def test_generic_at_is_the_hand_composition(f_text, g_text, alpha, beta, u, v):
+    s = RotationalSurface(Profile.from_text(f_text), Profile.from_text(g_text), alpha, beta)
+    for jet in (analytic_jet2(s, u, v), fd_jet2(s.as_map(), u, v)):
+        e1, e2 = gram_schmidt_normals(jet)
+        ff = first_form(jet)
+        ct = second_tensor(jet, e1, e2)
+        rec = invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct), class_tol=1e-6)
+        g1, g2, gff, gct = generic_at(jet)
+        grec = generic_invariants(gff, gct, class_tol=1e-6)
+        assert _hexes(g1, g2) == _hexes(e1, e2)
+        assert _hexes(gff.E, gff.F, gff.G, gff.W) == _hexes(ff.E, ff.F, ff.G, ff.W)
+        assert _hexes(*vars(gct).values()) == _hexes(*vars(ct).values())
+        fields = ("E", "F", "G", "L", "M", "N", "k", "kappa", "K")
+        assert (_hexes(*(getattr(grec, n) for n in fields))
+                == _hexes(*(getattr(rec, n) for n in fields)))
+        assert grec.point_type is rec.point_type
+
+
+def test_generic_at_degenerate_jet_raises_frame_message():
+    jet = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(2, 0, 0, 0),
+               Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
+    with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
+        generic_at(jet)
+
+
+def test_superconformal_residuals_running_example(parabola):
+    k, kappa, gauss = closed_invariants_at(parabola, 1.0)
+    minimal, conformal, scale = superconformal_residuals(k, kappa, gauss)
+    assert minimal <= 1e-15 and conformal <= 1e-15 and scale == 1.0
+    assert superconformal_residuals(-3.0, 2.0, 5.0) == (7.0, 21.0, 25.0)
+
+
+# a scale max(1, L^2, M^2, N^2, LN) that overflows falls back to dividing
+# twice by max(1, |L|, |M|, |N|), the same scale without the squares
+@pytest.mark.parametrize("k, kappa, sf, expected", [
+    (1e305, 0.0, SecondForm(1e155, 0.0, 1e150), PointType.ELLIPTIC),
+    (-1e305, 0.0, SecondForm(1e155, 0.0, 1e150), PointType.HYPERBOLIC),
+    (0.0, 1e305, SecondForm(0.0, 1e155, 0.0), PointType.PARABOLIC),
+    (1.0, 0.0, SecondForm(1e200, 0.0, 1e-200), PointType.FLAT),
+])
+def test_classify_overflowed_scale(k, kappa, sf, expected):
+    assert classify(k, kappa, sf) is expected
+
+
+@pytest.mark.parametrize("k, kappa", [(math.inf, 0.0), (0.0, -math.inf)])
+def test_classify_refuses_infinite_invariant(k, kappa):
+    with pytest.raises(NonFiniteInvariantError):
+        classify(k, kappa, SecondForm(1.0, 0.0, 1.0))
+
+
+# metamorphic laws: a homothety (f, g) -> (lam f, lam g) scales k by lam^-4
+# and kappa, K by lam^-2; swapping (f, alpha) <-> (g, beta) permutes the
+# coordinates evenly and leaves (k, kappa, K) unchanged
+
+def _closed(s, u, v):
+    return closed_invariants_at(s, u)
+
+
+def _generic(s, u, v):
+    rec = generic_invariants(*generic_at(analytic_jet2(s, u, v))[2:])
+    return rec.k, rec.kappa, rec.K
+
+
+def _law_dev(got, want):
+    k, kappa, gauss = want
+    k_scale = max(abs(k), kappa * kappa, gauss * gauss)
+    x_scale = max(abs(kappa), abs(gauss))
+    return max(abs(got[0] - k) / k_scale,
+               abs(got[1] - kappa) / x_scale, abs(got[2] - gauss) / x_scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GENERIC_SURFACES[:4]), st.sampled_from([_closed, _generic]),
+       st.floats(min_value=0.3, max_value=2.5), st.floats(min_value=0.0, max_value=6.2),
+       st.floats(min_value=0.25, max_value=4.0))
+def test_homothety_and_swap_laws(surface, path, u, v, lam):
+    f_text, g_text, alpha, beta = surface
+    s = RotationalSurface(Profile.from_text(f_text), Profile.from_text(g_text), alpha, beta)
+    scaled = RotationalSurface(Profile.from_text(f"{lam!r}*({f_text})"),
+                               Profile.from_text(f"{lam!r}*({g_text})"), alpha, beta)
+    swapped = RotationalSurface(Profile.from_text(g_text), Profile.from_text(f_text),
+                                beta, alpha)
+    base = path(s, u, v)
+    k, kappa, gauss = path(scaled, u, v)
+    assert _law_dev((k * lam ** 4, kappa * lam ** 2, gauss * lam ** 2), base) <= 1e-12
+    assert _law_dev(path(swapped, u, v), base) <= 1e-12

@@ -216,6 +216,13 @@ def test_gram_schmidt_degenerate_tangent_plane():
         gram_schmidt_normals(jet)
 
 
+def test_gram_schmidt_rejects_nan_tangent():
+    z = Vec4(0, 0, 0, 0)
+    jet = Jet2(z, Vec4(math.nan, 0, 0, 0), Vec4(0, 1, 0, 0), z, z, z)
+    with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
+        gram_schmidt_normals(jet)
+
+
 # ---------------------------------------------------------------------------
 # the scalar kernel against the Vec4-based reference, bit for bit
 

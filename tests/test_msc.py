@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from rotsurf4.forms import (ellipse_samples, first_form, gauss_curvature,
 from rotsurf4.geometry import analytic_jet2, gram_schmidt_normals, norm
 from rotsurf4.msc import (MscParams, identity_profile, msc_invariants,
                           msc_profile, msc_profile_text, msc_residual,
-                          msc_surface, reduced_invariants)
-from rotsurf4.rotational import RotationalSurface, closed_octet_at
+                          msc_surface, power_law_invariants,
+                          reduced_invariants, scaled_msc_residual)
+from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface,
+                                 closed_octet_at)
 
 
 def _record(surface, u):
@@ -74,6 +77,35 @@ def test_residual_vanishes_for_random_power_laws():
             u = 0.25 + 3.75 * i / 9
             scale = 1.0 + abs(u) ** (abs(params.p) + 1.0)
             assert abs(msc_residual(surface, u, eps)) <= 1e-12 * scale
+
+
+def _scaled_residual_reference(s, u):
+    """The membership deviation written out: residual over both branch
+    signs, each divided by the scale of the equation's two sides."""
+    best = None
+    for eps in (1, -1):
+        r = msc_residual(s, u, eps)
+        g, g1 = s.g.value(u), s.g.deriv1(u)
+        a, b = s.alpha, s.beta
+        scale = max(1.0, abs(a * b * (g - u * g1)), abs(a * a * u * g1 - b * b * g))
+        d = abs(r) / scale
+        best = d if best is None else min(best, d)
+    return best
+
+
+@pytest.mark.parametrize("g_text, alpha, beta", [
+    ("u^2", 1.0, 2.0), ("2.5*u^(-1.5)", 2.0, 3.0), ("u^3", 1.0, 2.0),
+    ("sin(u)*exp(-u^2)+sqrt(u)", 1.0, 2.0), ("1e6*u^0.5", 2.0, 1.0)])
+def test_scaled_residual_matches_reference(g_text, alpha, beta):
+    s = RotationalSurface(identity_profile(), Profile.from_text(g_text), alpha, beta)
+    for u in (0.25, 0.7, 1.0, 1.9, 4.0):
+        assert scaled_msc_residual(s, u).hex() == _scaled_residual_reference(s, u).hex()
+
+
+def test_scaled_residual_requires_identity_meridian():
+    s = RotationalSurface(Profile.from_text("2*u"), Profile.from_text("u^2"), 1.0, 2.0)
+    with pytest.raises(ValueError):
+        scaled_msc_residual(s, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +267,12 @@ def test_msc_invariants_branch_signs():
 def test_msc_invariants_need_positive_u():
     with pytest.raises(ValueError):
         msc_invariants(MscParams(1.0, 1.0, 2.0, 1), 0.0)
+
+
+@pytest.mark.parametrize("c", [1e60, math.inf])  # float ** overflows; inf / inf
+def test_power_law_invariants_out_of_range_names_u(c):
+    with pytest.raises(ClosedFormRangeError, match=r"u=1\.5"):
+        power_law_invariants(c, 2.0, 1, 1.5)
 
 
 # ---------------------------------------------------------------------------

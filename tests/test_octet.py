@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import octet_dev, rel_dev
-from rotsurf4.geometry import Jet2, Vec4, analytic_jet2
+from rotsurf4.geometry import DegenerateMetricError, Jet2, Vec4, analytic_jet2
 from rotsurf4.octet import (FrenetOctet, NonPrincipalParamsError,
                             TotallyGeodesicError, gauge_flip,
                             invariants_from_octet, neighbors_from,
@@ -132,3 +132,11 @@ def test_gauge_flip_leaves_invariants_fixed(g1, g2, n1, n2, la, mu, b1, b2):
 def test_gauge_flip_is_involution():
     o = FrenetOctet(0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8)
     assert gauge_flip(gauge_flip(o)) == o
+
+
+def test_octet_generic_degenerate_jet_raises_frame_message(parabola):
+    z = Vec4(0, 0, 0, 0)
+    jet = Jet2(z, Vec4(1, 0, 0, 0), Vec4(2, 0, 0, 0), z, z, z)
+    neighbors = neighbors_from(lambda uu, vv: analytic_jet2(parabola, uu, vv), 1.0, 0.0)
+    with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
+        octet_generic(jet, neighbors)

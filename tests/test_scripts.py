@@ -1,4 +1,5 @@
-"""The runnable experiments under scripts/ still run against the package."""
+"""The runnable experiments under scripts/ still run against the package,
+and what they print still says the two pipelines agree."""
 
 import os
 import subprocess
@@ -10,11 +11,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["msc_family_sweep.py", "pipeline_crosscheck.py"])
-def test_script_runs(script):
+def _run(script):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    return result.stdout
+
+
+@pytest.mark.parametrize("script", ["msc_family_sweep.py", "pipeline_crosscheck.py"])
+def test_script_runs(script):
+    assert _run(script).strip()
+
+
+def test_crosscheck_worst_deviation_is_small():
+    last = _run("pipeline_crosscheck.py").strip().splitlines()[-1]
+    assert last.startswith("worst deviation:")
+    assert float(last.split(":")[1]) <= 1e-6
+
+
+def test_family_sweep_identities_hold():
+    header, *rows = _run("msc_family_sweep.py").strip().splitlines()
+    assert header.endswith("max|id dev|")
+    assert len(rows) == 12  # six speed pairs, two branch signs
+    assert all(float(row.split()[-1]) <= 1e-8 for row in rows)
