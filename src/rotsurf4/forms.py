@@ -229,9 +229,9 @@ def generic_at(jet: Jet2) -> tuple[Vec4, Vec4, FirstForm, SecondTensor]:
     return e1, e2, ff, second_tensor(jet, e1, e2)
 
 
-def generic_invariants(ff: FirstForm, ct: SecondTensor, class_tol: float = 1e-8) -> InvariantRecord:
+def generic_invariants(ff: FirstForm, ct: SecondTensor) -> InvariantRecord:
     """The invariant record of the forms that :func:`generic_at` returns."""
-    return invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct), class_tol=class_tol)
+    return invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
 
 
 def _sigma_pair_coords(ff: FirstForm, ct: SecondTensor):

@@ -20,19 +20,23 @@ def _run(script):
     return result.stdout
 
 
-@pytest.mark.parametrize("script", ["msc_family_sweep.py", "pipeline_crosscheck.py"])
-def test_script_runs(script):
-    assert _run(script).strip()
-
-
-def test_crosscheck_worst_deviation_is_small():
-    last = _run("pipeline_crosscheck.py").strip().splitlines()[-1]
+def _crosscheck_agrees(out):
+    last = out.strip().splitlines()[-1]
     assert last.startswith("worst deviation:")
     assert float(last.split(":")[1]) <= 1e-6
 
 
-def test_family_sweep_identities_hold():
-    header, *rows = _run("msc_family_sweep.py").strip().splitlines()
+def _sweep_identities_hold(out):
+    header, *rows = out.strip().splitlines()
     assert header.endswith("max|id dev|")
     assert len(rows) == 12  # six speed pairs, two branch signs
     assert all(float(row.split()[-1]) <= 1e-8 for row in rows)
+
+
+CHECKS = {"msc_family_sweep.py": _sweep_identities_hold,
+          "pipeline_crosscheck.py": _crosscheck_agrees}
+
+
+@pytest.mark.parametrize("script", sorted(CHECKS))
+def test_script_runs(script):
+    CHECKS[script](_run(script))
