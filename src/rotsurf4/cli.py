@@ -25,6 +25,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
@@ -34,7 +35,8 @@ from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
 from .geometry import GeometryError, analytic_jet2, fd_jet2, norm
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
-from .rotational import RotationalSurface, closed_forms_at, closed_invariants_at, closed_octet_at
+from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, _profile_data,
+                         closed_forms_at, closed_invariants_at, closed_octet_at)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,7 +73,20 @@ def _range_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError("count must be at least 1")
     if count > 1 and hi <= lo:
         raise argparse.ArgumentTypeError("max must exceed min when count > 1")
+    if count > 1 and not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"max - min overflows, got {text!r}")
     return lo, hi, count
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance: a finite float >= 0."""
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (0.0 <= tol < math.inf):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -161,8 +176,9 @@ def _csv_out(path: str | None):
 
 def _invariant_row(surface: RotationalSurface, u: float, v_first: float, class_tol: float):
     try:
-        ff, _, sf = closed_forms_at(surface, u)
-        k, kappa, gauss = closed_invariants_at(surface, u)
+        data = _profile_data(surface, u)
+        ff, _, sf = _closed_forms(surface, u, data)
+        gauss = _closed_invariants(surface, u, data)[2]
     except (GeometryError, EvalDomainError) as exc:
         raise _PointError(u, v_first, exc) from exc
     return invariants(ff, sf, gauss, class_tol=class_tol)
@@ -564,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariants", help="CSV grid of forms, invariants and point type")
     _add_surface_args(inv)
     inv.add_argument("--out", help="output CSV path (default: stdout)")
-    inv.add_argument("--tol-class", dest="tol_class", type=float, default=1e-8,
+    inv.add_argument("--tol-class", dest="tol_class", type=_tolerance, default=1e-8,
                      help="point classification tolerance")
 
     oct_p = sub.add_parser("octet", help="CSV grid of the eight frame invariants")
@@ -573,12 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="cross-validate closed forms against the generic pipeline")
     _add_surface_args(ver)
-    ver.add_argument("--tol-pipeline", dest="tol_pipeline", type=float, default=1e-6)
-    ver.add_argument("--tol-octet", dest="tol_octet", type=float, default=1e-5)
-    ver.add_argument("--tol-relations", dest="tol_relations", type=float, default=1e-10)
-    ver.add_argument("--tol-residual", dest="tol_residual", type=float, default=1e-8)
-    ver.add_argument("--tol-superconformal", dest="tol_superconformal", type=float, default=1e-8)
-    ver.add_argument("--tol-circle", dest="tol_circle", type=float, default=1e-6)
+    ver.add_argument("--tol-pipeline", dest="tol_pipeline", type=_tolerance, default=1e-6)
+    ver.add_argument("--tol-octet", dest="tol_octet", type=_tolerance, default=1e-5)
+    ver.add_argument("--tol-relations", dest="tol_relations", type=_tolerance, default=1e-10)
+    ver.add_argument("--tol-residual", dest="tol_residual", type=_tolerance, default=1e-8)
+    ver.add_argument("--tol-superconformal", dest="tol_superconformal", type=_tolerance,
+                     default=1e-8)
+    ver.add_argument("--tol-circle", dest="tol_circle", type=_tolerance, default=1e-6)
 
     mscp = sub.add_parser("msc", help="generate and check a minimal super-conformal member")
     mscp.add_argument("--c", type=float, default=1.0, help="power-law constant")
@@ -587,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     mscp.add_argument("--eps", type=int, choices=(1, -1), default=1)
     mscp.add_argument("--u", type=_range_spec, help="u grid min:max:count (default 0.25:4:20)")
     mscp.add_argument("--out", help="output CSV path (default: stdout)")
-    mscp.add_argument("--tol-superconformal", dest="tol_superconformal", type=float, default=1e-8)
+    mscp.add_argument("--tol-superconformal", dest="tol_superconformal", type=_tolerance,
+                      default=1e-8)
 
     exp = sub.add_parser("export", help="OBJ mesh of a 3-coordinate projection")
     _add_surface_args(exp)
@@ -619,8 +637,15 @@ _DISPATCH = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Parsing does not mutate it and the
+    commands only call ``parser.error``, so repeated ``main`` calls share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args, parser)

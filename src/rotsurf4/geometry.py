@@ -144,6 +144,12 @@ class Curve4:
                     self.x3.value(u), self.x4.value(u))
 
 
+def _angle_overflow(v: float) -> GeometryError:
+    """The error for cos/sin raising ValueError, which for finite speeds and
+    v happens only when the angle alpha*v or beta*v overflows to inf."""
+    return GeometryError(f"rotation angle overflows at v={v!r}")
+
+
 def double_rotation(curve: Curve4, alpha: float, beta: float) -> Callable[[float, float], Vec4]:
     """General rotation of ``curve`` with independent speeds in the
     x1x2- and x3x4-planes (Moore's construction).
@@ -159,8 +165,11 @@ def double_rotation(curve: Curve4, alpha: float, beta: float) -> Callable[[float
 
     def surface_map(u: float, v: float) -> Vec4:
         p = curve.at(u)
-        ca, sa = math.cos(alpha * v), math.sin(alpha * v)
-        cb, sb = math.cos(beta * v), math.sin(beta * v)
+        try:
+            ca, sa = math.cos(alpha * v), math.sin(alpha * v)
+            cb, sb = math.cos(beta * v), math.sin(beta * v)
+        except ValueError:
+            raise _angle_overflow(v) from None
         return Vec4(p.x1 * ca - p.x2 * sa,
                     p.x1 * sa + p.x2 * ca,
                     p.x3 * cb - p.x4 * sb,
@@ -181,8 +190,11 @@ def analytic_jet2(surface: "RotationalSurface", u: float, v: float) -> Jet2:
         raise RegularityError(f"rotation radii vanish at u={u!r}")
     if f1 * f1 + g1 * g1 <= 0.0:
         raise RegularityError(f"meridian speed vanishes at u={u!r}")
-    ca, sa = math.cos(a * v), math.sin(a * v)
-    cb, sb = math.cos(b * v), math.sin(b * v)
+    try:
+        ca, sa = math.cos(a * v), math.sin(a * v)
+        cb, sb = math.cos(b * v), math.sin(b * v)
+    except ValueError:
+        raise _angle_overflow(v) from None
     return Jet2(
         z=Vec4(f * ca, f * sa, g * cb, g * sb),
         z_u=Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .expr import Interval, Profile, format_number
-from .rotational import ClosedFormRangeError, RotationalSurface, _finite_at
+from .rotational import ClosedFormRangeError, RotationalSurface, _check_speeds, _finite_at
 
 __all__ = [
     "MscParams",
@@ -50,8 +50,9 @@ class MscParams:
     eps: int
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("rotation speeds must be positive")
+        if not math.isfinite(self.c):
+            raise ValueError(f"power-law constant c must be finite, got {self.c!r}")
+        _check_speeds(self.alpha, self.beta)
         if self.alpha == self.beta:
             raise ValueError("rotation speeds must differ")
         if self.eps not in (1, -1):

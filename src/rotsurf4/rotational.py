@@ -63,6 +63,12 @@ def _finite_at(u: float, values) -> None:
         raise ClosedFormRangeError(u, "non-finite result")
 
 
+def _check_speeds(alpha: float, beta: float) -> None:
+    for name, speed in (("alpha", alpha), ("beta", beta)):
+        if not (0.0 < speed < math.inf):  # also false for NaN
+            raise ValueError(f"rotation speed {name} must be finite and positive, got {speed!r}")
+
+
 @dataclass(frozen=True)
 class RotationalSurface:
     """The family above; profiles f, g are expression trees, so arbitrary
@@ -76,8 +82,7 @@ class RotationalSurface:
     u_domain: Interval = field(default_factory=Interval)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("rotation speeds must be positive")
+        _check_speeds(self.alpha, self.beta)
         if self.alpha == self.beta:
             raise ValueError(
                 "equal rotation speeds are excluded (every v-line degenerates to a circle)")
@@ -113,7 +118,12 @@ def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondTe
 
     with the remaining components zero.
     """
-    f, f1, f2, g, g1, g2, ee, gg = _profile_data(s, u)
+    return _closed_forms(s, u, _profile_data(s, u))
+
+
+def _closed_forms(s: RotationalSurface, u: float,
+                  data) -> tuple[FirstForm, SecondTensor, SecondForm]:
+    f, f1, f2, g, g1, g2, ee, gg = data
     a, b = s.alpha, s.beta
     try:
         c11_1 = (g1 * f2 - f1 * g2) / math.sqrt(ee)
@@ -140,7 +150,11 @@ def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, 
         K     = [G (b^2 g f' - a^2 f g')(g' f'' - f' g'') - a^2 b^2 E (g f' - f g')^2]
                 / (G^2 E^2)
     """
-    f, f1, f2, g, g1, g2, ee, gg = _profile_data(s, u)
+    return _closed_invariants(s, u, _profile_data(s, u))
+
+
+def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, float, float]:
+    f, f1, f2, g, g1, g2, ee, gg = data
     a, b = s.alpha, s.beta
     mixed = g * f1 - f * g1
     bend = g1 * f2 - f1 * g2

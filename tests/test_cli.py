@@ -1,9 +1,17 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rotsurf4.cli import main
-from rotsurf4.forms import SecondForm, classify
+from rotsurf4 import cli
+from rotsurf4.cli import _invariant_row, main
+from rotsurf4.expr import Profile
+from rotsurf4.forms import SecondForm, classify, invariants
+from rotsurf4.msc import MscParams, msc_surface
+from rotsurf4.rotational import RotationalSurface, closed_forms_at, closed_invariants_at
 
 RUN = ["--f", "u", "--g", "u^2", "--alpha", "1", "--beta", "2"]
 
@@ -300,3 +308,192 @@ def test_bad_grid_spec_rejected():
     assert main(["invariants", *RUN, "--u", "1:2:0"]) == 2
     assert main(["invariants", *RUN, "--u", "1:1:1", "--v", "nan:nan:1"]) == 2
     assert main(["invariants", *RUN, "--u", "inf:inf:1"]) == 2
+    assert main(["invariants", *RUN, "--u", "1:2:2", "--v=-1e308:1e308:3"]) == 2
+    assert main(["invariants", *RUN, "--u=-1e308:1e308:2"]) == 2
+
+
+def test_grid_span_overflow_names_flag(capsys):
+    assert main(["invariants", *RUN, "--u", "1:2:2", "--v=-1e308:1e308:3"]) == 2
+    assert "argument --v: max - min overflows" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# argument ranges
+
+@pytest.mark.parametrize("argv, flag", [
+    (["invariants", *RUN, "--u", "1:2:2"], "--tol-class"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-pipeline"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-octet"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-relations"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-residual"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-superconformal"),
+    (["verify", *RUN, "--u", "1:2:2"], "--tol-circle"),
+    (["msc", "--alpha", "1", "--beta", "2", "--u", "1:2:2"], "--tol-superconformal"),
+])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "-1e-300", "x"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, argv, flag, value):
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", *RUN, "--u", "1:2:2", "--tol-class", "0"],
+    ["verify", *RUN, "--u", "1:2:2", "--tol-residual", "0", "--tol-circle", "0"],
+])
+def test_zero_tolerance_accepted(argv):
+    assert main(argv) in (0, 1)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["export", "--f", "u", "--g", "u^2", "--alpha", "nan", "--beta", "2",
+      "--u", "1:2:2", "--v", "0:1:2"], "alpha"),
+    (["export", "--f", "u", "--g", "u^2", "--alpha", "inf", "--beta", "2",
+      "--u", "1:2:2", "--v", "0:1:2"], "alpha"),
+    (["invariants", "--f", "u", "--g", "u^2", "--alpha", "1", "--beta", "nan",
+      "--u", "1:2:2"], "beta"),
+    (["octet", "--msc-c", "1", "--eps", "1", "--alpha", "1", "--beta", "inf"], "beta"),
+    (["msc", "--alpha", "nan", "--beta", "2"], "alpha"),
+    (["msc", "--alpha", "1", "--beta", "inf"], "beta"),
+    (["msc", "--c", "inf", "--alpha", "1", "--beta", "2"], "constant c"),
+    (["msc", "--c", "nan", "--alpha", "1", "--beta", "2"], "constant c"),
+])
+def test_non_finite_speed_or_constant_names_it(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_export_angle_overflow_names_point(tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    code = main(["export", *RUN, "--u", "1:2:2", "--v=1:1e308:2", "--out", str(out)])
+    assert code == 3
+    assert "(u, v) = (1.0, 1e+308)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, one profile evaluation per invariants row
+
+SHARED_RUNS = [
+    ["invariants", "--f", "u", "--alpha", "1", "--beta", "2", "--u", "1:1:1"],   # usage error
+    ["invariants", *RUN, "--u", "1:1:1", "--tol-class", "nan"],                 # bad option
+    ["invariants", "--f", "u", "--g", "u^2 + spam(u)", "--alpha", "1", "--beta", "2",
+     "--u", "1:1:1"],                                                           # parse error
+    ["invariants", "--f", "u", "--g", "sqrt(u-2)", "--alpha", "1", "--beta", "2",
+     "--u", "0.5:1:2"],                                                         # exit 3
+    ["invariants", "--help"],
+    ["invariants", *RUN, "--u", "0.5:2:4", "--v", "0:1:2"],
+    ["invariants", *RUN, "--u", "0.5:2:4", "--v", "0:1:2"],
+]
+
+
+def test_shared_parser_runs_match_runs_alone(tmp_path, capfd, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps to
+    out = tmp_path / "out.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+
+    def result(code, stdout, stderr):
+        data = out.read_bytes() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return code, stdout, stderr, data
+
+    alone = []
+    for argv in SHARED_RUNS:
+        proc = subprocess.run([sys.executable, "-m", "rotsurf4", *argv, "--out", str(out)],
+                              capture_output=True, env=env, check=False)
+        alone.append(result(proc.returncode, proc.stdout.decode(), proc.stderr.decode()))
+    shared = []
+    for argv in SHARED_RUNS:
+        code = main([*argv, "--out", str(out)])
+        captured = capfd.readouterr()
+        shared.append(result(code, captured.out, captured.err))
+    assert [r[0] for r in alone] == [2, 2, 2, 3, 0, 0, 0]
+    assert shared == alone
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in SHARED_RUNS:
+            main([*argv, "--out", str(tmp_path / "out.csv")])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+SURFACES = [
+    RotationalSurface(Profile.from_text("u"), Profile.from_text("u^2"), 1.0, 2.0),
+    RotationalSurface(Profile.from_text("u"), Profile.from_text("u^3"), 1.0, 2.0),
+    msc_surface(MscParams(1.0, 1.0, 2.0, 1)),
+    RotationalSurface(Profile.from_text("u"), Profile.from_text("sin(u)*exp(-u^2)+sqrt(u)"),
+                      1.0, 2.0),
+]
+
+
+def _two_call_row(surface, u):
+    ff, _, sf = closed_forms_at(surface, u)
+    return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=1e-8)
+
+
+def _hex(record):
+    return [x.hex() if isinstance(x, float) else x for x in vars(record).values()]
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_invariant_row_equals_two_call_composition(surface):
+    for u in (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0):
+        assert _hex(_invariant_row(surface, u, 0.0, 1e-8)) == _hex(_two_call_row(surface, u))
+
+
+def test_invariant_row_exact_values():
+    # repr round-trips, so any change to the closed-form arithmetic shows here
+    surface = SURFACES[3]
+    record = _invariant_row(surface, 0.7, 0.0, 1e-8)
+    assert [repr(x) for x in vars(record).values()] == [
+        "1.2638323711699837", "0.0", "6.554642907934198", "0.90473295077101", "0.0",
+        "-1.9219251077668564", "-0.20990286026066005", "0.21132441934892673",
+        "0.8813162406277878", "<PointType.HYPERBOLIC: 'hyperbolic'>"]
+    assert [repr(x) for x in closed_invariants_at(surface, 0.7)] == [
+        "-0.20990286026066005", "0.21132441934892682", "0.8813162406277878"]
+
+
+@pytest.mark.parametrize("f, g", [("1e-120*u", "1e-120*u^2"), ("1e200*u", "u^2"),
+                                  ("1e110*u", "u^2"), ("u^2", "u^3"), ("u", "sqrt(u-2)")])
+def test_invariant_row_raises_like_two_call_composition(f, g):
+    surface = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+    u = 1.0 if f != "u^2" else 0.0
+    with pytest.raises(Exception) as two_call:
+        _two_call_row(surface, u)
+    with pytest.raises(cli._PointError) as row:
+        _invariant_row(surface, u, 0.0, 1e-8)
+    assert type(row.value.cause) is type(two_call.value)
+    assert str(row.value.cause) == str(two_call.value)
+
+
+@pytest.mark.parametrize("nu", [1, 3, 8])
+def test_invariants_evaluates_each_profile_term_once_per_u(tmp_path, monkeypatch, nu):
+    calls = []
+    for name in ("value", "deriv1", "deriv2"):
+        original = getattr(Profile, name)
+
+        def counted(self, u, original=original):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(Profile, name, counted)
+    code = main(["invariants", *RUN, "--u", f"0.5:2:{nu}", "--v", "0:1:3",
+                 "--out", str(tmp_path / "inv.csv")])
+    assert code == 0
+    assert len(calls) == 6 * nu

@@ -36,6 +36,16 @@ def test_params_validation():
         MscParams(1.0, 1.0, 2.0, 0)
 
 
+@pytest.mark.parametrize("c, alpha, beta, name", [
+    (1.0, math.nan, 2.0, "alpha"), (1.0, math.inf, 2.0, "alpha"),
+    (1.0, 1.0, math.nan, "beta"), (1.0, 1.0, -math.inf, "beta"),
+    (math.nan, 1.0, 2.0, "constant c"), (-math.inf, 1.0, 2.0, "constant c"),
+])
+def test_params_reject_non_finite_values_by_name(c, alpha, beta, name):
+    with pytest.raises(ValueError, match=name):
+        MscParams(c, alpha, beta, 1)
+
+
 def test_params_exponent():
     assert MscParams(1.0, 1.0, 2.0, 1).p == 2.0
     assert MscParams(2.0, 2.0, 1.0, -1).p == -0.5

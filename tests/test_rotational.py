@@ -33,6 +33,16 @@ def test_surface_rejects_nonpositive_speeds():
         RotationalSurface(f, g, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    (math.nan, 2.0, "alpha"), (math.inf, 2.0, "alpha"), (-math.inf, 2.0, "alpha"),
+    (1.0, math.nan, "beta"), (1.0, math.inf, "beta"),
+])
+def test_surface_rejects_non_finite_speeds_by_name(alpha, beta, name):
+    f, g = Profile.from_text("u"), Profile.from_text("u^2")
+    with pytest.raises(ValueError, match=f"rotation speed {name} must be finite"):
+        RotationalSurface(f, g, alpha, beta)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
