@@ -24,8 +24,7 @@ from .geometry import (Curve4, DegenerateMetricError, GeometryError, Jet2,
                        norm)
 from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
                   msc_profile_text, msc_residual, msc_surface,
-                  power_law_invariants, reduced_invariants,
-                  scaled_msc_residual)
+                  power_law_invariants, scaled_msc_residual)
 from .octet import (FrenetOctet, JetNeighbors, NonPrincipalParamsError,
                     TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)

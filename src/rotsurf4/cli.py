@@ -11,9 +11,9 @@ Subcommands:
     plot         SVG of an invariant along u, or of the curvature ellipse
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 domain or
-regularity error.  Grid flags use min:max:count; count=1 means the single
-point min.  Output is deterministic: identical configuration gives byte
-identical files.
+regularity error, 141 stdout closed early (``run`` only).  Grid flags use
+min:max:count; count=1 means the single point min.  Output is
+deterministic: identical configuration gives byte identical files.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import warnings
 from contextlib import contextmanager
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_BROKEN_PIPE = 141
 
 _INVARIANT_HEADER = ["u", "v", "E", "F", "G", "L", "M", "N", "k", "kappa", "K", "type"]
 _OCTET_HEADER = ["u", "gamma1", "gamma2", "nu1", "nu2", "lambda", "mu", "beta1", "beta2"]
@@ -279,15 +281,20 @@ def cmd_verify(args, parser) -> int:
     def jet_at(uu, vv):
         return analytic_jet2(surface, uu, vv)
 
-    try:
-        for u in us:
+    residuals = []
+    for u in us:
+        try:
             ffc, _, sfc = closed_forms_at(surface, u)
             kc, xc, gc = closed_invariants_at(surface, u)
             oc = closed_octet_at(surface, u)
             ko, xo, go = invariants_from_octet(oc)
             checks["octet-vs-invariants"].update(
                 max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
-            for v in vs:
+            residuals.append(msc_mod.scaled_msc_residual(surface, u))
+        except (GeometryError, EvalDomainError) as exc:
+            raise _PointError(u, vs[0], exc) from exc
+        for v in vs:
+            try:
                 jet_a = jet_at(u, v)
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_jet_dev(jet_a, jet_f), (u, v))
@@ -306,28 +313,21 @@ def cmd_verify(args, parser) -> int:
                         checks["octet"].update(_octet_dev(oc, og), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
+            except (GeometryError, EvalDomainError) as exc:
+                raise _PointError(u, v, exc) from exc
 
-        # the msc equation classifies the surface; it applies only to
-        # meridians with f(u) = u and is informational, not a pass/fail check
-        residual_note = None
-        member = False
-        try:
-            worst_residual = max(0.0, *(msc_mod.scaled_msc_residual(surface, u) for u in us))
-            member = worst_residual <= args.tol_residual
-            verdict = "member" if member else "not a member"
-            residual_note = (f"max scaled residual {worst_residual:.3e} "
-                             f"(tol {args.tol_residual:.1e}): {verdict}")
-        except ValueError:
-            residual_note = "n/a: meridian is not f(u) = u"
-
-        if residual_note.startswith("n/a"):
-            checks["superconformal"].note = "meridian is not f(u) = u"
-            checks["ellipse-circle"].note = "meridian is not f(u) = u"
-        elif not member:
-            checks["superconformal"].note = "surface does not satisfy the msc equation"
-            checks["ellipse-circle"].note = "surface does not satisfy the msc equation"
-        else:
-            for u in us:
+    # the msc equation (chart-free, so any meridian gets a verdict)
+    # classifies the surface; it is informational, not a pass/fail check
+    worst_residual = max(0.0, *residuals)
+    member = worst_residual <= args.tol_residual
+    residual_note = (f"max scaled residual {worst_residual:.3e} "
+                     f"(tol {args.tol_residual:.1e}): {'member' if member else 'not a member'}")
+    if not member:
+        checks["superconformal"].note = "surface does not satisfy the msc equation"
+        checks["ellipse-circle"].note = "surface does not satisfy the msc equation"
+    else:
+        for u in us:
+            try:
                 e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
                 rec = generic_invariants(ff, ct)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
@@ -337,9 +337,8 @@ def cmd_verify(args, parser) -> int:
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),
                     (u, vs[0]))
-    except (GeometryError, EvalDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+            except (GeometryError, EvalDomainError) as exc:
+                raise _PointError(u, vs[0], exc) from exc
 
     print(f"  {'msc-equation':<22} {residual_note}")
     failed = []
@@ -365,22 +364,19 @@ def cmd_verify(args, parser) -> int:
 # msc
 
 def cmd_msc(args, parser) -> int:
-    try:
-        params = msc_mod.MscParams(args.c, args.alpha, args.beta, args.eps)
-    except ValueError as exc:
-        parser.error(str(exc))
+    lo, hi, count = args.u or (0.25, 4.0, 20)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            surface = msc_mod.msc_surface(
-                params, (args.u[0], args.u[1]) if args.u else (0.25, 4.0))
+            params = msc_mod.MscParams(args.c, args.alpha, args.beta, args.eps)
+            surface = msc_mod.msc_surface(params, (lo, hi))
         except ValueError as exc:
             parser.error(str(exc))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
     print(f"profile: {msc_mod.msc_profile_text(params)}")
-    us = _linspace(*(args.u if args.u else (0.25, 4.0, 20)))
+    us = _linspace(lo, hi, count)
     tol = args.tol_superconformal
     rows = []
     all_pass = True
@@ -458,14 +454,21 @@ def _svg_document(body: list[str], width: int, height: int) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
+def _axis_range(values: list[float]) -> tuple[float, float]:
+    """min and max of ``values``, pulled apart by 1 when they are equal."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        if abs(lo) < 2.0 ** 52:
+            lo, hi = lo - 1.0, hi + 1.0
+        else:  # lo +- 1 rounds back to lo; widen toward 0, which cannot overflow
+            lo, hi = sorted((lo, lo - lo * 2.0 ** -40))
+    return lo, hi
+
+
 def _svg_line_plot(xs: list[float], ys: list[float], ylabel: str) -> str:
     width, height, margin = 640, 440, 60
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    if xmax == xmin:
-        xmin, xmax = xmin - 1.0, xmax + 1.0
-    if ymax == ymin:
-        ymin, ymax = ymin - 1.0, ymax + 1.0
+    xmin, xmax = _axis_range(xs)
+    ymin, ymax = _axis_range(ys)
 
     def sx(x):
         return margin + (x - xmin) / (xmax - xmin) * (width - 2 * margin)
@@ -578,16 +581,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     inv = sub.add_parser("invariants", help="CSV grid of forms, invariants and point type")
+    inv.set_defaults(run=cmd_invariants, parser=inv)
     _add_surface_args(inv)
     inv.add_argument("--out", help="output CSV path (default: stdout)")
     inv.add_argument("--tol-class", dest="tol_class", type=_tolerance, default=1e-8,
                      help="point classification tolerance")
 
     oct_p = sub.add_parser("octet", help="CSV grid of the eight frame invariants")
+    oct_p.set_defaults(run=cmd_octet, parser=oct_p)
     _add_surface_args(oct_p)
     oct_p.add_argument("--out", help="output CSV path (default: stdout)")
 
     ver = sub.add_parser("verify", help="cross-validate closed forms against the generic pipeline")
+    ver.set_defaults(run=cmd_verify, parser=ver)
     _add_surface_args(ver)
     ver.add_argument("--tol-pipeline", dest="tol_pipeline", type=_tolerance, default=1e-6)
     ver.add_argument("--tol-octet", dest="tol_octet", type=_tolerance, default=1e-5)
@@ -598,6 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol-circle", dest="tol_circle", type=_tolerance, default=1e-6)
 
     mscp = sub.add_parser("msc", help="generate and check a minimal super-conformal member")
+    mscp.set_defaults(run=cmd_msc, parser=mscp)
     mscp.add_argument("--c", type=float, default=1.0, help="power-law constant")
     mscp.add_argument("--alpha", type=float, required=True)
     mscp.add_argument("--beta", type=float, required=True)
@@ -608,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=1e-8)
 
     exp = sub.add_parser("export", help="OBJ mesh of a 3-coordinate projection")
+    exp.set_defaults(run=cmd_export, parser=exp)
     _add_surface_args(exp)
     exp.add_argument("--projection", choices=sorted(_PROJECTIONS), default="drop4",
                      help="which coordinate to drop")
@@ -616,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", required=True, help="output OBJ path")
 
     plot = sub.add_parser("plot", help="SVG plot of a quantity along u, or the curvature ellipse")
+    plot.set_defaults(run=cmd_plot, parser=plot)
     _add_surface_args(plot)
     plot.add_argument("--quantity", required=True,
                       choices=("k", "kappa", "K", "nu1", "nu2", "mu", "gamma2", "beta2", "ellipse"))
@@ -627,20 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "invariants": cmd_invariants,
-    "octet": cmd_octet,
-    "verify": cmd_verify,
-    "msc": cmd_msc,
-    "export": cmd_export,
-    "plot": cmd_plot,
-}
-
-
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process.  Parsing does not mutate it and the
-    commands only call ``parser.error``, so repeated ``main`` calls share it."""
+    commands only call ``error`` on their subparser, so repeated ``main``
+    calls share it."""
     return build_parser()
 
 
@@ -648,22 +648,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args, parser)
+        return args.run(args, args.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _PointError as exc:
+    except (_PointError, EvalDomainError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (EvalDomainError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Console entry point; a stdout closed early exits 141 (128 + SIGPIPE)."""
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -64,8 +64,8 @@ class FrameError(GeometryError):
 
 
 class NonFiniteInvariantError(GeometryError):
-    """An invariant or a point of the normal-curvature ellipse is inf or
-    NaN, so there is nothing to classify or draw."""
+    """An invariant, a value of the second tensor or a point of the normal-
+    curvature ellipse is inf or NaN, so there is nothing to classify or draw."""
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,14 @@ def _sigma_pair_coords(ff: FirstForm, ct: SecondTensor):
     """Second-tensor values on the orthonormalized tangent pair
     x = z_u/sqrt(E), y = (E z_v - F z_u)/(sqrt(E) W), as (e1, e2) components."""
     E, F, W = ff.E, ff.F, ff.W
-    sxx = (ct.c11_1 / E, ct.c11_2 / E)
-    sxy = ((E * ct.c12_1 - F * ct.c11_1) / (E * W),
-           (E * ct.c12_2 - F * ct.c11_2) / (E * W))
-    syy = ((E * E * ct.c22_1 - 2.0 * E * F * ct.c12_1 + F * F * ct.c11_1) / (E * W * W),
-           (E * E * ct.c22_2 - 2.0 * E * F * ct.c12_2 + F * F * ct.c11_2) / (E * W * W))
+    try:
+        sxx = (ct.c11_1 / E, ct.c11_2 / E)
+        sxy = ((E * ct.c12_1 - F * ct.c11_1) / (E * W),
+               (E * ct.c12_2 - F * ct.c11_2) / (E * W))
+        syy = ((E * E * ct.c22_1 - 2.0 * E * F * ct.c12_1 + F * F * ct.c11_1) / (E * W * W),
+               (E * E * ct.c22_2 - 2.0 * E * F * ct.c12_2 + F * F * ct.c11_2) / (E * W * W))
+    except ZeroDivisionError:  # E W or E W^2 underflows although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={E!r}, W={W!r}") from None
     return sxx, sxy, syy
 
 

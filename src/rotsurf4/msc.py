@@ -1,13 +1,16 @@
 """Minimal super-conformal members of the rotational family.
 
-With the meridian normalized to f(u) = u, the family member is minimal
-super-conformal exactly when g solves
+The family member with meridian (f, g) is minimal super-conformal exactly
+when, along the meridian,
 
-    a b (g - u g') = eps (a^2 u g' - b^2 g),    eps = +-1,
+    a b (g f' - f g') = eps (a^2 f g' - b^2 g f'),    eps = +-1.
 
-whose solutions are the power laws g(u) = c u^p with exponent p = eps b/a.
-This module detects members through the residual of that equation,
-generates them, and evaluates their invariants in closed form.
+The equation reads the same in every chart of the meridian: a
+reparametrization u -> phi(u) multiplies both sides by phi', and a
+homothety (f, g) -> (lam f, lam g) by lam^2.  In the chart f(u) = u its
+solutions are the power laws g(u) = c u^p with exponent p = eps b/a.  This
+module detects members through the residual of that equation, generates
+them, and evaluates their invariants in closed form.
 
 Note on naming: the meridian exponent is called p throughout (elsewhere
 the letter k is the invariant built from L, M, N), so p = eps * beta/alpha.
@@ -30,7 +33,6 @@ __all__ = [
     "msc_surface",
     "msc_residual",
     "scaled_msc_residual",
-    "reduced_invariants",
     "msc_invariants",
     "power_law_invariants",
 ]
@@ -57,6 +59,9 @@ class MscParams:
             raise ValueError("rotation speeds must differ")
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
+        if self.p == 0.0 or not math.isfinite(self.p):  # beta/alpha under- or overflows
+            raise ValueError(f"exponent beta/alpha must be finite and nonzero, got "
+                             f"alpha={self.alpha!r}, beta={self.beta!r}")
 
     @property
     def p(self) -> float:
@@ -97,56 +102,46 @@ def msc_surface(params: MscParams, u_domain=(0.25, 4.0)) -> RotationalSurface:
                              params.alpha, params.beta, interval)
 
 
-def _check_identity_meridian(s: RotationalSurface, u: float) -> None:
-    f = s.f.value(u)
-    f1 = s.f.deriv1(u)
-    if abs(f - u) > 1e-12 * max(1.0, abs(u)) or abs(f1 - 1.0) > 1e-12:
-        raise ValueError("the meridian first component must be f(u) = u")
-
-
 def _msc_sides(s: RotationalSurface, u: float) -> tuple[float, float]:
-    """The sides a b (g - u g') and a^2 u g' - b^2 g of the msc equation."""
-    _check_identity_meridian(s, u)
-    g = s.g.value(u)
-    g1 = s.g.deriv1(u)
+    """The sides a b (g f' - f g') and a^2 f g' - b^2 g f' of the msc
+    equation; with f = u (f' = 1.0) they are a b (g - u g') and
+    a^2 u g' - b^2 g bit for bit."""
+    f, f1 = s.f.value(u), s.f.deriv1(u)
+    g, g1 = s.g.value(u), s.g.deriv1(u)
     a, b = s.alpha, s.beta
-    return a * b * (g - u * g1), a * a * u * g1 - b * b * g
+    sides = a * b * (g * f1 - f * g1), a * a * f * g1 - b * b * g * f1
+    _finite_at(u, sides)
+    return sides
 
 
 def msc_residual(s: RotationalSurface, u: float, eps: int) -> float:
-    """a b (g - u g') - eps (a^2 u g' - b^2 g) at ``u``; zero exactly on the
-    power-law members for the matching branch sign."""
+    """a b (g f' - f g') - eps (a^2 f g' - b^2 g f') at ``u``; zero exactly
+    on the power-law members for the matching branch sign.
+
+    Raises :class:`ClosedFormRangeError` naming u when a side or the
+    residual is not finite.
+    """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     lhs, rhs = _msc_sides(s, u)
-    return lhs - eps * rhs
+    residual = lhs - eps * rhs
+    _finite_at(u, (residual,))
+    return residual
 
 
 def scaled_msc_residual(s: RotationalSurface, u: float) -> float:
     """The smaller of |msc_residual| over both branch signs, divided by
-    max(1, |a b (g - u g')|, |a^2 u g' - b^2 g|): the membership test's
-    deviation at ``u``, comparable with a relative tolerance."""
-    lhs, rhs = _msc_sides(s, u)
-    return min(abs(lhs - eps * rhs) for eps in (1, -1)) / max(1.0, abs(lhs), abs(rhs))
+    max(|a b (g f' - f g')|, |a^2 f g' - b^2 g f'|), and 0 where both sides
+    are 0 (the flat branch f = 0 or g = 0): the membership test's deviation
+    at ``u``, in [0, 1] and unchanged under reparametrization and homothety.
 
-
-def reduced_invariants(s: RotationalSurface, u: float) -> tuple[float, float, float]:
-    """(nu1, nu2, mu) specialized to f(u) = u:
-
-        nu1 = -g'' / (1 + g'^2)^(3/2)
-        nu2 = (b^2 g - a^2 u g') / (sqrt(1 + g'^2) (a^2 u^2 + b^2 g^2))
-        mu  = a b (g - u g') / (sqrt(1 + g'^2) (a^2 u^2 + b^2 g^2))
+    Raises :class:`ClosedFormRangeError` naming u when a side is not finite.
     """
-    _check_identity_meridian(s, u)
-    g, g1, g2 = s.g.value(u), s.g.deriv1(u), s.g.deriv2(u)
-    a, b = s.alpha, s.beta
-    ee = 1.0 + g1 * g1
-    gg = a * a * u * u + b * b * g * g
-    sqrt_e = math.sqrt(ee)
-    nu1 = -g2 / (ee * sqrt_e)
-    nu2 = (b * b * g - a * a * u * g1) / (sqrt_e * gg)
-    mu = a * b * (g - u * g1) / (sqrt_e * gg)
-    return nu1, nu2, mu
+    lhs, rhs = _msc_sides(s, u)
+    scale = max(abs(lhs), abs(rhs))
+    if scale == 0.0:
+        return 0.0
+    return min(abs(lhs - eps * rhs) for eps in (1, -1)) / scale
 
 
 def power_law_invariants(c: float, p: float, eps: int, u: float) -> tuple[float, float, float]:

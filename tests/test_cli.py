@@ -145,6 +145,41 @@ def test_verify_flat_branch_marks_octet_not_applicable(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("f, g", [("exp(u)", "exp(2*u)"), ("u^3", "u^6"),
+                                  ("(2*u+1)", "3*(2*u+1)^2"), ("2*u", "u^2")])
+def test_verify_reparametrized_member(capsys, f, g):
+    # each meridian is the member (t, c t^2) in another chart t = f(u)
+    code = main(["verify", "--f", f, "--g", g, "--alpha", "1", "--beta", "2",
+                 "--u", "0.5:1.5:5", "--v", "0:1:2"])
+    assert code == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["msc-equation"].endswith(": member")
+    assert lines["superconformal"].endswith("PASS")
+    assert lines["ellipse-circle"].endswith("PASS")
+
+
+def test_verify_cubic_in_a_slow_chart_is_not_a_member(capsys):
+    # near u = 0 both sides of the msc equation are ~1e-15; the verdict
+    # must not depend on how small they are
+    code = main(["verify", "--f", "u", "--g", "u^3", "--alpha", "1", "--beta", "2",
+                 "--u", "0.5e-5:2e-5:4"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "max scaled residual 7.500e-01 (tol 1.0e-08): not a member" in out
+    assert "ellipse-circle         n/a" in out
+
+
+@pytest.mark.parametrize("grid, point", [
+    (["--u=1e300:1e301:2"], "(1e+300, 0.0)"),              # profile overflow, once per u
+    (["--u", "1:2:2", "--v=1:1e308:2"], "(1.0, 1e+308)"),  # angle overflow, per point
+])
+def test_verify_domain_error_names_point(capsys, grid, point):
+    code = main(["verify", *RUN, *grid])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"at (u, v) = {point}" in err and "Traceback" not in err
+
+
 def test_verify_zero_tolerance_fails(capsys):
     code = main(["verify", *RUN, "--u", "1:1.5:3",
                  "--tol-pipeline", "0", "--tol-octet", "0", "--tol-relations", "0"])
@@ -177,6 +212,23 @@ def test_msc_overflow_names_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "u=1.0" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_msc_residual_overflow_names_point(tmp_path, capsys):
+    out = tmp_path / "msc.csv"
+    code = main(["msc", "--c", "1", "--alpha", "1e200", "--beta", "2e200", "--u", "0.5:1.5:2",
+                 "--out", str(out)])
+    assert code == 3
+    assert "u=0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, beta", [("1e308", "1e-300"), ("1e-300", "1e308")])
+def test_msc_exponent_out_of_range_usage_error(capsys, alpha, beta):
+    # beta/alpha underflows to 0 or overflows to inf
+    assert main(["msc", "--c", "0", "--alpha", alpha, "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert f"alpha={float(alpha)!r}, beta={float(beta)!r}" in err
 
 
 def test_msc_equal_speeds_usage_error():
@@ -276,6 +328,25 @@ def test_plot_ellipse_non_finite_names_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plot_ellipse_underflowing_metric_names_point(tmp_path, capsys):
+    # E W = 1e-240 * 1e-120 underflows to 0 at u = 1
+    out = tmp_path / "e.svg"
+    code = main(["plot", "--f", "0", "--g", "(u^1e-120)", "--alpha", "1e308", "--beta", "1",
+                 "--u", "0:0:1", "--quantity", "ellipse", "--point", "1", "0",
+                 "--out", str(out)])
+    assert code == 3
+    assert "(u, v) = (1.0, 0.0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_single_point_at_large_u(tmp_path):
+    # 1e20 +- 1 rounds back to 1e20; the u axis must still get a span
+    out = tmp_path / "b.svg"
+    assert main(["plot", *RUN, "--u", "1e20:1e20:1", "--quantity", "beta2",
+                 "--out", str(out)]) == 0
+    assert 'points="580.00,220.00"' in out.read_text()
+
+
 def test_plot_invariant_power_overflow_names_point(tmp_path, capsys):
     out = tmp_path / "k.svg"
     code = main(["plot", "--f", "1e110*u", "--g", "u^2", "--alpha", "1", "--beta", "2",
@@ -371,6 +442,48 @@ def test_export_angle_overflow_names_point(tmp_path, capsys):
     assert code == 3
     assert "(u, v) = (1.0, 1e+308)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["msc", "--alpha", "nan", "--beta", "2"],
+    ["invariants", "--f", "u", "--alpha", "1", "--beta", "2", "--u", "1:1:1"],
+    ["export", "--msc-c", "inf", "--eps", "1", "--alpha", "1", "--beta", "2", "--out", "m.obj"],
+    ["plot", *RUN, "--u", "1:1:1", "--quantity", "ellipse", "--out", "x.svg"],
+])
+def test_usage_error_prints_subcommand_usage(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rotsurf4 {argv[0]} ")
+    assert f"rotsurf4 {argv[0]}: error: " in err
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+
+def _rotsurf4(argv, **kwargs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "rotsurf4", *argv], stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def test_reader_closing_after_one_line_exits_141():
+    # 2000 rows do not fit in the pipe, so the writer meets the closed end
+    proc = _rotsurf4(["invariants", *RUN, "--u", "1:2:2000"], stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"u,v,E,")
+    proc.stdout.close()
+    assert proc.wait() == 141
+    assert proc.stderr.read() == b""
+
+
+def test_reader_closed_before_reading_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _rotsurf4(["verify", *RUN, "--u", "1:2:3"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.wait() == 141
+    assert proc.stderr.read() == b""
 
 
 # ---------------------------------------------------------------------------

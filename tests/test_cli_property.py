@@ -1,16 +1,17 @@
 """Any in-process CLI run answers with finite numbers or exits 2/3.
 
-``invariants``, ``octet`` and ``export`` are run through ``cli.main`` on
-small grammar meridians with speeds, grid bounds and tolerances drawn from
-the edges of the double range (NaN, +-inf, 0, negative values, +-1e308).
-Each run must exit 0 with every number it wrote finite, or exit 2 or 3,
+Every subcommand is run through ``cli.main`` on small grammar meridians
+with speeds, grid bounds, power-law constants, ellipse points and
+tolerances drawn from the edges of the double range (NaN, +-inf, 0,
+negative values, +-1e308).  Each run must exit 0 (or 1, the verdict of
+``verify`` and ``msc``) with every number it wrote finite, or exit 2 or 3,
 and no exception may escape ``main``.
 """
 
 import contextlib
-import csv
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -58,32 +59,48 @@ def grid_specs(draw):
     return f"{lo!r}:{hi!r}:{draw(counts)}"
 
 
-def _finite_csv(text: str) -> bool:
-    rows = list(csv.reader(io.StringIO(text)))
-    return all(math.isfinite(float(cell)) for row in rows[1:] for cell in row
-               if cell not in ("flat", "elliptic", "parabolic", "hyperbolic"))
+QUANTITIES = ("k", "kappa", "K", "nu1", "nu2", "mu", "gamma2", "beta2", "ellipse")
+VERIFY_TOLERANCES = ("pipeline", "octet", "relations", "residual", "superconformal", "circle")
+# a non-finite float as _num, repr and the report formats write it
+NON_FINITE = re.compile(r"\b(?:nan|inf)\b")
 
 
-def _finite_obj(text: str) -> bool:
-    return all(math.isfinite(float(x)) for line in text.splitlines()
-               if line.startswith("v ") for x in line.split()[1:])
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(("invariants", "octet", "export", "verify", "msc", "plot")))
+    argv = [command, f"--alpha={draw(speeds)!r}", f"--beta={draw(speeds)!r}",
+            f"--u={draw(grid_specs())}"]
+    tol = draw(tolerances)
+    if command == "msc":
+        return argv + [f"--c={draw(_mostly(st.floats(min_value=-3.0, max_value=3.0)))!r}",
+                       f"--eps={draw(st.sampled_from((1, -1)))}",
+                       f"--tol-superconformal={tol!r}"]
+    argv += [f"--f={draw(meridians)}", f"--g={draw(meridians)}", f"--v={draw(grid_specs())}"]
+    if command == "invariants":
+        argv.append(f"--tol-class={tol!r}")
+    elif command == "verify":
+        argv.append(f"--tol-{draw(st.sampled_from(VERIFY_TOLERANCES))}={tol!r}")
+    elif command == "plot":
+        quantity = draw(st.sampled_from(QUANTITIES))
+        argv.append(f"--quantity={quantity}")
+        if quantity == "ellipse":
+            point = _mostly(st.floats(min_value=0.1, max_value=3.0))
+            argv += ["--point", repr(draw(point)), repr(draw(point))]
+    return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(command=st.sampled_from(("invariants", "octet", "export")),
-       f=meridians, g=meridians, alpha=speeds, beta=speeds,
-       u=grid_specs(), v=grid_specs(), tol=tolerances)
-def test_cli_answers_finitely_or_exits_2_or_3(command, f, g, alpha, beta, u, v, tol):
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_cli_answers_finitely_or_exits_2_or_3(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        argv = [command, f"--f={f}", f"--g={g}", f"--alpha={alpha!r}", f"--beta={beta!r}",
-                f"--u={u}", f"--v={v}", "--out", str(out)]
-        if command == "invariants":
-            argv.append(f"--tol-class={tol!r}")
-        with contextlib.redirect_stdout(io.StringIO()), \
+        if argv[0] != "verify":
+            argv = [*argv, "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
-        assert code in (0, 2, 3), (code, err.getvalue())
-        if code == 0:
-            text = out.read_text()
-            assert (_finite_obj(text) if command == "export" else _finite_csv(text)), text
+        verdicts = (0, 1) if argv[0] in ("verify", "msc") else (0,)
+        assert code in (*verdicts, 2, 3), (code, err.getvalue())
+        if code in verdicts:
+            text = stdout.getvalue() + (out.read_text() if out.exists() else "")
+            assert not NON_FINITE.search(text), text

@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import rel_dev
-from rotsurf4.expr import Profile
+from rotsurf4.expr import Binary, Profile, Unary, Variable, evaluate, parse
 from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             PointType, SecondForm, SecondTensor, christoffel,
                             classify, ellipse_samples,
@@ -19,6 +19,7 @@ from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
 from rotsurf4.geometry import (DegenerateMetricError, Jet2, Vec4,
                                analytic_jet2, dot, fd_jet2,
                                gram_schmidt_normals, norm)
+from rotsurf4.msc import scaled_msc_residual
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
                                  closed_invariants_at, frames_at)
 
@@ -540,3 +541,49 @@ def test_homothety_and_swap_laws(surface, path, u, v, lam):
     k, kappa, gauss = path(scaled, u, v)
     assert _law_dev((k * lam ** 4, kappa * lam ** 2, gauss * lam ** 2), base) <= 1e-12
     assert _law_dev(path(swapped, u, v), base) <= 1e-12
+
+
+# metamorphic laws: a reparametrization u -> phi(u) with phi' > 0 moves
+# (k, kappa, K) and the msc verdict to the point phi(u); a homothety leaves
+# the scaled msc residual unchanged
+
+def _substitute(e, phi):
+    """The tree ``e`` with ``phi`` in place of every u."""
+    if isinstance(e, Variable):
+        return phi
+    if isinstance(e, Unary):
+        return Unary(e.op, _substitute(e.child, phi))
+    if isinstance(e, Binary):
+        return Binary(e.op, _substitute(e.left, phi), _substitute(e.right, phi))
+    return e
+
+
+CHART_SURFACES = [*GENERIC_SURFACES[:4],
+                  ("u", "1.5*u^(-0.5)", 2.0, 1.0), ("u", "0.7*u^1.5", 2.0, 3.0)]
+charts = st.one_of(
+    st.builds("{!r}*u+{!r}".format, st.floats(min_value=0.2, max_value=3.0),
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from(["u^3", "exp(u)", "1e-6*u+1"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CHART_SURFACES), st.sampled_from([_closed, _generic]), charts,
+       st.floats(min_value=0.3, max_value=2.5), st.floats(min_value=0.0, max_value=6.2),
+       st.floats(min_value=0.25, max_value=4.0))
+def test_reparametrization_and_homothety_laws(surface, path, chart, u, v, lam):
+    f_text, g_text, alpha, beta = surface
+    phi = parse(chart)
+    s = RotationalSurface(Profile.from_text(f_text), Profile.from_text(g_text), alpha, beta)
+    moved = RotationalSurface(Profile.from_expr(_substitute(parse(f_text), phi)),
+                              Profile.from_expr(_substitute(parse(g_text), phi)), alpha, beta)
+    scaled = RotationalSurface(Profile.from_text(f"{lam!r}*({f_text})"),
+                               Profile.from_text(f"{lam!r}*({g_text})"), alpha, beta)
+    t = evaluate(phi, u)
+    # keep phi(u) in the range of the laws above: (cos u + 2, u^2 + 1) is
+    # singular at u = 0, and near it cancellation in g' f'' - f' g'' leaves
+    # only ~1e-12 of the invariants' digits (seen at phi(u) = 0.03)
+    assume(t >= 0.3)
+    assert _law_dev(path(moved, u, v), path(s, t, v)) <= 1e-12
+    residual = scaled_msc_residual(s, t)
+    assert abs(scaled_msc_residual(moved, u) - residual) <= 1e-12
+    assert abs(scaled_msc_residual(scaled, t) - residual) <= 1e-12

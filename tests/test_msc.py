@@ -11,7 +11,7 @@ from rotsurf4.geometry import analytic_jet2, gram_schmidt_normals, norm
 from rotsurf4.msc import (MscParams, identity_profile, msc_invariants,
                           msc_profile, msc_profile_text, msc_residual,
                           msc_surface, power_law_invariants,
-                          reduced_invariants, scaled_msc_residual)
+                          scaled_msc_residual)
 from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface,
                                  closed_octet_at)
 
@@ -63,10 +63,10 @@ def test_residual_cubic_value(cubic):
     assert msc_residual(cubic, 1.0, 1) == -3.0
 
 
-def test_residual_requires_identity_meridian():
+def test_residual_of_reparametrized_member():
+    # (2u, u^2) is the member (t, t^2/4) in the chart t = 2u
     s = RotationalSurface(Profile.from_text("2*u"), Profile.from_text("u^2"), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        msc_residual(s, 1.0, 1)
+    assert msc_residual(s, 1.0, 1) == 0.0
 
 
 def test_residual_rejects_bad_branch_sign(parabola):
@@ -97,7 +97,7 @@ def _scaled_residual_reference(s, u):
         r = msc_residual(s, u, eps)
         g, g1 = s.g.value(u), s.g.deriv1(u)
         a, b = s.alpha, s.beta
-        scale = max(1.0, abs(a * b * (g - u * g1)), abs(a * a * u * g1 - b * b * g))
+        scale = max(abs(a * b * (g - u * g1)), abs(a * a * u * g1 - b * b * g))
         d = abs(r) / scale
         best = d if best is None else min(best, d)
     return best
@@ -112,31 +112,76 @@ def test_scaled_residual_matches_reference(g_text, alpha, beta):
         assert scaled_msc_residual(s, u).hex() == _scaled_residual_reference(s, u).hex()
 
 
-def test_scaled_residual_requires_identity_meridian():
+def test_scaled_residual_of_reparametrized_member():
     s = RotationalSurface(Profile.from_text("2*u"), Profile.from_text("u^2"), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        scaled_msc_residual(s, 1.0)
+    assert scaled_msc_residual(s, 1.0) == 0.0
+
+
+def test_scaled_residual_flat_branch_is_zero():
+    # g = 0 makes both sides 0; the flat branch reads as a member
+    s = RotationalSurface(Profile.from_text("u"), Profile.from_text("0*u"), 1.0, 2.0)
+    assert scaled_msc_residual(s, 1.5) == 0.0
+
+
+def test_scaled_residual_is_scale_free_for_slow_charts():
+    # the cubic is no member however small u is (both sides shrink like u^3)
+    s = RotationalSurface(Profile.from_text("u"), Profile.from_text("u^3"), 1.0, 2.0)
+    for u in (1e-5, 0.5, 2.0):
+        assert scaled_msc_residual(s, u) == pytest.approx(0.75, rel=1e-15)
+
+
+@pytest.mark.parametrize("g_text, alpha, beta", [("u^2", 1e200, 2e200), ("1e300*u^2", 1.0, 1e10)])
+def test_residuals_out_of_range_name_u(g_text, alpha, beta):
+    s = RotationalSurface(identity_profile(), Profile.from_text(g_text), alpha, beta)
+    with pytest.raises(ClosedFormRangeError, match=r"u=1\.5"):
+        scaled_msc_residual(s, 1.5)
+    with pytest.raises(ClosedFormRangeError, match=r"u=1\.5"):
+        msc_residual(s, 1.5, 1)
+
+
+def test_residual_overflowing_difference_names_u():
+    # finite sides of opposite sign to the branch: their difference overflows
+    s = RotationalSurface(identity_profile(), Profile.from_text("5e306*u^3"), 1.0, 2.0)
+    assert msc_residual(s, 2.0, 1) == pytest.approx(-1.2e308, rel=1e-15)
+    with pytest.raises(ClosedFormRangeError, match=r"u=2\.0"):
+        msc_residual(s, 2.0, -1)
 
 
 # ---------------------------------------------------------------------------
-# reduced invariants
+# (nu1, nu2, mu) of f = u meridians, through closed_octet_at
 
 def test_reduced_invariants_square_profile(parabola):
-    nu1, nu2, mu = reduced_invariants(parabola, 1.0)
+    o = closed_octet_at(parabola, 1.0)
+    nu1, nu2, mu = o.nu1, o.nu2, o.mu
     assert nu1 == pytest.approx(-2 / 5 ** 1.5, rel=1e-14)
     assert nu2 == pytest.approx(2 / 5 ** 1.5, rel=1e-14)
     assert mu == pytest.approx(-2 / 5 ** 1.5, rel=1e-14)
 
 
 def test_reduced_invariants_linear_profile(linear):
-    nu1, _, _ = reduced_invariants(linear, 1.0)
-    assert nu1 == 0.0
+    assert closed_octet_at(linear, 1.0).nu1 == 0.0
+
+
+def _reduced_invariants(s, u):
+    """(nu1, nu2, mu) written out for f(u) = u:
+
+        nu1 = -g'' / (1 + g'^2)^(3/2)
+        nu2 = (b^2 g - a^2 u g') / (sqrt(1 + g'^2) (a^2 u^2 + b^2 g^2))
+        mu  = a b (g - u g') / (sqrt(1 + g'^2) (a^2 u^2 + b^2 g^2))
+    """
+    g, g1, g2 = s.g.value(u), s.g.deriv1(u), s.g.deriv2(u)
+    a, b = s.alpha, s.beta
+    ee = 1.0 + g1 * g1
+    gg = a * a * u * u + b * b * g * g
+    sqrt_e = math.sqrt(ee)
+    return (-g2 / (ee * sqrt_e), (b * b * g - a * a * u * g1) / (sqrt_e * gg),
+            a * b * (g - u * g1) / (sqrt_e * gg))
 
 
 def test_reduced_invariants_match_closed_octet(parabola, cubic):
     for s in (parabola, cubic):
         for u in (0.5, 1.0, 1.7):
-            nu1, nu2, mu = reduced_invariants(s, u)
+            nu1, nu2, mu = _reduced_invariants(s, u)
             o = closed_octet_at(s, u)
             assert abs(nu1 - o.nu1) <= 1e-14 * max(1.0, abs(nu1))
             assert abs(nu2 - o.nu2) <= 1e-14 * max(1.0, abs(nu2))
