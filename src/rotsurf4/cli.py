@@ -27,13 +27,14 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     generic_invariants, invariants, is_circle,
                     superconformal_residuals)
-from .geometry import GeometryError, analytic_jet2, fd_jet2, norm
+from .geometry import GeometryError, analytic_jet2, fd_jet2, norm, rotate, rotation_trig
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
 from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, _profile_data,
@@ -402,43 +403,42 @@ def cmd_msc(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # export / plot
 
-_PROJECTIONS = {
-    "drop1": (1, 2, 3),
-    "drop2": (0, 2, 3),
-    "drop3": (0, 1, 3),
-    "drop4": (0, 1, 2),
-}
+# dropN keeps the other three Vec4 coordinates, in order
+_PROJECTIONS = {f"drop{n}": attrgetter(*(f"x{i}" for i in range(1, 5) if i != n))
+                for n in range(1, 5)}
+# one vertex line; each %.17g must write what _num writes
+_VERTEX = "v %.17g %.17g %.17g"
+
+
+def _vertex_lines(surface: RotationalSurface, us: list[float], vs: list[float], pick) -> list[str]:
+    """The OBJ vertex lines, u-major, with the meridian read once per u and the
+    rotation once per v; an error names the point that u-major order meets first."""
+    meridian, points, trig = surface.meridian(), [], []
+    for u in us:
+        try:
+            points.append(meridian.at(u))
+        except EvalDomainError as exc:
+            raise _PointError(u, vs[0], exc) from exc
+        for v in vs[len(trig):]:  # after the first u's profiles only, as u-major order has it
+            try:
+                trig.append(rotation_trig(surface.alpha, surface.beta, v))
+            except GeometryError as exc:
+                raise _PointError(u, v, exc) from exc
+    return [_VERTEX % pick(rotate(p, t)) for p in points for t in trig]
 
 
 def cmd_export(args, parser) -> int:
     surface, grid = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
     if grid.nu < 2 or grid.nv < 2:
         parser.error("export needs at least a 2x2 grid")
-    us = grid.u_values()
-    vs = grid.v_values()
-    surface_map = surface.as_map()
-    keep = _PROJECTIONS[args.projection]
-
-    lines = []
-    for u in us:
-        for v in vs:
-            try:
-                point = tuple(surface_map(u, v))
-            except (GeometryError, EvalDomainError) as exc:
-                raise _PointError(u, v, exc) from exc
-            coords = [point[i] for i in keep]
-            lines.append("v " + " ".join(_num(c) for c in coords))
+    lines = _vertex_lines(surface, grid.u_values(), grid.v_values(), _PROJECTIONS[args.projection])
 
     nu, nv = grid.nu, grid.nv
     wrap = nv if args.close_v else nv - 1
     for i in range(nu - 1):
-        for j in range(wrap):
-            jn = (j + 1) % nv
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + jn + 1
-            d = i * nv + jn + 1
-            lines.append(f"f {a} {b} {c} {d}")
+        for j in range(wrap):  # vertex a at (i, j), d at (i, j + 1); a + nv at (i + 1, j)
+            a, d = i * nv + j + 1, i * nv + (j + 1) % nv + 1
+            lines.append(f"f {a} {a + nv} {d + nv} {d}")
 
     with open(args.out, "w", newline="") as stream:
         stream.write("\n".join(lines) + "\n")

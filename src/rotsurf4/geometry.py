@@ -23,6 +23,8 @@ __all__ = [
     "norm",
     "det4",
     "cross4",
+    "rotation_trig",
+    "rotate",
     "double_rotation",
     "analytic_jet2",
     "fd_jet2",
@@ -150,6 +152,21 @@ def _angle_overflow(v: float) -> GeometryError:
     return GeometryError(f"rotation angle overflows at v={v!r}")
 
 
+def rotation_trig(alpha: float, beta: float, v: float) -> tuple[float, float, float, float]:
+    """(cos av, sin av, cos bv, sin bv); an overflowing angle raises GeometryError."""
+    try:
+        return math.cos(alpha * v), math.sin(alpha * v), math.cos(beta * v), math.sin(beta * v)
+    except ValueError:
+        raise _angle_overflow(v) from None
+
+
+def rotate(p: Vec4, trig: tuple[float, float, float, float]) -> Vec4:
+    """``p`` turned in the x1x2- and x3x4-planes by the angles of ``trig``."""
+    ca, sa, cb, sb = trig
+    return Vec4(p.x1 * ca - p.x2 * sa, p.x1 * sa + p.x2 * ca,
+                p.x3 * cb - p.x4 * sb, p.x3 * sb + p.x4 * cb)
+
+
 def double_rotation(curve: Curve4, alpha: float, beta: float) -> Callable[[float, float], Vec4]:
     """General rotation of ``curve`` with independent speeds in the
     x1x2- and x3x4-planes (Moore's construction).
@@ -164,16 +181,7 @@ def double_rotation(curve: Curve4, alpha: float, beta: float) -> Callable[[float
     """
 
     def surface_map(u: float, v: float) -> Vec4:
-        p = curve.at(u)
-        try:
-            ca, sa = math.cos(alpha * v), math.sin(alpha * v)
-            cb, sb = math.cos(beta * v), math.sin(beta * v)
-        except ValueError:
-            raise _angle_overflow(v) from None
-        return Vec4(p.x1 * ca - p.x2 * sa,
-                    p.x1 * sa + p.x2 * ca,
-                    p.x3 * cb - p.x4 * sb,
-                    p.x3 * sb + p.x4 * cb)
+        return rotate(curve.at(u), rotation_trig(alpha, beta, v))
 
     return surface_map
 
@@ -190,11 +198,7 @@ def analytic_jet2(surface: "RotationalSurface", u: float, v: float) -> Jet2:
         raise RegularityError(f"rotation radii vanish at u={u!r}")
     if f1 * f1 + g1 * g1 <= 0.0:
         raise RegularityError(f"meridian speed vanishes at u={u!r}")
-    try:
-        ca, sa = math.cos(a * v), math.sin(a * v)
-        cb, sb = math.cos(b * v), math.sin(b * v)
-    except ValueError:
-        raise _angle_overflow(v) from None
+    ca, sa, cb, sb = rotation_trig(a, b, v)
     return Jet2(
         z=Vec4(f * ca, f * sa, g * cb, g * sb),
         z_u=Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .expr import Interval, Profile, constant_profile
 from .forms import FirstForm, SecondForm, SecondTensor
-from .geometry import (Curve4, GeometryError, RegularityError, Vec4,
-                       double_rotation, dot, norm)
+from .geometry import (Curve4, GeometryError, RegularityError, Vec4, _angle_overflow,
+                       double_rotation, dot, norm, rotation_trig)
 from .octet import FrenetOctet
 
 __all__ = [
@@ -87,11 +87,14 @@ class RotationalSurface:
             raise ValueError(
                 "equal rotation speeds are excluded (every v-line degenerates to a circle)")
 
+    def meridian(self) -> Curve4:
+        """The meridian (f, 0, g, 0) that the rotation turns."""
+        zero = constant_profile(0.0)
+        return Curve4(self.f, zero, self.g, zero)
+
     def as_map(self):
         """The surface as a plain (u, v) -> Vec4 map."""
-        zero = constant_profile(0.0)
-        return double_rotation(Curve4(self.f, zero, self.g, zero),
-                               self.alpha, self.beta)
+        return double_rotation(self.meridian(), self.alpha, self.beta)
 
 
 def _profile_data(s: RotationalSurface, u: float):
@@ -202,8 +205,7 @@ def frames_at(s: RotationalSurface, u: float, v: float) -> tuple[Vec4, Vec4, Vec
     f, f1, _, g, g1, _, ee, gg = _profile_data(s, u)
     a, b = s.alpha, s.beta
     sqrt_e, sqrt_g = math.sqrt(ee), math.sqrt(gg)
-    ca, sa = math.cos(a * v), math.sin(a * v)
-    cb, sb = math.cos(b * v), math.sin(b * v)
+    ca, sa, cb, sb = rotation_trig(a, b, v)
     x = Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb) / sqrt_e
     y = Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb) / sqrt_g
     n1 = Vec4(g1 * ca, g1 * sa, -f1 * cb, -f1 * sb) / sqrt_e
@@ -245,15 +247,19 @@ def vline_curvatures(a: float, b: float, alpha: float, beta: float) -> CurveCurv
 def vline_derivatives(a: float, b: float, alpha: float, beta: float,
                       v: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
     """First four exact derivatives of the v-line
-    (a cos(al v), a sin(al v), b cos(be v), b sin(be v))."""
+    (a cos(al v), a sin(al v), b cos(be v), b sin(be v)).  An overflowing
+    angle raises :class:`GeometryError` naming v."""
     out = []
-    for order in range(1, 5):
-        pa = alpha * v + order * math.pi / 2.0
-        pb = beta * v + order * math.pi / 2.0
-        ra = a * alpha ** order
-        rb = b * beta ** order
-        out.append(Vec4(ra * math.cos(pa), ra * math.sin(pa),
-                        rb * math.cos(pb), rb * math.sin(pb)))
+    try:
+        for order in range(1, 5):
+            pa = alpha * v + order * math.pi / 2.0
+            pb = beta * v + order * math.pi / 2.0
+            ra = a * alpha ** order
+            rb = b * beta ** order
+            out.append(Vec4(ra * math.cos(pa), ra * math.sin(pa),
+                            rb * math.cos(pb), rb * math.sin(pb)))
+    except ValueError:
+        raise _angle_overflow(v) from None
     return tuple(out)
 
 

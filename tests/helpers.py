@@ -1,12 +1,14 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
-unfolded differentiator, the Vec4-based frame kernel)."""
+unfolded differentiator, the Vec4-based frame kernel, the per-point OBJ
+vertex loop)."""
 
 import math
 import random
 
-from rotsurf4.expr import Binary, Constant, Unary, Variable, evaluate
-from rotsurf4.geometry import DegenerateMetricError, Vec4, dot, norm
+from rotsurf4.cli import _num, _PointError
+from rotsurf4.expr import Binary, Constant, EvalDomainError, Unary, Variable, evaluate
+from rotsurf4.geometry import DegenerateMetricError, GeometryError, Vec4, dot, norm
 from rotsurf4.octet import FrenetOctet
 
 
@@ -179,3 +181,21 @@ def reference_gram_schmidt_normals(jet):
     if reference_det4(zu, zv, e1, e2) < 0.0:
         e2 = -e2
     return e1, e2
+
+
+# ---------------------------------------------------------------------------
+# The OBJ vertex lines written one grid point at a time through the surface
+# map: the byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
+# grid-structured ``_vertex_lines``.
+
+def reference_export_vertices(surface, us, vs, pick):
+    surface_map = surface.as_map()
+    lines = []
+    for u in us:
+        for v in vs:
+            try:
+                point = surface_map(u, v)
+            except (GeometryError, EvalDomainError) as exc:
+                raise _PointError(u, v, exc) from exc
+            lines.append("v " + " ".join(_num(c) for c in pick(point)))
+    return lines

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rotsurf4 import cli
 from rotsurf4.cli import _invariant_row, main
@@ -442,6 +444,35 @@ def test_export_angle_overflow_names_point(tmp_path, capsys):
     assert code == 3
     assert "(u, v) = (1.0, 1e+308)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("g_text, v_spec, message", [
+    # a profile error at the first u precedes an angle overflow at a later v
+    ("log(u)", "1:1e308:2", "(u, v) = (0.0, 1.0): domain error in `log(u)`"),
+    # an angle overflow at the first u precedes a profile error at a later u
+    ("sqrt(0.5-u)", "1:1e308:2", "(u, v) = (0.0, 1e+308): rotation angle overflows"),
+    ("sqrt(0.5-u)", "1:2:2", "(u, v) = (1.0, 1.0): domain error in `sqrt(0.5-u)`"),
+])
+def test_export_names_the_first_point_in_u_major_order(tmp_path, capsys, g_text, v_spec,
+                                                      message):
+    out = tmp_path / "m.obj"
+    code = main(["export", "--f", "u", "--g", g_text, "--alpha", "1", "--beta", "2",
+                 "--u", "0:1:2", f"--v={v_spec}", "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@given(x=st.floats())
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-2.2250738585072009e-308)
+@example(x=1e308)
+@example(x=-1e308)
+def test_vertex_format_writes_what_num_writes(x):
+    assert "%.17g" % x == cli._num(x)
+    assert cli._VERTEX % (x, -x, 0.5) == "v " + " ".join(map(cli._num, (x, -x, 0.5)))
 
 
 @pytest.mark.parametrize("argv", [

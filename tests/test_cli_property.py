@@ -6,6 +6,9 @@ tolerances drawn from the edges of the double range (NaN, +-inf, 0,
 negative values, +-1e308).  Each run must exit 0 (or 1, the verdict of
 ``verify`` and ``msc``) with every number it wrote finite, or exit 2 or 3,
 and no exception may escape ``main``.
+
+On the same draws, ``export`` (meridian read once per u, rotation once per
+v) must answer exactly as the per-point loop over the surface map does.
 """
 
 import contextlib
@@ -14,10 +17,13 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_export_vertices
+from rotsurf4 import cli
 from rotsurf4.cli import main
 
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -2.5, 1e308, -1e308,
@@ -104,3 +110,37 @@ def test_cli_answers_finitely_or_exits_2_or_3(argv):
         if code in verdicts:
             text = stdout.getvalue() + (out.read_text() if out.exists() else "")
             assert not NON_FINITE.search(text), text
+
+
+@st.composite
+def export_lines(draw):
+    mesh = grid_specs().filter(lambda spec: not spec.endswith(":1"))  # export needs 2x2
+    argv = ["export", f"--f={draw(meridians)}", f"--g={draw(meridians)}",
+            f"--alpha={draw(speeds)!r}", f"--beta={draw(speeds)!r}",
+            f"--u={draw(mesh)}", f"--v={draw(mesh)}",
+            f"--projection=drop{draw(st.integers(min_value=1, max_value=4))}"]
+    return argv + (["--close-v"] if draw(st.booleans()) else [])
+
+
+def _export(argv, out: Path):
+    """(exit code, stdout, stderr, OBJ bytes or None) of one in-process run."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue(), err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=export_lines())
+@example(argv=["export", "--f=u", "--g=log(u)", "--alpha=1", "--beta=2", "--u=0:1:2",
+               "--v=1:1e308:2"])
+@example(argv=["export", "--f=u", "--g=sqrt(0.5-u)", "--alpha=1", "--beta=2", "--u=0:1:3",
+               "--v=-1:1e308:3", "--projection=drop1"])
+@example(argv=["export", "--f=-u", "--g=-(u^2)", "--alpha=1", "--beta=3", "--u=-1:1:3",
+               "--v=-2:2:5", "--projection=drop3", "--close-v"])
+def test_export_matches_per_point_reference(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = _export(argv, Path(tmp) / "grid.obj")
+        with mock.patch.object(cli, "_vertex_lines", reference_export_vertices):
+            reference = _export(argv, Path(tmp) / "reference.obj")
+    assert grid == reference

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import rel_dev
 from rotsurf4.expr import Profile
-from rotsurf4.geometry import RegularityError, Vec4, fd_jet2
+from rotsurf4.geometry import GeometryError, RegularityError, Vec4, fd_jet2
 from rotsurf4.octet import invariants_from_octet
 from rotsurf4.rotational import (ClosedFormRangeError, DegenerateCurveError,
                                  RotationalSurface, closed_forms_at,
@@ -303,3 +303,13 @@ def test_ambient_mirror_flips_kappa_spot_check(parabola):
     assert abs(a.kappa + b.kappa) <= 1e-9
     assert abs(a.k - b.k) <= 1e-9
     assert abs(a.K - b.K) <= 1e-9
+
+
+def test_frames_at_angle_overflow_names_v(parabola):
+    with pytest.raises(GeometryError, match=r"rotation angle overflows at v=1e\+308"):
+        frames_at(parabola, 1.0, 1e308)
+
+
+def test_vline_derivatives_angle_overflow_names_v():
+    with pytest.raises(GeometryError, match=r"rotation angle overflows at v=1e\+308"):
+        vline_derivatives(1.0, 1.0, 1.0, 2.0, 1e308)
