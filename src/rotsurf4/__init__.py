@@ -18,10 +18,9 @@ from .forms import (Christoffel, CircleReport, FirstForm, FrameError,
                     invariants, is_circle, is_minimal, is_principal_params,
                     is_superconformal, lmn, mean_curvature_vector,
                     second_form_value, second_tensor, superconformal_residuals)
-from .geometry import (Curve4, DegenerateMetricError, GeometryError, Jet2,
+from .geometry import (DegenerateMetricError, GeometryError, Jet2,
                        RegularityError, Vec4, analytic_jet2, cross4, det4,
-                       dot, double_rotation, fd_jet2, gram_schmidt_normals,
-                       norm)
+                       dot, fd_jet2, gram_schmidt_normals, norm)
 from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
                   msc_profile_text, msc_residual, msc_surface,
                   power_law_invariants, scaled_msc_residual)

@@ -24,9 +24,9 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 
 from . import msc as msc_mod
@@ -37,8 +37,8 @@ from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
 from .geometry import GeometryError, analytic_jet2, fd_jet2, norm, rotate, rotation_trig
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
-from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, _profile_data,
-                         closed_forms_at, closed_invariants_at, closed_octet_at)
+from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, closed_forms_at,
+                         closed_invariants_at, closed_octet_at)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -56,6 +56,18 @@ class _PointError(Exception):
     def __init__(self, u: float, v: float, cause: Exception):
         super().__init__(f"at (u, v) = ({u!r}, {v!r}): {cause}")
         self.u, self.v, self.cause = u, v, cause
+
+
+class _at(AbstractContextManager):
+    """``with _at(u, v):`` tags a domain or regularity error raised in the
+    block with the point (u, v).  A class: a generator costs 3x per row."""
+
+    def __init__(self, u: float, v: float):
+        self.u, self.v = u, v
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if exc is not None and isinstance(exc, (GeometryError, EvalDomainError)):
+            raise _PointError(self.u, self.v, exc) from exc
 
 
 def _num(x: float) -> str:
@@ -178,12 +190,10 @@ def _csv_out(path: str | None):
 # invariants / octet grids
 
 def _invariant_row(surface: RotationalSurface, u: float, v_first: float, class_tol: float):
-    try:
-        data = _profile_data(surface, u)
+    with _at(u, v_first):
+        data = surface.meridian_jet(u)
         ff, _, sf = _closed_forms(surface, u, data)
         gauss = _closed_invariants(surface, u, data)[2]
-    except (GeometryError, EvalDomainError) as exc:
-        raise _PointError(u, v_first, exc) from exc
     return invariants(ff, sf, gauss, class_tol=class_tol)
 
 
@@ -206,14 +216,10 @@ def cmd_invariants(args, parser) -> int:
 def cmd_octet(args, parser) -> int:
     surface, grid = _build_config(args, parser)
     us = grid.u_values()
-
-    def row(u):
-        try:
-            return closed_octet_at(surface, u)
-        except (GeometryError, EvalDomainError) as exc:
-            raise _PointError(u, grid.v_min, exc) from exc
-
-    octets = [row(u) for u in us]
+    octets = []
+    for u in us:
+        with _at(u, grid.v_min):
+            octets.append(closed_octet_at(surface, u))
     with _csv_out(args.out) as writer:
         writer.writerow(_OCTET_HEADER)
         for u, o in zip(us, octets):
@@ -279,12 +285,10 @@ def cmd_verify(args, parser) -> int:
         "ellipse-circle": _Check("ellipse-circle", args.tol_circle),
     }
 
-    def jet_at(uu, vv):
-        return analytic_jet2(surface, uu, vv)
-
+    jet_at = partial(analytic_jet2, surface)
     residuals = []
     for u in us:
-        try:
+        with _at(u, vs[0]):
             ffc, _, sfc = closed_forms_at(surface, u)
             kc, xc, gc = closed_invariants_at(surface, u)
             oc = closed_octet_at(surface, u)
@@ -292,10 +296,8 @@ def cmd_verify(args, parser) -> int:
             checks["octet-vs-invariants"].update(
                 max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
             residuals.append(msc_mod.scaled_msc_residual(surface, u))
-        except (GeometryError, EvalDomainError) as exc:
-            raise _PointError(u, vs[0], exc) from exc
         for v in vs:
-            try:
+            with _at(u, v):
                 jet_a = jet_at(u, v)
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_jet_dev(jet_a, jet_f), (u, v))
@@ -314,8 +316,6 @@ def cmd_verify(args, parser) -> int:
                         checks["octet"].update(_octet_dev(oc, og), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
-            except (GeometryError, EvalDomainError) as exc:
-                raise _PointError(u, v, exc) from exc
 
     # the msc equation (chart-free, so any meridian gets a verdict)
     # classifies the surface; it is informational, not a pass/fail check
@@ -328,7 +328,7 @@ def cmd_verify(args, parser) -> int:
         checks["ellipse-circle"].note = "surface does not satisfy the msc equation"
     else:
         for u in us:
-            try:
+            with _at(u, vs[0]):
                 e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
                 rec = generic_invariants(ff, ct)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
@@ -338,8 +338,6 @@ def cmd_verify(args, parser) -> int:
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),
                     (u, vs[0]))
-            except (GeometryError, EvalDomainError) as exc:
-                raise _PointError(u, vs[0], exc) from exc
 
     print(f"  {'msc-equation':<22} {residual_note}")
     failed = []
@@ -413,17 +411,13 @@ _VERTEX = "v %.17g %.17g %.17g"
 def _vertex_lines(surface: RotationalSurface, us: list[float], vs: list[float], pick) -> list[str]:
     """The OBJ vertex lines, u-major, with the meridian read once per u and the
     rotation once per v; an error names the point that u-major order meets first."""
-    meridian, points, trig = surface.meridian(), [], []
+    points, trig = [], []
     for u in us:
-        try:
-            points.append(meridian.at(u))
-        except EvalDomainError as exc:
-            raise _PointError(u, vs[0], exc) from exc
+        with _at(u, vs[0]):
+            points.append(surface.meridian_at(u))
         for v in vs[len(trig):]:  # after the first u's profiles only, as u-major order has it
-            try:
+            with _at(u, v):
                 trig.append(rotation_trig(surface.alpha, surface.beta, v))
-            except GeometryError as exc:
-                raise _PointError(u, v, exc) from exc
     return [_VERTEX % pick(rotate(p, t)) for p in points for t in trig]
 
 
@@ -538,14 +532,12 @@ def cmd_plot(args, parser) -> int:
         if args.point is None:
             parser.error("--point U V is required for the ellipse plot")
         u0, v0 = args.point
-        try:
+        with _at(u0, v0):
             e1, e2, ff, ct = generic_at(analytic_jet2(surface, u0, v0))
             samples = ellipse_samples(ff, ct, e1, e2, args.samples)
             report = is_circle(samples, 1e-6)
             if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
                 raise NonFiniteInvariantError("curvature ellipse is not finite")
-        except (GeometryError, EvalDomainError) as exc:
-            raise _PointError(u0, v0, exc) from exc
         points = [(sum(a * b for a, b in zip(s, e1)),
                    sum(a * b for a, b in zip(s, e2))) for s in samples]
         center = (sum(a * b for a, b in zip(report.center, e1)),
@@ -555,16 +547,12 @@ def cmd_plot(args, parser) -> int:
         us = grid.u_values()
         values = []
         for u in us:
-            try:
+            with _at(u, grid.v_min):
                 if args.quantity in ("k", "kappa", "K"):
                     trio = closed_invariants_at(surface, u)
                     values.append(trio[("k", "kappa", "K").index(args.quantity)])
-                else:
-                    o = closed_octet_at(surface, u)
-                    values.append({"nu1": o.nu1, "nu2": o.nu2, "mu": o.mu,
-                                   "gamma2": o.gamma2, "beta2": o.beta2}[args.quantity])
-            except (GeometryError, EvalDomainError) as exc:
-                raise _PointError(u, grid.v_min, exc) from exc
+                else:  # the other quantities are FrenetOctet fields
+                    values.append(getattr(closed_octet_at(surface, u), args.quantity))
         text = _svg_line_plot(us, values, args.quantity)
     with open(args.out, "w", newline="") as stream:
         stream.write(text)

@@ -59,7 +59,6 @@ __all__ = [
     "compile_expr",
     "differentiate",
     "format_number",
-    "constant_profile",
 ]
 
 
@@ -605,7 +604,3 @@ class Profile:
     def deriv2(self, u: float) -> float:
         self._check_domain(u)
         return self._deriv2(u)
-
-
-def constant_profile(v: float) -> Profile:
-    return Profile.from_expr(Constant(float(v)))

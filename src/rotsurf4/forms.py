@@ -58,6 +58,8 @@ __all__ = [
     "is_circle",
 ]
 
+_FRAME_TOL = 1e-10  # largest residual second_tensor accepts for its frame
+
 
 class FrameError(GeometryError):
     """The supplied frame is not an orthonormal normal frame."""
@@ -134,7 +136,7 @@ def first_form(jet: Jet2) -> FirstForm:
     return FirstForm(E, F, G, math.sqrt(disc))
 
 
-def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4, *, frame_tol: float = 1e-10) -> SecondTensor:
+def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
     """Components c_ij^k = <z_ij, e_k>; rejects a frame that is not unit,
     not mutually orthogonal, or not normal to the tangent plane."""
     scale = max(1.0, norm(jet.z_u), norm(jet.z_v))
@@ -147,7 +149,7 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4, *, frame_tol: float = 1e-10) ->
         abs(dot(e2, jet.z_u)) / scale,
         abs(dot(e2, jet.z_v)) / scale,
     )
-    if worst > frame_tol:
+    if worst > _FRAME_TOL:
         raise FrameError(f"frame is not an orthonormal normal frame (residual {worst!r})")
     return SecondTensor(
         dot(jet.z_uu, e1), dot(jet.z_uu, e2),

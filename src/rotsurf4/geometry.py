@@ -1,5 +1,5 @@
 """Fixed-size linear algebra in 4-space, 2-jets of parametric maps, the
-two-plane rotation construction, and a finite-difference jet oracle."""
+two-plane rotation, and a finite-difference jet oracle."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .expr import Profile
-
 if TYPE_CHECKING:
     from .rotational import RotationalSurface
 
 __all__ = [
     "Vec4",
     "Jet2",
-    "Curve4",
     "GeometryError",
     "DegenerateMetricError",
     "RegularityError",
@@ -25,7 +22,6 @@ __all__ = [
     "cross4",
     "rotation_trig",
     "rotate",
-    "double_rotation",
     "analytic_jet2",
     "fd_jet2",
     "gram_schmidt_normals",
@@ -132,20 +128,6 @@ class Jet2:
     z_vv: Vec4
 
 
-@dataclass(frozen=True)
-class Curve4:
-    """A curve in 4-space given componentwise by profiles of u."""
-
-    x1: Profile
-    x2: Profile
-    x3: Profile
-    x4: Profile
-
-    def at(self, u: float) -> Vec4:
-        return Vec4(self.x1.value(u), self.x2.value(u),
-                    self.x3.value(u), self.x4.value(u))
-
-
 def _angle_overflow(v: float) -> GeometryError:
     """The error for cos/sin raising ValueError, which for finite speeds and
     v happens only when the angle alpha*v or beta*v overflows to inf."""
@@ -167,37 +149,11 @@ def rotate(p: Vec4, trig: tuple[float, float, float, float]) -> Vec4:
                 p.x3 * cb - p.x4 * sb, p.x3 * sb + p.x4 * cb)
 
 
-def double_rotation(curve: Curve4, alpha: float, beta: float) -> Callable[[float, float], Vec4]:
-    """General rotation of ``curve`` with independent speeds in the
-    x1x2- and x3x4-planes (Moore's construction).
-
-    Returns the map X(u, v) with
-
-        X1 = x1 cos(a v) - x2 sin(a v),   X3 = x3 cos(b v) - x4 sin(b v),
-        X2 = x1 sin(a v) + x2 cos(a v),   X4 = x3 sin(b v) + x4 cos(b v).
-
-    ``beta = 0`` fixes the x3x4-plane (the classical rotation about a
-    two-dimensional axis).
-    """
-
-    def surface_map(u: float, v: float) -> Vec4:
-        return rotate(curve.at(u), rotation_trig(alpha, beta, v))
-
-    return surface_map
-
-
 def analytic_jet2(surface: "RotationalSurface", u: float, v: float) -> Jet2:
-    """Exact 2-jet of (f cos av, f sin av, g cos bv, g sin bv) using the
-    profiles' symbolic derivatives; trig factors differentiated in closed
-    form.  Raises :class:`RegularityError` when a^2 f^2 + b^2 g^2 <= 0 or
-    f'^2 + g'^2 <= 0 at ``u``."""
-    f, f1, f2 = surface.f.value(u), surface.f.deriv1(u), surface.f.deriv2(u)
-    g, g1, g2 = surface.g.value(u), surface.g.deriv1(u), surface.g.deriv2(u)
+    """Exact 2-jet of (f cos av, f sin av, g cos bv, g sin bv) from
+    :meth:`RotationalSurface.meridian_jet`, which may raise, and closed-form trig factors."""
+    f, f1, f2, g, g1, g2, _, _ = surface.meridian_jet(u)
     a, b = surface.alpha, surface.beta
-    if a * a * f * f + b * b * g * g <= 0.0:
-        raise RegularityError(f"rotation radii vanish at u={u!r}")
-    if f1 * f1 + g1 * g1 <= 0.0:
-        raise RegularityError(f"meridian speed vanishes at u={u!r}")
     ca, sa, cb, sb = rotation_trig(a, b, v)
     return Jet2(
         z=Vec4(f * ca, f * sa, g * cb, g * sb),

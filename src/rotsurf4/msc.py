@@ -91,11 +91,8 @@ def msc_profile(params: MscParams) -> Profile:
 
 
 def msc_surface(params: MscParams, u_domain=(0.25, 4.0)) -> RotationalSurface:
-    """A power-law member on ``u_domain``, which must lie inside (0, inf)."""
-    if isinstance(u_domain, Interval):
-        interval = u_domain
-    else:
-        interval = Interval(float(u_domain[0]), float(u_domain[1]))
+    """A power-law member on ``u_domain = (lo, hi)``, which must lie inside (0, inf)."""
+    interval = Interval(float(u_domain[0]), float(u_domain[1]))
     if interval.lo <= 0.0 or interval.hi <= interval.lo:
         raise ValueError("the domain of a power-law meridian must lie inside (0, inf)")
     return RotationalSurface(identity_profile(), msc_profile(params),

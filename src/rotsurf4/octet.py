@@ -37,6 +37,9 @@ __all__ = [
     "invariants_from_octet",
 ]
 
+_STEP = 1e-4  # stencil step of the b-field differences
+_PRINCIPAL_TOL = 1e-8  # relative size of F and M below which parameters are principal
+
 
 class NonPrincipalParamsError(GeometryError):
     """The parameters are not principal (F or M is not zero)."""
@@ -66,20 +69,18 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
 
 @dataclass(frozen=True)
 class JetNeighbors:
-    """Stencil jets at (u -+ step, v) and (u, v -+ step) for the finite
+    """Stencil jets at (u -+ _STEP, v) and (u, v -+ _STEP) for the finite
     differences of the b field."""
 
     u_minus: Jet2
     u_plus: Jet2
     v_minus: Jet2
     v_plus: Jet2
-    step: float
 
 
-def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float,
-                   step: float = 1e-4) -> JetNeighbors:
-    return JetNeighbors(jet_at(u - step, v), jet_at(u + step, v),
-                        jet_at(u, v - step), jet_at(u, v + step), step)
+def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> JetNeighbors:
+    return JetNeighbors(jet_at(u - _STEP, v), jet_at(u + _STEP, v),
+                        jet_at(u, v - _STEP), jet_at(u, v + _STEP))
 
 
 def _sigma_ambient(jet: Jet2):
@@ -103,21 +104,20 @@ def _b_direction(sxx: Vec4, syy: Vec4) -> Vec4 | None:
     return None
 
 
-def octet_generic(jet: Jet2, neighbors: JetNeighbors, *,
-                  principal_tol: float = 1e-8) -> FrenetOctet:
+def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
     """The eight invariants from jet data alone.
 
     beta1 and beta2 come from central finite differences of the b field
-    along the coordinate directions (step = ``neighbors.step``); everything
+    along the coordinate directions (step ``_STEP``); everything
     else is exact in the jet.  Raises :class:`NonPrincipalParamsError` away
     from principal parameters and :class:`TotallyGeodesicError` where b is
     undefined.
     """
     ff, ct, sxx, sxy, syy = _sigma_ambient(jet)
-    if abs(ff.F) > principal_tol * max(1.0, ff.E, ff.G):
+    if abs(ff.F) > _PRINCIPAL_TOL * max(1.0, ff.E, ff.G):
         raise NonPrincipalParamsError(f"F = {ff.F!r}: parameters are not principal")
     sf = lmn(ct, ff.W)
-    if abs(sf.M) > principal_tol * max(1.0, abs(sf.L), abs(sf.N)):
+    if abs(sf.M) > _PRINCIPAL_TOL * max(1.0, abs(sf.L), abs(sf.N)):
         raise NonPrincipalParamsError(f"M = {sf.M!r}: parameters are not principal")
 
     b = _b_direction(sxx, syy)
@@ -144,9 +144,8 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors, *,
         # keep the field continuous across the sign convention
         return bb if dot(bb, b) >= 0.0 else -bb
 
-    h = neighbors.step
-    beta1 = dot((b_at(neighbors.u_plus) - b_at(neighbors.u_minus)) / (2.0 * h), l)
-    beta2 = dot((b_at(neighbors.v_plus) - b_at(neighbors.v_minus)) / (2.0 * h), l)
+    beta1 = dot((b_at(neighbors.u_plus) - b_at(neighbors.u_minus)) / (2.0 * _STEP), l)
+    beta2 = dot((b_at(neighbors.v_plus) - b_at(neighbors.v_minus)) / (2.0 * _STEP), l)
     return FrenetOctet(gamma1, gamma2, nu1, nu2, lam, mu, beta1, beta2)
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .expr import Interval, Profile, constant_profile
+from .expr import Interval, Profile
 from .forms import FirstForm, SecondForm, SecondTensor
-from .geometry import (Curve4, GeometryError, RegularityError, Vec4, _angle_overflow,
-                       double_rotation, dot, norm, rotation_trig)
+from .geometry import (GeometryError, RegularityError, Vec4, _angle_overflow, dot, norm,
+                       rotate, rotation_trig)
 from .octet import FrenetOctet
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "meridian_curvature",
     "curve_frenet_oracle",
 ]
+
+_RANK_TOL = 1e-10  # relative length below which a derivative of the flag counts as zero
 
 
 class DegenerateCurveError(GeometryError):
@@ -87,27 +89,27 @@ class RotationalSurface:
             raise ValueError(
                 "equal rotation speeds are excluded (every v-line degenerates to a circle)")
 
-    def meridian(self) -> Curve4:
-        """The meridian (f, 0, g, 0) that the rotation turns."""
-        zero = constant_profile(0.0)
-        return Curve4(self.f, zero, self.g, zero)
+    def meridian_at(self, u: float) -> Vec4:
+        """The meridian point (f(u), 0, g(u), 0) that the rotation turns."""
+        return Vec4(self.f.value(u), 0.0, self.g.value(u), 0.0)
+
+    def meridian_jet(self, u: float):
+        """(f, f', f'', g, g', g'', E, G) at ``u``; RegularityError unless G > 0, then E > 0."""
+        f, f1, f2 = self.f.value(u), self.f.deriv1(u), self.f.deriv2(u)
+        g, g1, g2 = self.g.value(u), self.g.deriv1(u), self.g.deriv2(u)
+        a, b = self.alpha, self.beta
+        ee = f1 * f1 + g1 * g1
+        gg = a * a * f * f + b * b * g * g
+        if gg <= 0.0:
+            raise RegularityError(f"rotation radii vanish at u={u!r}")
+        if ee <= 0.0:
+            raise RegularityError(f"meridian speed vanishes at u={u!r}")
+        return f, f1, f2, g, g1, g2, ee, gg
 
     def as_map(self):
         """The surface as a plain (u, v) -> Vec4 map."""
-        return double_rotation(self.meridian(), self.alpha, self.beta)
-
-
-def _profile_data(s: RotationalSurface, u: float):
-    f, f1, f2 = s.f.value(u), s.f.deriv1(u), s.f.deriv2(u)
-    g, g1, g2 = s.g.value(u), s.g.deriv1(u), s.g.deriv2(u)
-    a, b = s.alpha, s.beta
-    ee = f1 * f1 + g1 * g1
-    gg = a * a * f * f + b * b * g * g
-    if gg <= 0.0:
-        raise RegularityError(f"rotation radii vanish at u={u!r}")
-    if ee <= 0.0:
-        raise RegularityError(f"meridian speed vanishes at u={u!r}")
-    return f, f1, f2, g, g1, g2, ee, gg
+        meridian_at, alpha, beta = self.meridian_at, self.alpha, self.beta
+        return lambda u, v: rotate(meridian_at(u), rotation_trig(alpha, beta, v))
 
 
 def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondTensor, SecondForm]:
@@ -121,7 +123,7 @@ def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondTe
 
     with the remaining components zero.
     """
-    return _closed_forms(s, u, _profile_data(s, u))
+    return _closed_forms(s, u, s.meridian_jet(u))
 
 
 def _closed_forms(s: RotationalSurface, u: float,
@@ -153,7 +155,7 @@ def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, 
         K     = [G (b^2 g f' - a^2 f g')(g' f'' - f' g'') - a^2 b^2 E (g f' - f g')^2]
                 / (G^2 E^2)
     """
-    return _closed_invariants(s, u, _profile_data(s, u))
+    return _closed_invariants(s, u, s.meridian_jet(u))
 
 
 def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, float, float]:
@@ -184,7 +186,7 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
         mu    = a b (g f' - f g') / (sqrt(E) G)
         beta2 = a b (f f' + g g') / (sqrt(E) sqrt(G))
     """
-    f, f1, f2, g, g1, g2, ee, gg = _profile_data(s, u)
+    f, f1, f2, g, g1, g2, ee, gg = s.meridian_jet(u)
     a, b = s.alpha, s.beta
     sqrt_e = math.sqrt(ee)
     try:
@@ -202,7 +204,7 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
 def frames_at(s: RotationalSurface, u: float, v: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
     """The canonical positively oriented frame (x, y, n1, n2): unit
     tangents along the u- and v-lines and the closed-form unit normals."""
-    f, f1, _, g, g1, _, ee, gg = _profile_data(s, u)
+    f, f1, _, g, g1, _, ee, gg = s.meridian_jet(u)
     a, b = s.alpha, s.beta
     sqrt_e, sqrt_g = math.sqrt(ee), math.sqrt(gg)
     ca, sa, cb, sb = rotation_trig(a, b, v)
@@ -223,6 +225,10 @@ class CurveCurvatures:
     sigma3: float
 
 
+def _vline_range_error(a: float, b: float, alpha: float, beta: float) -> GeometryError:
+    return GeometryError(f"v-line not finite at radii {a!r}, {b!r}, speeds {alpha!r}, {beta!r}")
+
+
 def vline_curvatures(a: float, b: float, alpha: float, beta: float) -> CurveCurvatures:
     """Frenet curvatures of the v-line through (a, 0, b, 0):
 
@@ -232,15 +238,21 @@ def vline_curvatures(a: float, b: float, alpha: float, beta: float) -> CurveCurv
 
     All three are constant in v, so the v-lines are helices for al != be
     (and circles for al = be, where tau vanishes through the al^2 - be^2
-    factor).
+    factor).  Raises :class:`GeometryError` naming the radii and speeds
+    where the data overflow or a curvature is not finite.
     """
     q2 = a * a * alpha * alpha + b * b * beta * beta
-    q4 = a * a * alpha ** 4 + b * b * beta ** 4
+    try:
+        q4 = a * a * alpha ** 4 + b * b * beta ** 4
+    except OverflowError:  # float ** raises where * would give inf
+        raise _vline_range_error(a, b, alpha, beta) from None
     if q2 <= 0.0 or q4 <= 0.0:
         raise RegularityError("degenerate v-line: both rotation radii vanish")
     kappa = math.sqrt(q4 / q2)
     tau = a * b * alpha * beta * (alpha * alpha - beta * beta) / (math.sqrt(q4) * math.sqrt(q2))
     sigma3 = alpha * beta * math.sqrt(q2) / math.sqrt(q4)
+    if not all(map(math.isfinite, (kappa, tau, sigma3))):
+        raise _vline_range_error(a, b, alpha, beta)
     return CurveCurvatures(kappa, tau, sigma3)
 
 
@@ -248,7 +260,8 @@ def vline_derivatives(a: float, b: float, alpha: float, beta: float,
                       v: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
     """First four exact derivatives of the v-line
     (a cos(al v), a sin(al v), b cos(be v), b sin(be v)).  An overflowing
-    angle raises :class:`GeometryError` naming v."""
+    angle raises :class:`GeometryError` naming v; overflowing or non-finite
+    derivatives raise it naming the radii and speeds."""
     out = []
     try:
         for order in range(1, 5):
@@ -260,6 +273,10 @@ def vline_derivatives(a: float, b: float, alpha: float, beta: float,
                             rb * math.cos(pb), rb * math.sin(pb)))
     except ValueError:
         raise _angle_overflow(v) from None
+    except OverflowError:  # float ** raises where * would give inf
+        raise _vline_range_error(a, b, alpha, beta) from None
+    if not all(map(math.isfinite, (x for d in out for x in d))):
+        raise _vline_range_error(a, b, alpha, beta)
     return tuple(out)
 
 
@@ -283,8 +300,7 @@ def meridian_curvature(s: RotationalSurface, u: float) -> float:
     return curvature
 
 
-def curve_frenet_oracle(d1: Vec4, d2: Vec4, d3: Vec4, d4: Vec4, *,
-                        rank_tol: float = 1e-10) -> CurveCurvatures:
+def curve_frenet_oracle(d1: Vec4, d2: Vec4, d3: Vec4, d4: Vec4) -> CurveCurvatures:
     """Numeric Frenet curvatures from the first four derivative vectors of
     a curve, via Gram-Schmidt on the derivative flag.
 
@@ -303,7 +319,7 @@ def curve_frenet_oracle(d1: Vec4, d2: Vec4, d3: Vec4, d4: Vec4, *,
             if qlen > 0.0:
                 r = r - q * (dot(r, q) / (qlen * qlen))
         n = norm(r)
-        if n <= rank_tol * max(norm(vec), 1e-300):
+        if n <= _RANK_TOL * max(norm(vec), 1e-300):
             if index == 0:
                 raise DegenerateCurveError(
                     "velocity vanishes: Frenet data undefined", rank=0)

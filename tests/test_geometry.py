@@ -3,16 +3,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (jet_dev, reference_cross4, reference_det4,
                      reference_gram_schmidt_normals, vec_dev)
-from rotsurf4.expr import Profile, constant_profile
-from rotsurf4.geometry import (Curve4, DegenerateMetricError, Jet2,
-                               RegularityError, Vec4, analytic_jet2, cross4,
-                               det4, dot, double_rotation, fd_jet2,
-                               gram_schmidt_normals, norm)
+from rotsurf4.expr import Profile
+from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError,
+                               Vec4, analytic_jet2, cross4, det4, dot,
+                               fd_jet2, gram_schmidt_normals, norm)
+from rotsurf4.rotational import RotationalSurface, closed_forms_at
 
 E1, E2, E3, E4 = (Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
                   Vec4(0, 0, 1, 0), Vec4(0, 0, 0, 1))
@@ -61,15 +61,14 @@ def test_cross4_basis():
 
 
 # ---------------------------------------------------------------------------
-# double rotation
+# double rotation of the meridian
 
-def _meridian(f_text, g_text):
-    zero = constant_profile(0.0)
-    return Curve4(Profile.from_text(f_text), zero, Profile.from_text(g_text), zero)
+def _surface(f_text, g_text, alpha=1.0, beta=2.0):
+    return RotationalSurface(Profile.from_text(f_text), Profile.from_text(g_text), alpha, beta)
 
 
 def test_double_rotation_of_plane_meridian():
-    m = double_rotation(_meridian("u", "u^2"), 1.0, 2.0)
+    m = _surface("u", "u^2").as_map()
     u, v = 1.3, 0.7
     expected = Vec4(1.3 * math.cos(v), 1.3 * math.sin(v),
                     1.69 * math.cos(2 * v), 1.69 * math.sin(2 * v))
@@ -77,19 +76,10 @@ def test_double_rotation_of_plane_meridian():
 
 
 def test_double_rotation_identity_at_v0():
-    curve = _meridian("u", "u^2")
-    m = double_rotation(curve, 1.0, 2.0)
+    s = _surface("u", "u^2")
+    m = s.as_map()
     for u in (0.5, 1.0, 2.0):
-        assert vec_dev(m(u, 0.0), curve.at(u)) == 0.0
-
-
-def test_double_rotation_beta_zero_fixes_second_plane():
-    curve = _meridian("u", "u^2")
-    m = double_rotation(curve, 1.0, 0.0)
-    for v in (0.0, 0.9, 4.2):
-        p = m(1.5, v)
-        assert p.x3 == curve.at(1.5).x3
-        assert p.x4 == curve.at(1.5).x4
+        assert vec_dev(m(u, 0.0), s.meridian_at(u)) == 0.0
 
 
 @settings(max_examples=60)
@@ -98,12 +88,33 @@ def test_double_rotation_beta_zero_fixes_second_plane():
        st.floats(min_value=0.5, max_value=3.0),
        st.floats(min_value=0.5, max_value=3.0))
 def test_double_rotation_preserves_plane_radii(u, v, alpha, beta):
-    curve = _meridian("u", "u^2 - 1")
-    m = double_rotation(curve, alpha, beta)
-    p = m(u, v)
-    q = curve.at(u)
+    assume(alpha != beta)
+    s = _surface("u", "u^2 - 1", alpha, beta)
+    p = s.as_map()(u, v)
+    q = s.meridian_at(u)
     assert abs((p.x1 ** 2 + p.x2 ** 2) - (q.x1 ** 2 + q.x2 ** 2)) <= 1e-12
     assert abs((p.x3 ** 2 + p.x4 ** 2) - (q.x3 ** 2 + q.x4 ** 2)) <= 1e-12
+
+
+# meridians whose values take either sign and both signed zeros
+_SIGNED_MERIDIANS = (("u", "u^2"), ("u", "0*u"), ("-u", "u^3"), ("0*u", "-u"), ("u^3 - u", "u - 1"))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from(_SIGNED_MERIDIANS),
+       st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                 st.floats(min_value=-5.0, max_value=5.0)),
+       st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-7.0, max_value=7.0)),
+       st.floats(min_value=0.25, max_value=4.0),
+       st.floats(min_value=0.25, max_value=4.0))
+def test_surface_map_is_the_written_out_rotation(meridian, u, v, alpha, beta):
+    assume(alpha != beta)
+    s = _surface(*meridian, alpha, beta)
+    f, g = s.f.value(u), s.g.value(u)
+    ca, sa = math.cos(alpha * v), math.sin(alpha * v)
+    cb, sb = math.cos(beta * v), math.sin(beta * v)
+    expected = (f * ca - 0.0 * sa, f * sa + 0.0 * ca, g * cb - 0.0 * sb, g * sb + 0.0 * cb)
+    assert [x.hex() for x in s.as_map()(u, v)] == [x.hex() for x in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +132,23 @@ def test_analytic_jet_running_example(parabola):
 
 def test_analytic_jet_regularity_violation():
     # f = u, g = 0: radii vanish at u = 0
-    from rotsurf4.rotational import RotationalSurface
-    s = RotationalSurface(Profile.from_text("u"), constant_profile(0.0), 1.0, 2.0)
+    s = RotationalSurface(Profile.from_text("u"), Profile.from_text("0"), 1.0, 2.0)
     with pytest.raises(RegularityError):
         analytic_jet2(s, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("f_text, g_text, message", [
+    ("u", "0", "rotation radii vanish at u=0.0"),
+    ("1", "1", "meridian speed vanishes at u=0.0"),
+    ("0", "0", "rotation radii vanish at u=0.0"),  # both vanish: the radii come first
+])
+def test_analytic_jet_and_closed_forms_share_regularity_errors(f_text, g_text, message):
+    s = _surface(f_text, g_text)
+    with pytest.raises(RegularityError) as jet_error:
+        analytic_jet2(s, 0.0, 0.5)
+    with pytest.raises(RegularityError) as forms_error:
+        closed_forms_at(s, 0.0)
+    assert str(jet_error.value) == str(forms_error.value) == message
 
 
 # ---------------------------------------------------------------------------

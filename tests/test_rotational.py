@@ -313,3 +313,26 @@ def test_frames_at_angle_overflow_names_v(parabola):
 def test_vline_derivatives_angle_overflow_names_v():
     with pytest.raises(GeometryError, match=r"rotation angle overflows at v=1e\+308"):
         vline_derivatives(1.0, 1.0, 1.0, 2.0, 1e308)
+
+
+def test_vline_derivatives_power_overflow_names_radii_and_speeds():
+    # alpha ** 2 raises OverflowError inside the loop
+    with pytest.raises(GeometryError, match=r"radii 1, 1, speeds 1e\+200, 2$"):
+        vline_derivatives(1, 1, 1e200, 2, 1.0)
+
+
+def test_vline_derivatives_non_finite_names_radii_and_speeds():
+    # a * alpha ** 4 overflows to inf through *, which does not raise
+    with pytest.raises(GeometryError, match=r"radii 1e\+307, 1.0, speeds 100.0, 2.0$"):
+        vline_derivatives(1e307, 1.0, 100.0, 2.0, 1.0)
+
+
+def test_vline_curvatures_power_overflow_names_radii_and_speeds():
+    with pytest.raises(GeometryError, match=r"radii 1, 1, speeds 1e\+200, 2$"):
+        vline_curvatures(1, 1, 1e200, 2)
+
+
+def test_vline_curvatures_nan_names_radii_and_speeds():
+    # a * a overflows, so kappa = sqrt(inf / inf) is nan
+    with pytest.raises(GeometryError, match=r"radii 1e\+200, 1.0, speeds 1.0, 2.0$"):
+        vline_curvatures(1e200, 1.0, 1.0, 2.0)
