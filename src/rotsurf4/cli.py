@@ -12,19 +12,19 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 domain or
 regularity error, 141 stdout closed early (``run`` only).  Grid flags use
-min:max:count; count=1 means the single point min.  Output is
-deterministic: identical configuration gives byte identical files.
+min:max:count; count=1 means the single point min, and a negative min
+needs the ``--u=-1:1:3`` form (argparse reads ``-1:1:3`` as an option).
+Output is deterministic: identical configuration gives byte identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 import warnings
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import attrgetter
@@ -37,8 +37,8 @@ from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
 from .geometry import GeometryError, analytic_jet2, fd_jet2, norm, rotate, rotation_trig
 from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
                     neighbors_from, octet_generic)
-from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, closed_forms_at,
-                         closed_invariants_at, closed_octet_at)
+from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, _closed_octet,
+                         closed_forms_at, closed_invariants_at, closed_octet_at)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -46,8 +46,14 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BROKEN_PIPE = 141
 
-_INVARIANT_HEADER = ["u", "v", "E", "F", "G", "L", "M", "N", "k", "kappa", "K", "type"]
-_OCTET_HEADER = ["u", "gamma1", "gamma2", "nu1", "nu2", "lambda", "mu", "beta1", "beta2"]
+# CSV header and row formats: fields joined by "," and lines ended by "\r\n",
+# as csv.writer writes them (no field here needs quoting); %.17g is lossless
+_INVARIANT_HEADER = "u,v,E,F,G,L,M,N,k,kappa,K,type\r\n"
+_INVARIANT_ROW = "%.17g," * 11 + "%s\r\n"
+_OCTET_HEADER = "u,gamma1,gamma2,nu1,nu2,lambda,mu,beta1,beta2\r\n"
+_OCTET_ROW = ",".join(["%.17g"] * 9) + "\r\n"
+_MSC_HEADER = "u,k,kappa,K,residual,minimal,superconformal\r\n"
+_MSC_ROW = "%.17g," * 5 + "%s,%s\r\n"
 
 
 class _PointError(Exception):
@@ -68,10 +74,6 @@ class _at(AbstractContextManager):
     def __exit__(self, kind, exc, tb) -> None:
         if exc is not None and isinstance(exc, (GeometryError, EvalDomainError)):
             raise _PointError(self.u, self.v, exc) from exc
-
-
-def _num(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _range_spec(text: str) -> tuple[float, float, int]:
@@ -176,56 +178,58 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     return surface, grid
 
 
-@contextmanager
-def _csv_out(path: str | None):
-    """A CSV writer on ``path``, or on stdout for None or "-"."""
+def _write_csv(path: str | None, header: str, row_format: str, rows) -> None:
+    """``header`` and ``row_format % row`` for each row on ``path``, or on
+    stdout for None or "-", in one ``writelines`` (one large ``write`` to a
+    pipe closed early can drop the text without raising BrokenPipeError)."""
+    lines = [header, *[row_format % row for row in rows]]
     if path is None or path == "-":
-        yield csv.writer(sys.stdout)
+        sys.stdout.writelines(lines)
         return
     with open(path, "w", newline="") as stream:
-        yield csv.writer(stream)
+        stream.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
 # invariants / octet grids
 
-def _invariant_row(surface: RotationalSurface, u: float, v_first: float, class_tol: float):
-    with _at(u, v_first):
-        data = surface.meridian_jet(u)
-        ff, _, sf = _closed_forms(surface, u, data)
-        gauss = _closed_invariants(surface, u, data)[2]
-    return invariants(ff, sf, gauss, class_tol=class_tol)
+def _closed_rows(surface: RotationalSurface, us: list[float], v: float, closed):
+    """``closed(surface, u, meridian_jet(u))`` for each u, lazily, with the
+    jets read over the whole grid (``meridian_jets``); an error reading a
+    u's jet or in ``closed`` names (u, v), so the first one met in u order
+    is reported."""
+    jets = surface.meridian_jets(us)
+    for u in us:
+        with _at(u, v):
+            row = closed(surface, u, next(jets))
+        yield row
+
+
+def _invariant_parts(surface: RotationalSurface, u: float, data):
+    """The (first form, second form, K) that an invariants row classifies."""
+    ff, _, sf = _closed_forms(surface, u, data)
+    return ff, sf, _closed_invariants(surface, u, data)[2]
 
 
 def cmd_invariants(args, parser) -> int:
     surface, grid = _build_config(args, parser)
     us = grid.u_values()
     vs = grid.v_values()
-    records = [_invariant_row(surface, u, vs[0], args.tol_class) for u in us]
-    with _csv_out(args.out) as writer:
-        writer.writerow(_INVARIANT_HEADER)
-        for u, rec in zip(us, records):
-            for v in vs:
-                writer.writerow([_num(u), _num(v), _num(rec.E), _num(rec.F),
-                                 _num(rec.G), _num(rec.L), _num(rec.M), _num(rec.N),
-                                 _num(rec.k), _num(rec.kappa), _num(rec.K),
-                                 rec.point_type.value])
+    records = [invariants(ff, sf, gauss, class_tol=args.tol_class)
+               for ff, sf, gauss in _closed_rows(surface, us, vs[0], _invariant_parts)]
+    _write_csv(args.out, _INVARIANT_HEADER, _INVARIANT_ROW,
+               [(u, v, rec.E, rec.F, rec.G, rec.L, rec.M, rec.N, rec.k, rec.kappa, rec.K,
+                 rec.point_type.value) for u, rec in zip(us, records) for v in vs])
     return EXIT_OK
 
 
 def cmd_octet(args, parser) -> int:
     surface, grid = _build_config(args, parser)
     us = grid.u_values()
-    octets = []
-    for u in us:
-        with _at(u, grid.v_min):
-            octets.append(closed_octet_at(surface, u))
-    with _csv_out(args.out) as writer:
-        writer.writerow(_OCTET_HEADER)
-        for u, o in zip(us, octets):
-            writer.writerow([_num(u), _num(o.gamma1), _num(o.gamma2), _num(o.nu1),
-                             _num(o.nu2), _num(o.lam), _num(o.mu), _num(o.beta1),
-                             _num(o.beta2)])
+    octets = list(_closed_rows(surface, us, grid.v_min, _closed_octet))
+    _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW,
+               [(u, o.gamma1, o.gamma2, o.nu1, o.nu2, o.lam, o.mu, o.beta1, o.beta2)
+                for u, o in zip(us, octets)])
     return EXIT_OK
 
 
@@ -378,24 +382,20 @@ def cmd_msc(args, parser) -> int:
     us = _linspace(lo, hi, count)
     tol = args.tol_superconformal
     rows = []
-    all_pass = True
+    npass = 0
     for u in us:
         k, kappa, gauss = msc_mod.msc_invariants(params, u)
         residual = msc_mod.msc_residual(surface, u, params.eps)
         minimal_dev, conformal_dev, scale = superconformal_residuals(k, kappa, gauss)
         minimal = minimal_dev <= tol * scale
         superconformal = minimal and conformal_dev <= tol * scale
-        all_pass = all_pass and superconformal
-        rows.append((u, k, kappa, gauss, residual, minimal, superconformal))
+        npass += superconformal
+        rows.append((u, k, kappa, gauss, residual, str(minimal).lower(),
+                     str(superconformal).lower()))
 
-    with _csv_out(args.out) as writer:
-        writer.writerow(["u", "k", "kappa", "K", "residual", "minimal", "superconformal"])
-        for u, k, kappa, gauss, residual, minimal, sc in rows:
-            writer.writerow([_num(u), _num(k), _num(kappa), _num(gauss),
-                             _num(residual), str(minimal).lower(), str(sc).lower()])
-    npass = sum(1 for r in rows if r[6])
+    _write_csv(args.out, _MSC_HEADER, _MSC_ROW, rows)
     print(f"minimal super-conformal at {npass}/{len(rows)} grid points")
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    return EXIT_OK if npass == len(rows) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def cmd_msc(args, parser) -> int:
 # dropN keeps the other three Vec4 coordinates, in order
 _PROJECTIONS = {f"drop{n}": attrgetter(*(f"x{i}" for i in range(1, 5) if i != n))
                 for n in range(1, 5)}
-# one vertex line; each %.17g must write what _num writes
+# one vertex line, at the CSV rows' lossless %.17g
 _VERTEX = "v %.17g %.17g %.17g"
 
 
@@ -545,14 +545,12 @@ def cmd_plot(args, parser) -> int:
         text = _svg_ellipse_plot(points, center)
     else:
         us = grid.u_values()
-        values = []
-        for u in us:
-            with _at(u, grid.v_min):
-                if args.quantity in ("k", "kappa", "K"):
-                    trio = closed_invariants_at(surface, u)
-                    values.append(trio[("k", "kappa", "K").index(args.quantity)])
-                else:  # the other quantities are FrenetOctet fields
-                    values.append(getattr(closed_octet_at(surface, u), args.quantity))
+
+        def closed(s, u, data):
+            if args.quantity in ("k", "kappa", "K"):
+                return _closed_invariants(s, u, data)[("k", "kappa", "K").index(args.quantity)]
+            return getattr(_closed_octet(s, u, data), args.quantity)  # a FrenetOctet field
+        values = list(_closed_rows(surface, us, grid.v_min, closed))
         text = _svg_line_plot(us, values, args.quantity)
     with open(args.out, "w", newline="") as stream:
         stream.write(text)

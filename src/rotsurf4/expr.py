@@ -29,16 +29,21 @@ for negative ``x`` and ``-0 + 0`` is ``+0``, so either fold can turn a
 Exponentiation with a negative base is exact for integer exponents and a
 domain error otherwise.
 
-``evaluate`` walks a tree; ``compile_expr`` turns it once into nested
-closures that do the same float operations in the same order and raise
-the same errors, which is what ``Profile`` evaluates.
+``compile_expr`` turns a tree into nested closures of ``u`` (``evaluate``
+calls them once); ``compile_grid`` turns it into a list kernel that does
+the same float operations element by element over a whole u-grid and
+reports a miss where the closures would raise.  ``Profile`` builds either
+on first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Union
 
 __all__ = [
@@ -57,6 +62,7 @@ __all__ = [
     "unparse",
     "evaluate",
     "compile_expr",
+    "compile_grid",
     "differentiate",
     "format_number",
 ]
@@ -296,50 +302,28 @@ def _render_prec(e: Expr) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# The float function of each operator.  Out of its domain it raises:
+# ValueError for log of a value <= 0 or sqrt of a value < 0 (and sin, cos
+# at +-inf), OverflowError when exp overflows, ZeroDivisionError for a
+# zero divisor.  The scalar closures turn that into an EvalDomainError
+# naming the node, with the reason below (sin and cos keep the
+# ValueError); the list kernels into a miss.  Both also require a finite
+# result of + - * /, and both evaluate ^ by ``_power``.
+_UNARY_FN = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
+             "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_DOMAIN_REASON = {
+    "exp": lambda v: "overflow",
+    "log": lambda v: f"log of non-positive value {v!r}",
+    "sqrt": lambda v: f"square root of negative value {v!r}",
+}
+
+
 def evaluate(e: Expr, u: float) -> float:
-    """Evaluate at ``u``; raises :class:`EvalDomainError` when the result
-    leaves the reals (log/sqrt of a negative, division by zero, overflow)."""
-    match e:
-        case Constant(v):
-            return v
-        case Variable():
-            return u
-        case Unary("neg", child):
-            return -evaluate(child, u)
-        case Unary("sin", child):
-            return math.sin(evaluate(child, u))
-        case Unary("cos", child):
-            return math.cos(evaluate(child, u))
-        case Unary("exp", child):
-            try:
-                return math.exp(evaluate(child, u))
-            except OverflowError:
-                raise EvalDomainError(e, "overflow") from None
-        case Unary("log", child):
-            v = evaluate(child, u)
-            if v <= 0.0:
-                raise EvalDomainError(e, f"log of non-positive value {v!r}")
-            return math.log(v)
-        case Unary("sqrt", child):
-            v = evaluate(child, u)
-            if v < 0.0:
-                raise EvalDomainError(e, f"square root of negative value {v!r}")
-            return math.sqrt(v)
-        case Binary("+", a, b):
-            return _finite(e, evaluate(a, u) + evaluate(b, u))
-        case Binary("-", a, b):
-            return _finite(e, evaluate(a, u) - evaluate(b, u))
-        case Binary("*", a, b):
-            return _finite(e, evaluate(a, u) * evaluate(b, u))
-        case Binary("/", a, b):
-            num = evaluate(a, u)
-            den = evaluate(b, u)
-            if den == 0.0:
-                raise EvalDomainError(e, "division by zero")
-            return _finite(e, num / den)
-        case Binary("^", a, b):
-            return _power(e, evaluate(a, u), evaluate(b, u))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate at ``u``, as ``compile_expr(e)(u)``; raises
+    :class:`EvalDomainError` when the result leaves the reals (log/sqrt of
+    a negative, division by zero, overflow)."""
+    return compile_expr(e)(u)
 
 
 def _finite(e: Expr, v: float) -> float:
@@ -370,58 +354,41 @@ def _power(e: Expr, base: float, p: float) -> float:
 
 
 def compile_expr(e: Expr) -> Callable[[float], float]:
-    """Turn ``e`` into a function of ``u`` built from nested closures.
-
-    The function does the float operations of ``evaluate(e, u)`` in the
-    same order and raises the same :class:`EvalDomainError`, carrying the
-    same node, so its results are bit-identical; only the per-call walk
-    over the tree is gone.
-    """
+    """Turn ``e`` into a function of ``u`` built from nested closures that
+    raise :class:`EvalDomainError` carrying the node that left the reals."""
     match e:
+        case Binary(op, a, b):
+            return _compile_binary(e, op, compile_expr(a), compile_expr(b))
+        case Unary(op, child):
+            return _compile_unary(e, op, compile_expr(child))
         case Constant(v):
             return lambda u: v
         case Variable():
             return lambda u: u
-        case Unary(op, child):
-            return _compile_unary(e, op, compile_expr(child))
-        case Binary(op, a, b):
-            return _compile_binary(e, op, compile_expr(a), compile_expr(b))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _compile_unary(e: Expr, op: str, c: Callable[[float], float]) -> Callable[[float], float]:
     if op == "neg":
         return lambda u: -c(u)
-    if op == "sin":
-        return lambda u: math.sin(c(u))
-    if op == "cos":
-        return lambda u: math.cos(c(u))
-    if op == "exp":
-        def exp(u):
-            try:
-                return math.exp(c(u))
-            except OverflowError:
-                raise EvalDomainError(e, "overflow") from None
-        return exp
-    if op == "log":
-        def log(u):
-            v = c(u)
-            if v <= 0.0:
-                raise EvalDomainError(e, f"log of non-positive value {v!r}")
-            return math.log(v)
-        return log
-    if op == "sqrt":
-        def sqrt(u):
-            v = c(u)
-            if v < 0.0:
-                raise EvalDomainError(e, f"square root of negative value {v!r}")
-            return math.sqrt(v)
-        return sqrt
-    raise TypeError(f"not an expression node: {e!r}")
+    fn, reason = _UNARY_FN.get(op), _DOMAIN_REASON.get(op)
+    if fn is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    if reason is None:
+        return lambda u: fn(c(u))
+
+    def checked(u):
+        v = c(u)
+        try:
+            return fn(v)
+        except (ValueError, OverflowError):
+            raise EvalDomainError(e, reason(v)) from None
+    return checked
 
 
 def _compile_binary(e: Expr, op: str, a: Callable[[float], float],
                     b: Callable[[float], float]) -> Callable[[float], float]:
+    # + - * / inline the operators of _BINARY_FN, saving a call per node and point
     if op == "+":
         return lambda u: _finite(e, a(u) + b(u))
     if op == "-":
@@ -430,15 +397,68 @@ def _compile_binary(e: Expr, op: str, a: Callable[[float], float],
         return lambda u: _finite(e, a(u) * b(u))
     if op == "/":
         def div(u):
-            num = a(u)
-            den = b(u)
-            if den == 0.0:
-                raise EvalDomainError(e, "division by zero")
-            return _finite(e, num / den)
+            num, den = a(u), b(u)
+            try:
+                return _finite(e, num / den)
+            except ZeroDivisionError:
+                raise EvalDomainError(e, "division by zero") from None
         return div
     if op == "^":
         return lambda u: _power(e, a(u), b(u))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+class _Miss(Exception):
+    """Some element of a list kernel left the reals."""
+
+
+def compile_grid(e: Expr) -> Callable[[list[float]], list[float] | None]:
+    """Turn ``e`` into a list kernel: ``us -> [compile_expr(e)(u) for u in
+    us]``, computed node by node over the whole list with the same float
+    functions, so every element is bit-identical.  Where the scalar
+    function raises at some u, the kernel returns None (a miss) instead."""
+    kernel = _grid_kernel(e)
+
+    def grid(us):
+        try:
+            return kernel(us)
+        except (_Miss, ArithmeticError, ValueError, EvalDomainError):
+            return None
+    return grid
+
+
+def _grid_kernel(e: Expr) -> Callable[[list[float]], list[float]]:
+    match e:
+        case Binary(op, a, b):
+            ka, kb = _grid_kernel(a), _grid_kernel(b)
+            if op == "^":
+                return partial(_grid_power, e, ka, kb)
+            fn = _BINARY_FN.get(op)
+            if fn is not None:
+                def binary(us):
+                    values = list(map(fn, ka(us), kb(us)))
+                    if all(map(math.isfinite, values)):
+                        return values
+                    raise _Miss
+                return binary
+        case Unary(op, child) if op in _UNARY_FN:
+            fn, c = _UNARY_FN[op], _grid_kernel(child)
+            return lambda us: list(map(fn, c(us)))
+        case Constant(v):
+            return lambda us: [v] * len(us)
+        case Variable():
+            return list
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _grid_power(e: Expr, ka, kb, us: list[float]) -> list[float]:
+    bases, exponents = ka(us), kb(us)
+    if min(bases, default=1.0) > 0.0:  # _power's positive-base branch, list-wide
+        values = list(map(math.pow, bases, exponents))
+        if all(map(math.isfinite, values)):
+            return values
+        raise _Miss
+    return list(map(partial(_power, e), bases, exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +550,14 @@ def differentiate(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # profiles
 
+def _compile_on_first_call(profile, name: str, tree: Expr, u: float) -> float:
+    """Stand-in for a profile's closure of ``tree``: compiles it, puts it
+    in its place on the profile and evaluates it."""
+    compiled = compile_expr(tree)
+    object.__setattr__(profile(), name, compiled)
+    return compiled(u)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A real interval; bounds default to the whole line."""
@@ -556,13 +584,17 @@ class Interval:
 @dataclass(frozen=True)
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
-    derivatives, carried as expression trees and compiled once into the
-    functions that ``value``, ``deriv1`` and ``deriv2`` call."""
+    derivatives, carried as expression trees.  Each tree is compiled on
+    first use: into a closure for ``value``, ``deriv1`` and ``deriv2``, and
+    into a list kernel for ``grid``, so a caller of one never builds the
+    other."""
 
     expr: Expr
     d1: Expr
     d2: Expr
     domain: Interval = Interval()
+    # plain attributes, not cached_property: an attribute that a class
+    # descriptor shadows loads about 3x slower, on every scalar read
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
@@ -571,10 +603,17 @@ class Profile:
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_value", compile_expr(self.expr))
-        object.__setattr__(self, "_deriv1", compile_expr(self.d1))
-        object.__setattr__(self, "_deriv2", compile_expr(self.d2))
+        # a weak reference: a stub holding the profile would make a cycle,
+        # and a profile read only through the grid would wait for the
+        # cycle collector
+        me = weakref.ref(self)
+        for name, tree in (("_value", self.expr), ("_deriv1", self.d1), ("_deriv2", self.d2)):
+            object.__setattr__(self, name, partial(_compile_on_first_call, me, name, tree))
         object.__setattr__(self, "_whole_line", self.domain == Interval())
+
+    @cached_property
+    def _grid_kernels(self) -> tuple:
+        return tuple(map(compile_grid, (self.expr, self.d1, self.d2)))
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
@@ -604,3 +643,17 @@ class Profile:
     def deriv2(self, u: float) -> float:
         self._check_domain(u)
         return self._deriv2(u)
+
+    def grid(self, us: list[float]) -> list[list[float]] | None:
+        """[values, first, second derivatives] at the points ``us``, each
+        bit-identical to ``value``, ``deriv1`` and ``deriv2``; None where
+        one of those would raise at some u."""
+        if not (self._whole_line or all(map(self.domain.contains, us))):
+            return None
+        columns = []
+        for kernel in self._grid_kernels:
+            column = kernel(us)
+            if column is None:
+                return None
+            columns.append(column)
+        return columns

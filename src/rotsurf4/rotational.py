@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .expr import Interval, Profile
 from .forms import FirstForm, SecondForm, SecondTensor
@@ -95,8 +96,24 @@ class RotationalSurface:
 
     def meridian_jet(self, u: float):
         """(f, f', f'', g, g', g'', E, G) at ``u``; RegularityError unless G > 0, then E > 0."""
-        f, f1, f2 = self.f.value(u), self.f.deriv1(u), self.f.deriv2(u)
-        g, g1, g2 = self.g.value(u), self.g.deriv1(u), self.g.deriv2(u)
+        f, g = self.f, self.g
+        return self._regular_jet(u, f.value(u), f.deriv1(u), f.deriv2(u),
+                                 g.value(u), g.deriv1(u), g.deriv2(u))
+
+    def meridian_jets(self, us: list[float]) -> Iterator[tuple]:
+        """``meridian_jet(u)`` for each u of ``us`` in order, lazily, so each
+        regularity error is raised when its u is reached.  The profiles are
+        read over the whole grid at once (``Profile.grid``); where that
+        misses, every jet comes from ``meridian_jet``, so the first profile
+        error is the one that the per-point reads meet."""
+        f = self.f.grid(us)
+        g = None if f is None else self.g.grid(us)
+        if g is None:
+            return map(self.meridian_jet, us)
+        return map(self._regular_jet, us, *f, *g)
+
+    def _regular_jet(self, u: float, f: float, f1: float, f2: float,
+                     g: float, g1: float, g2: float):
         a, b = self.alpha, self.beta
         ee = f1 * f1 + g1 * g1
         gg = a * a * f * f + b * b * g * g
@@ -186,7 +203,11 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
         mu    = a b (g f' - f g') / (sqrt(E) G)
         beta2 = a b (f f' + g g') / (sqrt(E) sqrt(G))
     """
-    f, f1, f2, g, g1, g2, ee, gg = s.meridian_jet(u)
+    return _closed_octet(s, u, s.meridian_jet(u))
+
+
+def _closed_octet(s: RotationalSurface, u: float, data) -> FrenetOctet:
+    f, f1, f2, g, g1, g2, ee, gg = data
     a, b = s.alpha, s.beta
     sqrt_e = math.sqrt(ee)
     try:
@@ -284,7 +305,13 @@ def meridian_curvature(s: RotationalSurface, u: float) -> float:
     """Curvature |g' f'' - f' g''| / sqrt(E)^3 of the meridian.  The
     meridian is a plane curve, so its torsion vanishes identically.
     Raises :class:`ClosedFormRangeError` where sqrt(E)^3 underflows to zero
-    or overflows, or the result is not finite."""
+    or overflows, or the result is not finite.
+
+    The formula needs only f', f'', g', g''; f and g are read too, and
+    dropped, because those reads are its domain check on the meridian: for
+    f = log(u) at u = -1, f' and f'' are defined but f is not, and the
+    curvature of a meridian point that does not exist is an error, not a
+    number.  There is no radii check (at (u, u^2), u = 0 it returns 2.0)."""
     _, f1, f2, _, g1, g2 = (s.f.value(u), s.f.deriv1(u), s.f.deriv2(u),
                             s.g.value(u), s.g.deriv1(u), s.g.deriv2(u))
     ee = f1 * f1 + g1 * g1

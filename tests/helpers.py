@@ -1,12 +1,14 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
 unfolded differentiator, the Vec4-based frame kernel, the per-point OBJ
-vertex loop)."""
+vertex and closed-form row loops, the csv-module CSV writer)."""
 
+import csv
 import math
 import random
+import sys
 
-from rotsurf4.cli import _num, _PointError
+from rotsurf4.cli import _PointError
 from rotsurf4.expr import Binary, Constant, EvalDomainError, Unary, Variable, evaluate
 from rotsurf4.geometry import DegenerateMetricError, GeometryError, Vec4, dot, norm
 from rotsurf4.octet import FrenetOctet
@@ -36,6 +38,11 @@ def octet_dev(a: FrenetOctet, b: FrenetOctet) -> float:
     direct = max(rel_dev(x, y) for x, y in zip(ta, tb))
     mirror = max(rel_dev(x, y) for x, y in zip(ta, flipped))
     return min(direct, mirror)
+
+
+def num(x: float) -> str:
+    """A number as the CLI writes it: 17 significant digits."""
+    return f"{x:.17g}"
 
 
 def central_diff(fn, u: float, h: float) -> float:
@@ -197,5 +204,34 @@ def reference_export_vertices(surface, us, vs, pick):
                 point = surface_map(u, v)
             except (GeometryError, EvalDomainError) as exc:
                 raise _PointError(u, v, exc) from exc
-            lines.append("v " + " ".join(_num(c) for c in pick(point)))
+            lines.append("v " + " ".join(num(c) for c in pick(point)))
     return lines
+
+
+# ---------------------------------------------------------------------------
+# The closed-form rows computed one u at a time from the scalar
+# ``meridian_jet``, and the CSV written field by field through the csv
+# module: the byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
+# grid-structured ``_closed_rows`` and one-format-per-row ``_write_csv``.
+
+def reference_closed_rows(surface, us, v, closed):
+    for u in us:
+        try:
+            row = closed(surface, u, surface.meridian_jet(u))
+        except (GeometryError, EvalDomainError) as exc:
+            raise _PointError(u, v, exc) from exc
+        yield row
+
+
+def reference_write_csv(path, header, row_format, rows):
+    def write(stream):
+        writer = csv.writer(stream)
+        writer.writerow(header.rstrip("\r\n").split(","))
+        for row in rows:
+            writer.writerow([x if isinstance(x, str) else num(x) for x in row])
+
+    if path is None or path == "-":
+        write(sys.stdout)
+    else:
+        with open(path, "w", newline="") as stream:
+            write(stream)

@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rotsurf4 import cli
-from rotsurf4.cli import _invariant_row, main
+from helpers import num
+from rotsurf4.cli import main
 from rotsurf4.expr import Profile
 from rotsurf4.forms import SecondForm, classify, invariants
 from rotsurf4.msc import MscParams, msc_surface
@@ -204,6 +205,25 @@ def test_msc_square_profile(tmp_path, capsys):
     assert len(rows) == 20
     assert all(row["superconformal"] == "true" for row in rows)
     assert all(abs(float(row["residual"])) <= 1e-10 for row in rows)
+
+
+def test_msc_csv_on_stdout_is_written_as_the_csv_module_writes_it(capfd):
+    # capfd: the bytes, so "\r\n" is seen as written
+    assert main(["msc", "--alpha", "1", "--beta", "2", "--u", "0.5:2:4",
+                 "--tol-superconformal", "0"]) == 0
+    assert capfd.readouterr().out == (
+        "profile: 1*u^2\n"
+        "u,k,kappa,K,residual,minimal,superconformal\r\n"
+        "0.5,1,1,-1,0,true,true\r\n"
+        "1,0.0040959999999999998,0.064000000000000001,-0.064000000000000001,0,true,true\r\n"
+        "1.5,6.3999999999999997e-05,0.0080000000000000002,-0.0080000000000000002,0,true,true\r\n"
+        "2,2.6514683396658547e-06,0.0016283329940972929,-0.0016283329940972929,0,true,true\r\n"
+        "minimal super-conformal at 4/4 grid points\n")
+    # a zero tolerance fails this member's rounded points: the verdicts read "false"
+    assert main(["msc", "--alpha", "1", "--beta", "3", "--c", "0.7", "--u", "0.3:2.7:4",
+                 "--tol-superconformal", "0"]) == 1
+    rows = capfd.readouterr().out.split("\r\n")[1:-1]
+    assert len(rows) == 4 and all(row.endswith(",false,false") for row in rows)
 
 
 def test_msc_overflow_names_point(tmp_path, capsys):
@@ -471,8 +491,8 @@ def test_export_names_the_first_point_in_u_major_order(tmp_path, capsys, g_text,
 @example(x=1e308)
 @example(x=-1e308)
 def test_vertex_format_writes_what_num_writes(x):
-    assert "%.17g" % x == cli._num(x)
-    assert cli._VERTEX % (x, -x, 0.5) == "v " + " ".join(map(cli._num, (x, -x, 0.5)))
+    assert "%.17g" % x == num(x)
+    assert cli._VERTEX % (x, -x, 0.5) == "v " + " ".join(map(num, (x, -x, 0.5)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -586,6 +606,12 @@ SURFACES = [
 ]
 
 
+def _invariant_row(surface, u, v_first, class_tol):
+    """One ``invariants`` record through the CLI's row path, on a one-point grid."""
+    (parts,) = cli._closed_rows(surface, [u], v_first, cli._invariant_parts)
+    return invariants(*parts, class_tol=class_tol)
+
+
 def _two_call_row(surface, u):
     ff, _, sf = closed_forms_at(surface, u)
     return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=1e-8)
@@ -628,6 +654,7 @@ def test_invariant_row_raises_like_two_call_composition(f, g):
 
 @pytest.mark.parametrize("nu", [1, 3, 8])
 def test_invariants_evaluates_each_profile_term_once_per_u(tmp_path, monkeypatch, nu):
+    # a scalar read evaluates one term at one u; a grid read three terms at each u
     calls = []
     for name in ("value", "deriv1", "deriv2"):
         original = getattr(Profile, name)
@@ -637,6 +664,13 @@ def test_invariants_evaluates_each_profile_term_once_per_u(tmp_path, monkeypatch
             return original(self, u)
 
         monkeypatch.setattr(Profile, name, counted)
+    grid = Profile.grid
+
+    def counted_grid(self, us):
+        calls.extend(list(us) * 3)
+        return grid(self, us)
+
+    monkeypatch.setattr(Profile, "grid", counted_grid)
     code = main(["invariants", *RUN, "--u", f"0.5:2:{nu}", "--v", "0:1:3",
                  "--out", str(tmp_path / "inv.csv")])
     assert code == 0

@@ -8,7 +8,10 @@ negative values, +-1e308).  Each run must exit 0 (or 1, the verdict of
 and no exception may escape ``main``.
 
 On the same draws, ``export`` (meridian read once per u, rotation once per
-v) must answer exactly as the per-point loop over the surface map does.
+v) must answer exactly as the per-point loop over the surface map does,
+and ``invariants``, ``octet``, ``plot`` of k or nu1 and ``msc`` (profiles
+read over the whole u-grid, each CSV row written by one format) exactly as
+the per-point ``meridian_jet`` loop and the csv module do.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_export_vertices
+from helpers import reference_closed_rows, reference_export_vertices, reference_write_csv
 from rotsurf4 import cli
 from rotsurf4.cli import main
 
@@ -71,9 +74,12 @@ VERIFY_TOLERANCES = ("pipeline", "octet", "relations", "residual", "superconform
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b")
 
 
+COMMANDS = ("invariants", "octet", "export", "verify", "msc", "plot")
+
+
 @st.composite
-def command_lines(draw):
-    command = draw(st.sampled_from(("invariants", "octet", "export", "verify", "msc", "plot")))
+def command_lines(draw, commands=COMMANDS, quantities=QUANTITIES):
+    command = draw(st.sampled_from(commands))
     argv = [command, f"--alpha={draw(speeds)!r}", f"--beta={draw(speeds)!r}",
             f"--u={draw(grid_specs())}"]
     tol = draw(tolerances)
@@ -87,7 +93,7 @@ def command_lines(draw):
     elif command == "verify":
         argv.append(f"--tol-{draw(st.sampled_from(VERIFY_TOLERANCES))}={tol!r}")
     elif command == "plot":
-        quantity = draw(st.sampled_from(QUANTITIES))
+        quantity = draw(st.sampled_from(quantities))
         argv.append(f"--quantity={quantity}")
         if quantity == "ellipse":
             point = _mostly(st.floats(min_value=0.1, max_value=3.0))
@@ -122,12 +128,14 @@ def export_lines(draw):
     return argv + (["--close-v"] if draw(st.booleans()) else [])
 
 
-def _export(argv, out: Path):
-    """(exit code, stdout, stderr, OBJ bytes or None) of one in-process run."""
+def _run(argv, out: Path | None):
+    """(exit code, stdout, stderr, bytes of ``out`` or None) of one in-process
+    run, writing to ``out``, or to stdout for None."""
     with contextlib.redirect_stdout(io.StringIO()) as stdout, \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main([*argv, "--out", str(out)])
-    return code, stdout.getvalue(), err.getvalue(), out.read_bytes() if out.exists() else None
+        code = main([*argv, "--out", str(out)] if out else argv)
+    data = out.read_bytes() if out and out.exists() else None
+    return code, stdout.getvalue(), err.getvalue(), data
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -140,7 +148,29 @@ def _export(argv, out: Path):
                "--v=-2:2:5", "--projection=drop3", "--close-v"])
 def test_export_matches_per_point_reference(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        grid = _export(argv, Path(tmp) / "grid.obj")
+        grid = _run(argv, Path(tmp) / "grid.obj")
         with mock.patch.object(cli, "_vertex_lines", reference_export_vertices):
-            reference = _export(argv, Path(tmp) / "reference.obj")
+            reference = _run(argv, Path(tmp) / "reference.obj")
+    assert grid == reference
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=command_lines(("invariants", "octet", "plot", "msc"), ("k", "nu1")),
+       to_file=st.booleans())
+# a regularity failure (u = 0) before a profile error (u = 1), and after one
+@example(argv=["invariants", "--alpha=1", "--beta=2", "--u=0:1:3", "--f=u", "--g=u/(u-1)",
+               "--v=0:1:2"], to_file=False)
+@example(argv=["octet", "--alpha=1", "--beta=2", "--u=0:1:3", "--f=u-1", "--g=(u-1)*log(u)",
+               "--v=0:1:1"], to_file=True)
+@example(argv=["plot", "--alpha=1", "--beta=2", "--u=-1:1:3", "--f=u", "--g=u^2",
+               "--v=0:0:1", "--quantity=nu1"], to_file=True)
+def test_closed_rows_match_per_point_reference(argv, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out" if to_file or argv[0] == "plot" else None
+        grid = _run(argv, out)
+        if out is not None and out.exists():
+            out.unlink()
+        with mock.patch.object(cli, "_closed_rows", reference_closed_rows), \
+                mock.patch.object(cli, "_write_csv", reference_write_csv):
+            reference = _run(argv, out)
     assert grid == reference

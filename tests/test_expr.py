@@ -1,15 +1,18 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff, random_expr, reference_differentiate, tame_at
+from rotsurf4 import expr as expr_module
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, compile_expr, differentiate, evaluate,
-                           parse, unparse)
+                           Variable, compile_expr, compile_grid, differentiate,
+                           evaluate, parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,53 @@ def test_differentiate_folds_only_exact_identities(text, derivative):
 
 
 # ---------------------------------------------------------------------------
+# list kernels, checked bit for bit against the scalar closures
+
+u_grids = st.lists(st.one_of(st.sampled_from(SAMPLE_U + (1e-300, 700.0, -1e308)),
+                             st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
+
+
+def _scalar_column(tree, us):
+    """float.hex of the scalar closure at each u, or None if it raises at any."""
+    scalar = compile_expr(tree)
+    try:
+        return [scalar(u).hex() for u in us]
+    except EvalDomainError:
+        return None
+
+
+@settings(max_examples=300)
+@given(expr_trees, u_grids)
+def test_grid_kernel_matches_scalar_closure(e, us):
+    d1 = differentiate(e)
+    for tree in (e, d1, differentiate(d1)):
+        got = compile_grid(tree)(us)
+        assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, us), \
+            (unparse(tree), us)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(709.5)+exp(709.5)", "exp(709)*(u+3)", "exp(709)/0.25", "1/(u-u)", "exp(1000*u)",
+    "log(u-3)", "sqrt(u-3)", "(u+3)^1000", "(u-3)^0.5", "(u-u)^-1", "u^3", "(u-1)^3",
+    "(-u)^2.5", "sin(u)*exp(-u^2)+sqrt(u)",
+])
+def test_grid_kernel_misses_where_a_point_raises(text):
+    # every miss branch: each text raises at some of the sample points only
+    tree = parse(text)
+    for us in ([u] for u in SAMPLE_U):
+        got = compile_grid(tree)(us)
+        assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, us)
+    got = compile_grid(tree)(list(SAMPLE_U))
+    assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, SAMPLE_U)
+
+
+def test_grid_keeps_the_sign_of_zero_of_power():
+    # math.pow(-0.0, 3) is -0.0, _power gives +0.0 for a zero base
+    assert compile_grid(parse("u^3"))([-0.0, 2.0])[0].hex() == "0x0.0p+0"
+    assert compile_expr(parse("u^3"))(-0.0).hex() == "0x0.0p+0"
+
+
+# ---------------------------------------------------------------------------
 # profiles
 
 def test_profile_derivatives_are_structural():
@@ -361,3 +411,50 @@ def test_profile_half_line_domain_still_checked():
     assert bounded.value(1.0) == 1.0
     with pytest.raises(EvalDomainError):
         bounded.deriv1(1.5)
+
+
+def test_profile_grid_equals_scalar_reads():
+    p = Profile.from_text("sin(u)*exp(-u^2)+sqrt(u)")
+    us = [0.25, 0.5, 1.0, 3.0]
+    assert p.grid(us) == [[read(u) for u in us] for read in (p.value, p.deriv1, p.deriv2)]
+    assert p.grid([0.5, -1.0]) is None  # sqrt(-1) at the second point
+
+
+def test_profile_grid_misses_outside_the_domain():
+    p = Profile.from_text("u", domain=Interval(0.0, 1.0))
+    assert p.grid([0.0, 1.0]) == [[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+    assert p.grid([0.5, 1.5]) is None
+
+
+def test_profile_read_only_through_the_grid_builds_no_closures(monkeypatch):
+    compiled = []
+    compile_tree = expr_module.compile_expr
+
+    def counted(tree):
+        compiled.append(tree)
+        return compile_tree(tree)
+
+    monkeypatch.setattr(expr_module, "compile_expr", counted)
+    p = Profile.from_text("u^2 + log(u)")
+    assert p.grid([0.5, 2.0]) is not None and p.grid([1.0]) is not None
+    assert compiled == []
+    assert p.value(2.0) == 4.0 + math.log(2.0)
+    # the value tree on first use (compile_expr recurses into its subtrees), no other tree
+    assert compiled[0] == p.expr and p.d1 not in compiled and p.d2 not in compiled
+    count = len(compiled)
+    assert p.value(0.5) == 0.25 + math.log(0.5) and len(compiled) == count
+
+
+def test_profile_is_freed_without_the_cycle_collector():
+    # the lazy closures must not reference their profile: profiles read only
+    # through the grid would otherwise pile up for the cycle collector
+    gc.disable()
+    try:
+        for read in (lambda p: p.grid([1.0]), lambda p: p.deriv2(1.0), lambda p: None):
+            p = Profile.from_text("u^2 + 1")
+            read(p)
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+    finally:
+        gc.enable()

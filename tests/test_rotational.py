@@ -3,7 +3,7 @@ import math
 import pytest
 
 from helpers import rel_dev
-from rotsurf4.expr import Profile
+from rotsurf4.expr import EvalDomainError, Profile
 from rotsurf4.geometry import GeometryError, RegularityError, Vec4, fd_jet2
 from rotsurf4.octet import invariants_from_octet
 from rotsurf4.rotational import (ClosedFormRangeError, DegenerateCurveError,
@@ -41,6 +41,48 @@ def test_surface_rejects_non_finite_speeds_by_name(alpha, beta, name):
     f, g = Profile.from_text("u"), Profile.from_text("u^2")
     with pytest.raises(ValueError, match=f"rotation speed {name} must be finite"):
         RotationalSurface(f, g, alpha, beta)
+
+
+# ---------------------------------------------------------------------------
+# meridian jets over a grid
+
+def _first_failure(jets, us):
+    """The jets up to the first error, and (index, type, text) of that error."""
+    out = []
+    try:
+        for _ in us:
+            out.append(next(jets))
+    except (EvalDomainError, GeometryError) as exc:
+        return out, (len(out), type(exc), str(exc))
+    return out, None
+
+
+@pytest.mark.parametrize("f, g, us, on_grid, failure", [
+    ("u", "sin(u)*exp(-u^2)+sqrt(u)", [0.25, 1.0, 3.0], True, None),
+    # regularity errors on the grid path, raised when their u is reached
+    ("u", "u^2", [-1.0, 0.0, 1.0], True, (1, RegularityError, "rotation radii vanish at u=0.0")),
+    ("1", "u-u", [0.0, 1.0], True, (0, RegularityError, "meridian speed vanishes at u=0.0")),
+    # a regularity failure before a profile error: the profile miss sends
+    # every point to meridian_jet, which meets the radii first
+    ("u", "u/(u-1)", [0.0, 0.5, 1.0], False,
+     (0, RegularityError, "rotation radii vanish at u=0.0")),
+    # a profile error before a regularity failure
+    ("u-1", "(u-1)*log(u)", [0.0, 0.5, 1.0], False, (0, EvalDomainError, "log")),
+    ("u", "log(u)", [1.0, 0.5, -1.0], False, (2, EvalDomainError, "log")),
+])
+def test_meridian_jets_equal_meridian_jet_in_u_order(f, g, us, on_grid, failure):
+    s = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+    assert (s.f.grid(us) is not None and s.g.grid(us) is not None) == on_grid
+    want = _first_failure(map(s.meridian_jet, us), us)
+    got = _first_failure(s.meridian_jets(us), us)
+    assert [[x.hex() for x in jet] for jet in got[0]] == [[x.hex() for x in jet]
+                                                           for jet in want[0]]
+    assert got[1] == want[1]
+    if failure is None:
+        assert got[1] is None
+    else:
+        index, kind, text = failure
+        assert got[1][:2] == (index, kind) and text in got[1][2]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +244,14 @@ def test_meridian_curvature_out_of_range_raises_with_u(f, g, reason):
     with pytest.raises(ClosedFormRangeError) as err:
         meridian_curvature(s, 1.0)
     assert err.value.u == 1.0 and reason in str(err.value)
+
+
+def test_meridian_curvature_reads_f_and_g_as_its_domain_check():
+    # f' = 1/u and f'' = -1/u^2 are -1.0 at u = -1; only f = log(u) is undefined there
+    s = RotationalSurface(Profile.from_text("log(u)"), Profile.from_text("u"), 1.0, 2.0)
+    assert (s.f.deriv1(-1.0), s.f.deriv2(-1.0)) == (-1.0, -1.0)
+    with pytest.raises(EvalDomainError, match="log of non-positive value -1.0"):
+        meridian_curvature(s, -1.0)
 
 
 def test_meridian_curvature_linear_meridian(linear):
