@@ -27,6 +27,7 @@ import warnings
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 from operator import attrgetter
 
 from . import msc as msc_mod
@@ -180,9 +181,10 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 def _write_csv(path: str | None, header: str, row_format: str, rows) -> None:
     """``header`` and ``row_format % row`` for each row on ``path``, or on
-    stdout for None or "-", in one ``writelines`` (one large ``write`` to a
-    pipe closed early can drop the text without raising BrokenPipeError)."""
-    lines = [header, *[row_format % row for row in rows]]
+    stdout for None or "-", one ``write`` per line as each is formatted (one
+    large ``write`` to a pipe closed early can drop the text without raising
+    BrokenPipeError)."""
+    lines = chain((header,), (row_format % row for row in rows))
     if path is None or path == "-":
         sys.stdout.writelines(lines)
         return
@@ -218,8 +220,8 @@ def cmd_invariants(args, parser) -> int:
     records = [invariants(ff, sf, gauss, class_tol=args.tol_class)
                for ff, sf, gauss in _closed_rows(surface, us, vs[0], _invariant_parts)]
     _write_csv(args.out, _INVARIANT_HEADER, _INVARIANT_ROW,
-               [(u, v, rec.E, rec.F, rec.G, rec.L, rec.M, rec.N, rec.k, rec.kappa, rec.K,
-                 rec.point_type.value) for u, rec in zip(us, records) for v in vs])
+               ((u, v, rec.E, rec.F, rec.G, rec.L, rec.M, rec.N, rec.k, rec.kappa, rec.K,
+                 rec.point_type.value) for u, rec in zip(us, records) for v in vs))
     return EXIT_OK
 
 
@@ -228,8 +230,8 @@ def cmd_octet(args, parser) -> int:
     us = grid.u_values()
     octets = list(_closed_rows(surface, us, grid.v_min, _closed_octet))
     _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW,
-               [(u, o.gamma1, o.gamma2, o.nu1, o.nu2, o.lam, o.mu, o.beta1, o.beta2)
-                for u, o in zip(us, octets)])
+               ((u, o.gamma1, o.gamma2, o.nu1, o.nu2, o.lam, o.mu, o.beta1, o.beta2)
+                for u, o in zip(us, octets)))
     return EXIT_OK
 
 

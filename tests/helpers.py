@@ -1,7 +1,8 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
-unfolded differentiator, the Vec4-based frame kernel, the per-point OBJ
-vertex and closed-form row loops, the csv-module CSV writer)."""
+tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
+kernel, the per-point OBJ vertex and closed-form row loops, the csv-module
+CSV writer)."""
 
 import csv
 import math
@@ -9,7 +10,8 @@ import random
 import sys
 
 from rotsurf4.cli import _PointError
-from rotsurf4.expr import Binary, Constant, EvalDomainError, Unary, Variable, evaluate
+from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
+                           evaluate)
 from rotsurf4.geometry import DegenerateMetricError, GeometryError, Vec4, dot, norm
 from rotsurf4.octet import FrenetOctet
 
@@ -80,6 +82,55 @@ def tame_at(e, u: float, h: float, bound: float = 1e4) -> bool:
     except Exception:
         return False
     return True
+
+
+def reference_evaluate(e, u: float) -> float:
+    """A tree evaluated at ``u`` by walking it, each domain rule checked on
+    the operand before the float function runs: the oracle for the closures
+    of ``rotsurf4.expr.compile_expr`` (value, error node and message).  The
+    finiteness rule of + - * / and ``^`` are the library's own helpers."""
+    ev = reference_evaluate
+    match e:
+        case Constant(v):
+            return v
+        case Variable():
+            return u
+        case Unary("neg", child):
+            return -ev(child, u)
+        case Unary("sin", child):
+            return math.sin(ev(child, u))
+        case Unary("cos", child):
+            return math.cos(ev(child, u))
+        case Unary("exp", child):
+            try:
+                return math.exp(ev(child, u))
+            except OverflowError:
+                raise EvalDomainError(e, "overflow") from None
+        case Unary("log", child):
+            v = ev(child, u)
+            if v <= 0.0:
+                raise EvalDomainError(e, f"log of non-positive value {v!r}")
+            return math.log(v)
+        case Unary("sqrt", child):
+            v = ev(child, u)
+            if v < 0.0:
+                raise EvalDomainError(e, f"square root of negative value {v!r}")
+            return math.sqrt(v)
+        case Binary("+", a, b):
+            return _finite(e, ev(a, u) + ev(b, u))
+        case Binary("-", a, b):
+            return _finite(e, ev(a, u) - ev(b, u))
+        case Binary("*", a, b):
+            return _finite(e, ev(a, u) * ev(b, u))
+        case Binary("/", a, b):
+            num = ev(a, u)
+            den = ev(b, u)
+            if den == 0.0:
+                raise EvalDomainError(e, "division by zero")
+            return _finite(e, num / den)
+        case Binary("^", a, b):
+            return _power(e, ev(a, u), ev(b, u))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def reference_differentiate(e):

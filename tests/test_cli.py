@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -224,6 +225,26 @@ def test_msc_csv_on_stdout_is_written_as_the_csv_module_writes_it(capfd):
                  "--tol-superconformal", "0"]) == 1
     rows = capfd.readouterr().out.split("\r\n")[1:-1]
     assert len(rows) == 4 and all(row.endswith(",false,false") for row in rows)
+
+
+def test_csv_lines_are_written_as_they_are_formatted(monkeypatch):
+    # the rows are not held as a whole: each line is written before the next row is read
+    written, seen = [], []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            written.append(text)
+            return super().write(text)
+
+    def rows():
+        for u in (0.5, 1.0, 2.0):
+            seen.append(len(written))
+            yield (u,)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    cli._write_csv(None, "u\r\n", "%.17g\r\n", rows())
+    assert seen == [1, 2, 3]
+    assert written == ["u\r\n", "0.5\r\n", "1\r\n", "2\r\n"]
 
 
 def test_msc_overflow_names_point(tmp_path, capsys):

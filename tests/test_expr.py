@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, random_expr, reference_differentiate, tame_at
+from helpers import (central_diff, random_expr, reference_differentiate, reference_evaluate,
+                     tame_at)
 from rotsurf4 import expr as expr_module
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
@@ -257,10 +258,10 @@ def _failed_operation(exc, u):
     return type(node), node.op, tuple(evaluate(x, u).hex() for x in operands)
 
 
-def _assert_compiled_matches_evaluate(e):
+def _assert_compiled_matches_reference(e):
     compiled = compile_expr(e)
     for u in SAMPLE_U:
-        want, want_err = _run(lambda x: evaluate(e, x), u)
+        want, want_err = _run(lambda x: reference_evaluate(e, x), u)
         got, got_err = _run(compiled, u)
         assert got == want, (unparse(e), u)
         if want_err is not None:
@@ -272,7 +273,7 @@ def _assert_compiled_matches_evaluate(e):
 @settings(max_examples=300)
 @given(expr_trees)
 def test_compiled_matches_evaluate(e):
-    _assert_compiled_matches_evaluate(e)
+    _assert_compiled_matches_reference(e)
 
 
 @pytest.mark.parametrize("text", [
@@ -282,7 +283,7 @@ def test_compiled_matches_evaluate(e):
 ])
 def test_compiled_raises_where_evaluate_does(text):
     # every error branch, each raising at some of the sample points
-    _assert_compiled_matches_evaluate(parse(text))
+    _assert_compiled_matches_reference(parse(text))
 
 
 @settings(max_examples=300)
@@ -324,17 +325,16 @@ def test_differentiate_folds_only_exact_identities(text, derivative):
 
 
 # ---------------------------------------------------------------------------
-# list kernels, checked bit for bit against the scalar closures
+# list kernels, checked bit for bit against the reference walker
 
 u_grids = st.lists(st.one_of(st.sampled_from(SAMPLE_U + (1e-300, 700.0, -1e308)),
                              st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
 
 
 def _scalar_column(tree, us):
-    """float.hex of the scalar closure at each u, or None if it raises at any."""
-    scalar = compile_expr(tree)
+    """float.hex of the reference walker at each u, or None if it raises at any."""
     try:
-        return [scalar(u).hex() for u in us]
+        return [reference_evaluate(tree, u).hex() for u in us]
     except EvalDomainError:
         return None
 
