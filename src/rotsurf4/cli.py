@@ -35,11 +35,10 @@ from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     generic_invariants, invariants, is_circle,
                     superconformal_residuals)
-from .geometry import GeometryError, analytic_jet2, fd_jet2, norm, rotate, rotation_trig
-from .octet import (TotallyGeodesicError, gauge_flip, invariants_from_octet,
-                    neighbors_from, octet_generic)
-from .rotational import (RotationalSurface, _closed_forms, _closed_invariants, _closed_octet,
-                         closed_forms_at, closed_invariants_at, closed_octet_at)
+from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, fd_jet2, norm, rotate,
+                       rotation_trig)
+from .octet import TotallyGeodesicError, invariants_from_octet, neighbors_from, octet_generic
+from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -96,15 +95,23 @@ def _range_spec(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance: a finite float >= 0."""
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not (0.0 <= tol < math.inf):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert(text)``, rejected with ``rule`` unless ``ok``."""
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return x
+    return parse
+
+
+_tolerance = _checked(float, lambda tol: 0.0 <= tol < math.inf,
+                      "tolerance must be finite and >= 0")
+_finite = _checked(float, math.isfinite, "must be finite")
+_sample_count = _checked(int, lambda count: count >= 3, "need at least 3 samples")
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -146,8 +153,8 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=_range_spec, help="v grid min:max:count")
 
 
-def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  default_v=(0.0, 0.0, 1)) -> tuple[RotationalSurface, GridSpec]:
+def _build_surface(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> RotationalSurface:
     expr_source = args.f is not None or args.g is not None
     msc_source = args.msc_c is not None or args.eps is not None
     if expr_source and msc_source:
@@ -160,19 +167,24 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             parser.error("--msc-c and --eps go together")
         try:
             params = msc_mod.MscParams(args.msc_c, args.alpha, args.beta, args.eps)
-            surface = msc_mod.msc_surface(params)
+            return msc_mod.msc_surface(params)
         except ValueError as exc:
             parser.error(str(exc))
-        u_range = args.u if args.u else (surface.u_domain.lo, surface.u_domain.hi, 20)
-    else:
-        if args.f is None or args.g is None:
-            parser.error("an expression surface needs both --f and --g")
-        surface = RotationalSurface(Profile.from_text(args.f),
-                                    Profile.from_text(args.g),
-                                    args.alpha, args.beta)
-        if args.u is None:
-            parser.error("--u is required for an expression surface")
+    if args.f is None or args.g is None:
+        parser.error("an expression surface needs both --f and --g")
+    return RotationalSurface(Profile.from_text(args.f), Profile.from_text(args.g),
+                             args.alpha, args.beta)
+
+
+def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  default_v=(0.0, 0.0, 1)) -> tuple[RotationalSurface, GridSpec]:
+    surface = _build_surface(args, parser)
+    if args.u is not None:
         u_range = args.u
+    elif args.msc_c is not None:
+        u_range = (surface.u_domain.lo, surface.u_domain.hi, 20)
+    else:
+        parser.error("--u is required for an expression surface")
     v_range = args.v if args.v else default_v
     grid = GridSpec(u_range[0], u_range[1], u_range[2],
                     v_range[0], v_range[1], v_range[2])
@@ -242,20 +254,25 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _jet_values(j) -> tuple[float, ...]:
+    """The 24 components of a jet, z first and each Vec4 in x1..x4 order."""
+    z, zu, zv, zuu, zuv, zvv = j.z, j.z_u, j.z_v, j.z_uu, j.z_uv, j.z_vv
+    return (z.x1, z.x2, z.x3, z.x4, zu.x1, zu.x2, zu.x3, zu.x4, zv.x1, zv.x2, zv.x3, zv.x4,
+            zuu.x1, zuu.x2, zuu.x3, zuu.x4, zuv.x1, zuv.x2, zuv.x3, zuv.x4,
+            zvv.x1, zvv.x2, zvv.x3, zvv.x4)
+
+
 def _jet_dev(j1, j2) -> float:
-    worst = 0.0
-    for name in ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv"):
-        for a, b in zip(getattr(j1, name), getattr(j2, name)):
-            worst = max(worst, _rel(a, b))
-    return worst
+    return max(0.0, *map(_rel, _jet_values(j1), _jet_values(j2)))
 
 
 def _octet_dev(a, b) -> float:
-    def dev(x, y):
-        return max(_rel(p, q) for p, q in zip(
-            (x.gamma1, x.gamma2, x.nu1, x.nu2, x.lam, x.mu, x.beta1, x.beta2),
-            (y.gamma1, y.gamma2, y.nu1, y.nu2, y.lam, y.mu, y.beta1, y.beta2)))
-    return min(dev(a, b), dev(a, gauge_flip(b)))
+    """The deviation of b from a, up to the gauge flip of b (``gauge_flip``)."""
+    mine = (a.gamma1, a.gamma2, a.nu1, a.nu2, a.lam, a.mu, a.beta1, a.beta2)
+    nu1, nu2, lam, mu = b.nu1, b.nu2, b.lam, b.mu
+    return min(max(map(_rel, mine, (b.gamma1, b.gamma2, nu1, nu2, lam, mu, b.beta1, b.beta2))),
+               max(map(_rel, mine, (b.gamma1, b.gamma2, -nu1, -nu2, -lam, -mu, b.beta1,
+                                    b.beta2))))
 
 
 @dataclass
@@ -291,17 +308,29 @@ def cmd_verify(args, parser) -> int:
         "ellipse-circle": _Check("ellipse-circle", args.tol_circle),
     }
 
-    jet_at = partial(analytic_jet2, surface)
+    # the meridian jet and the closed side depend on u alone, the rotation on v
+    # alone: each is read once per distinct value, where the per-point loop
+    # would first read it, so a read that raises (and is not cached) names the
+    # same point.  0.0 and -0.0 would share a cache key, but never meet: a grid
+    # holds -0.0 only as its one point, and x -+ octet._STEP is never -0.0
+    alpha, beta = surface.alpha, surface.beta
+    meridian = cache(surface.meridian_jet)
+    trig = cache(partial(rotation_trig, alpha, beta))
+
+    def jet_at(u, v):
+        return analytic_jet2_from(alpha, beta, meridian(u), trig(v))
+
     residuals = []
     for u in us:
         with _at(u, vs[0]):
-            ffc, _, sfc = closed_forms_at(surface, u)
-            kc, xc, gc = closed_invariants_at(surface, u)
-            oc = closed_octet_at(surface, u)
+            data = meridian(u)
+            ffc, _, sfc = _closed_forms(surface, u, data)
+            kc, xc, gc = _closed_invariants(surface, u, data)
+            oc = _closed_octet(surface, u, data)
             ko, xo, go = invariants_from_octet(oc)
             checks["octet-vs-invariants"].update(
                 max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
-            residuals.append(msc_mod.scaled_msc_residual(surface, u))
+            residuals.append(msc_mod._scaled_msc_residual(surface, u, data))
         for v in vs:
             with _at(u, v):
                 jet_a = jet_at(u, v)
@@ -529,8 +558,8 @@ def _svg_ellipse_plot(points: list[tuple[float, float]], center: tuple[float, fl
 
 
 def cmd_plot(args, parser) -> int:
-    surface, grid = _build_config(args, parser)
-    if args.quantity == "ellipse":
+    if args.quantity == "ellipse":  # one point: no grid
+        surface = _build_surface(args, parser)
         if args.point is None:
             parser.error("--point U V is required for the ellipse plot")
         u0, v0 = args.point
@@ -546,6 +575,7 @@ def cmd_plot(args, parser) -> int:
                   sum(a * b for a, b in zip(report.center, e2)))
         text = _svg_ellipse_plot(points, center)
     else:
+        surface, grid = _build_config(args, parser)
         us = grid.u_values()
 
         def closed(s, u, data):
@@ -616,9 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(plot)
     plot.add_argument("--quantity", required=True,
                       choices=("k", "kappa", "K", "nu1", "nu2", "mu", "gamma2", "beta2", "ellipse"))
-    plot.add_argument("--point", type=float, nargs=2, metavar=("U", "V"),
+    plot.add_argument("--point", type=_finite, nargs=2, metavar=("U", "V"),
                       help="evaluation point for the ellipse plot")
-    plot.add_argument("--samples", type=int, default=16, help="ellipse sample count")
+    plot.add_argument("--samples", type=_sample_count, default=16,
+                      help="ellipse sample count, at least 3")
     plot.add_argument("--out", required=True, help="output SVG path")
 
     return parser

@@ -70,7 +70,10 @@ class NonFiniteInvariantError(GeometryError):
     curvature ellipse is inf or NaN, so there is nothing to classify or draw."""
 
 
-@dataclass(frozen=True)
+# FirstForm, SecondTensor, SecondForm and InvariantRecord are per-point value
+# types by the convention of Vec4: nothing assigns their fields after construction
+
+@dataclass(slots=True)
 class FirstForm:
     E: float
     F: float
@@ -78,7 +81,7 @@ class FirstForm:
     W: float  # sqrt(EG - F^2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SecondTensor:
     c11_1: float
     c11_2: float
@@ -88,7 +91,7 @@ class SecondTensor:
     c22_2: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SecondForm:
     L: float
     M: float
@@ -112,7 +115,7 @@ class PointType(str, Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InvariantRecord:
     E: float
     F: float

@@ -23,6 +23,7 @@ __all__ = [
     "rotation_trig",
     "rotate",
     "analytic_jet2",
+    "analytic_jet2_from",
     "fd_jet2",
     "gram_schmidt_normals",
 ]
@@ -115,10 +116,10 @@ def cross4(a: Vec4, b: Vec4, c: Vec4) -> Vec4:
                 _det3(a1, a2, a3, b1, b2, b3, c1, c2, c3))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Jet2:
     """Position plus first and second partial derivatives at one
-    parameter point of a map (u, v) -> R^4."""
+    parameter point of a map (u, v) -> R^4; a value type like :class:`Vec4`."""
 
     z: Vec4
     z_u: Vec4
@@ -152,16 +153,22 @@ def rotate(p: Vec4, trig: tuple[float, float, float, float]) -> Vec4:
 def analytic_jet2(surface: "RotationalSurface", u: float, v: float) -> Jet2:
     """Exact 2-jet of (f cos av, f sin av, g cos bv, g sin bv) from
     :meth:`RotationalSurface.meridian_jet`, which may raise, and closed-form trig factors."""
-    f, f1, f2, g, g1, g2, _, _ = surface.meridian_jet(u)
     a, b = surface.alpha, surface.beta
-    ca, sa, cb, sb = rotation_trig(a, b, v)
+    return analytic_jet2_from(a, b, surface.meridian_jet(u), rotation_trig(a, b, v))
+
+
+def analytic_jet2_from(a: float, b: float, meridian: tuple, trig: tuple) -> Jet2:
+    """:func:`analytic_jet2` from its reads: ``meridian``, the tuple of
+    ``meridian_jet(u)``, and ``trig``, that of ``rotation_trig(a, b, v)``."""
+    f, f1, f2, g, g1, g2, _, _ = meridian
+    ca, sa, cb, sb = trig
     return Jet2(
-        z=Vec4(f * ca, f * sa, g * cb, g * sb),
-        z_u=Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),
-        z_v=Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
-        z_uu=Vec4(f2 * ca, f2 * sa, g2 * cb, g2 * sb),
-        z_uv=Vec4(-a * f1 * sa, a * f1 * ca, -b * g1 * sb, b * g1 * cb),
-        z_vv=Vec4(-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb),
+        Vec4(f * ca, f * sa, g * cb, g * sb),
+        Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),
+        Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
+        Vec4(f2 * ca, f2 * sa, g2 * cb, g2 * sb),
+        Vec4(-a * f1 * sa, a * f1 * ca, -b * g1 * sb, b * g1 * cb),
+        Vec4(-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb),
     )
 
 

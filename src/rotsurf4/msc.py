@@ -99,12 +99,15 @@ def msc_surface(params: MscParams, u_domain=(0.25, 4.0)) -> RotationalSurface:
                              params.alpha, params.beta, interval)
 
 
-def _msc_sides(s: RotationalSurface, u: float) -> tuple[float, float]:
+def _msc_sides(s: RotationalSurface, u: float, data=None) -> tuple[float, float]:
     """The sides a b (g f' - f g') and a^2 f g' - b^2 g f' of the msc
-    equation; with f = u (f' = 1.0) they are a b (g - u g') and
-    a^2 u g' - b^2 g bit for bit."""
-    f, f1 = s.f.value(u), s.f.deriv1(u)
-    g, g1 = s.g.value(u), s.g.deriv1(u)
+    equation, from ``data``, the ``meridian_jet(u)`` tuple, or else from f,
+    f', g, g' read at ``u``; with f = u (f' = 1.0) they are a b (g - u g')
+    and a^2 u g' - b^2 g bit for bit."""
+    if data is None:
+        f, f1, g, g1 = s.f.value(u), s.f.deriv1(u), s.g.value(u), s.g.deriv1(u)
+    else:
+        f, f1, _, g, g1 = data[:5]
     a, b = s.alpha, s.beta
     sides = a * b * (g * f1 - f * g1), a * a * f * g1 - b * b * g * f1
     _finite_at(u, sides)
@@ -134,7 +137,13 @@ def scaled_msc_residual(s: RotationalSurface, u: float) -> float:
 
     Raises :class:`ClosedFormRangeError` naming u when a side is not finite.
     """
-    lhs, rhs = _msc_sides(s, u)
+    return _scaled_msc_residual(s, u, None)
+
+
+def _scaled_msc_residual(s: RotationalSurface, u: float, data) -> float:
+    """:func:`scaled_msc_residual` from ``data``, the ``meridian_jet(u)``
+    tuple, or from the profiles read at ``u`` for None."""
+    lhs, rhs = _msc_sides(s, u, data)
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0

@@ -49,8 +49,10 @@ class TotallyGeodesicError(GeometryError):
     """sigma(x,x) and sigma(y,y) both vanish, so b is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrenetOctet:
+    """A value type like :class:`Vec4`."""
+
     gamma1: float
     gamma2: float
     nu1: float
@@ -67,7 +69,7 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
                        o.beta1, o.beta2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JetNeighbors:
     """Stencil jets at (u -+ _STEP, v) and (u, v -+ _STEP) for the finite
     differences of the b field."""
@@ -83,15 +85,10 @@ def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float) -
                         jet_at(u, v - _STEP), jet_at(u, v + _STEP))
 
 
-def _sigma_ambient(jet: Jet2):
-    """First form plus sigma(x,x), sigma(x,y), sigma(y,y) as ambient
-    vectors, for the principal unit tangents x, y."""
-    e1, e2, ff, ct = generic_at(jet)
-    sqrt_eg = math.sqrt(ff.E) * math.sqrt(ff.G)
-    sxx = (e1 * ct.c11_1 + e2 * ct.c11_2) / ff.E
-    sxy = (e1 * ct.c12_1 + e2 * ct.c12_2) / sqrt_eg
-    syy = (e1 * ct.c22_1 + e2 * ct.c22_2) / ff.G
-    return ff, ct, sxx, sxy, syy
+def _sigma_diagonal(e1: Vec4, e2: Vec4, ff, ct) -> tuple[Vec4, Vec4]:
+    """sigma(x,x) and sigma(y,y) as ambient vectors, for the principal unit
+    tangents x, y, from the frame and forms of :func:`generic_at`."""
+    return (e1 * ct.c11_1 + e2 * ct.c11_2) / ff.E, (e1 * ct.c22_1 + e2 * ct.c22_2) / ff.G
 
 
 def _b_direction(sxx: Vec4, syy: Vec4) -> Vec4 | None:
@@ -113,7 +110,9 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
     from principal parameters and :class:`TotallyGeodesicError` where b is
     undefined.
     """
-    ff, ct, sxx, sxy, syy = _sigma_ambient(jet)
+    e1, e2, ff, ct = generic_at(jet)
+    sxx, syy = _sigma_diagonal(e1, e2, ff, ct)
+    sxy = (e1 * ct.c12_1 + e2 * ct.c12_2) / (math.sqrt(ff.E) * math.sqrt(ff.G))
     if abs(ff.F) > _PRINCIPAL_TOL * max(1.0, ff.E, ff.G):
         raise NonPrincipalParamsError(f"F = {ff.F!r}: parameters are not principal")
     sf = lmn(ct, ff.W)
@@ -137,8 +136,7 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
     mu = dot(sxy, l)
 
     def b_at(stencil_jet: Jet2) -> Vec4:
-        _, _, s1, _, s2 = _sigma_ambient(stencil_jet)
-        bb = _b_direction(s1, s2)
+        bb = _b_direction(*_sigma_diagonal(*generic_at(stencil_jet)))
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         # keep the field continuous across the sign convention

@@ -1,19 +1,33 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
-kernel, the per-point OBJ vertex and closed-form row loops, the csv-module
-CSV writer)."""
+kernel, the per-point OBJ vertex, closed-form row and ``verify`` loops, the
+csv-module CSV writer)."""
 
 import csv
+import dataclasses
 import math
 import random
 import sys
 
-from rotsurf4.cli import _PointError
+from rotsurf4 import msc as msc_mod
+from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _PointError,
+                          _rel)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.geometry import DegenerateMetricError, GeometryError, Vec4, dot, norm
-from rotsurf4.octet import FrenetOctet
+from rotsurf4.forms import (ellipse_samples, generic_at, generic_invariants, is_circle,
+                            superconformal_residuals)
+from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot, fd_jet2,
+                               norm, rotation_trig)
+from rotsurf4.octet import (FrenetOctet, TotallyGeodesicError, gauge_flip,
+                            invariants_from_octet, neighbors_from, octet_generic)
+from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
+
+
+def field_values(record) -> list:
+    """The field values of a dataclass record in field order (slotted records
+    have no ``vars``)."""
+    return [getattr(record, f.name) for f in dataclasses.fields(record)]
 
 
 def rel_dev(a: float, b: float) -> float:
@@ -286,3 +300,129 @@ def reference_write_csv(path, header, row_format, rows):
     else:
         with open(path, "w", newline="") as stream:
             write(stream)
+
+
+# ---------------------------------------------------------------------------
+# The analytic jet built with keyword Vec4 fields straight from the surface's
+# reads, and ``verify`` run one grid point at a time with every closed-side
+# value read again at each point: the bit-for-bit oracle for
+# ``rotsurf4.geometry.analytic_jet2_from`` and the byte-for-byte, error-point
+# and exit-code oracle for ``rotsurf4.cli.cmd_verify``, which reads each of
+# them once per grid line.
+
+def reference_analytic_jet2(surface, u, v):
+    f, f1, f2, g, g1, g2, _, _ = surface.meridian_jet(u)
+    a, b = surface.alpha, surface.beta
+    ca, sa, cb, sb = rotation_trig(a, b, v)
+    return Jet2(
+        z=Vec4(f * ca, f * sa, g * cb, g * sb),
+        z_u=Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),
+        z_v=Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
+        z_uu=Vec4(f2 * ca, f2 * sa, g2 * cb, g2 * sb),
+        z_uv=Vec4(-a * f1 * sa, a * f1 * ca, -b * g1 * sb, b * g1 * cb),
+        z_vv=Vec4(-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb),
+    )
+
+
+def _reference_jet_dev(j1, j2) -> float:
+    worst = 0.0
+    for name in ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv"):
+        for a, b in zip(getattr(j1, name), getattr(j2, name)):
+            worst = max(worst, _rel(a, b))
+    return worst
+
+
+def _reference_octet_dev(a, b) -> float:
+    def dev(x, y):
+        return max(_rel(p, q) for p, q in zip(octet_tuple(x), octet_tuple(y)))
+    return min(dev(a, b), dev(a, gauge_flip(b)))
+
+
+def reference_verify(args, parser) -> int:
+    surface, grid = _build_config(args, parser)
+    us = grid.u_values()
+    vs = grid.v_values()
+    surface_map = surface.as_map()
+
+    checks = {
+        "jets": _Check("jets", args.tol_pipeline),
+        "forms": _Check("forms", args.tol_pipeline),
+        "invariants": _Check("invariants", args.tol_pipeline),
+        "octet": _Check("octet", args.tol_octet),
+        "octet-vs-invariants": _Check("octet-vs-invariants", args.tol_relations),
+        "superconformal": _Check("superconformal", args.tol_superconformal),
+        "ellipse-circle": _Check("ellipse-circle", args.tol_circle),
+    }
+
+    def jet_at(u, v):
+        return reference_analytic_jet2(surface, u, v)
+
+    residuals = []
+    for u in us:
+        with _at(u, vs[0]):
+            ffc, _, sfc = closed_forms_at(surface, u)
+            kc, xc, gc = closed_invariants_at(surface, u)
+            oc = closed_octet_at(surface, u)
+            ko, xo, go = invariants_from_octet(oc)
+            checks["octet-vs-invariants"].update(
+                max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
+            residuals.append(msc_mod.scaled_msc_residual(surface, u))
+        for v in vs:
+            with _at(u, v):
+                jet_a = jet_at(u, v)
+                jet_f = fd_jet2(surface_map, u, v)
+                checks["jets"].update(_reference_jet_dev(jet_a, jet_f), (u, v))
+
+                _, _, ff, ct = generic_at(jet_f)
+                rec = generic_invariants(ff, ct)
+                checks["forms"].update(max(
+                    _rel(ff.E, ffc.E), _rel(ff.F, ffc.F), _rel(ff.G, ffc.G),
+                    _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
+                checks["invariants"].update(max(
+                    _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
+
+                if checks["octet"].note is None:
+                    try:
+                        og = octet_generic(jet_a, neighbors_from(jet_at, u, v))
+                        checks["octet"].update(_reference_octet_dev(oc, og), (u, v))
+                    except TotallyGeodesicError:
+                        checks["octet"].note = "totally geodesic point: frame undefined"
+
+    worst_residual = max(0.0, *residuals)
+    member = worst_residual <= args.tol_residual
+    residual_note = (f"max scaled residual {worst_residual:.3e} "
+                     f"(tol {args.tol_residual:.1e}): {'member' if member else 'not a member'}")
+    if not member:
+        checks["superconformal"].note = "surface does not satisfy the msc equation"
+        checks["ellipse-circle"].note = "surface does not satisfy the msc equation"
+    else:
+        for u in us:
+            with _at(u, vs[0]):
+                e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
+                rec = generic_invariants(ff, ct)
+                minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+                checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
+                report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), args.tol_circle)
+                center_dev = norm(report.center) / max(1.0, report.radius)
+                checks["ellipse-circle"].update(
+                    max(report.max_deviation / max(1.0, report.radius), center_dev),
+                    (u, vs[0]))
+
+    print(f"  {'msc-equation':<22} {residual_note}")
+    failed = []
+    for check in checks.values():
+        if check.note is not None:
+            print(f"  {check.name:<22} n/a: {check.note}")
+            continue
+        status = "PASS" if check.passed() else "FAIL"
+        where = ""
+        if check.worst is not None and status == "FAIL":
+            where = f"  worst at (u, v) = ({check.worst[0]:.6g}, {check.worst[1]:.6g})"
+        print(f"  {check.name:<22} max dev {check.dev:.3e}  tol {check.tol:.1e}  {status}{where}")
+        if not check.passed():
+            failed.append(check.name)
+    if failed:
+        print(f"overall: FAIL ({', '.join(failed)})")
+        return EXIT_VERIFY
+    print("overall: PASS")
+    return EXIT_OK

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rotsurf4 import cli
-from helpers import num
+from helpers import field_values, num
 from rotsurf4.cli import main
 from rotsurf4.expr import Profile
 from rotsurf4.forms import SecondForm, classify, invariants
@@ -360,6 +360,49 @@ def test_plot_ellipse(tmp_path):
     assert "<polygon" in text
 
 
+def test_plot_ellipse_needs_no_u_grid(tmp_path):
+    # the ellipse reads only --point; the bytes equal those of a run with a grid
+    out, with_grid = tmp_path / "e.svg", tmp_path / "g.svg"
+    assert main(["plot", *RUN, "--quantity", "ellipse", "--point", "1", "0",
+                 "--out", str(out)]) == 0
+    assert main(["plot", *RUN, "--u", "1:1:1", "--quantity", "ellipse", "--point", "1", "0",
+                 "--out", str(with_grid)]) == 0
+    assert out.read_bytes() == with_grid.read_bytes()
+
+
+def test_plot_line_still_needs_u_grid(tmp_path, capsys):
+    assert main(["plot", *RUN, "--quantity", "k", "--out", str(tmp_path / "k.svg")]) == 2
+    assert "--u is required for an expression surface" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", [("1", "nan"), ("inf", "0"), ("1", "1e309"), ("1", "x")])
+def test_plot_ellipse_point_must_be_finite(tmp_path, capsys, point):
+    out = tmp_path / "e.svg"
+    code = main(["plot", *RUN, "--quantity", "ellipse", "--point", *point, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage: rotsurf4 plot" in err and "argument --point" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["2", "-1", "x", "3.5"])
+def test_plot_ellipse_samples_checked_at_parse_time(tmp_path, capsys, samples):
+    out = tmp_path / "e.svg"
+    code = main(["plot", *RUN, "--quantity", "ellipse", "--point", "1", "0",
+                 "--samples", samples, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage: rotsurf4 plot" in err and "argument --samples" in err
+    assert not out.exists()
+
+
+def test_plot_ellipse_three_samples(tmp_path):
+    out = tmp_path / "e.svg"
+    assert main(["plot", *RUN, "--quantity", "ellipse", "--point", "1", "0",
+                 "--samples", "3", "--out", str(out)]) == 0
+    assert "<polygon" in out.read_text()
+
+
 def test_plot_ellipse_non_finite_names_point(tmp_path, capsys):
     out = tmp_path / "e.svg"
     code = main(["plot", "--f", "1e200*u", "--g", "u^2", "--alpha", "1", "--beta", "2",
@@ -639,7 +682,7 @@ def _two_call_row(surface, u):
 
 
 def _hex(record):
-    return [x.hex() if isinstance(x, float) else x for x in vars(record).values()]
+    return [x.hex() if isinstance(x, float) else x for x in field_values(record)]
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -652,7 +695,7 @@ def test_invariant_row_exact_values():
     # repr round-trips, so any change to the closed-form arithmetic shows here
     surface = SURFACES[3]
     record = _invariant_row(surface, 0.7, 0.0, 1e-8)
-    assert [repr(x) for x in vars(record).values()] == [
+    assert [repr(x) for x in field_values(record)] == [
         "1.2638323711699837", "0.0", "6.554642907934198", "0.90473295077101", "0.0",
         "-1.9219251077668564", "-0.20990286026066005", "0.21132441934892673",
         "0.8813162406277878", "<PointType.HYPERBOLIC: 'hyperbolic'>"]

@@ -9,9 +9,11 @@ and no exception may escape ``main``.
 
 On the same draws, ``export`` (meridian read once per u, rotation once per
 v) must answer exactly as the per-point loop over the surface map does,
-and ``invariants``, ``octet``, ``plot`` of k or nu1 and ``msc`` (profiles
+``invariants``, ``octet``, ``plot`` of k or nu1 and ``msc`` (profiles
 read over the whole u-grid, each CSV row written by one format) exactly as
-the per-point ``meridian_jet`` loop and the csv module do.
+the per-point ``meridian_jet`` loop and the csv module do, and ``verify``
+(closed side read once per u, rotation once per v) exactly as the loop that
+reads them again at every grid point does.
 """
 
 import contextlib
@@ -25,7 +27,8 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_closed_rows, reference_export_vertices, reference_write_csv
+from helpers import (reference_closed_rows, reference_export_vertices, reference_verify,
+                     reference_write_csv)
 from rotsurf4 import cli
 from rotsurf4.cli import main
 
@@ -173,4 +176,35 @@ def test_closed_rows_match_per_point_reference(argv, to_file):
         with mock.patch.object(cli, "_closed_rows", reference_closed_rows), \
                 mock.patch.object(cli, "_write_csv", reference_write_csv):
             reference = _run(argv, out)
+    assert grid == reference
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=command_lines(("verify",)))
+# a profile that raises first at a finite-difference or b-field stencil point,
+# before the next grid line's own profile read raises
+@example(argv=["verify", "--f=u", "--g=sqrt(1-u)", "--alpha=1", "--beta=2",
+               "--u=0.5:0.99995:3", "--v=0:1:2"])
+@example(argv=["verify", "--f=u", "--g=sqrt(1-u)", "--alpha=1", "--beta=2",
+               "--u=0.9999:1.5:2", "--v=0:1:2"])
+# the radii vanish at the stencil point u + _STEP = 0 only
+@example(argv=["verify", "--f=u", "--g=u^2", "--alpha=1", "--beta=2", "--u=-0.0001:1:2",
+               "--v=0:1:2"])
+# a rotation angle that overflows on the grid
+@example(argv=["verify", "--f=u", "--g=u^2", "--alpha=1", "--beta=2", "--u=0.5:2:3",
+               "--v=0:1e308:2"])
+# grid lines one stencil step apart share their reads; -0.0 as a one-point grid
+@example(argv=["verify", "--f=u", "--g=u^3", "--alpha=1", "--beta=2", "--u=1:1.0003:4",
+               "--v=0:0.0002:3"])
+@example(argv=["verify", "--f=u+1", "--g=u", "--alpha=1", "--beta=2", "--u=-0.0:0:1",
+               "--v=-0.0:0:1"])
+# a member, so the superconformal and circle checks run on the cached jets
+@example(argv=["verify", "--msc-c=1", "--eps=1", "--alpha=1", "--beta=2", "--u=0.5:2:3",
+               "--v=0:1:2"])
+def test_verify_matches_per_point_reference(argv):
+    grid = _run(argv, None)
+    with mock.patch.object(cli, "cmd_verify", reference_verify):
+        parser = cli.build_parser()
+    with mock.patch.object(cli, "_parser", lambda: parser):
+        reference = _run(argv, None)
     assert grid == reference

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import rel_dev
+from helpers import field_values, rel_dev
 from rotsurf4.expr import Binary, Profile, Unary, Variable, evaluate, parse
 from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             PointType, SecondForm, SecondTensor, christoffel,
@@ -466,7 +466,7 @@ def test_generic_at_is_the_hand_composition(f_text, g_text, alpha, beta, u, v):
         grec = generic_invariants(gff, gct)
         assert _hexes(g1, g2) == _hexes(e1, e2)
         assert _hexes(gff.E, gff.F, gff.G, gff.W) == _hexes(ff.E, ff.F, ff.G, ff.W)
-        assert _hexes(*vars(gct).values()) == _hexes(*vars(ct).values())
+        assert _hexes(*field_values(gct)) == _hexes(*field_values(ct))
         fields = ("E", "F", "G", "L", "M", "N", "k", "kappa", "K")
         assert (_hexes(*(getattr(grec, n) for n in fields))
                 == _hexes(*(getattr(rec, n) for n in fields)))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (jet_dev, reference_cross4, reference_det4,
-                     reference_gram_schmidt_normals, vec_dev)
+from helpers import (field_values, jet_dev, reference_analytic_jet2, reference_cross4,
+                     reference_det4, reference_gram_schmidt_normals, vec_dev)
 from rotsurf4.expr import Profile
 from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError,
-                               Vec4, analytic_jet2, cross4, det4, dot,
-                               fd_jet2, gram_schmidt_normals, norm)
+                               Vec4, analytic_jet2, analytic_jet2_from, cross4, det4, dot,
+                               fd_jet2, gram_schmidt_normals, norm, rotation_trig)
 from rotsurf4.rotational import RotationalSurface, closed_forms_at
 
 E1, E2, E3, E4 = (Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
@@ -119,6 +119,25 @@ def test_surface_map_is_the_written_out_rotation(meridian, u, v, alpha, beta):
 
 # ---------------------------------------------------------------------------
 # analytic jets
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from(_SIGNED_MERIDIANS),
+       st.one_of(st.sampled_from((1.0, -1.0)), st.floats(min_value=-5.0, max_value=5.0)),
+       st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-7.0, max_value=7.0)),
+       st.floats(min_value=0.25, max_value=4.0),
+       st.floats(min_value=0.25, max_value=4.0))
+def test_jet_builder_is_the_analytic_jet(meridian, u, v, alpha, beta):
+    assume(alpha != beta)
+    s = _surface(*meridian, alpha, beta)
+    try:
+        expected = reference_analytic_jet2(s, u, v)
+    except RegularityError:
+        return
+    built = analytic_jet2_from(alpha, beta, s.meridian_jet(u), rotation_trig(alpha, beta, v))
+    for jet in (built, analytic_jet2(s, u, v)):
+        assert ([x.hex() for vec in field_values(jet) for x in vec]
+                == [x.hex() for vec in field_values(expected) for x in vec])
+
 
 def test_analytic_jet_running_example(parabola):
     jet = analytic_jet2(parabola, 1.0, 0.0)
