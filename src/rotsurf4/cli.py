@@ -200,8 +200,17 @@ def _write_csv(path: str | None, header: str, row_format: str, rows) -> None:
     if path is None or path == "-":
         sys.stdout.writelines(lines)
         return
-    with open(path, "w", newline="") as stream:
-        stream.writelines(lines)
+    _write_out(path, lines)
+
+
+def _write_out(path: str, chunks) -> None:
+    """``chunks`` written to the ``--out`` file ``path``; a path that cannot
+    be opened or written is a usage error that names it (ValueError)."""
+    try:
+        with open(path, "w", newline="") as stream:
+            stream.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +474,7 @@ def cmd_export(args, parser) -> int:
             a, d = i * nv + j + 1, i * nv + (j + 1) % nv + 1
             lines.append(f"f {a} {a + nv} {d + nv} {d}")
 
-    with open(args.out, "w", newline="") as stream:
-        stream.write("\n".join(lines) + "\n")
+    _write_out(args.out, ("\n".join(lines) + "\n",))
     return EXIT_OK
 
 
@@ -584,8 +592,7 @@ def cmd_plot(args, parser) -> int:
             return getattr(_closed_octet(s, u, data), args.quantity)  # a FrenetOctet field
         values = list(_closed_rows(surface, us, grid.v_min, closed))
         text = _svg_line_plot(us, values, args.quantity)
-    with open(args.out, "w", newline="") as stream:
-        stream.write(text)
+    _write_out(args.out, (text,))
     return EXIT_OK
 
 

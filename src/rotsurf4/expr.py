@@ -29,11 +29,11 @@ for negative ``x`` and ``-0 + 0`` is ``+0``, so either fold can turn a
 Exponentiation with a negative base is exact for integer exponents and a
 domain error otherwise.
 
-``compile_expr`` turns a tree into nested closures of ``u`` (``evaluate``
-calls them once); ``compile_grid`` turns it into a list kernel that does
-the same float operations element by element over a whole u-grid and
-reports a miss where the closures would raise.  ``Profile`` builds either
-on first use.
+Evaluation reads a tape (``_tape``) that holds each distinct subtree of
+its trees once.  ``compile_expr`` builds nested closures of ``u`` from it
+(``evaluate`` calls them once); ``Profile`` builds one tape of its three
+trees, for closures and for a run over a whole u-grid that does the same
+float operations and reports a miss where a closure would raise.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Union
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "unparse",
     "evaluate",
     "compile_expr",
-    "compile_grid",
     "differentiate",
     "format_number",
 ]
@@ -307,11 +305,12 @@ def _render_prec(e: Expr) -> tuple[str, int]:
 # at +-inf), OverflowError when exp overflows, ZeroDivisionError for a
 # zero divisor.  The scalar closures turn that into an EvalDomainError
 # naming the node, with the reason below (sin and cos keep the
-# ValueError); the list kernels into a miss.  Both also require a finite
+# ValueError); a grid run into a miss.  Both also require a finite
 # result of + - * /, and both evaluate ^ by ``_power``.
 _UNARY_FN = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
              "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
-_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": math.pow}
 _DOMAIN_REASON = {
     "exp": lambda v: "overflow",
     "log": lambda v: f"log of non-positive value {v!r}",
@@ -353,27 +352,72 @@ def _power(e: Expr, base: float, p: float) -> float:
         raise EvalDomainError(e, "overflow") from None
 
 
+def _tape(trees) -> tuple[list[tuple], list[int]]:
+    """Each distinct subtree of ``trees`` once, in left-to-right post-order,
+    and the positions of ``trees``.  An entry is ``(op, a, b, node)`` with
+    the operands' positions (``b`` None for a unary op), ``("const", value,
+    sign, node)`` or ``("u", None, None, node)``: the sign tells apart the
+    equal ``Constant(0.0)`` and ``Constant(-0.0)``.  ``node`` is the first
+    occurrence, the one a tree walk evaluates, and so fails at, first.
+    Objects that ``differentiate`` shares are visited once."""
+    nodes, slots, seen = [], {}, {}
+
+    def visit(e) -> int:
+        i = seen.get(id(e))
+        if i is not None:
+            return i
+        kind = type(e)
+        if kind is Binary and e.op in _BINARY_FN:
+            key = (e.op, visit(e.left), visit(e.right))
+        elif kind is Unary and e.op in _UNARY_FN:
+            key = (e.op, visit(e.child), None)
+        elif kind is Constant:
+            key = ("const", e.value, math.copysign(1.0, e.value))
+        elif kind is Variable:
+            key = ("u", None, None)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        i = slots.setdefault(key, len(nodes))
+        if i == len(nodes):
+            nodes.append((*key, e))
+        seen[id(e)] = i
+        return i
+
+    return nodes, [visit(e) for e in trees]
+
+
+def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
+    """One closure of ``u`` per tape entry, calling those of its operands;
+    each raises :class:`EvalDomainError` carrying its entry's node."""
+    fns = []
+    for op, a, b, e in nodes:
+        if op == "u" or op == "const":
+            fns.append(_compile_leaf(e))
+        elif b is None:
+            fns.append(_compile_unary(e, op, fns[a]))
+        else:
+            fns.append(_compile_binary(e, op, fns[a], fns[b]))
+    return fns
+
+
 def compile_expr(e: Expr) -> Callable[[float], float]:
     """Turn ``e`` into a function of ``u`` built from nested closures that
     raise :class:`EvalDomainError` carrying the node that left the reals."""
-    match e:
-        case Binary(op, a, b):
-            return _compile_binary(e, op, compile_expr(a), compile_expr(b))
-        case Unary(op, child):
-            return _compile_unary(e, op, compile_expr(child))
-        case Constant(v):
-            return lambda u: v
-        case Variable():
-            return lambda u: u
-    raise TypeError(f"not an expression node: {e!r}")
+    nodes, (root,) = _tape((e,))
+    return _closures(nodes)[root]
+
+
+def _compile_leaf(e: Expr) -> Callable[[float], float]:
+    if type(e) is Variable:
+        return lambda u: u
+    v = e.value
+    return lambda u: v
 
 
 def _compile_unary(e: Expr, op: str, c: Callable[[float], float]) -> Callable[[float], float]:
     if op == "neg":
         return lambda u: -c(u)
-    fn, reason = _UNARY_FN.get(op), _DOMAIN_REASON.get(op)
-    if fn is None:
-        raise TypeError(f"not an expression node: {e!r}")
+    fn, reason = _UNARY_FN[op], _DOMAIN_REASON.get(op)
     if reason is None:
         return lambda u: fn(c(u))
 
@@ -403,62 +447,34 @@ def _compile_binary(e: Expr, op: str, a: Callable[[float], float],
             except ZeroDivisionError:
                 raise EvalDomainError(e, "division by zero") from None
         return div
-    if op == "^":
-        return lambda u: _power(e, a(u), b(u))
-    raise TypeError(f"not an expression node: {e!r}")
+    return lambda u: _power(e, a(u), b(u))
 
 
-class _Miss(Exception):
-    """Some element of a list kernel left the reals."""
-
-
-def compile_grid(e: Expr) -> Callable[[list[float]], list[float] | None]:
-    """Turn ``e`` into a list kernel: ``us -> [compile_expr(e)(u) for u in
-    us]``, computed node by node over the whole list with the same float
-    functions, so every element is bit-identical.  Where the scalar
-    function raises at some u, the kernel returns None (a miss) instead."""
-    kernel = _grid_kernel(e)
-
-    def grid(us):
-        try:
-            return kernel(us)
-        except (_Miss, ArithmeticError, ValueError, EvalDomainError):
-            return None
-    return grid
-
-
-def _grid_kernel(e: Expr) -> Callable[[list[float]], list[float]]:
-    match e:
-        case Binary(op, a, b):
-            ka, kb = _grid_kernel(a), _grid_kernel(b)
-            if op == "^":
-                return partial(_grid_power, e, ka, kb)
-            fn = _BINARY_FN.get(op)
-            if fn is not None:
-                def binary(us):
-                    values = list(map(fn, ka(us), kb(us)))
-                    if all(map(math.isfinite, values)):
-                        return values
-                    raise _Miss
-                return binary
-        case Unary(op, child) if op in _UNARY_FN:
-            fn, c = _UNARY_FN[op], _grid_kernel(child)
-            return lambda us: list(map(fn, c(us)))
-        case Constant(v):
-            return lambda us: [v] * len(us)
-        case Variable():
-            return list
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _grid_power(e: Expr, ka, kb, us: list[float]) -> list[float]:
-    bases, exponents = ka(us), kb(us)
-    if min(bases, default=1.0) > 0.0:  # _power's positive-base branch, list-wide
-        values = list(map(math.pow, bases, exponents))
-        if all(map(math.isfinite, values)):
-            return values
-        raise _Miss
-    return list(map(partial(_power, e), bases, exponents))
+def _run_columns(nodes: list[tuple], roots: list[int],
+                 us: list[float]) -> list[list[float]] | None:
+    """The column of each root over the points ``us``, computed entry by
+    entry over the whole list with the closures' float functions, so every
+    element is bit-identical to the closure's value at its u.  Where some
+    closure of the tape raises at some u, the run returns None (a miss)."""
+    columns = []
+    try:
+        for op, a, b, e in nodes:
+            if op == "u":
+                column = list(us)
+            elif op == "const":
+                column = [e.value] * len(us)
+            elif b is None:
+                column = list(map(_UNARY_FN[op], columns[a]))
+            elif op == "^" and not min(columns[a], default=1.0) > 0.0:
+                column = list(map(partial(_power, e), columns[a], columns[b]))
+            else:  # + - * /, or ^ by _power's positive-base branch, list-wide
+                column = list(map(_BINARY_FN[op], columns[a], columns[b]))
+                if not all(map(math.isfinite, column)):
+                    return None
+            columns.append(column)
+    except (ArithmeticError, ValueError, EvalDomainError):
+        return None
+    return [columns[r] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +566,6 @@ def differentiate(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # profiles
 
-def _compile_on_first_call(profile, name: str, tree: Expr, u: float) -> float:
-    """Stand-in for a profile's closure of ``tree``: compiles it, puts it
-    in its place on the profile and evaluates it."""
-    compiled = compile_expr(tree)
-    object.__setattr__(profile(), name, compiled)
-    return compiled(u)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A real interval; bounds default to the whole line."""
@@ -584,10 +592,9 @@ class Interval:
 @dataclass(frozen=True)
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
-    derivatives, carried as expression trees.  Each tree is compiled on
-    first use: into a closure for ``value``, ``deriv1`` and ``deriv2``, and
-    into a list kernel for ``grid``, so a caller of one never builds the
-    other."""
+    derivatives, carried as expression trees.  The three trees share one
+    tape (``_tape``), built on construction: ``value``, ``deriv1`` and
+    ``deriv2`` call its closures, and ``grid`` runs it over a u-grid."""
 
     expr: Expr
     d1: Expr
@@ -598,22 +605,18 @@ class Profile:
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _dag: tuple = field(init=False, repr=False, compare=False)  # _tape's (nodes, roots)
     # the closed whole line contains every float (NaN too, as contains()
     # says), so evaluation can skip the interval test
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a weak reference: a stub holding the profile would make a cycle,
-        # and a profile read only through the grid would wait for the
-        # cycle collector
-        me = weakref.ref(self)
-        for name, tree in (("_value", self.expr), ("_deriv1", self.d1), ("_deriv2", self.d2)):
-            object.__setattr__(self, name, partial(_compile_on_first_call, me, name, tree))
+        nodes, roots = _tape((self.expr, self.d1, self.d2))
+        fns = _closures(nodes)
+        for name, root in zip(("_value", "_deriv1", "_deriv2"), roots):
+            object.__setattr__(self, name, fns[root])
+        object.__setattr__(self, "_dag", (nodes, roots))
         object.__setattr__(self, "_whole_line", self.domain == Interval())
-
-    @cached_property
-    def _grid_kernels(self) -> tuple:
-        return tuple(map(compile_grid, (self.expr, self.d1, self.d2)))
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
@@ -650,10 +653,4 @@ class Profile:
         one of those would raise at some u."""
         if not (self._whole_line or all(map(self.domain.contains, us))):
             return None
-        columns = []
-        for kernel in self._grid_kernels:
-            column = kernel(us)
-            if column is None:
-                return None
-            columns.append(column)
-        return columns
+        return _run_columns(*self._dag, us)

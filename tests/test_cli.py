@@ -572,6 +572,21 @@ def test_usage_error_prints_subcommand_usage(capsys, argv):
     assert f"rotsurf4 {argv[0]}: error: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", *RUN, "--u", "1:2:2"],
+    ["export", *RUN, "--u", "1:2:2", "--v", "0:1:2"],
+    ["plot", *RUN, "--u", "1:2:3", "--quantity", "k"],
+])
+@pytest.mark.parametrize("where, reason", [("missing/out", "No such file or directory"),
+                                           ("", "Is a directory")])
+def test_unwritable_out_is_a_usage_error_naming_it(tmp_path, capsys, argv, where, reason):
+    path = os.path.join(tmp_path, where)
+    assert main([*argv, "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {path!r}: {reason}\n"
+
+
 # ---------------------------------------------------------------------------
 # a reader that closes stdout early
 

@@ -52,22 +52,23 @@ meridians = st.recursive(_meridian_leaf, _meridian_compound, max_leaves=4)
 edge_floats = st.sampled_from(EDGE_FLOATS)
 
 
-def _mostly(ordinary):
-    """``ordinary`` three draws in four, an edge value otherwise, so that
+def _mostly(ordinary, edge_one_in=4):
+    """``ordinary``, or an edge value one draw in ``edge_one_in``, so that
     many runs get past the argument checks and evaluate points."""
-    return st.integers(min_value=0, max_value=3).flatmap(
+    return st.integers(min_value=0, max_value=edge_one_in - 1).flatmap(
         lambda i: edge_floats if i == 0 else ordinary)
 
 
-speeds = _mostly(st.floats(min_value=0.1, max_value=5.0))
-tolerances = _mostly(st.floats(min_value=0.0, max_value=1e-3))
+ORDINARY_SPEEDS = st.floats(min_value=0.1, max_value=5.0)
+speeds = _mostly(ORDINARY_SPEEDS)
 counts = st.integers(min_value=1, max_value=4)
 
 
 @st.composite
-def grid_specs(draw):
-    lo = draw(_mostly(st.floats(min_value=0.1, max_value=3.0)))
-    hi = draw(_mostly(st.floats(min_value=0.1, max_value=3.0).map(lambda span: lo + span)))
+def grid_specs(draw, edge_one_in=4):
+    lo = draw(_mostly(st.floats(min_value=0.1, max_value=3.0), edge_one_in))
+    hi = draw(_mostly(st.floats(min_value=0.1, max_value=3.0).map(lambda span: lo + span),
+                      edge_one_in))
     return f"{lo!r}:{hi!r}:{draw(counts)}"
 
 
@@ -83,14 +84,19 @@ COMMANDS = ("invariants", "octet", "export", "verify", "msc", "plot")
 @st.composite
 def command_lines(draw, commands=COMMANDS, quantities=QUANTITIES):
     command = draw(st.sampled_from(commands))
-    argv = [command, f"--alpha={draw(speeds)!r}", f"--beta={draw(speeds)!r}",
-            f"--u={draw(grid_specs())}"]
-    tol = draw(tolerances)
+    # verify checks all seven of its numbers before it evaluates a point; at
+    # one edge value in four, most of its draws would stop at that check
+    edge_one_in = 16 if command == "verify" else 4
+    speed = _mostly(ORDINARY_SPEEDS, edge_one_in)
+    argv = [command, f"--alpha={draw(speed)!r}", f"--beta={draw(speed)!r}",
+            f"--u={draw(grid_specs(edge_one_in))}"]
+    tol = draw(_mostly(st.floats(min_value=0.0, max_value=1e-3), edge_one_in))
     if command == "msc":
         return argv + [f"--c={draw(_mostly(st.floats(min_value=-3.0, max_value=3.0)))!r}",
                        f"--eps={draw(st.sampled_from((1, -1)))}",
                        f"--tol-superconformal={tol!r}"]
-    argv += [f"--f={draw(meridians)}", f"--g={draw(meridians)}", f"--v={draw(grid_specs())}"]
+    argv += [f"--f={draw(meridians)}", f"--g={draw(meridians)}",
+             f"--v={draw(grid_specs(edge_one_in))}"]
     if command == "invariants":
         argv.append(f"--tol-class={tol!r}")
     elif command == "verify":

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import (central_diff, random_expr, reference_differentiate, reference_evaluate,
                      tame_at)
-from rotsurf4 import expr as expr_module
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, compile_expr, compile_grid, differentiate,
-                           evaluate, parse, unparse)
+                           Variable, compile_expr, differentiate, evaluate, parse,
+                           unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +323,34 @@ def test_differentiate_folds_only_exact_identities(text, derivative):
     assert unparse(differentiate(parse(text))) == derivative
 
 
+@pytest.mark.parametrize("text", ["log(u-3)*log(u-3)", "sqrt(u-3)+exp(1000*u)*sqrt(u-3)"])
+def test_repeated_failing_subtree_raises_at_its_first_occurrence(text):
+    # a repeat shares the closure of its first occurrence, which a walk fails at first
+    e = parse(text)
+    _assert_compiled_matches_reference(e)  # the very node the walk fails at
+    p = Profile.from_expr(e)
+    for tree, read in ((p.expr, p.value), (p.d1, p.deriv1), (p.d2, p.deriv2)):
+        for u in SAMPLE_U:
+            want, want_err = _run(lambda x: reference_evaluate(tree, x), u)
+            got, got_err = _run(read, u)
+            assert want_err is not None and got is None
+            # value, d1 and d2 share subtrees: the node is equal, not identical
+            assert got_err.node == want_err.node
+            assert unparse(got_err.node) == unparse(want_err.node)
+            assert str(got_err) == str(want_err)
+    assert all(p.grid([u]) is None for u in SAMPLE_U) and p.grid(list(SAMPLE_U)) is None
+
+
+def test_unknown_node_is_rejected_when_compiled():
+    for tree in (Unary("tan", Variable()), Binary("%", Variable(), Constant(2.0)), 2.0):
+        with pytest.raises(TypeError, match="not an expression node"):
+            compile_expr(tree)
+        with pytest.raises(TypeError, match="not an expression node"):
+            Profile(Variable(), Constant(1.0), tree)
+
+
 # ---------------------------------------------------------------------------
-# list kernels, checked bit for bit against the reference walker
+# grid runs, checked bit for bit against the reference walker and the closures
 
 u_grids = st.lists(st.one_of(st.sampled_from(SAMPLE_U + (1e-300, 700.0, -1e308)),
                              st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
@@ -339,14 +364,35 @@ def _scalar_column(tree, us):
         return None
 
 
+def _tree_grid(tree, us):
+    """float.hex of a grid run of ``tree`` alone (in all three places of a
+    profile), or None on a miss."""
+    columns = Profile(tree, tree, tree).grid(us)
+    if columns is None:
+        return None
+    assert columns[0] == columns[1] == columns[2]
+    return [x.hex() for x in columns[0]]
+
+
 @settings(max_examples=300)
 @given(expr_trees, u_grids)
 def test_grid_kernel_matches_scalar_closure(e, us):
     d1 = differentiate(e)
     for tree in (e, d1, differentiate(d1)):
-        got = compile_grid(tree)(us)
-        assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, us), \
-            (unparse(tree), us)
+        assert _tree_grid(tree, us) == _scalar_column(tree, us), (unparse(tree), us)
+
+
+@settings(max_examples=300)
+@given(expr_trees, u_grids)
+def test_profile_grid_matches_its_scalar_reads(e, us):
+    p = Profile.from_expr(e)
+    try:
+        want = [[read(u).hex() for u in us] for read in (p.value, p.deriv1, p.deriv2)]
+    except EvalDomainError:
+        want = None
+    got = p.grid(us)
+    assert (None if got is None else [[x.hex() for x in c] for c in got]) == want, \
+        (unparse(e), us)
 
 
 @pytest.mark.parametrize("text", [
@@ -358,16 +404,22 @@ def test_grid_kernel_misses_where_a_point_raises(text):
     # every miss branch: each text raises at some of the sample points only
     tree = parse(text)
     for us in ([u] for u in SAMPLE_U):
-        got = compile_grid(tree)(us)
-        assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, us)
-    got = compile_grid(tree)(list(SAMPLE_U))
-    assert (None if got is None else [x.hex() for x in got]) == _scalar_column(tree, SAMPLE_U)
+        assert _tree_grid(tree, us) == _scalar_column(tree, us)
+    assert _tree_grid(tree, list(SAMPLE_U)) == _scalar_column(tree, SAMPLE_U)
 
 
 def test_grid_keeps_the_sign_of_zero_of_power():
     # math.pow(-0.0, 3) is -0.0, _power gives +0.0 for a zero base
-    assert compile_grid(parse("u^3"))([-0.0, 2.0])[0].hex() == "0x0.0p+0"
+    assert _tree_grid(parse("u^3"), [-0.0, 2.0])[0] == "0x0.0p+0"
     assert compile_expr(parse("u^3"))(-0.0).hex() == "0x0.0p+0"
+
+
+def test_grid_keeps_constants_of_either_sign_of_zero_apart():
+    # Constant(0.0) == Constant(-0.0): a tape keyed by equality would merge them
+    p = Profile(parse("u*0"), parse("u*-0"), parse("u*0"))
+    columns = p.grid([1.0])
+    assert [column[0].hex() for column in columns] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+    assert p.deriv1(1.0).hex() == "-0x0.0p+0"
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +476,6 @@ def test_profile_grid_misses_outside_the_domain():
     p = Profile.from_text("u", domain=Interval(0.0, 1.0))
     assert p.grid([0.0, 1.0]) == [[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
     assert p.grid([0.5, 1.5]) is None
-
-
-def test_profile_read_only_through_the_grid_builds_no_closures(monkeypatch):
-    compiled = []
-    compile_tree = expr_module.compile_expr
-
-    def counted(tree):
-        compiled.append(tree)
-        return compile_tree(tree)
-
-    monkeypatch.setattr(expr_module, "compile_expr", counted)
-    p = Profile.from_text("u^2 + log(u)")
-    assert p.grid([0.5, 2.0]) is not None and p.grid([1.0]) is not None
-    assert compiled == []
-    assert p.value(2.0) == 4.0 + math.log(2.0)
-    # the value tree on first use (compile_expr recurses into its subtrees), no other tree
-    assert compiled[0] == p.expr and p.d1 not in compiled and p.d2 not in compiled
-    count = len(compiled)
-    assert p.value(0.5) == 0.25 + math.log(0.5) and len(compiled) == count
 
 
 def test_profile_is_freed_without_the_cycle_collector():
