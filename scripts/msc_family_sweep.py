@@ -34,8 +34,8 @@ def main() -> int:
             residual = max(abs(msc_residual(surface, u, eps)) for u in us)
             identity = 0.0
             for u in us:
-                _, _, ff, ct = generic_at(analytic_jet2(surface, u, 0.0))
-                rec = generic_invariants(ff, ct)
+                jet = analytic_jet2(surface, u, 0.0)
+                rec = generic_invariants(jet, *generic_at(jet))
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 identity = max(identity, minimal / scale, conformal / scale)
             k1, x1, _ = msc_invariants(params, 1.0)

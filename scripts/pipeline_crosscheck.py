@@ -45,9 +45,9 @@ def main() -> int:
         u = args.u_min + (args.u_max - args.u_min) * i / max(1, args.points - 1)
         ffc, _, sfc = closed_forms_at(surface, u)
         kc, xc, gc = closed_invariants_at(surface, u)
-        _, _, ff, ct = generic_at(fd_jet2(amap, u, args.v))
-        rec = generic_invariants(ff, ct)
-        dev_forms = max(rel(ff.E, ffc.E), rel(ff.F, ffc.F), rel(ff.G, ffc.G),
+        jet = fd_jet2(amap, u, args.v)
+        rec = generic_invariants(jet, *generic_at(jet))
+        dev_forms = max(rel(rec.E, ffc.E), rel(rec.F, ffc.F), rel(rec.G, ffc.G),
                         rel(rec.L, sfc.L), rel(rec.M, sfc.M), rel(rec.N, sfc.N))
         dev_inv = max(rel(rec.k, kc), rel(rec.kappa, xc), rel(rec.K, gc))
         worst = max(worst, dev_forms, dev_inv)

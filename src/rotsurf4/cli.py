@@ -35,8 +35,8 @@ from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     generic_invariants, invariants, is_circle,
                     superconformal_residuals)
-from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, fd_jet2, norm, rotate,
-                       rotation_trig)
+from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, fd_jet2,
+                       gram_schmidt_normals, norm, rotate, rotation_trig)
 from .octet import TotallyGeodesicError, invariants_from_octet, neighbors_from, octet_generic
 from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
 
@@ -346,10 +346,9 @@ def cmd_verify(args, parser) -> int:
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_jet_dev(jet_a, jet_f), (u, v))
 
-                _, _, ff, ct = generic_at(jet_f)
-                rec = generic_invariants(ff, ct)
+                rec = generic_invariants(jet_f, *generic_at(jet_f))
                 checks["forms"].update(max(
-                    _rel(ff.E, ffc.E), _rel(ff.F, ffc.F), _rel(ff.G, ffc.G),
+                    _rel(rec.E, ffc.E), _rel(rec.F, ffc.F), _rel(rec.G, ffc.G),
                     _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
                 checks["invariants"].update(max(
                     _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
@@ -373,11 +372,12 @@ def cmd_verify(args, parser) -> int:
     else:
         for u in us:
             with _at(u, vs[0]):
-                e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
-                rec = generic_invariants(ff, ct)
+                jet = jet_at(u, vs[0])
+                parts = generic_at(jet)
+                rec = generic_invariants(jet, *parts)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
-                report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), args.tol_circle)
+                report = is_circle(ellipse_samples(*parts, 16), args.tol_circle)
                 center_dev = norm(report.center) / max(1.0, report.radius)
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),
@@ -572,8 +572,9 @@ def cmd_plot(args, parser) -> int:
             parser.error("--point U V is required for the ellipse plot")
         u0, v0 = args.point
         with _at(u0, v0):
-            e1, e2, ff, ct = generic_at(analytic_jet2(surface, u0, v0))
-            samples = ellipse_samples(ff, ct, e1, e2, args.samples)
+            jet = analytic_jet2(surface, u0, v0)
+            e1, e2 = gram_schmidt_normals(jet)  # the drawing plane
+            samples = ellipse_samples(*generic_at(jet), args.samples)
             report = is_circle(samples, 1e-6)
             if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
                 raise NonFiniteInvariantError("curvature ellipse is not finite")

@@ -352,9 +352,10 @@ def _power(e: Expr, base: float, p: float) -> float:
         raise EvalDomainError(e, "overflow") from None
 
 
-def _tape(trees) -> tuple[list[tuple], list[int]]:
+def _tape(trees) -> tuple[list[tuple], list[int], list[int | None]]:
     """Each distinct subtree of ``trees`` once, in left-to-right post-order,
-    and the positions of ``trees``.  An entry is ``(op, a, b, node)`` with
+    the positions of ``trees``, and the position of each entry's last reader
+    (None for a root and an unread entry).  An entry is ``(op, a, b, node)`` with
     the operands' positions (``b`` None for a unary op), ``("const", value,
     sign, node)`` or ``("u", None, None, node)``: the sign tells apart the
     equal ``Constant(0.0)`` and ``Constant(-0.0)``.  ``node`` is the first
@@ -383,7 +384,14 @@ def _tape(trees) -> tuple[list[tuple], list[int]]:
         seen[id(e)] = i
         return i
 
-    return nodes, [visit(e) for e in trees]
+    roots = [visit(e) for e in trees]
+    last = [None] * len(nodes)
+    for j, (op, a, b, _) in enumerate(nodes):
+        if op != "u" and op != "const":
+            last[a] = last[a if b is None else b] = j
+    for r in roots:
+        last[r] = None
+    return nodes, roots, last
 
 
 def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
@@ -403,7 +411,7 @@ def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
 def compile_expr(e: Expr) -> Callable[[float], float]:
     """Turn ``e`` into a function of ``u`` built from nested closures that
     raise :class:`EvalDomainError` carrying the node that left the reals."""
-    nodes, (root,) = _tape((e,))
+    nodes, (root,), _ = _tape((e,))
     return _closures(nodes)[root]
 
 
@@ -450,15 +458,16 @@ def _compile_binary(e: Expr, op: str, a: Callable[[float], float],
     return lambda u: _power(e, a(u), b(u))
 
 
-def _run_columns(nodes: list[tuple], roots: list[int],
+def _run_columns(nodes: list[tuple], roots: list[int], last: list[int | None],
                  us: list[float]) -> list[list[float]] | None:
     """The column of each root over the points ``us``, computed entry by
     entry over the whole list with the closures' float functions, so every
     element is bit-identical to the closure's value at its u.  Where some
-    closure of the tape raises at some u, the run returns None (a miss)."""
+    closure of the tape raises at some u, the run returns None (a miss).
+    A column is dropped once its last reader (``last``) has run."""
     columns = []
     try:
-        for op, a, b, e in nodes:
+        for j, (op, a, b, e) in enumerate(nodes):
             if op == "u":
                 column = list(us)
             elif op == "const":
@@ -472,6 +481,11 @@ def _run_columns(nodes: list[tuple], roots: list[int],
                 if not all(map(math.isfinite, column)):
                     return None
             columns.append(column)
+            if op != "u" and op != "const":
+                if last[a] == j:
+                    columns[a] = None
+                if b is not None and last[b] == j:
+                    columns[b] = None
     except (ArithmeticError, ValueError, EvalDomainError):
         return None
     return [columns[r] for r in roots]
@@ -605,17 +619,17 @@ class Profile:
     _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _dag: tuple = field(init=False, repr=False, compare=False)  # _tape's (nodes, roots)
+    _dag: tuple = field(init=False, repr=False, compare=False)  # _tape's (nodes, roots, last)
     # the closed whole line contains every float (NaN too, as contains()
     # says), so evaluation can skip the interval test
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes, roots = _tape((self.expr, self.d1, self.d2))
-        fns = _closures(nodes)
-        for name, root in zip(("_value", "_deriv1", "_deriv2"), roots):
+        dag = _tape((self.expr, self.d1, self.d2))
+        fns = _closures(dag[0])
+        for name, root in zip(("_value", "_deriv1", "_deriv2"), dag[1]):
             object.__setattr__(self, name, fns[root])
-        object.__setattr__(self, "_dag", (nodes, roots))
+        object.__setattr__(self, "_dag", dag)
         object.__setattr__(self, "_whole_line", self.domain == Interval())
 
     @classmethod

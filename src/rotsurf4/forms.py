@@ -1,23 +1,23 @@
 """First/second fundamental forms, curvature invariants, point
 classification, Christoffel symbols, mean curvature vector, and the
-ellipse of normal curvature -- the generic pipeline over a 2-jet plus an
-orthonormal normal frame.
+ellipse of normal curvature.
 
-Conventions: with an orthonormal normal frame (e1, e2) the second
-fundamental tensor has components c_ij^k = <z_ij, e_k>.  The three
-oriented areas
+With the normal parts n_ij = z_ij - G^u_ij z_u - G^v_ij z_v of the second
+derivatives (G from ``christoffel``) and W = sqrt(EG - F^2), the generic
+pipeline (``generic_at``, ``generic_invariants``) needs no normal frame:
 
-    D1 = c11^1 c12^2 - c11^2 c12^1
-    D2 = c11^1 c22^2 - c11^2 c22^1
-    D3 = c12^1 c22^2 - c12^2 c22^1
-
-give L = 2 D1 / W, M = D2 / W, N = 2 D3 / W, and the invariants
+    L = 2 det4(z_u, z_v, n11, n12) / W^2,  M = det4(z_u, z_v, n11, n22) / W^2,
+    N = 2 det4(z_u, z_v, n12, n22) / W^2,  K = (<n11, n22> - |n12|^2) / W^2,
 
     k     = (L N - M^2) / (E G - F^2)
     kappa = (E N + G L - 2 F M) / (2 (E G - F^2)).
 
-kappa is the curvature of the normal connection; its sign depends on the
-ambient orientation, so the frame must be positively oriented.
+For normal a, b, det4(z_u, z_v, a, b) = W D(a, b), with D the oriented area
+in a positive orthonormal normal frame (e1, e2); so with c_ij^k = <z_ij, e_k>
+(``second_tensor``) L = 2 D1 / W, M = D2 / W, N = 2 D3 / W (``lmn``), where
+D1 = D(c11, c12), D2 = D(c11, c22), D3 = D(c12, c22) (Ganchev and Milousheva,
+Kodai Math. J. 31 (2008)).  kappa is the curvature of the normal connection;
+its sign follows the ambient orientation, which det4 supplies.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot,
-                       gram_schmidt_normals, norm)
+from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, det4, dot, norm,
+                       tangent_basis)
 
 __all__ = [
     "FirstForm",
@@ -42,6 +42,7 @@ __all__ = [
     "first_form",
     "second_tensor",
     "generic_at",
+    "second_form",
     "generic_invariants",
     "christoffel",
     "lmn",
@@ -49,6 +50,7 @@ __all__ = [
     "invariants",
     "gauss_curvature",
     "second_form_value",
+    "principal_defect",
     "is_principal_params",
     "superconformal_residuals",
     "is_minimal",
@@ -59,6 +61,7 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-10  # largest residual second_tensor accepts for its frame
+PRINCIPAL_TOL = 1e-8  # relative size of F and M below which parameters are principal
 
 
 class FrameError(GeometryError):
@@ -161,18 +164,25 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
     )
 
 
+def _tangential(zij: Vec4, jet: Jet2, ff: FirstForm) -> tuple[float, float]:
+    """(G^u, G^v) of z_ij: the 2x2 system with matrix [[E, F], [F, G]]."""
+    a, b, det = dot(zij, jet.z_u), dot(zij, jet.z_v), ff.W * ff.W
+    return (ff.G * a - ff.F * b) / det, (ff.E * b - ff.F * a) / det
+
+
 def christoffel(jet: Jet2) -> Christoffel:
-    """Tangential decomposition coefficients of z_uu, z_uv, z_vv, from the
-    2x2 system with matrix [[E, F], [F, G]]."""
+    """Tangential decomposition coefficients of z_uu, z_uv, z_vv."""
     ff = first_form(jet)
-    det = ff.W * ff.W
-    out = []
-    for zij in (jet.z_uu, jet.z_uv, jet.z_vv):
-        a = dot(zij, jet.z_u)
-        b = dot(zij, jet.z_v)
-        out.append((ff.G * a - ff.F * b) / det)
-        out.append((ff.E * b - ff.F * a) / det)
-    return Christoffel(*out)
+    return Christoffel(*_tangential(jet.z_uu, jet, ff), *_tangential(jet.z_uv, jet, ff),
+                       *_tangential(jet.z_vv, jet, ff))
+
+
+def _normal_part(zij: Vec4, jet: Jet2, ff: FirstForm) -> Vec4:
+    """n_ij = z_ij - G^u_ij z_u - G^v_ij z_v; ``ff`` is the first form of ``jet``."""
+    gu, gv = _tangential(zij, jet, ff)
+    zu, zv = jet.z_u, jet.z_v
+    return Vec4(zij.x1 - gu * zu.x1 - gv * zv.x1, zij.x2 - gu * zu.x2 - gv * zv.x2,
+                zij.x3 - gu * zu.x3 - gv * zv.x3, zij.x4 - gu * zu.x4 - gv * zv.x4)
 
 
 def lmn(ct: SecondTensor, w: float) -> SecondForm:
@@ -226,40 +236,44 @@ def invariants(ff: FirstForm, sf: SecondForm, gauss: float, *,
                            k, kappa, gauss, classify(k, kappa, sf, class_tol))
 
 
-def generic_at(jet: Jet2) -> tuple[Vec4, Vec4, FirstForm, SecondTensor]:
-    """Normal frame (e1, e2), first form and second tensor of ``jet``.  The
-    frame comes first, so a degenerate jet raises its error message."""
-    e1, e2 = gram_schmidt_normals(jet)
-    ff = first_form(jet)
-    return e1, e2, ff, second_tensor(jet, e1, e2)
+def _tangent_form(jet: Jet2) -> FirstForm:
+    """:func:`first_form` behind the guards of :func:`geometry.tangent_basis`."""
+    tangent_basis(jet.z_u, jet.z_v)
+    return first_form(jet)
 
 
-def generic_invariants(ff: FirstForm, ct: SecondTensor) -> InvariantRecord:
-    """The invariant record of the forms that :func:`generic_at` returns."""
-    return invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
+def generic_at(jet: Jet2) -> tuple[FirstForm, Vec4, Vec4, Vec4]:
+    """First form and the normal parts n11, n12, n22 of z_uu, z_uv, z_vv."""
+    ff = _tangent_form(jet)
+    return (ff, _normal_part(jet.z_uu, jet, ff), _normal_part(jet.z_uv, jet, ff),
+            _normal_part(jet.z_vv, jet, ff))
 
 
-def _sigma_pair_coords(ff: FirstForm, ct: SecondTensor):
-    """Second-tensor values on the orthonormalized tangent pair
-    x = z_u/sqrt(E), y = (E z_v - F z_u)/(sqrt(E) W), as (e1, e2) components."""
-    E, F, W = ff.E, ff.F, ff.W
-    try:
-        sxx = (ct.c11_1 / E, ct.c11_2 / E)
-        sxy = ((E * ct.c12_1 - F * ct.c11_1) / (E * W),
-               (E * ct.c12_2 - F * ct.c11_2) / (E * W))
-        syy = ((E * E * ct.c22_1 - 2.0 * E * F * ct.c12_1 + F * F * ct.c11_1) / (E * W * W),
-               (E * E * ct.c22_2 - 2.0 * E * F * ct.c12_2 + F * F * ct.c11_2) / (E * W * W))
-    except ZeroDivisionError:  # E W or E W^2 underflows although E, W > 0
-        raise NonFiniteInvariantError(f"E W underflows to 0 at E={E!r}, W={W!r}") from None
-    return sxx, sxy, syy
+def second_form(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> SecondForm:
+    """L, M, N from the normal parts by the det4 areas of the module docstring."""
+    zu, zv, w2 = jet.z_u, jet.z_v, ff.W * ff.W
+    return SecondForm(2.0 * det4(zu, zv, n11, n12) / w2, det4(zu, zv, n11, n22) / w2,
+                      2.0 * det4(zu, zv, n12, n22) / w2)
+
+
+def _check_ew(ff: FirstForm) -> None:
+    if ff.E * ff.W * ff.W == 0.0:  # although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={ff.E!r}, W={ff.W!r}")
+
+
+def generic_invariants(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4,
+                       n22: Vec4) -> InvariantRecord:
+    """The invariant record of ``jet`` from what :func:`generic_at` returns;
+    raises where E W^2 underflows to 0."""
+    _check_ew(ff)
+    gauss = (dot(n11, n22) - dot(n12, n12)) / (ff.W * ff.W)
+    return invariants(ff, second_form(jet, ff, n11, n12, n22), gauss)
 
 
 def gauss_curvature(ff: FirstForm, ct: SecondTensor) -> float:
-    """K = <sigma(x,x), sigma(y,y)> - |sigma(x,y)|^2 for an orthonormal
-    tangent pair; frame independent because the normal frame is
-    orthonormal."""
-    sxx, sxy, syy = _sigma_pair_coords(ff, ct)
-    return (sxx[0] * syy[0] + sxx[1] * syy[1]) - (sxy[0] ** 2 + sxy[1] ** 2)
+    """K = (<c11, c22> - |c12|^2) / W^2 in an orthonormal normal frame."""
+    return ((ct.c11_1 * ct.c22_1 + ct.c11_2 * ct.c22_2)
+            - (ct.c12_1 * ct.c12_1 + ct.c12_2 * ct.c12_2)) / (ff.W * ff.W)
 
 
 def second_form_value(sf: SecondForm, a: float, b: float) -> float:
@@ -270,9 +284,17 @@ def second_form_value(sf: SecondForm, a: float, b: float) -> float:
     return sf.L * a * a + 2.0 * sf.M * a * b + sf.N * b * b
 
 
-def is_principal_params(ff: FirstForm, sf: SecondForm, tol: float) -> bool:
-    """True iff the parameter lines are principal (F = 0 and M = 0)."""
-    return abs(ff.F) <= tol and abs(sf.M) <= tol
+def principal_defect(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> str | None:
+    """None where the parameter lines are principal, |F| <= tol max(1, E, G)
+    and |M| <= tol max(1, |L|, |N|); else ``"F = <F>"`` or ``"M = <M>"``."""
+    if abs(ff.F) > tol * max(1.0, ff.E, ff.G):
+        return f"F = {ff.F!r}"
+    return f"M = {sf.M!r}" if abs(sf.M) > tol * max(1.0, abs(sf.L), abs(sf.N)) else None
+
+
+def is_principal_params(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> bool:
+    """True iff the parameter lines are principal by :func:`principal_defect`."""
+    return principal_defect(ff, sf, tol) is None
 
 
 def superconformal_residuals(k: float, kappa: float, gauss: float) -> tuple[float, float, float]:
@@ -296,36 +318,27 @@ def is_superconformal(rec: InvariantRecord, tol: float) -> bool:
     return minimal <= tol * scale and conformal <= tol * scale
 
 
-def mean_curvature_vector(ff: FirstForm, ct: SecondTensor, e1: Vec4, e2: Vec4) -> Vec4:
-    """H = (sigma(x,x) + sigma(y,y)) / 2 in ambient coordinates."""
-    w2 = ff.W * ff.W
-    h1 = (ff.G * ct.c11_1 - 2.0 * ff.F * ct.c12_1 + ff.E * ct.c22_1) / (2.0 * w2)
-    h2 = (ff.G * ct.c11_2 - 2.0 * ff.F * ct.c12_2 + ff.E * ct.c22_2) / (2.0 * w2)
-    return e1 * h1 + e2 * h2
+def mean_curvature_vector(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> Vec4:
+    """H = (sigma(x,x) + sigma(y,y)) / 2 = (G n11 - 2 F n12 + E n22) / (2 W^2)."""
+    return (n11 * ff.G - n12 * (2.0 * ff.F) + n22 * ff.E) / (2.0 * ff.W * ff.W)
 
 
-def ellipse_samples(ff: FirstForm, ct: SecondTensor, e1: Vec4, e2: Vec4, n: int) -> list[Vec4]:
-    """Points sigma(w, w) on the ellipse of normal curvature, for unit
-    tangents w at angles psi_j = j pi / n, j = 0 .. n-1.
+def ellipse_samples(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4, n: int) -> list[Vec4]:
+    """Points sigma(w, w) on the ellipse of normal curvature from what
+    :func:`generic_at` returns, for unit tangents w at angles j pi / n,
+    j < n, to x = z_u/sqrt(E); with y = (E z_v - F z_u)/(sqrt(E) W), psi in
+    [0, pi) traces the whole ellipse, as the angle doubles inside sigma:
 
-    The angle doubles inside sigma, so psi in [0, pi) already traces the
-    full ellipse:
-
-        sigma(w, w) = H + cos(2 psi) (sigma(x,x) - sigma(y,y))/2
-                        + sin(2 psi) sigma(x,y).
+        sigma(w, w) = H + cos(2 psi) (sigma(x,x) - H) + sin(2 psi) sigma(x,y).
     """
     if n < 3:
         raise ValueError("need at least 3 samples")
-    sxx, sxy, syy = _sigma_pair_coords(ff, ct)
-    h = ((sxx[0] + syy[0]) / 2.0, (sxx[1] + syy[1]) / 2.0)
-    a = ((sxx[0] - syy[0]) / 2.0, (sxx[1] - syy[1]) / 2.0)
-    out = []
-    for j in range(n):
-        t = 2.0 * math.pi * j / n  # = 2 psi_j
-        c, s = math.cos(t), math.sin(t)
-        out.append(e1 * (h[0] + c * a[0] + s * sxy[0])
-                   + e2 * (h[1] + c * a[1] + s * sxy[1]))
-    return out
+    _check_ew(ff)
+    h = mean_curvature_vector(ff, n11, n12, n22)
+    a = n11 / ff.E - h
+    sxy = (n12 * ff.E - n11 * ff.F) / (ff.E * ff.W)
+    return [h + a * math.cos(t) + sxy * math.sin(t)
+            for t in (2.0 * math.pi * j / n for j in range(n))]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ __all__ = [
     "analytic_jet2",
     "analytic_jet2_from",
     "fd_jet2",
+    "tangent_basis",
     "gram_schmidt_normals",
 ]
 
@@ -211,39 +212,27 @@ def _fd_parts(m, u, v, h, z) -> dict[str, Vec4]:
     }
 
 
-_BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-          (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+_BASIS = (Vec4(1.0, 0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0),
+          Vec4(0.0, 0.0, 1.0, 0.0), Vec4(0.0, 0.0, 0.0, 1.0))
 
 
-def _pick_seed(frame: tuple[Vec4, ...]) -> tuple[Vec4, float]:
+def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
     """The longest residual of a standard basis vector after removing its
-    components along the orthonormal ``frame`` (lowest index on ties),
-    and its norm.
-
-    Runs on plain floats with the float operations of
-    ``r = r - q * dot(r, q)`` and ``norm(r)`` on :class:`Vec4`, in the
-    same order, so the seed is the same bit for bit."""
-    qs = [(q.x1, q.x2, q.x3, q.x4) for q in frame]
+    components along the orthonormal ``frame`` (lowest index on ties), unit."""
     best, best_norm = None, -1.0
-    for r1, r2, r3, r4 in _BASIS:
-        for q1, q2, q3, q4 in qs:
-            s = r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4
-            r1, r2, r3, r4 = r1 - q1 * s, r2 - q2 * s, r3 - q3 * s, r4 - q4 * s
-        n = math.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
+    for r in _BASIS:
+        for q in frame:
+            r = r - q * dot(r, q)
+        n = norm(r)
         if n > best_norm:
-            best, best_norm = (r1, r2, r3, r4), n
-    return Vec4(*best), best_norm
+            best, best_norm = r, n
+    return best / best_norm
 
 
-def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
-    """Orthonormal normal frame (e1, e2) with det4(z_u, z_v, e1, e2) > 0.
-
-    Seeds are the standard basis vectors with the largest residual norm
-    after removing tangential components, ties broken by lowest index, so
-    the frame is deterministic; e2 is negated when the orientation comes
-    out negative.
-    """
-    zu, zv = jet.z_u, jet.z_v
+def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
+    """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
+    raises :class:`DegenerateMetricError` where EG - F^2 is not positive
+    (NaN included) or the residual of zv vanishes."""
     ee = dot(zu, zu)
     ff = dot(zu, zv)
     gg = dot(zv, zv)
@@ -255,11 +244,21 @@ def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
     nw = norm(w)
     if nw == 0.0:
         raise DegenerateMetricError("tangent vectors are collinear")
-    t2 = w / nw
-    r1, n1 = _pick_seed((t1, t2))
-    e1 = r1 / n1
-    r2, n2 = _pick_seed((t1, t2, e1))
-    e2 = r2 / n2
+    return t1, w / nw
+
+
+def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
+    """Orthonormal normal frame (e1, e2) with det4(z_u, z_v, e1, e2) > 0.
+
+    Seeds are the standard basis vectors with the largest residual norm
+    after removing the components along :func:`tangent_basis`, ties broken
+    by lowest index, so the frame is deterministic; e2 is negated when the
+    orientation comes out negative.
+    """
+    zu, zv = jet.z_u, jet.z_v
+    t1, t2 = tangent_basis(zu, zv)
+    e1 = _unit_seed((t1, t2))
+    e2 = _unit_seed((t1, t2, e1))
     if det4(zu, zv, e1, e2) < 0.0:
         e2 = -e2
     return e1, e2

@@ -12,18 +12,21 @@ mu = <sigma(x,y), l>, and beta1, beta2 the l-components of the derivatives
 of the b field along the u and v coordinate directions.
 
 b's sign is fixed here as sigma(x,x)/|sigma(x,x)| (falling back to
-sigma(y,y) when the first vanishes), so all comparisons are defined up to
-the simultaneous flip (nu1, nu2, lambda, mu) -> -(nu1, nu2, lambda, mu),
-which corresponds to (b, l) -> (-b, -l) and leaves the other four fixed.
+sigma(y,y) when the first vanishes, also to rounding), so all comparisons
+are defined up to the simultaneous flip (nu1, nu2, lambda, mu) ->
+-(nu1, nu2, lambda, mu), which corresponds to (b, l) -> (-b, -l) and
+leaves the other four fixed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .forms import generic_at, lmn
+from .forms import (FirstForm, _normal_part, _tangent_form, generic_at, principal_defect,
+                    second_form)
 from .geometry import GeometryError, Jet2, Vec4, cross4, dot, norm
 
 __all__ = [
@@ -38,7 +41,7 @@ __all__ = [
 ]
 
 _STEP = 1e-4  # stencil step of the b-field differences
-_PRINCIPAL_TOL = 1e-8  # relative size of F and M below which parameters are principal
+_FLOOR = 32.0 * sys.float_info.epsilon  # |n_ij| / |z_ij| that is only rounding
 
 
 class NonPrincipalParamsError(GeometryError):
@@ -85,19 +88,13 @@ def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float) -
                         jet_at(u, v - _STEP), jet_at(u, v + _STEP))
 
 
-def _sigma_diagonal(e1: Vec4, e2: Vec4, ff, ct) -> tuple[Vec4, Vec4]:
-    """sigma(x,x) and sigma(y,y) as ambient vectors, for the principal unit
-    tangents x, y, from the frame and forms of :func:`generic_at`."""
-    return (e1 * ct.c11_1 + e2 * ct.c11_2) / ff.E, (e1 * ct.c22_1 + e2 * ct.c22_2) / ff.G
-
-
-def _b_direction(sxx: Vec4, syy: Vec4) -> Vec4 | None:
-    n = norm(sxx)
-    if n > 1e-12:
-        return sxx / n
-    n = norm(syy)
-    if n > 1e-12:
-        return syy / n
+def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4, n22: Vec4) -> Vec4 | None:
+    """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
+    the first vanishes: |n11|/E <= 1e-12, or |n11| <= _FLOOR |z_uu|."""
+    for n, zij, e in ((n11, jet.z_uu, ff.E), (n22, jet.z_vv, ff.G)):
+        size = norm(n)
+        if size / e > 1e-12 and size > _FLOOR * norm(zij):
+            return n / size
     return None
 
 
@@ -110,16 +107,14 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
     from principal parameters and :class:`TotallyGeodesicError` where b is
     undefined.
     """
-    e1, e2, ff, ct = generic_at(jet)
-    sxx, syy = _sigma_diagonal(e1, e2, ff, ct)
-    sxy = (e1 * ct.c12_1 + e2 * ct.c12_2) / (math.sqrt(ff.E) * math.sqrt(ff.G))
-    if abs(ff.F) > _PRINCIPAL_TOL * max(1.0, ff.E, ff.G):
-        raise NonPrincipalParamsError(f"F = {ff.F!r}: parameters are not principal")
-    sf = lmn(ct, ff.W)
-    if abs(sf.M) > _PRINCIPAL_TOL * max(1.0, abs(sf.L), abs(sf.N)):
-        raise NonPrincipalParamsError(f"M = {sf.M!r}: parameters are not principal")
+    ff, n11, n12, n22 = generic_at(jet)
+    sxx, syy = n11 / ff.E, n22 / ff.G
+    sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
+    defect = principal_defect(ff, second_form(jet, ff, n11, n12, n22))
+    if defect is not None:
+        raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 
-    b = _b_direction(sxx, syy)
+    b = _b_direction(jet, ff, n11, n22)
     if b is None:
         raise TotallyGeodesicError(
             f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
@@ -136,7 +131,9 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
     mu = dot(sxy, l)
 
     def b_at(stencil_jet: Jet2) -> Vec4:
-        bb = _b_direction(*_sigma_diagonal(*generic_at(stencil_jet)))
+        sff = _tangent_form(stencil_jet)
+        bb = _b_direction(stencil_jet, sff, _normal_part(stencil_jet.z_uu, stencil_jet, sff),
+                          _normal_part(stencil_jet.z_vv, stencil_jet, sff))
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         # keep the field continuous across the sign convention

@@ -1,8 +1,8 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
-kernel, the per-point OBJ vertex, closed-form row and ``verify`` loops, the
-csv-module CSV writer)."""
+kernel, the framed generic pipeline, the per-point OBJ vertex, closed-form
+row and ``verify`` loops, the csv-module CSV writer)."""
 
 import csv
 import dataclasses
@@ -15,10 +15,11 @@ from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _Poi
                           _rel)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (ellipse_samples, generic_at, generic_invariants, is_circle,
+from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form, generic_at,
+                            generic_invariants, invariants, is_circle, lmn, second_tensor,
                             superconformal_residuals)
 from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot, fd_jet2,
-                               norm, rotation_trig)
+                               gram_schmidt_normals, norm, rotation_trig)
 from rotsurf4.octet import (FrenetOctet, TotallyGeodesicError, gauge_flip,
                             invariants_from_octet, neighbors_from, octet_generic)
 from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
@@ -188,7 +189,7 @@ def reference_differentiate(e):
 
 # ---------------------------------------------------------------------------
 # The frame kernel written with Vec4 arithmetic throughout: the bit-for-bit
-# oracle for the scalar ``rotsurf4.geometry`` det4, cross4 and
+# oracle for the scalar ``rotsurf4.geometry`` det4 and cross4, and for its
 # gram_schmidt_normals.
 
 def _reference_det3(r1, r2, r3) -> float:
@@ -253,6 +254,36 @@ def reference_gram_schmidt_normals(jet):
     if reference_det4(zu, zv, e1, e2) < 0.0:
         e2 = -e2
     return e1, e2
+
+
+# ---------------------------------------------------------------------------
+# The generic pipeline through an orthonormal normal frame: the rounding-bound
+# and error-text oracle for the frame-free ``rotsurf4.forms.generic_at`` and
+# ``generic_invariants``.
+
+def reference_generic_at(jet):
+    """Normal frame (e1, e2), first form and second tensor of ``jet``; the
+    frame comes first, so a degenerate jet raises its error message."""
+    e1, e2 = gram_schmidt_normals(jet)
+    ff = first_form(jet)
+    return e1, e2, ff, second_tensor(jet, e1, e2)
+
+
+def reference_generic_invariants(ff, ct):
+    """The invariant record of the forms that ``reference_generic_at`` returns,
+    with K = <sigma(x,x), sigma(y,y)> - |sigma(x,y)|^2 on the orthonormalized
+    tangent pair x = z_u/sqrt(E), y = (E z_v - F z_u)/(sqrt(E) W)."""
+    E, F, W = ff.E, ff.F, ff.W
+    try:
+        sxx = (ct.c11_1 / E, ct.c11_2 / E)
+        sxy = ((E * ct.c12_1 - F * ct.c11_1) / (E * W),
+               (E * ct.c12_2 - F * ct.c11_2) / (E * W))
+        syy = ((E * E * ct.c22_1 - 2.0 * E * F * ct.c12_1 + F * F * ct.c11_1) / (E * W * W),
+               (E * E * ct.c22_2 - 2.0 * E * F * ct.c12_2 + F * F * ct.c11_2) / (E * W * W))
+    except ZeroDivisionError:  # E W or E W^2 underflows although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={E!r}, W={W!r}") from None
+    gauss = (sxx[0] * syy[0] + sxx[1] * syy[1]) - (sxy[0] * sxy[0] + sxy[1] * sxy[1])
+    return invariants(ff, lmn(ct, W), gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +404,9 @@ def reference_verify(args, parser) -> int:
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_reference_jet_dev(jet_a, jet_f), (u, v))
 
-                _, _, ff, ct = generic_at(jet_f)
-                rec = generic_invariants(ff, ct)
+                rec = generic_invariants(jet_f, *generic_at(jet_f))
                 checks["forms"].update(max(
-                    _rel(ff.E, ffc.E), _rel(ff.F, ffc.F), _rel(ff.G, ffc.G),
+                    _rel(rec.E, ffc.E), _rel(rec.F, ffc.F), _rel(rec.G, ffc.G),
                     _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
                 checks["invariants"].update(max(
                     _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
@@ -398,11 +428,12 @@ def reference_verify(args, parser) -> int:
     else:
         for u in us:
             with _at(u, vs[0]):
-                e1, e2, ff, ct = generic_at(jet_at(u, vs[0]))
-                rec = generic_invariants(ff, ct)
+                jet = jet_at(u, vs[0])
+                parts = generic_at(jet)
+                rec = generic_invariants(jet, *parts)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
-                report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), args.tol_circle)
+                report = is_circle(ellipse_samples(*parts, 16), args.tol_circle)
                 center_dev = norm(report.center) / max(1.0, report.radius)
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),

@@ -9,7 +9,7 @@ import time
 from helpers import central_diff, octet_dev, random_expr, rel_dev, tame_at
 from rotsurf4.expr import Profile, differentiate, evaluate
 from rotsurf4.forms import (PointType, ellipse_samples, first_form,
-                            gauss_curvature, invariants, is_circle,
+                            gauss_curvature, generic_at, invariants, is_circle,
                             is_superconformal, lmn, second_tensor)
 from rotsurf4.geometry import (Vec4, analytic_jet2, fd_jet2,
                                gram_schmidt_normals, norm)
@@ -133,7 +133,7 @@ def test_criterion_3_msc_characterization():
             worst_identity = max(worst_identity,
                                  abs(rec.kappa ** 2 - rec.k) / s_norm,
                                  abs(rec.K ** 2 - rec.kappa ** 2) / s_norm)
-            report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), 1e-6)
+            report = is_circle(ellipse_samples(*generic_at(jet), 16), 1e-6)
             worst_circle = max(worst_circle,
                                report.max_deviation / max(1.0, report.radius))
             worst_center = max(worst_center, norm(report.center))

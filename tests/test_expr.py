@@ -11,8 +11,8 @@ from helpers import (central_diff, random_expr, reference_differentiate, referen
                      tame_at)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, compile_expr, differentiate, evaluate, parse,
-                           unparse)
+                           Variable, _tape, compile_expr, differentiate, evaluate,
+                           parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +420,16 @@ def test_grid_keeps_constants_of_either_sign_of_zero_apart():
     columns = p.grid([1.0])
     assert [column[0].hex() for column in columns] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
     assert p.deriv1(1.0).hex() == "-0x0.0p+0"
+
+
+def test_tape_records_last_readers_and_keeps_roots():
+    # value u*u + u, d1 u*u (a root that the value also reads), d2 sin(u)
+    nodes, roots, last = _tape((parse("u*u + u"), parse("u*u"), parse("sin(u)")))
+    assert [n[0] for n in nodes] == ["u", "*", "+", "sin"]
+    assert roots == [2, 1, 3]
+    assert last == [3, None, None, None]  # u is read last by sin; roots are kept
+    p = Profile(parse("u*u + u"), parse("u*u"), parse("sin(u)"))
+    assert p.grid([2.0, 3.0]) == [[6.0, 12.0], [4.0, 9.0], [math.sin(2.0), math.sin(3.0)]]
 
 
 # ---------------------------------------------------------------------------

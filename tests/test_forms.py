@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import field_values, rel_dev
+from helpers import (field_values, reference_generic_at, reference_generic_invariants,
+                     rel_dev)
 from rotsurf4.expr import Binary, Profile, Unary, Variable, evaluate, parse
 from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             PointType, SecondForm, SecondTensor, christoffel,
@@ -14,10 +16,10 @@ from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             generic_invariants, invariants,
                             is_circle, is_minimal, is_principal_params,
                             is_superconformal, lmn, mean_curvature_vector,
-                            second_form_value, second_tensor,
-                            superconformal_residuals)
-from rotsurf4.geometry import (DegenerateMetricError, Jet2, Vec4,
-                               analytic_jet2, dot, fd_jet2,
+                            principal_defect, second_form, second_form_value,
+                            second_tensor, superconformal_residuals)
+from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4,
+                               analytic_jet2, det4, dot, fd_jet2,
                                gram_schmidt_normals, norm)
 from rotsurf4.msc import scaled_msc_residual
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
@@ -212,9 +214,18 @@ def test_is_principal_params(parabola):
     e1, e2 = gram_schmidt_normals(jet)
     sf = lmn(second_tensor(jet, e1, e2), ff.W)
     assert is_principal_params(ff, sf, 1e-12)
+    assert is_principal_params(ff, second_form(jet, *generic_at(jet)))
     from rotsurf4.forms import FirstForm
     assert not is_principal_params(FirstForm(1.0, 0.5, 1.0, math.sqrt(0.75)), sf, 1e-12)
     assert is_principal_params(FirstForm(1.0, 0.0, 1.0, 1.0), SecondForm(1, 0, 1), 0.0)
+    # the rule is relative: |F| <= tol max(1, E, G), |M| <= tol max(1, |L|, |N|)
+    big = FirstForm(1e6, 5e-3, 1e6, 1e6)
+    assert is_principal_params(big, SecondForm(1e4, 5e-5, 1.0), 1e-8)
+    assert principal_defect(big, SecondForm(1e4, 5e-5, 1.0), 1e-8) is None
+    assert principal_defect(big, SecondForm(1e4, 2e-4, 1.0), 1e-8) == "M = 0.0002"
+    assert principal_defect(FirstForm(1e6, 2e-2, 1e6, 1e6), SecondForm(1e4, 1.0, 1.0),
+                            1e-8) == "F = 0.02"
+    assert not is_principal_params(FirstForm(1.0, 2e-8, 1.0, 1.0), SecondForm(1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,31 +254,22 @@ def test_flat_point_degenerately_superconformal(linear):
 # mean curvature vector and the curvature ellipse
 
 def test_mean_curvature_vanishes_on_running_example(parabola):
-    jet = analytic_jet2(parabola, 1.0, 0.0)
-    e1, e2 = gram_schmidt_normals(jet)
-    h = mean_curvature_vector(first_form(jet), second_tensor(jet, e1, e2), e1, e2)
+    h = mean_curvature_vector(*generic_at(analytic_jet2(parabola, 1.0, 0.0)))
     assert norm(h) <= 1e-15
 
 
 def test_mean_curvature_vanishes_on_plane():
-    h = mean_curvature_vector(first_form(PLANE_JET),
-                              second_tensor(PLANE_JET, *PLANE_FRAME), *PLANE_FRAME)
+    h = mean_curvature_vector(*generic_at(PLANE_JET))
     assert norm(h) == 0.0
 
 
 def test_mean_curvature_nonzero_on_cubic(cubic):
-    jet = analytic_jet2(cubic, 1.0, 0.0)
-    e1, e2 = gram_schmidt_normals(jet)
-    h = mean_curvature_vector(first_form(jet), second_tensor(jet, e1, e2), e1, e2)
+    h = mean_curvature_vector(*generic_at(analytic_jet2(cubic, 1.0, 0.0)))
     assert norm(h) > 1e-3
 
 
 def test_ellipse_samples_circle_on_running_example(parabola):
-    jet = analytic_jet2(parabola, 1.0, 0.0)
-    e1, e2 = gram_schmidt_normals(jet)
-    ff = first_form(jet)
-    ct = second_tensor(jet, e1, e2)
-    samples = ellipse_samples(ff, ct, e1, e2, 8)
+    samples = ellipse_samples(*generic_at(analytic_jet2(parabola, 1.0, 0.0)), 8)
     radius = 2 / (5 * SQRT5)
     for s in samples:
         assert norm(s) == pytest.approx(radius, rel=1e-12)
@@ -279,43 +281,36 @@ def test_ellipse_samples_circle_on_running_example(parabola):
 
 def test_ellipse_first_sample_is_sigma_xx(parabola):
     jet = analytic_jet2(parabola, 1.0, 0.0)
+    first = ellipse_samples(*generic_at(jet), 8)[0]
     e1, e2 = gram_schmidt_normals(jet)
     ff = first_form(jet)
     ct = second_tensor(jet, e1, e2)
-    first = ellipse_samples(ff, ct, e1, e2, 8)[0]
     sigma_xx = (e1 * ct.c11_1 + e2 * ct.c11_2) / ff.E
     assert norm(first - sigma_xx) <= 1e-15
 
 
 def test_ellipse_samples_plane_all_zero():
-    samples = ellipse_samples(first_form(PLANE_JET),
-                              second_tensor(PLANE_JET, *PLANE_FRAME),
-                              *PLANE_FRAME, 6)
+    samples = ellipse_samples(*generic_at(PLANE_JET), 6)
     assert all(norm(s) == 0.0 for s in samples)
 
 
 def test_ellipse_samples_needs_three():
     with pytest.raises(ValueError):
-        ellipse_samples(first_form(PLANE_JET),
-                        second_tensor(PLANE_JET, *PLANE_FRAME), *PLANE_FRAME, 2)
+        ellipse_samples(*generic_at(PLANE_JET), 2)
 
 
 def test_is_circle_detects_true_circle(parabola):
-    jet = analytic_jet2(parabola, 1.0, 0.0)
-    e1, e2 = gram_schmidt_normals(jet)
-    ff = first_form(jet)
-    ct = second_tensor(jet, e1, e2)
-    report = is_circle(ellipse_samples(ff, ct, e1, e2, 8), 1e-6)
+    report = is_circle(ellipse_samples(*generic_at(analytic_jet2(parabola, 1.0, 0.0)), 8),
+                       1e-6)
     assert report.ok and not report.degenerate
     assert report.radius == pytest.approx(2 / (5 * SQRT5), rel=1e-12)
 
 
 def test_is_circle_rejects_proper_ellipse():
-    # semi-axes 1 and 2: synthetic tensor on the unit metric
+    # semi-axes 1 and 2: synthetic normal parts on the unit metric
     from rotsurf4.forms import FirstForm
     ff = FirstForm(1.0, 0.0, 1.0, 1.0)
-    ct = SecondTensor(1.0, 0.0, 0.0, 2.0, -1.0, 0.0)
-    samples = ellipse_samples(ff, ct, *PLANE_FRAME, 12)
+    samples = ellipse_samples(ff, Vec4(0, 0, 1, 0), Vec4(0, 0, 0, 2), Vec4(0, 0, -1, 0), 12)
     assert not is_circle(samples, 1e-6).ok
 
 
@@ -405,7 +400,7 @@ def test_invariants_survive_shear_reparametrization(parabola):
         assert rel_dev(rec.k, k_c) <= 1e-6
         assert rel_dev(rec.kappa, x_c) <= 1e-6
         assert rel_dev(rec.K, g_c) <= 1e-6
-        h = mean_curvature_vector(ff, ct, e1, e2)
+        h = mean_curvature_vector(*generic_at(jet))
         assert norm(h) <= 1e-7  # parametrization-invariant ambient vector
 
 
@@ -435,7 +430,7 @@ def test_minimality_iff_centered_ellipse(g_text, is_member):
         e1, e2 = gram_schmidt_normals(jet)
         ct = second_tensor(jet, e1, e2)
         rec = invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
-        h_small = norm(mean_curvature_vector(ff, ct, e1, e2)) <= 1e-10
+        h_small = norm(mean_curvature_vector(*generic_at(jet))) <= 1e-10
         scale = max(1.0, rec.kappa ** 2, abs(rec.k), rec.K ** 2)
         minimal = abs(rec.kappa ** 2 - rec.k) <= 1e-10 * scale
         assert h_small == minimal == is_member
@@ -458,15 +453,20 @@ def _hexes(*values):
 def test_generic_at_is_the_hand_composition(f_text, g_text, alpha, beta, u, v):
     s = RotationalSurface(Profile.from_text(f_text), Profile.from_text(g_text), alpha, beta)
     for jet in (analytic_jet2(s, u, v), fd_jet2(s.as_map(), u, v)):
-        e1, e2 = gram_schmidt_normals(jet)
         ff = first_form(jet)
-        ct = second_tensor(jet, e1, e2)
-        rec = invariants(ff, lmn(ct, ff.W), gauss_curvature(ff, ct))
-        g1, g2, gff, gct = generic_at(jet)
-        grec = generic_invariants(gff, gct)
-        assert _hexes(g1, g2) == _hexes(e1, e2)
+        ch = christoffel(jet)
+        zu, zv = jet.z_u, jet.z_v
+        n11 = jet.z_uu - zu * ch.uu_u - zv * ch.uu_v
+        n12 = jet.z_uv - zu * ch.uv_u - zv * ch.uv_v
+        n22 = jet.z_vv - zu * ch.vv_u - zv * ch.vv_v
+        w2 = ff.W * ff.W
+        sf = SecondForm(2.0 * det4(zu, zv, n11, n12) / w2, det4(zu, zv, n11, n22) / w2,
+                        2.0 * det4(zu, zv, n12, n22) / w2)
+        rec = invariants(ff, sf, (dot(n11, n22) - dot(n12, n12)) / w2)
+        gff, g11, g12, g22 = generic_at(jet)
+        grec = generic_invariants(jet, gff, g11, g12, g22)
         assert _hexes(gff.E, gff.F, gff.G, gff.W) == _hexes(ff.E, ff.F, ff.G, ff.W)
-        assert _hexes(*field_values(gct)) == _hexes(*field_values(ct))
+        assert _hexes(g11, g12, g22) == _hexes(n11, n12, n22)
         fields = ("E", "F", "G", "L", "M", "N", "k", "kappa", "K")
         assert (_hexes(*(getattr(grec, n) for n in fields))
                 == _hexes(*(getattr(rec, n) for n in fields)))
@@ -478,6 +478,118 @@ def test_generic_at_degenerate_jet_raises_frame_message():
                Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
     with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
         generic_at(jet)
+
+
+# the frame-free pipeline against the framed one kept in helpers.  The two
+# round differently, so they are compared against a rounding bound: with
+# s = max |z_ij| and rho = (E + G)/W >= 2, which grows with the condition
+# number |z_u||z_v|/W of the tangent pair and with the imbalance of E and G,
+# the natural sizes are s^2/W for L, M and N, s^2/W^2 for K, rho s^2/W^2
+# for kappa and s^4/W^4 for k.  In each path a form's rounding error is at
+# most a few dozen eps times rho^2 times its size (dot products and the
+# 24-term det4 carry gamma_n ~ n eps, Higham 2002, ch. 3; the Christoffel
+# solve and Gram-Schmidt amplify by at most the condition number squared),
+# and k's three products add their factors' errors; 2^10 eps rho^2 covers
+# the sum of both paths with a margin
+
+def _jet_from_surface(s, u, v, shear, fd):
+    """The jet of (u, v) -> z(u, v + shear u): F != 0 when shear != 0."""
+    amap = s.as_map()
+    if fd:
+        return fd_jet2(lambda uu, vv: amap(uu, vv + shear * uu), u, v)
+    j = analytic_jet2(s, u, v + shear * u)
+    return Jet2(j.z, j.z_u + j.z_v * shear, j.z_v,
+                j.z_uu + j.z_uv * (2.0 * shear) + j.z_vv * (shear * shear),
+                j.z_uv + j.z_vv * shear, j.z_vv)
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0)
+_vec = st.builds(Vec4, _unit, _unit, _unit, _unit)
+surface_jets = st.builds(
+    lambda surface, a, d, u, v, shear, fd: _jet_from_surface(
+        RotationalSurface(Profile.from_text(surface[0]), Profile.from_text(surface[1]),
+                          a, a + d), u, v, shear, fd),
+    st.sampled_from(GENERIC_SURFACES), st.floats(min_value=0.5, max_value=3.0),
+    st.floats(min_value=0.25, max_value=2.0), st.floats(min_value=0.3, max_value=2.5),
+    st.floats(min_value=0.0, max_value=6.2), st.floats(min_value=-1.0, max_value=1.0),
+    st.booleans())
+random_jets = st.builds(Jet2, _vec, _vec, _vec, _vec, _vec, _vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(surface_jets, random_jets))
+def test_frame_free_forms_agree_with_the_framed_reference(jet):
+    try:
+        e1, e2, ff, ct = reference_generic_at(jet)
+        ref = reference_generic_invariants(ff, ct)
+    except GeometryError:
+        assume(False)
+    gff, n11, n12, n22 = generic_at(jet)
+    rec = generic_invariants(jet, gff, n11, n12, n22)
+    assert (gff.E, gff.F, gff.G, gff.W) == (ff.E, ff.F, ff.G, ff.W)
+    W = ff.W
+    s = max(norm(jet.z_uu), norm(jet.z_uv), norm(jet.z_vv))
+    rho = (ff.E + ff.G) / W
+    bound = 2.0 ** 10 * sys.float_info.epsilon * rho * rho
+    sizes = {"L": s * s / W, "M": s * s / W, "N": s * s / W, "K": s * s / W ** 2,
+             "kappa": rho * s * s / W ** 2, "k": (s * s / W ** 2) ** 2,
+             "E": 0.0, "F": 0.0, "G": 0.0}
+    for name, size in sizes.items():
+        assert abs(getattr(rec, name) - getattr(ref, name)) <= bound * size, name
+
+
+_special = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def broken_jets(draw):
+    """Jets whose tangent plane is degenerate (zero, collinear, underflowing)
+    or that carry a NaN or inf, and tiny z_u, where E W^2 underflows."""
+    z, zu, zv, zuu, zuv, zvv = (draw(_vec) for _ in range(6))
+    kind = draw(st.sampled_from(("zero", "collinear", "tiny", "ew", "special_tangent",
+                                 "special_second")))
+    if kind == "zero":
+        zu = Vec4(0.0, 0.0, 0.0, 0.0)
+    elif kind == "collinear":
+        zv = zu * draw(st.sampled_from((2.0, -0.5, 0.25)))
+    elif kind == "tiny":
+        scale = 10.0 ** draw(st.floats(min_value=-170.0, max_value=-100.0))
+        zu, zv = zu * scale, zv * scale
+    elif kind == "ew":
+        zu = zu * 10.0 ** draw(st.floats(min_value=-160.0, max_value=-120.0))
+    vecs = [z, zu, zv, zuu, zuv, zvv]
+    if kind.startswith("special"):
+        slot = draw(st.sampled_from((1, 2) if kind == "special_tangent" else (3, 4, 5)))
+        comps = list(vecs[slot])
+        comps[draw(st.integers(min_value=0, max_value=3))] = draw(_special)
+        vecs[slot] = Vec4(*comps)
+    return Jet2(*vecs)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_jets())
+def test_frame_free_path_raises_as_the_framed_reference(jet):
+    framed = _raised(lambda: reference_generic_invariants(*reference_generic_at(jet)[2:]))
+    free = _raised(lambda: generic_invariants(jet, *generic_at(jet)))
+    # an exactly collinear pair can leave EG - F^2 a rounding residue > 0;
+    # the framed path then stops at second_tensor's frame check, which the
+    # frame-free path does not have
+    assume(framed is None or framed[0] is not FrameError)
+    assert framed is not None and free is not None
+    if framed[1].startswith("cannot classify"):
+        # a non-finite k or kappa: the message prints k, kappa and the scale
+        # from whichever of L, M, N stayed finite, and those round differently
+        assert free[0] is framed[0] and free[1].startswith("cannot classify")
+    else:
+        assert free == framed
 
 
 def test_superconformal_residuals_running_example(parabola):
@@ -514,7 +626,8 @@ def _closed(s, u, v):
 
 
 def _generic(s, u, v):
-    rec = generic_invariants(*generic_at(analytic_jet2(s, u, v))[2:])
+    jet = analytic_jet2(s, u, v)
+    rec = generic_invariants(jet, *generic_at(jet))
     return rec.k, rec.kappa, rec.K
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rotsurf4.expr import Binary, Constant, Profile, Variable
-from rotsurf4.forms import (ellipse_samples, first_form, gauss_curvature,
+from rotsurf4.forms import (ellipse_samples, first_form, gauss_curvature, generic_at,
                             invariants, is_circle, is_minimal,
                             is_superconformal, lmn, second_tensor)
 from rotsurf4.geometry import analytic_jet2, gram_schmidt_normals, norm
@@ -250,11 +250,8 @@ def test_msc_surface_negative_branch_is_member():
 def test_msc_surface_ellipse_is_centered_circle():
     surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1), (0.5, 2.0))
     for u in (0.5, 1.0, 2.0):
-        jet = analytic_jet2(surface, u, 0.0)
-        ff = first_form(jet)
-        e1, e2 = gram_schmidt_normals(jet)
-        ct = second_tensor(jet, e1, e2)
-        report = is_circle(ellipse_samples(ff, ct, e1, e2, 16), 1e-10)
+        report = is_circle(ellipse_samples(*generic_at(analytic_jet2(surface, u, 0.0)), 16),
+                           1e-10)
         assert report.ok
         assert norm(report.center) <= 1e-10
 

@@ -36,6 +36,23 @@ def test_octet_generic_agrees_with_closed_form_on_grid(parabola):
                              closed_octet_at(parabola, u)) <= 1e-5
 
 
+@pytest.mark.parametrize("f_text, g_text, alpha, beta, u, v", [
+    # straight meridians, so sigma(x,x) = 0, at a meridian speed |f'| of
+    # about 0.01 and 0.0004: the rounding of n11 divided by E exceeds 1e-12,
+    # and b must still come from sigma(y,y)
+    ("sin(u)", "sin(-(1e200))", 1.8279756397734301, 2.717657573017669,
+     4.698009323661253, 0.16666666666666669),
+    ("exp(-(exp(u)))", "-(0.5)", 0.8153136288557405, 4.371767330045304,
+     2.976032034303733, 3.1426987009704),
+])
+def test_octet_generic_straight_meridian_takes_b_from_sigma_yy(f_text, g_text, alpha, beta,
+                                                             u, v):
+    from conftest import make_surface
+    s = make_surface(f_text, g_text, alpha, beta)
+    assert closed_octet_at(s, u).nu1 == 0.0
+    assert octet_dev(_octet_at(s, u, v), closed_octet_at(s, u)) <= 1e-6  # beta2: O(h^2)
+
+
 def test_octet_plane_is_totally_geodesic():
     jet = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
                Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
