@@ -412,7 +412,7 @@ def cmd_msc(args, parser) -> int:
         warnings.simplefilter("always")
         try:
             params = msc_mod.MscParams(args.c, args.alpha, args.beta, args.eps)
-            surface = msc_mod.msc_surface(params, (lo, hi))
+            surface = msc_mod.msc_surface(params, (lo, hi if count > 1 else lo))
         except ValueError as exc:
             parser.error(str(exc))
     for w in caught:

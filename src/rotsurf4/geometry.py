@@ -4,6 +4,7 @@ two-plane rotation, and a finite-difference jet oracle."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -28,6 +29,9 @@ __all__ = [
     "tangent_basis",
     "gram_schmidt_normals",
 ]
+
+
+_FLOOR = 32.0 * sys.float_info.epsilon  # a length, relative to its source's, that is only rounding
 
 
 class GeometryError(Exception):
@@ -130,18 +134,12 @@ class Jet2:
     z_vv: Vec4
 
 
-def _angle_overflow(v: float) -> GeometryError:
-    """The error for cos/sin raising ValueError, which for finite speeds and
-    v happens only when the angle alpha*v or beta*v overflows to inf."""
-    return GeometryError(f"rotation angle overflows at v={v!r}")
-
-
 def rotation_trig(alpha: float, beta: float, v: float) -> tuple[float, float, float, float]:
     """(cos av, sin av, cos bv, sin bv); an overflowing angle raises GeometryError."""
     try:
         return math.cos(alpha * v), math.sin(alpha * v), math.cos(beta * v), math.sin(beta * v)
-    except ValueError:
-        raise _angle_overflow(v) from None
+    except ValueError:  # for finite speeds and v, only where alpha*v or beta*v is inf
+        raise GeometryError(f"rotation angle overflows at v={v!r}") from None
 
 
 def rotate(p: Vec4, trig: tuple[float, float, float, float]) -> Vec4:
@@ -232,7 +230,7 @@ def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
 def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
     """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
     raises :class:`DegenerateMetricError` where EG - F^2 is not positive
-    (NaN included) or the residual of zv vanishes."""
+    (NaN included) or the residual of zv is rounding, at most _FLOOR |zv|."""
     ee = dot(zu, zu)
     ff = dot(zu, zv)
     gg = dot(zv, zv)
@@ -242,7 +240,7 @@ def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
     t1 = zu / math.sqrt(ee)
     w = zv - t1 * dot(zv, t1)
     nw = norm(w)
-    if nw == 0.0:
+    if nw / math.sqrt(gg) <= _FLOOR:  # false for inf / inf, where |zv| overflows
         raise DegenerateMetricError("tangent vectors are collinear")
     return t1, w / nw
 

@@ -91,9 +91,9 @@ def msc_profile(params: MscParams) -> Profile:
 
 
 def msc_surface(params: MscParams, u_domain=(0.25, 4.0)) -> RotationalSurface:
-    """A power-law member on ``u_domain = (lo, hi)``, which must lie inside (0, inf)."""
+    """A power-law member on ``u_domain = (lo, hi)`` with 0 < lo <= hi (one point at lo = hi)."""
     interval = Interval(float(u_domain[0]), float(u_domain[1]))
-    if interval.lo <= 0.0 or interval.hi <= interval.lo:
+    if interval.lo <= 0.0 or interval.hi < interval.lo:
         raise ValueError("the domain of a power-law meridian must lie inside (0, inf)")
     return RotationalSurface(identity_profile(), msc_profile(params),
                              params.alpha, params.beta, interval)

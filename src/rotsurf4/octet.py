@@ -21,13 +21,12 @@ leaves the other four fixed.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .forms import (FirstForm, _normal_part, _tangent_form, generic_at, principal_defect,
                     second_form)
-from .geometry import GeometryError, Jet2, Vec4, cross4, dot, norm
+from .geometry import _FLOOR, GeometryError, Jet2, Vec4, cross4, dot, norm
 
 __all__ = [
     "FrenetOctet",
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 _STEP = 1e-4  # stencil step of the b-field differences
-_FLOOR = 32.0 * sys.float_info.epsilon  # |n_ij| / |z_ij| that is only rounding
 
 
 class NonPrincipalParamsError(GeometryError):

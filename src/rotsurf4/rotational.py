@@ -21,8 +21,7 @@ from typing import Iterator
 
 from .expr import Interval, Profile
 from .forms import FirstForm, SecondForm, SecondTensor
-from .geometry import (GeometryError, RegularityError, Vec4, _angle_overflow, dot, norm,
-                       rotate, rotation_trig)
+from .geometry import GeometryError, RegularityError, Vec4, dot, norm, rotate, rotation_trig
 from .octet import FrenetOctet
 
 __all__ = [
@@ -280,25 +279,20 @@ def vline_curvatures(a: float, b: float, alpha: float, beta: float) -> CurveCurv
 def vline_derivatives(a: float, b: float, alpha: float, beta: float,
                       v: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
     """First four exact derivatives of the v-line
-    (a cos(al v), a sin(al v), b cos(be v), b sin(be v)).  An overflowing
-    angle raises :class:`GeometryError` naming v; overflowing or non-finite
-    derivatives raise it naming the radii and speeds."""
-    out = []
+    (a cos(al v), a sin(al v), b cos(be v), b sin(be v)): the k-th is
+    (a al^k, 0, b be^k, 0) rotated by the angles turned k quarter turns.  An
+    overflowing angle raises :class:`GeometryError` naming v; overflowing or
+    non-finite derivatives raise it naming the radii and speeds."""
+    ca, sa, cb, sb = rotation_trig(alpha, beta, v)
+    turns = ((-sa, ca, -sb, cb), (-ca, -sa, -cb, -sb), (sa, -ca, sb, -cb), (ca, sa, cb, sb))
     try:
-        for order in range(1, 5):
-            pa = alpha * v + order * math.pi / 2.0
-            pb = beta * v + order * math.pi / 2.0
-            ra = a * alpha ** order
-            rb = b * beta ** order
-            out.append(Vec4(ra * math.cos(pa), ra * math.sin(pa),
-                            rb * math.cos(pb), rb * math.sin(pb)))
-    except ValueError:
-        raise _angle_overflow(v) from None
+        out = tuple(rotate(Vec4(a * alpha ** k, 0.0, b * beta ** k, 0.0), trig)
+                    for k, trig in enumerate(turns, 1))
     except OverflowError:  # float ** raises where * would give inf
         raise _vline_range_error(a, b, alpha, beta) from None
     if not all(map(math.isfinite, (x for d in out for x in d))):
         raise _vline_range_error(a, b, alpha, beta)
-    return tuple(out)
+    return out
 
 
 def meridian_curvature(s: RotationalSurface, u: float) -> float:

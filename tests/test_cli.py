@@ -120,13 +120,31 @@ def test_octet_grid(tmp_path):
 # ---------------------------------------------------------------------------
 # verify
 
-def test_verify_passes_on_msc_surface(capsys):
-    code = main(["verify", "--msc-c", "1", "--eps", "1", "--alpha", "1", "--beta", "2",
-                 "--u", "0.5:2:5"])
-    assert code == 0
+def _max_devs(out):
+    """Check name -> max dev, read from verify's report lines."""
+    return {line.split()[0]: float(line.split()[3])
+            for line in out.splitlines() if " max dev " in line}
+
+
+# the family sweep (c = 1, each speed pair from {1, 2, 3} with both branch
+# signs, default domain) and the running example on a crosscheck grid are
+# all members, so every check applies to each
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--msc-c", "1", "--eps", "1", "--alpha", "1", "--beta", "2",
+                  "--u", "0.5:2:5"], id="msc"),
+    *(pytest.param(["--msc-c", "1", f"--eps={eps}", "--alpha", str(a), "--beta", str(b)],
+                   id=f"sweep-a{a}-b{b}-eps{eps}")
+      for a in (1, 2, 3) for b in (1, 2, 3) if a != b for eps in (1, -1)),
+    pytest.param([*RUN, "--u", "0.5:2:10", "--v", "0:0:1"], id="crosscheck-grid"),
+])
+def test_verify_passes_on_msc_surface(capsys, argv):
+    code = main(["verify", *argv])
     out = capsys.readouterr().out
-    assert "overall: PASS" in out
-    assert "member" in out
+    assert code == 0 and "overall: PASS" in out
+    assert ": member" in out
+    devs = _max_devs(out)
+    assert devs["superconformal"] <= 1e-8
+    assert devs["forms"] <= 1e-6 and devs["invariants"] <= 1e-6
 
 
 def test_verify_cubic_superconformal_not_applicable(capsys):
@@ -276,6 +294,22 @@ def test_msc_exponent_out_of_range_usage_error(capsys, alpha, beta):
 
 def test_msc_equal_speeds_usage_error():
     assert main(["msc", "--c", "1", "--alpha", "1", "--beta", "1", "--eps", "1"]) == 2
+
+
+def test_msc_one_point_grid(capfd):
+    # count = 1 is the single point min, inside the power law's domain
+    assert main(["msc", "--alpha", "1", "--beta", "2", "--u", "1:1:1"]) == 0
+    assert capfd.readouterr().out == (
+        "profile: 1*u^2\n"
+        "u,k,kappa,K,residual,minimal,superconformal\r\n"
+        "1,0.0040959999999999998,0.064000000000000001,-0.064000000000000001,0,true,true\r\n"
+        "minimal super-conformal at 1/1 grid points\n")
+
+
+@pytest.mark.parametrize("grid", [["--u", "0:1:2"], ["--u=-1:1:3"], ["--u", "0:1:1"]])
+def test_msc_grid_outside_the_domain_usage_error(capsys, grid):
+    assert main(["msc", "--alpha", "1", "--beta", "2", *grid]) == 2
+    assert "domain of a power-law meridian must lie inside (0, inf)" in capsys.readouterr().err
 
 
 def test_msc_degenerate_constant_warns_but_runs(tmp_path, capsys):

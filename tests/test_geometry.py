@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (field_values, jet_dev, reference_analytic_jet2, reference_cross4,
                      reference_det4, reference_gram_schmidt_normals, vec_dev)
 from rotsurf4.expr import Profile
+from rotsurf4.forms import generic_at
 from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError,
                                Vec4, analytic_jet2, analytic_jet2_from, cross4, det4, dot,
                                fd_jet2, gram_schmidt_normals, norm, rotation_trig)
@@ -264,6 +265,21 @@ def test_gram_schmidt_rejects_nan_tangent():
     jet = Jet2(z, Vec4(math.nan, 0, 0, 0), Vec4(0, 1, 0, 0), z, z, z)
     with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
         gram_schmidt_normals(jet)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.builds(Vec4, finite_floats, finite_floats, finite_floats, finite_floats),
+       st.floats(min_value=-3.0, max_value=3.0))
+@example(Vec4(0.6715302078397394, -0.13446586418989326, 0.524560164915884,
+              -0.9957878932977786), -0.3276768356711912)
+def test_exact_multiples_are_collinear(zu, c):
+    # z_v = c z_u can leave EG - F^2 a rounding residue > 0 and the residual
+    # of z_v a few ulps of |z_v| long; no frame and no forms come from that
+    z = Vec4(0.0, 0.0, 0.0, 0.0)
+    jet = Jet2(z, zu, zu * c, z, z, z)
+    for build in (gram_schmidt_normals, generic_at):
+        with pytest.raises(DegenerateMetricError):
+            build(jet)
 
 
 # ---------------------------------------------------------------------------
