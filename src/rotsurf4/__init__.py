@@ -17,7 +17,8 @@ from .forms import (Christoffel, CircleReport, FirstForm, FrameError,
                     gauss_curvature, generic_at, generic_invariants,
                     invariants, is_circle, is_minimal, is_principal_params,
                     is_superconformal, lmn, mean_curvature_vector,
-                    second_form_value, second_tensor, superconformal_residuals)
+                    second_form_value, second_tensor, superconformal_residuals,
+                    superconformal_verdict)
 from .geometry import (DegenerateMetricError, GeometryError, Jet2,
                        RegularityError, Vec4, analytic_jet2, cross4, det4,
                        dot, fd_jet2, gram_schmidt_normals, norm)

@@ -34,8 +34,8 @@ from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     generic_invariants, invariants, is_circle,
-                    superconformal_residuals)
-from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, fd_jet2,
+                    superconformal_residuals, superconformal_verdict)
+from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotate, rotation_trig)
 from .octet import TotallyGeodesicError, invariants_from_octet, neighbors_from, octet_generic
 from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
@@ -76,7 +76,10 @@ class _at(AbstractContextManager):
             raise _PointError(self.u, self.v, exc) from exc
 
 
-def _range_spec(text: str) -> tuple[float, float, int]:
+_Range = tuple[float, float, int]  # a grid flag's (min, max, count)
+
+
+def _range_spec(text: str) -> _Range:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected min:max:count, got {text!r}")
@@ -121,22 +124,6 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    u_min: float
-    u_max: float
-    nu: int
-    v_min: float
-    v_max: float
-    nv: int
-
-    def u_values(self) -> list[float]:
-        return _linspace(self.u_min, self.u_max, self.nu)
-
-    def v_values(self) -> list[float]:
-        return _linspace(self.v_min, self.v_max, self.nv)
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -153,8 +140,31 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v", type=_range_spec, help="v grid min:max:count")
 
 
-def _build_surface(args: argparse.Namespace,
-                   parser: argparse.ArgumentParser) -> RotationalSurface:
+def _power_law(parser: argparse.ArgumentParser, c: float, alpha: float, beta: float,
+               eps: int, u_range: _Range | None) -> tuple[msc_mod.MscParams,
+                                                         RotationalSurface, _Range]:
+    """The power-law member g = c u^p and its u grid, as ``(params, surface,
+    (lo, hi, count))``, built on the bounds of ``u_range``, or of 20 points
+    over ``msc.DEFAULT_U_DOMAIN`` for None.  A rejected parameter or grid is
+    a usage error of ``parser``; each warning is one ``warning:`` line on
+    stderr."""
+    lo, hi, count = u_range or (*msc_mod.DEFAULT_U_DOMAIN, 20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            params = msc_mod.MscParams(c, alpha, beta, eps)
+            surface = msc_mod.msc_surface(params, (lo, hi if count > 1 else lo))
+        except ValueError as exc:
+            parser.error(str(exc))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return params, surface, (lo, hi, count)
+
+
+def _build_surface(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                   u_range: _Range | None = None) -> tuple[RotationalSurface, _Range | None]:
+    """The surface of ``args`` and its u grid: ``u_range``, or for None a
+    power-law member's default grid (and None for an expression surface)."""
     expr_source = args.f is not None or args.g is not None
     msc_source = args.msc_c is not None or args.eps is not None
     if expr_source and msc_source:
@@ -165,30 +175,20 @@ def _build_surface(args: argparse.Namespace,
     if msc_source:
         if args.msc_c is None or args.eps is None:
             parser.error("--msc-c and --eps go together")
-        try:
-            params = msc_mod.MscParams(args.msc_c, args.alpha, args.beta, args.eps)
-            return msc_mod.msc_surface(params)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return _power_law(parser, args.msc_c, args.alpha, args.beta, args.eps, u_range)[1:]
     if args.f is None or args.g is None:
         parser.error("an expression surface needs both --f and --g")
     return RotationalSurface(Profile.from_text(args.f), Profile.from_text(args.g),
-                             args.alpha, args.beta)
+                             args.alpha, args.beta), u_range
 
 
 def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  default_v=(0.0, 0.0, 1)) -> tuple[RotationalSurface, GridSpec]:
-    surface = _build_surface(args, parser)
-    if args.u is not None:
-        u_range = args.u
-    elif args.msc_c is not None:
-        u_range = (surface.u_domain.lo, surface.u_domain.hi, 20)
-    else:
+                  default_v=(0.0, 0.0, 1)) -> tuple[RotationalSurface, list[float], list[float]]:
+    """The surface of ``args`` and its u and v grid values."""
+    surface, u_range = _build_surface(args, parser, args.u)
+    if u_range is None:
         parser.error("--u is required for an expression surface")
-    v_range = args.v if args.v else default_v
-    grid = GridSpec(u_range[0], u_range[1], u_range[2],
-                    v_range[0], v_range[1], v_range[2])
-    return surface, grid
+    return surface, _linspace(*u_range), _linspace(*(args.v or default_v))
 
 
 def _write_csv(path: str | None, header: str, row_format: str, rows) -> None:
@@ -235,9 +235,7 @@ def _invariant_parts(surface: RotationalSurface, u: float, data):
 
 
 def cmd_invariants(args, parser) -> int:
-    surface, grid = _build_config(args, parser)
-    us = grid.u_values()
-    vs = grid.v_values()
+    surface, us, vs = _build_config(args, parser)
     records = [invariants(ff, sf, gauss, class_tol=args.tol_class)
                for ff, sf, gauss in _closed_rows(surface, us, vs[0], _invariant_parts)]
     _write_csv(args.out, _INVARIANT_HEADER, _INVARIANT_ROW,
@@ -247,9 +245,8 @@ def cmd_invariants(args, parser) -> int:
 
 
 def cmd_octet(args, parser) -> int:
-    surface, grid = _build_config(args, parser)
-    us = grid.u_values()
-    octets = list(_closed_rows(surface, us, grid.v_min, _closed_octet))
+    surface, us, vs = _build_config(args, parser)
+    octets = list(_closed_rows(surface, us, vs[0], _closed_octet))
     _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW,
                ((u, o.gamma1, o.gamma2, o.nu1, o.nu2, o.lam, o.mu, o.beta1, o.beta2)
                 for u, o in zip(us, octets)))
@@ -302,9 +299,7 @@ class _Check:
 
 
 def cmd_verify(args, parser) -> int:
-    surface, grid = _build_config(args, parser)
-    us = grid.u_values()
-    vs = grid.v_values()
+    surface, us, vs = _build_config(args, parser)
     surface_map = surface.as_map()
 
     checks = {
@@ -407,28 +402,16 @@ def cmd_verify(args, parser) -> int:
 # msc
 
 def cmd_msc(args, parser) -> int:
-    lo, hi, count = args.u or (0.25, 4.0, 20)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            params = msc_mod.MscParams(args.c, args.alpha, args.beta, args.eps)
-            surface = msc_mod.msc_surface(params, (lo, hi if count > 1 else lo))
-        except ValueError as exc:
-            parser.error(str(exc))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
+    params, surface, u_range = _power_law(parser, args.c, args.alpha, args.beta, args.eps,
+                                          args.u)
     print(f"profile: {msc_mod.msc_profile_text(params)}")
-    us = _linspace(lo, hi, count)
-    tol = args.tol_superconformal
     rows = []
     npass = 0
-    for u in us:
+    for u in _linspace(*u_range):
         k, kappa, gauss = msc_mod.msc_invariants(params, u)
         residual = msc_mod.msc_residual(surface, u, params.eps)
-        minimal_dev, conformal_dev, scale = superconformal_residuals(k, kappa, gauss)
-        minimal = minimal_dev <= tol * scale
-        superconformal = minimal and conformal_dev <= tol * scale
+        minimal, superconformal = superconformal_verdict(k, kappa, gauss,
+                                                         args.tol_superconformal)
         npass += superconformal
         rows.append((u, k, kappa, gauss, residual, str(minimal).lower(),
                      str(superconformal).lower()))
@@ -462,12 +445,12 @@ def _vertex_lines(surface: RotationalSurface, us: list[float], vs: list[float], 
 
 
 def cmd_export(args, parser) -> int:
-    surface, grid = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
-    if grid.nu < 2 or grid.nv < 2:
+    surface, us, vs = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
+    nu, nv = len(us), len(vs)
+    if nu < 2 or nv < 2:
         parser.error("export needs at least a 2x2 grid")
-    lines = _vertex_lines(surface, grid.u_values(), grid.v_values(), _PROJECTIONS[args.projection])
+    lines = _vertex_lines(surface, us, vs, _PROJECTIONS[args.projection])
 
-    nu, nv = grid.nu, grid.nv
     wrap = nv if args.close_v else nv - 1
     for i in range(nu - 1):
         for j in range(wrap):  # vertex a at (i, j), d at (i, j + 1); a + nv at (i + 1, j)
@@ -567,7 +550,7 @@ def _svg_ellipse_plot(points: list[tuple[float, float]], center: tuple[float, fl
 
 def cmd_plot(args, parser) -> int:
     if args.quantity == "ellipse":  # one point: no grid
-        surface = _build_surface(args, parser)
+        surface, _ = _build_surface(args, parser)
         if args.point is None:
             parser.error("--point U V is required for the ellipse plot")
         u0, v0 = args.point
@@ -578,20 +561,16 @@ def cmd_plot(args, parser) -> int:
             report = is_circle(samples, 1e-6)
             if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
                 raise NonFiniteInvariantError("curvature ellipse is not finite")
-        points = [(sum(a * b for a, b in zip(s, e1)),
-                   sum(a * b for a, b in zip(s, e2))) for s in samples]
-        center = (sum(a * b for a, b in zip(report.center, e1)),
-                  sum(a * b for a, b in zip(report.center, e2)))
-        text = _svg_ellipse_plot(points, center)
+        points = [(dot(s, e1), dot(s, e2)) for s in samples]
+        text = _svg_ellipse_plot(points, (dot(report.center, e1), dot(report.center, e2)))
     else:
-        surface, grid = _build_config(args, parser)
-        us = grid.u_values()
+        surface, us, vs = _build_config(args, parser)
 
         def closed(s, u, data):
             if args.quantity in ("k", "kappa", "K"):
                 return _closed_invariants(s, u, data)[("k", "kappa", "K").index(args.quantity)]
             return getattr(_closed_octet(s, u, data), args.quantity)  # a FrenetOctet field
-        values = list(_closed_rows(surface, us, grid.v_min, closed))
+        values = list(_closed_rows(surface, us, vs[0], closed))
         text = _svg_line_plot(us, values, args.quantity)
     _write_out(args.out, (text,))
     return EXIT_OK

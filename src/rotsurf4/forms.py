@@ -53,6 +53,7 @@ __all__ = [
     "principal_defect",
     "is_principal_params",
     "superconformal_residuals",
+    "superconformal_verdict",
     "is_minimal",
     "is_superconformal",
     "mean_curvature_vector",
@@ -304,18 +305,27 @@ def superconformal_residuals(k: float, kappa: float, gauss: float) -> tuple[floa
     return abs(kappa2 - k), abs(gauss2 - kappa2), max(1.0, kappa2, abs(k), gauss2)
 
 
+def superconformal_verdict(k: float, kappa: float, gauss: float,
+                           tol: float) -> tuple[bool, bool]:
+    """(minimal, superconformal): each residual of
+    :func:`superconformal_residuals` is zero when it is at most ``tol``
+    times the scale.  Minimal points satisfy kappa^2 - k = 0, minimal
+    super-conformal points K^2 - kappa^2 = 0 as well."""
+    minimal, conformal, scale = superconformal_residuals(k, kappa, gauss)
+    minimal = minimal <= tol * scale
+    return minimal, minimal and conformal <= tol * scale
+
+
 def is_minimal(rec: InvariantRecord, tol: float) -> bool:
     """Minimal surfaces satisfy kappa^2 - k = 0."""
-    minimal, _, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
-    return minimal <= tol * scale
+    return superconformal_verdict(rec.k, rec.kappa, rec.K, tol)[0]
 
 
 def is_superconformal(rec: InvariantRecord, tol: float) -> bool:
     """Minimal super-conformal points satisfy kappa^2 - k = 0 and
     K^2 - kappa^2 = 0.  Flat points pass degenerately; the record's
     ``point_type`` carries that flag."""
-    minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
-    return minimal <= tol * scale and conformal <= tol * scale
+    return superconformal_verdict(rec.k, rec.kappa, rec.K, tol)[1]
 
 
 def mean_curvature_vector(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> Vec4:

@@ -26,6 +26,7 @@ from .expr import Interval, Profile, format_number
 from .rotational import ClosedFormRangeError, RotationalSurface, _check_speeds, _finite_at
 
 __all__ = [
+    "DEFAULT_U_DOMAIN",
     "MscParams",
     "identity_profile",
     "msc_profile",
@@ -36,6 +37,10 @@ __all__ = [
     "msc_invariants",
     "power_law_invariants",
 ]
+
+
+# the (lo, hi) on which msc_surface builds a member by default
+DEFAULT_U_DOMAIN = (0.25, 4.0)
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ def msc_profile(params: MscParams) -> Profile:
                              domain=Interval(0.0, math.inf, open_lo=True))
 
 
-def msc_surface(params: MscParams, u_domain=(0.25, 4.0)) -> RotationalSurface:
+def msc_surface(params: MscParams, u_domain=DEFAULT_U_DOMAIN) -> RotationalSurface:
     """A power-law member on ``u_domain = (lo, hi)`` with 0 < lo <= hi (one point at lo = hi)."""
     interval = Interval(float(u_domain[0]), float(u_domain[1]))
     if interval.lo <= 0.0 or interval.hi < interval.lo:

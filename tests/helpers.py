@@ -370,9 +370,7 @@ def _reference_octet_dev(a, b) -> float:
 
 
 def reference_verify(args, parser) -> int:
-    surface, grid = _build_config(args, parser)
-    us = grid.u_values()
-    vs = grid.v_values()
+    surface, us, vs = _build_config(args, parser)
     surface_map = surface.as_map()
 
     checks = {

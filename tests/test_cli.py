@@ -18,6 +18,11 @@ from rotsurf4.msc import MscParams, msc_surface
 from rotsurf4.rotational import RotationalSurface, closed_forms_at, closed_invariants_at
 
 RUN = ["--f", "u", "--g", "u^2", "--alpha", "1", "--beta", "2"]
+FLAT_WARNING = "c = 0 gives the degenerate flat branch (g identically zero)"
+DOMAIN_MESSAGE = "the domain of a power-law meridian must lie inside (0, inf)"
+# each subcommand that takes a power-law source and a grid, with its other arguments
+GRID_COMMANDS = {"invariants": [], "octet": [], "verify": [], "export": ["--out", "m.obj"],
+                 "plot": ["--quantity", "k", "--out", "k.svg"]}
 
 
 def _read_csv(path):
@@ -158,11 +163,11 @@ def test_verify_cubic_superconformal_not_applicable(capsys):
 
 def test_verify_flat_branch_marks_octet_not_applicable(capsys):
     # c = 0: totally geodesic everywhere, the frame invariants are undefined
-    with pytest.warns(UserWarning):
-        code = main(["verify", "--msc-c", "0", "--eps", "1", "--alpha", "1",
-                     "--beta", "2", "--u", "0.5:2:3"])
+    code = main(["verify", "--msc-c", "0", "--eps", "1", "--alpha", "1",
+                 "--beta", "2", "--u", "0.5:2:3"])
     assert code == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == f"warning: {FLAT_WARNING}\n"
     assert "octet                  n/a" in out
     assert "overall: PASS" in out
 
@@ -309,7 +314,28 @@ def test_msc_one_point_grid(capfd):
 @pytest.mark.parametrize("grid", [["--u", "0:1:2"], ["--u=-1:1:3"], ["--u", "0:1:1"]])
 def test_msc_grid_outside_the_domain_usage_error(capsys, grid):
     assert main(["msc", "--alpha", "1", "--beta", "2", *grid]) == 2
-    assert "domain of a power-law meridian must lie inside (0, inf)" in capsys.readouterr().err
+    assert DOMAIN_MESSAGE in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_power_law_warning_is_one_stderr_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--msc-c", "0", "--eps", "1", "--alpha", "1", "--beta", "2",
+                 "--u", "0.5:2:3", *GRID_COMMANDS[command]]) == 0
+    assert capsys.readouterr().err == f"warning: {FLAT_WARNING}\n"
+
+
+@pytest.mark.parametrize("grid", [["--u", "0:1:2"], ["--u=-1:1:3"]])
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_power_law_grid_outside_the_domain_usage_error(tmp_path, monkeypatch, capsys,
+                                                       command, grid):
+    # as msc: the member is built on the grid's bounds, before any point is read
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--msc-c", "1", "--eps", "1", "--alpha", "1", "--beta", "2",
+                 *grid, *GRID_COMMANDS[command]]) == 2
+    err = capsys.readouterr().err
+    assert f"rotsurf4 {command}: error: {DOMAIN_MESSAGE}" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_msc_degenerate_constant_warns_but_runs(tmp_path, capsys):
@@ -317,7 +343,7 @@ def test_msc_degenerate_constant_warns_but_runs(tmp_path, capsys):
     code = main(["msc", "--c", "0", "--alpha", "1", "--beta", "2", "--eps", "1",
                  "--u", "1:2:3", "--out", str(out)])
     assert code == 0
-    assert "warning" in capsys.readouterr().err.lower()
+    assert capsys.readouterr().err == f"warning: {FLAT_WARNING}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +428,10 @@ def test_plot_ellipse_needs_no_u_grid(tmp_path):
     assert main(["plot", *RUN, "--u", "1:1:1", "--quantity", "ellipse", "--point", "1", "0",
                  "--out", str(with_grid)]) == 0
     assert out.read_bytes() == with_grid.read_bytes()
+    # nor does it check a --u that lies outside a power-law member's domain
+    assert main(["plot", "--msc-c", "1", "--eps", "1", "--alpha", "1", "--beta", "2",
+                 "--u=-1:1:3", "--quantity", "ellipse", "--point", "1", "0",
+                 "--out", str(out)]) == 0
 
 
 def test_plot_line_still_needs_u_grid(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Any in-process CLI run answers with finite numbers or exits 2/3.
 
 Every subcommand is run through ``cli.main`` on small grammar meridians
-(at least one of f and g contains u) with speeds, grid bounds, power-law
+(at least one of f and g contains u), or one draw in four on a power-law
+member (``--msc-c``/``--eps``), with speeds, grid bounds, power-law
 constants, ellipse points and tolerances drawn from the edges of the
 double range (NaN, +-inf, 0, negative values, +-1e308).  Each run must exit 0 (or 1, the verdict of
 ``verify`` and ``msc``) with every number it wrote finite, or exit 2 or 3,
@@ -95,11 +96,16 @@ def command_lines(draw, commands=COMMANDS, quantities=QUANTITIES):
         return argv + [f"--c={draw(_mostly(st.floats(min_value=-3.0, max_value=3.0)))!r}",
                        f"--eps={draw(st.sampled_from((1, -1)))}",
                        f"--tol-superconformal={tol!r}"]
-    f, g = draw(meridians), draw(meridians)
-    if "u" not in f + g:
-        # two constants stop every run at "meridian speed vanishes"
-        f = draw(meridians.filter(lambda text: "u" in text))
-    argv += [f"--f={f}", f"--g={g}", f"--v={draw(grid_specs(edge_one_in))}"]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:  # a power-law member
+        c = _mostly(st.floats(min_value=-3.0, max_value=3.0), edge_one_in)
+        argv += [f"--msc-c={draw(c)!r}", f"--eps={draw(st.sampled_from((1, -1)))}"]
+    else:
+        f, g = draw(meridians), draw(meridians)
+        if "u" not in f + g:
+            # two constants stop every run at "meridian speed vanishes"
+            f = draw(meridians.filter(lambda text: "u" in text))
+        argv += [f"--f={f}", f"--g={g}"]
+    argv.append(f"--v={draw(grid_specs(edge_one_in))}")
     if command == "invariants":
         argv.append(f"--tol-class={tol!r}")
     elif command == "verify":
