@@ -25,9 +25,8 @@ from .geometry import (DegenerateMetricError, GeometryError, Jet2,
 from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
                   msc_profile_text, msc_residual, msc_surface,
                   power_law_invariants, scaled_msc_residual)
-from .octet import (FrenetOctet, JetNeighbors, NonPrincipalParamsError,
-                    TotallyGeodesicError, gauge_flip, invariants_from_octet,
-                    neighbors_from, octet_generic)
+from .octet import (FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
+                    gauge_flip, invariants_from_octet, octet_generic)
 from .rotational import (ClosedFormRangeError, CurveCurvatures,
                          DegenerateCurveError, RotationalSurface,
                          closed_forms_at,

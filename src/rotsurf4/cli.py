@@ -37,7 +37,7 @@ from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotate, rotation_trig)
-from .octet import TotallyGeodesicError, invariants_from_octet, neighbors_from, octet_generic
+from .octet import TotallyGeodesicError, gauge_flip, invariants_from_octet, octet_generic
 from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
 
 EXIT_OK = 0
@@ -144,16 +144,18 @@ def _power_law(parser: argparse.ArgumentParser, c: float, alpha: float, beta: fl
                eps: int, u_range: _Range | None) -> tuple[msc_mod.MscParams,
                                                          RotationalSurface, _Range]:
     """The power-law member g = c u^p and its u grid, as ``(params, surface,
-    (lo, hi, count))``, built on the bounds of ``u_range``, or of 20 points
-    over ``msc.DEFAULT_U_DOMAIN`` for None.  A rejected parameter or grid is
-    a usage error of ``parser``; each warning is one ``warning:`` line on
-    stderr."""
+    (lo, hi, count))``, on the grid ``u_range``, or of 20 points over
+    ``msc.DEFAULT_U_DOMAIN`` for None.  A rejected parameter or a grid
+    outside u > 0 is a usage error of ``parser``; each warning is one
+    ``warning:`` line on stderr."""
     lo, hi, count = u_range or (*msc_mod.DEFAULT_U_DOMAIN, 20)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             params = msc_mod.MscParams(c, alpha, beta, eps)
-            surface = msc_mod.msc_surface(params, (lo, hi if count > 1 else lo))
+            if lo <= 0.0:
+                raise ValueError("the domain of a power-law meridian must lie inside (0, inf)")
+            surface = msc_mod.msc_surface(params)
         except ValueError as exc:
             parser.error(str(exc))
     for w in caught:
@@ -272,13 +274,14 @@ def _jet_dev(j1, j2) -> float:
     return max(0.0, *map(_rel, _jet_values(j1), _jet_values(j2)))
 
 
+_octet_values = attrgetter("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+
+
 def _octet_dev(a, b) -> float:
-    """The deviation of b from a, up to the gauge flip of b (``gauge_flip``)."""
-    mine = (a.gamma1, a.gamma2, a.nu1, a.nu2, a.lam, a.mu, a.beta1, a.beta2)
-    nu1, nu2, lam, mu = b.nu1, b.nu2, b.lam, b.mu
-    return min(max(map(_rel, mine, (b.gamma1, b.gamma2, nu1, nu2, lam, mu, b.beta1, b.beta2))),
-               max(map(_rel, mine, (b.gamma1, b.gamma2, -nu1, -nu2, -lam, -mu, b.beta1,
-                                    b.beta2))))
+    """The deviation of b from a, up to the gauge flip of b."""
+    mine = _octet_values(a)
+    return min(max(map(_rel, mine, _octet_values(b))),
+               max(map(_rel, mine, _octet_values(gauge_flip(b)))))
 
 
 @dataclass
@@ -334,7 +337,7 @@ def cmd_verify(args, parser) -> int:
             ko, xo, go = invariants_from_octet(oc)
             checks["octet-vs-invariants"].update(
                 max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
-            residuals.append(msc_mod._scaled_msc_residual(surface, u, data))
+            residuals.append(msc_mod.scaled_msc_residual(surface, u))
         for v in vs:
             with _at(u, v):
                 jet_a = jet_at(u, v)
@@ -350,8 +353,8 @@ def cmd_verify(args, parser) -> int:
 
                 if checks["octet"].note is None:
                     try:
-                        og = octet_generic(jet_a, neighbors_from(jet_at, u, v))
-                        checks["octet"].update(_octet_dev(oc, og), (u, v))
+                        checks["octet"].update(_octet_dev(oc, octet_generic(jet_at, u, v)),
+                                               (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
 

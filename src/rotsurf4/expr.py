@@ -582,12 +582,11 @@ def differentiate(e: Expr) -> Expr:
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval; bounds default to the whole line."""
+    """A real interval, closed at ``hi``; bounds default to the whole line."""
 
     lo: float = -math.inf
     hi: float = math.inf
     open_lo: bool = False
-    open_hi: bool = False
 
     def contains(self, u: float) -> bool:
         if self.open_lo:
@@ -595,12 +594,7 @@ class Interval:
                 return False
         elif u < self.lo:
             return False
-        if self.open_hi:
-            if u >= self.hi:
-                return False
-        elif u > self.hi:
-            return False
-        return True
+        return not u > self.hi  # true for NaN, like the lower tests
 
 
 @dataclass(frozen=True)

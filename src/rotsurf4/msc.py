@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-# the (lo, hi) on which msc_surface builds a member by default
+# the (lo, hi) of a power-law member's u grid when none is given
 DEFAULT_U_DOMAIN = (0.25, 4.0)
 
 
@@ -95,24 +95,16 @@ def msc_profile(params: MscParams) -> Profile:
                              domain=Interval(0.0, math.inf, open_lo=True))
 
 
-def msc_surface(params: MscParams, u_domain=DEFAULT_U_DOMAIN) -> RotationalSurface:
-    """A power-law member on ``u_domain = (lo, hi)`` with 0 < lo <= hi (one point at lo = hi)."""
-    interval = Interval(float(u_domain[0]), float(u_domain[1]))
-    if interval.lo <= 0.0 or interval.hi < interval.lo:
-        raise ValueError("the domain of a power-law meridian must lie inside (0, inf)")
-    return RotationalSurface(identity_profile(), msc_profile(params),
-                             params.alpha, params.beta, interval)
+def msc_surface(params: MscParams) -> RotationalSurface:
+    """The power-law member; its meridian is defined for u > 0."""
+    return RotationalSurface(identity_profile(), msc_profile(params), params.alpha, params.beta)
 
 
-def _msc_sides(s: RotationalSurface, u: float, data=None) -> tuple[float, float]:
+def _msc_sides(s: RotationalSurface, u: float) -> tuple[float, float]:
     """The sides a b (g f' - f g') and a^2 f g' - b^2 g f' of the msc
-    equation, from ``data``, the ``meridian_jet(u)`` tuple, or else from f,
-    f', g, g' read at ``u``; with f = u (f' = 1.0) they are a b (g - u g')
-    and a^2 u g' - b^2 g bit for bit."""
-    if data is None:
-        f, f1, g, g1 = s.f.value(u), s.f.deriv1(u), s.g.value(u), s.g.deriv1(u)
-    else:
-        f, f1, _, g, g1 = data[:5]
+    equation from f, f', g, g' read at ``u``; with f = u (f' = 1.0) they are
+    a b (g - u g') and a^2 u g' - b^2 g bit for bit."""
+    f, f1, g, g1 = s.f.value(u), s.f.deriv1(u), s.g.value(u), s.g.deriv1(u)
     a, b = s.alpha, s.beta
     sides = a * b * (g * f1 - f * g1), a * a * f * g1 - b * b * g * f1
     _finite_at(u, sides)
@@ -142,13 +134,7 @@ def scaled_msc_residual(s: RotationalSurface, u: float) -> float:
 
     Raises :class:`ClosedFormRangeError` naming u when a side is not finite.
     """
-    return _scaled_msc_residual(s, u, None)
-
-
-def _scaled_msc_residual(s: RotationalSurface, u: float, data) -> float:
-    """:func:`scaled_msc_residual` from ``data``, the ``meridian_jet(u)``
-    tuple, or from the profiles read at ``u`` for None."""
-    lhs, rhs = _msc_sides(s, u, data)
+    lhs, rhs = _msc_sides(s, u)
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0

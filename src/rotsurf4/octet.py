@@ -30,11 +30,9 @@ from .geometry import _FLOOR, GeometryError, Jet2, Vec4, cross4, dot, norm
 
 __all__ = [
     "FrenetOctet",
-    "JetNeighbors",
     "NonPrincipalParamsError",
     "TotallyGeodesicError",
     "gauge_flip",
-    "neighbors_from",
     "octet_generic",
     "invariants_from_octet",
 ]
@@ -70,22 +68,6 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
                        o.beta1, o.beta2)
 
 
-@dataclass(slots=True)
-class JetNeighbors:
-    """Stencil jets at (u -+ _STEP, v) and (u, v -+ _STEP) for the finite
-    differences of the b field."""
-
-    u_minus: Jet2
-    u_plus: Jet2
-    v_minus: Jet2
-    v_plus: Jet2
-
-
-def neighbors_from(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> JetNeighbors:
-    return JetNeighbors(jet_at(u - _STEP, v), jet_at(u + _STEP, v),
-                        jet_at(u, v - _STEP), jet_at(u, v + _STEP))
-
-
 def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4, n22: Vec4) -> Vec4 | None:
     """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
     the first vanishes: |n11|/E <= 1e-12, or |n11| <= _FLOOR |z_uu|."""
@@ -96,15 +78,21 @@ def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4, n22: Vec4) -> Vec4 | None:
     return None
 
 
-def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
-    """The eight invariants from jet data alone.
+def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> FrenetOctet:
+    """The eight invariants at (u, v) from the jets of the map ``jet_at`` alone.
 
     beta1 and beta2 come from central finite differences of the b field
-    along the coordinate directions (step ``_STEP``); everything
-    else is exact in the jet.  Raises :class:`NonPrincipalParamsError` away
-    from principal parameters and :class:`TotallyGeodesicError` where b is
-    undefined.
+    along the coordinate directions (step ``_STEP``); everything else is
+    exact in the jet at (u, v).  The stencil jets are read first, at
+    (u - _STEP, v), (u + _STEP, v), (u, v - _STEP) and (u, v + _STEP) in
+    that order, and only then the jet at (u, v), so an error reading a
+    stencil jet is raised before any error at the centre.  Raises
+    :class:`NonPrincipalParamsError` away from principal parameters and
+    :class:`TotallyGeodesicError` where b is undefined.
     """
+    u_minus, u_plus, v_minus, v_plus = (jet_at(u - _STEP, v), jet_at(u + _STEP, v),
+                                        jet_at(u, v - _STEP), jet_at(u, v + _STEP))
+    jet = jet_at(u, v)
     ff, n11, n12, n22 = generic_at(jet)
     sxx, syy = n11 / ff.E, n22 / ff.G
     sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
@@ -137,8 +125,8 @@ def octet_generic(jet: Jet2, neighbors: JetNeighbors) -> FrenetOctet:
         # keep the field continuous across the sign convention
         return bb if dot(bb, b) >= 0.0 else -bb
 
-    beta1 = dot((b_at(neighbors.u_plus) - b_at(neighbors.u_minus)) / (2.0 * _STEP), l)
-    beta2 = dot((b_at(neighbors.v_plus) - b_at(neighbors.v_minus)) / (2.0 * _STEP), l)
+    beta1 = dot((b_at(u_plus) - b_at(u_minus)) / (2.0 * _STEP), l)
+    beta2 = dot((b_at(v_plus) - b_at(v_minus)) / (2.0 * _STEP), l)
     return FrenetOctet(gamma1, gamma2, nu1, nu2, lam, mu, beta1, beta2)
 
 

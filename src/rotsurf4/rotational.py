@@ -16,10 +16,10 @@ rather than return inf or nan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .expr import Interval, Profile
+from .expr import Profile
 from .forms import FirstForm, SecondForm, SecondTensor
 from .geometry import GeometryError, RegularityError, Vec4, dot, norm, rotate, rotation_trig
 from .octet import FrenetOctet
@@ -81,7 +81,6 @@ class RotationalSurface:
     g: Profile
     alpha: float
     beta: float
-    u_domain: Interval = field(default_factory=Interval)
 
     def __post_init__(self) -> None:
         _check_speeds(self.alpha, self.beta)

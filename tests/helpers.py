@@ -21,7 +21,7 @@ from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form
 from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot, fd_jet2,
                                gram_schmidt_normals, norm, rotation_trig)
 from rotsurf4.octet import (FrenetOctet, TotallyGeodesicError, gauge_flip,
-                            invariants_from_octet, neighbors_from, octet_generic)
+                            invariants_from_octet, octet_generic)
 from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
 
 
@@ -411,7 +411,7 @@ def reference_verify(args, parser) -> int:
 
                 if checks["octet"].note is None:
                     try:
-                        og = octet_generic(jet_a, neighbors_from(jet_at, u, v))
+                        og = octet_generic(jet_at, u, v)
                         checks["octet"].update(_reference_octet_dev(oc, og), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"

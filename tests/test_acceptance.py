@@ -14,7 +14,7 @@ from rotsurf4.forms import (PointType, ellipse_samples, first_form,
 from rotsurf4.geometry import (Vec4, analytic_jet2, fd_jet2,
                                gram_schmidt_normals, norm)
 from rotsurf4.msc import MscParams, msc_residual, msc_surface
-from rotsurf4.octet import invariants_from_octet, neighbors_from, octet_generic
+from rotsurf4.octet import invariants_from_octet, octet_generic
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
                                  closed_invariants_at, closed_octet_at,
                                  curve_frenet_oracle, vline_curvatures,
@@ -97,7 +97,7 @@ def test_criterion_2_pipeline_equivalence_sweep():
                                   rel_dev(sf.M, sfc.M), rel_dev(sf.N, sfc.N),
                                   rel_dev(rec.k, kc), rel_dev(rec.kappa, xc),
                                   rel_dev(rec.K, gc))
-                og = octet_generic(jet_at(u, v), neighbors_from(jet_at, u, v))
+                og = octet_generic(jet_at, u, v)
                 worst_octet = max(worst_octet, octet_dev(oc, og))
     elapsed = time.perf_counter() - start
     ok = worst_forms <= 1e-6 and worst_octet <= 1e-5 and elapsed < 10.0

@@ -207,6 +207,17 @@ def test_verify_domain_error_names_point(capsys, grid, point):
     assert f"at (u, v) = {point}" in err and "Traceback" not in err
 
 
+def test_verify_octet_stencil_error_beats_flat_centre(capsys):
+    # g = 0 makes (1, 0) totally geodesic, and f vanishes at the stencil
+    # point u + 1e-4: the octet reads its stencil first, so the point fails
+    # rather than the octet check reading n/a
+    code = main(["verify", "--f", "u-(1+0.0001)", "--g", "0", "--alpha", "1", "--beta", "2",
+                 "--u", "1:1:1"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: at (u, v) = (1.0, 0.0): rotation radii vanish at u=1.0001\n")
+
+
 def test_verify_zero_tolerance_fails(capsys):
     code = main(["verify", *RUN, "--u", "1:1.5:3",
                  "--tol-pipeline", "0", "--tol-octet", "0", "--tol-relations", "0"])

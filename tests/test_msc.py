@@ -230,7 +230,7 @@ def test_identity_profile_is_exact():
 # surface generation
 
 def test_msc_surface_is_minimal_superconformal_everywhere():
-    surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1), (0.5, 2.0))
+    surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1))
     for i in range(10):
         u = 0.5 + 1.5 * i / 9
         rec = _record(surface, u)
@@ -248,19 +248,12 @@ def test_msc_surface_negative_branch_is_member():
 
 
 def test_msc_surface_ellipse_is_centered_circle():
-    surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1), (0.5, 2.0))
+    surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1))
     for u in (0.5, 1.0, 2.0):
         report = is_circle(ellipse_samples(*generic_at(analytic_jet2(surface, u, 0.0)), 16),
                            1e-10)
         assert report.ok
         assert norm(report.center) <= 1e-10
-
-
-def test_msc_surface_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        msc_surface(MscParams(1.0, 1.0, 2.0, 1), (0.0, 2.0))
-    with pytest.raises(ValueError):
-        msc_surface(MscParams(1.0, 1.0, 2.0, 1), (-1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import octet_dev, rel_dev
-from rotsurf4.geometry import DegenerateMetricError, Jet2, Vec4, analytic_jet2
-from rotsurf4.octet import (FrenetOctet, NonPrincipalParamsError,
+from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError, Vec4,
+                               analytic_jet2)
+from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError,
                             TotallyGeodesicError, gauge_flip,
-                            invariants_from_octet, neighbors_from,
-                            octet_generic)
+                            invariants_from_octet, octet_generic)
 from rotsurf4.rotational import closed_octet_at
 
 SQRT5 = math.sqrt(5.0)
 
 
 def _octet_at(surface, u, v):
-    def jet_at(uu, vv):
-        return analytic_jet2(surface, uu, vv)
-
-    return octet_generic(jet_at(u, v), neighbors_from(jet_at, u, v))
+    return octet_generic(lambda uu, vv: analytic_jet2(surface, uu, vv), u, v)
 
 
 def test_octet_generic_running_example(parabola):
@@ -53,15 +50,25 @@ def test_octet_generic_straight_meridian_takes_b_from_sigma_yy(f_text, g_text, a
     assert octet_dev(_octet_at(s, u, v), closed_octet_at(s, u)) <= 1e-6  # beta2: O(h^2)
 
 
+PLANE = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
+             Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
+
+
 def test_octet_plane_is_totally_geodesic():
-    jet = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
-               Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
-
-    def jet_at(u, v):
-        return jet
-
     with pytest.raises(TotallyGeodesicError):
-        octet_generic(jet, neighbors_from(jet_at, 0.0, 0.0))
+        octet_generic(lambda u, v: PLANE, 0.0, 0.0)
+
+
+def test_octet_stencil_error_beats_totally_geodesic_centre():
+    # the stencil jets are read before the centre is examined, so an error
+    # reading one is raised even where the centre has no b direction
+    def jet_at(u, v):
+        if u == 1.0 + _STEP:
+            raise RegularityError("no jet at the stencil point")
+        return PLANE
+
+    with pytest.raises(RegularityError, match="no jet at the stencil point"):
+        octet_generic(jet_at, 1.0, 0.0)
 
 
 def test_octet_rejects_non_principal_parameters():
@@ -69,11 +76,8 @@ def test_octet_rejects_non_principal_parameters():
     jet = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(1, 1, 0, 0),
                Vec4(0, 0, 1, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 1, 0))
 
-    def jet_at(u, v):
-        return jet
-
     with pytest.raises(NonPrincipalParamsError):
-        octet_generic(jet, neighbors_from(jet_at, 0.0, 0.0))
+        octet_generic(lambda u, v: jet, 0.0, 0.0)
 
 
 def test_lambda_and_beta1_vanish_on_family(parabola, cubic):
@@ -121,8 +125,7 @@ def test_generic_octet_relations_match_forms_pipeline_on_grid(parabola):
     worst = 0.0
     for u in us:
         for v in vs:
-            k_o, x_o, g_o = invariants_from_octet(
-                octet_generic(jet_at(u, v), neighbors_from(jet_at, u, v)))
+            k_o, x_o, g_o = invariants_from_octet(octet_generic(jet_at, u, v))
             jet = jet_at(u, v)
             ff = first_form(jet)
             e1, e2 = gram_schmidt_normals(jet)
@@ -154,6 +157,9 @@ def test_gauge_flip_is_involution():
 def test_octet_generic_degenerate_jet_raises_frame_message(parabola):
     z = Vec4(0, 0, 0, 0)
     jet = Jet2(z, Vec4(1, 0, 0, 0), Vec4(2, 0, 0, 0), z, z, z)
-    neighbors = neighbors_from(lambda uu, vv: analytic_jet2(parabola, uu, vv), 1.0, 0.0)
+
+    def jet_at(u, v):  # the degenerate jet at (1, 0) only
+        return jet if (u, v) == (1.0, 0.0) else analytic_jet2(parabola, u, v)
+
     with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
-        octet_generic(jet, neighbors)
+        octet_generic(jet_at, 1.0, 0.0)
