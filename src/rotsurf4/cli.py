@@ -27,7 +27,7 @@ import warnings
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from . import msc as msc_mod
@@ -37,7 +37,8 @@ from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
                     superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotate, rotation_trig)
-from .octet import TotallyGeodesicError, gauge_flip, invariants_from_octet, octet_generic
+from .octet import (_GAUGE_FLIPPED, TotallyGeodesicError, _octet_values, invariants_from_octet,
+                    octet_generic)
 from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
 
 EXIT_OK = 0
@@ -270,18 +271,39 @@ def _jet_values(j) -> tuple[float, ...]:
             zvv.x1, zvv.x2, zvv.x3, zvv.x4)
 
 
+def _worst_rels(xs, ys, flips, plain: float, flipped: float) -> tuple[float, float]:
+    """``max(plain, *map(_rel, xs, ys))`` and ``max(flipped, ...)`` of the same
+    with each y whose ``flips`` entry is true negated, in one loop: x - (-y)
+    is x + y bit for bit, and -y has the scale of y."""
+    for x, y, flip in zip(xs, ys, flips):
+        scale, abs_x, abs_y = 1.0, abs(x), abs(y)
+        if abs_x > scale:
+            scale = abs_x
+        if abs_y > scale:
+            scale = abs_y
+        dev = abs(x - y) / scale
+        if dev > plain:
+            plain = dev
+        if flip:
+            dev = abs(x + y) / scale
+        if dev > flipped:
+            flipped = dev
+    return plain, flipped
+
+
 def _jet_dev(j1, j2) -> float:
-    return max(0.0, *map(_rel, _jet_values(j1), _jet_values(j2)))
-
-
-_octet_values = attrgetter("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+    """``max(0.0, *map(_rel, _jet_values(j1), _jet_values(j2)))``."""
+    return _worst_rels(_jet_values(j1), _jet_values(j2), repeat(False), 0.0, 0.0)[0]
 
 
 def _octet_dev(a, b) -> float:
-    """The deviation of b from a, up to the gauge flip of b."""
-    mine = _octet_values(a)
-    return min(max(map(_rel, mine, _octet_values(b))),
-               max(map(_rel, mine, _octet_values(gauge_flip(b)))))
+    """The deviation of b from a, up to the gauge flip of b:
+    ``min(max(map(_rel, a, b)), max(map(_rel, a, gauge_flip(b))))``.  The
+    first component starts both maxima, as in max."""
+    xs, ys = _octet_values(a), _octet_values(b)
+    x, y = xs[0], ys[0]
+    return min(_worst_rels(xs[1:], ys[1:], _GAUGE_FLIPPED[1:],
+                           _rel(x, y), _rel(x, -y if _GAUGE_FLIPPED[0] else y)))
 
 
 @dataclass
@@ -319,13 +341,19 @@ def cmd_verify(args, parser) -> int:
     # alone: each is read once per distinct value, where the per-point loop
     # would first read it, so a read that raises (and is not cached) names the
     # same point.  0.0 and -0.0 would share a cache key, but never meet: a grid
-    # holds -0.0 only as its one point, and x -+ octet._STEP is never -0.0
+    # holds -0.0 only as its one point, and x -+ octet._STEP is never -0.0.
+    # The fd oracle's surface_map remembers its meridian points and trig the
+    # same way (RotationalSurface.as_map), and the octet, which reads its
+    # centre jet after its stencil, is handed the jets check's jet_a there
     alpha, beta = surface.alpha, surface.beta
     meridian = cache(surface.meridian_jet)
     trig = cache(partial(rotation_trig, alpha, beta))
 
     def jet_at(u, v):
         return analytic_jet2_from(alpha, beta, meridian(u), trig(v))
+
+    def octet_jet_at(uu, vv):
+        return jet_a if uu == u and vv == v else jet_at(uu, vv)
 
     residuals = []
     for u in us:
@@ -353,8 +381,8 @@ def cmd_verify(args, parser) -> int:
 
                 if checks["octet"].note is None:
                     try:
-                        checks["octet"].update(_octet_dev(oc, octet_generic(jet_at, u, v)),
-                                               (u, v))
+                        checks["octet"].update(
+                            _octet_dev(oc, octet_generic(octet_jet_at, u, v)), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .forms import (FirstForm, _normal_part, _tangent_form, generic_at, principal_defect,
@@ -62,20 +63,31 @@ class FrenetOctet:
     beta2: float
 
 
+_octet_values = attrgetter("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+_GAUGE_FLIPPED = (False, False, True, True, True, True, False, False)  # per _octet_values
+
+
 def gauge_flip(o: FrenetOctet) -> FrenetOctet:
     """The (b, l) -> (-b, -l) gauge; octets are compared up to this flip."""
-    return FrenetOctet(o.gamma1, o.gamma2, -o.nu1, -o.nu2, -o.lam, -o.mu,
-                       o.beta1, o.beta2)
+    return FrenetOctet(*[-x if flip else x for x, flip in zip(_octet_values(o), _GAUGE_FLIPPED)])
 
 
-def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4, n22: Vec4) -> Vec4 | None:
-    """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
-    the first vanishes: |n11|/E <= 1e-12, or |n11| <= _FLOOR |z_uu|."""
-    for n, zij, e in ((n11, jet.z_uu, ff.E), (n22, jet.z_vv, ff.G)):
-        size = norm(n)
-        if size / e > 1e-12 and size > _FLOOR * norm(zij):
-            return n / size
+def _unit_or_none(n: Vec4, zij: Vec4, e: float) -> Vec4 | None:
+    """n / |n|, or None where n is only rounding: |n|/e <= 1e-12, or
+    |n| <= _FLOOR |z_ij|."""
+    size = norm(n)
+    if size / e > 1e-12 and size > _FLOOR * norm(zij):
+        return n / size
     return None
+
+
+def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4) -> Vec4 | None:
+    """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
+    the first vanishes; n22 is built from the jet on that fallback only."""
+    b = _unit_or_none(n11, jet.z_uu, ff.E)
+    if b is None:
+        b = _unit_or_none(_normal_part(jet.z_vv, jet, ff), jet.z_vv, ff.G)
+    return b
 
 
 def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> FrenetOctet:
@@ -86,7 +98,9 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     exact in the jet at (u, v).  The stencil jets are read first, at
     (u - _STEP, v), (u + _STEP, v), (u, v - _STEP) and (u, v + _STEP) in
     that order, and only then the jet at (u, v), so an error reading a
-    stencil jet is raised before any error at the centre.  Raises
+    stencil jet is raised before any error at the centre.  A stencil jet
+    builds n22 only on the sigma(y,y) fallback, where n11 gives no
+    direction.  Raises
     :class:`NonPrincipalParamsError` away from principal parameters and
     :class:`TotallyGeodesicError` where b is undefined.
     """
@@ -100,7 +114,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 
-    b = _b_direction(jet, ff, n11, n22)
+    b = _b_direction(jet, ff, n11)
     if b is None:
         raise TotallyGeodesicError(
             f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
@@ -118,8 +132,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
 
     def b_at(stencil_jet: Jet2) -> Vec4:
         sff = _tangent_form(stencil_jet)
-        bb = _b_direction(stencil_jet, sff, _normal_part(stencil_jet.z_uu, stencil_jet, sff),
-                          _normal_part(stencil_jet.z_vv, stencil_jet, sff))
+        bb = _b_direction(stencil_jet, sff, _normal_part(stencil_jet.z_uu, stencil_jet, sff))
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         # keep the field continuous across the sign convention

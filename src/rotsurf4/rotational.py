@@ -122,9 +122,29 @@ class RotationalSurface:
         return f, f1, f2, g, g1, g2, ee, gg
 
     def as_map(self):
-        """The surface as a plain (u, v) -> Vec4 map."""
+        """The surface as a plain (u, v) -> Vec4 map,
+        ``rotate(meridian_at(u), rotation_trig(alpha, beta, v))``, that
+        remembers for its lifetime the meridian point of each u and the trig
+        of each v it has read: never of a zero, so 0.0 and -0.0 (equal keys)
+        keep their signs, and never a read that raised."""
         meridian_at, alpha, beta = self.meridian_at, self.alpha, self.beta
-        return lambda u, v: rotate(meridian_at(u), rotation_trig(alpha, beta, v))
+        points: dict[float, Vec4] = {}
+        trigs: dict[float, tuple[float, float, float, float]] = {}
+
+        def surface_map(u: float, v: float) -> Vec4:
+            p = points.get(u)
+            if p is None:
+                p = meridian_at(u)
+                if u:
+                    points[u] = p
+            t = trigs.get(v)
+            if t is None:
+                t = rotation_trig(alpha, beta, v)
+                if v:
+                    trigs[v] = t
+            return rotate(p, t)
+
+        return surface_map
 
 
 def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondTensor, SecondForm]:

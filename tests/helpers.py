@@ -2,7 +2,8 @@
 they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
 kernel, the framed generic pipeline, the per-point OBJ vertex, closed-form
-row and ``verify`` loops, the csv-module CSV writer)."""
+row and ``verify`` loops, the deviation expressions, the octet stencil
+with both normal parts built up front, the csv-module CSV writer)."""
 
 import csv
 import dataclasses
@@ -15,13 +16,14 @@ from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _Poi
                           _rel)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form, generic_at,
-                            generic_invariants, invariants, is_circle, lmn, second_tensor,
-                            superconformal_residuals)
-from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, dot, fd_jet2,
-                               gram_schmidt_normals, norm, rotation_trig)
-from rotsurf4.octet import (FrenetOctet, TotallyGeodesicError, gauge_flip,
-                            invariants_from_octet, octet_generic)
+from rotsurf4.forms import (NonFiniteInvariantError, _normal_part, _tangent_form,
+                            ellipse_samples, first_form, generic_at, generic_invariants,
+                            invariants, is_circle, lmn, principal_defect, second_form,
+                            second_tensor, superconformal_residuals)
+from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, cross4,
+                               dot, fd_jet2, gram_schmidt_normals, norm, rotation_trig)
+from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
+                            gauge_flip, invariants_from_octet, octet_generic)
 from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
 
 
@@ -355,18 +357,21 @@ def reference_analytic_jet2(surface, u, v):
     )
 
 
-def _reference_jet_dev(j1, j2) -> float:
-    worst = 0.0
-    for name in ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv"):
-        for a, b in zip(getattr(j1, name), getattr(j2, name)):
-            worst = max(worst, _rel(a, b))
-    return worst
+_JET_PARTS = ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv")
 
 
-def _reference_octet_dev(a, b) -> float:
-    def dev(x, y):
-        return max(_rel(p, q) for p, q in zip(octet_tuple(x), octet_tuple(y)))
-    return min(dev(a, b), dev(a, gauge_flip(b)))
+def reference_jet_dev(j1, j2) -> float:
+    """``cli._jet_dev`` as the expression ``max(0.0, *map(_rel, ...))`` over
+    the 24 components, z first and each Vec4 in x1..x4 order."""
+    return max(0.0, *map(_rel, [x for name in _JET_PARTS for x in getattr(j1, name)],
+                         [x for name in _JET_PARTS for x in getattr(j2, name)]))
+
+
+def reference_octet_dev(a, b) -> float:
+    """``cli._octet_dev`` as two maxima over ``map`` and ``gauge_flip``."""
+    mine = octet_tuple(a)
+    return min(max(map(_rel, mine, octet_tuple(b))),
+               max(map(_rel, mine, octet_tuple(gauge_flip(b)))))
 
 
 def reference_verify(args, parser) -> int:
@@ -400,7 +405,7 @@ def reference_verify(args, parser) -> int:
             with _at(u, v):
                 jet_a = jet_at(u, v)
                 jet_f = fd_jet2(surface_map, u, v)
-                checks["jets"].update(_reference_jet_dev(jet_a, jet_f), (u, v))
+                checks["jets"].update(reference_jet_dev(jet_a, jet_f), (u, v))
 
                 rec = generic_invariants(jet_f, *generic_at(jet_f))
                 checks["forms"].update(max(
@@ -412,7 +417,7 @@ def reference_verify(args, parser) -> int:
                 if checks["octet"].note is None:
                     try:
                         og = octet_generic(jet_at, u, v)
-                        checks["octet"].update(_reference_octet_dev(oc, og), (u, v))
+                        checks["octet"].update(reference_octet_dev(oc, og), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
 
@@ -455,3 +460,51 @@ def reference_verify(args, parser) -> int:
         return EXIT_VERIFY
     print("overall: PASS")
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# ``rotsurf4.octet.octet_generic`` with the stencil's b direction built from
+# both normal parts up front: the oracle for the stencil that builds n22
+# only on the sigma(y,y) fallback.
+
+def _reference_b_direction(jet, ff, n11, n22):
+    for n, zij, e in ((n11, jet.z_uu, ff.E), (n22, jet.z_vv, ff.G)):
+        size = norm(n)
+        if size / e > 1e-12 and size > _FLOOR * norm(zij):
+            return n / size
+    return None
+
+
+def reference_octet_generic(jet_at, u, v):
+    u_minus, u_plus, v_minus, v_plus = (jet_at(u - _STEP, v), jet_at(u + _STEP, v),
+                                        jet_at(u, v - _STEP), jet_at(u, v + _STEP))
+    jet = jet_at(u, v)
+    ff, n11, n12, n22 = generic_at(jet)
+    sxx, syy = n11 / ff.E, n22 / ff.G
+    sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
+    defect = principal_defect(ff, second_form(jet, ff, n11, n12, n22))
+    if defect is not None:
+        raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
+
+    b = _reference_b_direction(jet, ff, n11, n22)
+    if b is None:
+        raise TotallyGeodesicError(
+            f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
+    x = jet.z_u / math.sqrt(ff.E)
+    y = jet.z_v / math.sqrt(ff.G)
+    l = cross4(x, y, b)
+    l = l / norm(l)
+
+    def b_at(stencil_jet):
+        sff = _tangent_form(stencil_jet)
+        bb = _reference_b_direction(stencil_jet, sff,
+                                    _normal_part(stencil_jet.z_uu, stencil_jet, sff),
+                                    _normal_part(stencil_jet.z_vv, stencil_jet, sff))
+        if bb is None:
+            raise TotallyGeodesicError("totally geodesic stencil point")
+        return bb if dot(bb, b) >= 0.0 else -bb
+
+    beta1 = dot((b_at(u_plus) - b_at(u_minus)) / (2.0 * _STEP), l)
+    beta2 = dot((b_at(v_plus) - b_at(v_minus)) / (2.0 * _STEP), l)
+    return FrenetOctet(dot(jet.z_uu, y) / ff.E, dot(jet.z_vv, x) / ff.G, dot(sxx, b),
+                       dot(syy, b), dot(sxy, b), dot(sxy, l), beta1, beta2)

@@ -1,20 +1,24 @@
 import csv
 import io
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsurf4 import cli
-from helpers import field_values, num
+from helpers import field_values, num, reference_jet_dev, reference_octet_dev
 from rotsurf4.cli import main
 from rotsurf4.expr import Profile
 from rotsurf4.forms import SecondForm, classify, invariants
+from rotsurf4.geometry import Jet2, Vec4
 from rotsurf4.msc import MscParams, msc_surface
+from rotsurf4.octet import FrenetOctet
 from rotsurf4.rotational import RotationalSurface, closed_forms_at, closed_invariants_at
 
 RUN = ["--f", "u", "--g", "u^2", "--alpha", "1", "--beta", "2"]
@@ -223,6 +227,78 @@ def test_verify_zero_tolerance_fails(capsys):
                  "--tol-pipeline", "0", "--tol-octet", "0", "--tol-relations", "0"])
     assert code == 1
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
+    # parabola on a 5x4 grid, an msc member, so the superconformal loop runs
+    jets, abscissae = [], []
+    jet_builder, meridian_at = cli.analytic_jet2_from, RotationalSurface.meridian_at
+
+    def counted_jet(*args):
+        jets.append(args)
+        return jet_builder(*args)
+
+    def counted_point(surface, u):
+        abscissae.append(u)
+        return meridian_at(surface, u)
+
+    monkeypatch.setattr(cli, "analytic_jet2_from", counted_jet)
+    monkeypatch.setattr(RotationalSurface, "meridian_at", counted_point)
+    assert main(["verify", *RUN, "--u", "1:2:5", "--v", "0:1:4"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    # 4 octet stencil jets and the jets check's centre jet at each of the 20
+    # points, which the octet reuses, then one centre jet per u
+    assert len(jets) == 20 * 5 + 5
+    # fd_jet2 meets u, u -+ h and u -+ h/2 at each u: 25 distinct abscissae,
+    # each read once by the surface map although the stencils read 340 points
+    assert len(abscissae) == len(set(abscissae)) == 25
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324)
+
+
+@st.composite
+def _component_pairs(draw, size):
+    """``size`` pairs (x, y) with y drawn equal to x, to -x, or on its own,
+    so ties, gauge-flipped pairs, NaN and +-inf all occur."""
+    value = st.one_of(st.sampled_from(_SPECIALS), st.floats())
+    pairs = []
+    for _ in range(size):
+        x = draw(value)
+        y = draw(st.one_of(st.just(x), st.just(-x), value))
+        pairs.append((x, y))
+    return pairs
+
+
+def _jet(values):
+    return Jet2(*(Vec4(*values[i:i + 4]) for i in range(0, 24, 4)))
+
+
+@example([(math.nan, 0.0)] + [(1.0, 2.0)] * 23)
+@example([(0.0, math.nan)] + [(math.inf, 1.0)] * 23)
+@example([(math.inf, -math.inf)] * 24)
+@example([(math.nan, math.nan)] * 24)
+@settings(max_examples=500)
+@given(_component_pairs(24))
+def test_one_pass_jet_dev_is_the_max_expression(pairs):
+    j1, j2 = _jet([x for x, _ in pairs]), _jet([y for _, y in pairs])
+    assert _bits(cli._jet_dev(j1, j2)) == _bits(reference_jet_dev(j1, j2))
+
+
+@example([(math.nan, 0.0)] + [(1.0, 2.0)] * 7)
+@example([(1.0, 1.0), (2.0, 2.0), (math.nan, 1.0), (1.0, -1.0), (3.0, 4.0), (1.0, math.nan),
+          (0.0, 0.0), (0.0, 0.0)])
+@example([(1.0, 1.0)] * 2 + [(2.0, -2.0)] * 4 + [(1.0, 1.0)] * 2)
+@example([(math.inf, math.inf)] * 2 + [(math.inf, -math.inf)] * 4 + [(1e308, -1e308)] * 2)
+@settings(max_examples=500)
+@given(_component_pairs(8))
+def test_one_pass_octet_dev_is_the_two_maxima(pairs):
+    a, b = FrenetOctet(*(x for x, _ in pairs)), FrenetOctet(*(y for _, y in pairs))
+    assert _bits(cli._octet_dev(a, b)) == _bits(reference_octet_dev(a, b))
 
 
 # ---------------------------------------------------------------------------

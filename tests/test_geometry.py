@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import (field_values, jet_dev, reference_analytic_jet2, reference_cross4,
                      reference_det4, reference_gram_schmidt_normals, vec_dev)
-from rotsurf4.expr import Profile
+from rotsurf4.expr import EvalDomainError, Profile
 from rotsurf4.forms import generic_at
-from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError,
+from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, RegularityError,
                                Vec4, analytic_jet2, analytic_jet2_from, cross4, det4, dot,
-                               fd_jet2, gram_schmidt_normals, norm, rotation_trig)
+                               fd_jet2, gram_schmidt_normals, norm, rotate, rotation_trig)
 from rotsurf4.rotational import RotationalSurface, closed_forms_at
 
 E1, E2, E3, E4 = (Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
@@ -116,6 +116,61 @@ def test_surface_map_is_the_written_out_rotation(meridian, u, v, alpha, beta):
     cb, sb = math.cos(beta * v), math.sin(beta * v)
     expected = (f * ca - 0.0 * sa, f * sa + 0.0 * ca, g * cb - 0.0 * sb, g * sb + 0.0 * cb)
     assert [x.hex() for x in s.as_map()(u, v)] == [x.hex() for x in expected]
+
+
+def _fresh_point(s, u, v):
+    return [x.hex() for x in rotate(s.meridian_at(u), rotation_trig(s.alpha, s.beta, v))]
+
+
+# few distinct values, so calls repeat and interleave; both signed zeros
+_MEMO_US = st.sampled_from((0.0, -0.0, 0.5, -1.25, 1.0 + 1e-4, 2.0, 3.0))
+_MEMO_VS = st.sampled_from((0.0, -0.0, 0.7, -2.5, 1e-4, 4.0))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.sampled_from(_SIGNED_MERIDIANS), st.lists(st.tuples(_MEMO_US, _MEMO_VS), max_size=30),
+       st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=0.25, max_value=4.0))
+def test_surface_map_remembers_exactly_the_fresh_reads(meridian, calls, alpha, beta):
+    # the map remembers meridian points and trig per value; every call,
+    # first or repeated, is the fresh rotation of fresh reads to the bit
+    assume(alpha != beta)
+    s = _surface(*meridian, alpha, beta)
+    m = s.as_map()
+    for u, v in calls:
+        assert [x.hex() for x in m(u, v)] == _fresh_point(s, u, v)
+
+
+def test_surface_map_keeps_each_sign_of_zero():
+    # f = -u is -0.0 at u = 0.0, and x1 = f cos(av) - 0.0 sin(av) is then
+    # -0.0 only where sin(av) is +0.0: a shared u or v entry for the two
+    # zeros would carry the first call's sign of x1 over to the second
+    s = _surface("-u", "u^3")
+    m = s.as_map()
+    points = {}
+    for u, v in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                 (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)):
+        point = [x.hex() for x in m(u, v)]
+        assert point == _fresh_point(s, u, v)
+        points[(math.copysign(1.0, u), math.copysign(1.0, v))] = point
+    assert points[(1.0, 1.0)][0] == "-0x0.0p+0"
+    assert points[(-1.0, 1.0)][0] == points[(1.0, -1.0)][0] == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("u, v, error, message", [
+    (-1.0, 0.5, EvalDomainError, "log of non-positive value -1.0"),
+    (0.0, 0.5, EvalDomainError, "log of non-positive value 0.0"),
+    (1.5, 1e308, GeometryError, "rotation angle overflows at v=1e+308"),
+])
+def test_surface_map_raises_again_on_a_raising_read(u, v, error, message):
+    # a read that raises is not remembered: the same call raises the same
+    # error again, and the map still answers where the reads are defined
+    s = _surface("log(u)", "u", 1.0, 2.0)
+    m = s.as_map()
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            m(u, v)
+        assert str(caught.value).endswith(message)
+    assert [x.hex() for x in m(1.5, 0.5)] == _fresh_point(s, 1.5, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import octet_dev, rel_dev
+from helpers import octet_dev, octet_tuple, reference_octet_generic, rel_dev
 from rotsurf4.geometry import (DegenerateMetricError, Jet2, RegularityError, Vec4,
                                analytic_jet2)
 from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError,
@@ -13,6 +13,17 @@ from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError,
 from rotsurf4.rotational import closed_octet_at
 
 SQRT5 = math.sqrt(5.0)
+
+
+_STRAIGHT_MERIDIAN_CASES = [
+    # straight meridians, so sigma(x,x) = 0, at a meridian speed |f'| of
+    # about 0.01 and 0.0004: the rounding of n11 divided by E exceeds 1e-12,
+    # and b must still come from sigma(y,y)
+    ("sin(u)", "sin(-(1e200))", 1.8279756397734301, 2.717657573017669,
+     4.698009323661253, 0.16666666666666669),
+    ("exp(-(exp(u)))", "-(0.5)", 0.8153136288557405, 4.371767330045304,
+     2.976032034303733, 3.1426987009704),
+]
 
 
 def _octet_at(surface, u, v):
@@ -33,21 +44,46 @@ def test_octet_generic_agrees_with_closed_form_on_grid(parabola):
                              closed_octet_at(parabola, u)) <= 1e-5
 
 
-@pytest.mark.parametrize("f_text, g_text, alpha, beta, u, v", [
-    # straight meridians, so sigma(x,x) = 0, at a meridian speed |f'| of
-    # about 0.01 and 0.0004: the rounding of n11 divided by E exceeds 1e-12,
-    # and b must still come from sigma(y,y)
-    ("sin(u)", "sin(-(1e200))", 1.8279756397734301, 2.717657573017669,
-     4.698009323661253, 0.16666666666666669),
-    ("exp(-(exp(u)))", "-(0.5)", 0.8153136288557405, 4.371767330045304,
-     2.976032034303733, 3.1426987009704),
-])
+@pytest.mark.parametrize("f_text, g_text, alpha, beta, u, v", _STRAIGHT_MERIDIAN_CASES)
 def test_octet_generic_straight_meridian_takes_b_from_sigma_yy(f_text, g_text, alpha, beta,
                                                              u, v):
     from conftest import make_surface
     s = make_surface(f_text, g_text, alpha, beta)
     assert closed_octet_at(s, u).nu1 == 0.0
     assert octet_dev(_octet_at(s, u, v), closed_octet_at(s, u)) <= 1e-6  # beta2: O(h^2)
+
+
+# curved meridians, straight ones (b from sigma(y,y) on the whole stencil)
+# and ones that raise somewhere in the drawn range
+_OCTET_MERIDIANS = (("u", "u^2"), ("u", "u^3"), ("u", "2*u"), ("cos(u)+2", "u^2+1"),
+                    ("u", "sin(u)*exp(-u^2)+sqrt(u)"), ("3*u - 1", "0.5"), ("log(u)", "u"),
+                    ("u", "0*u"))
+# the straight-meridian cases as (meridian, alpha, beta, u, v)
+_STRAIGHT_EXAMPLES = [(case[:2], *case[2:]) for case in _STRAIGHT_MERIDIAN_CASES]
+
+
+def _outcome(octet_at, surface, u, v):
+    """The octet's components as hex, or the class and message of its error."""
+    try:
+        o = octet_at(lambda uu, vv: analytic_jet2(surface, uu, vv), u, v)
+    except Exception as error:
+        return type(error), str(error)
+    return [x.hex() for x in octet_tuple(o)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from(_OCTET_MERIDIANS), st.floats(min_value=0.25, max_value=4.0),
+       st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-7.0, max_value=7.0))
+@example(*_STRAIGHT_EXAMPLES[0])
+@example(*_STRAIGHT_EXAMPLES[1])
+def test_lazy_normal_part_is_the_eager_octet(meridian, alpha, beta, u, v):
+    # the stencil builds n22 only where n11 gives no direction: every octet,
+    # and every error, is the one that the eager stencil gives, to the bit
+    assume(alpha != beta)
+    from conftest import make_surface
+    s = make_surface(*meridian, alpha, beta)
+    assert _outcome(octet_generic, s, u, v) == _outcome(reference_octet_generic, s, u, v)
 
 
 PLANE = Jet2(Vec4(0, 0, 0, 0), Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0),
@@ -163,3 +199,9 @@ def test_octet_generic_degenerate_jet_raises_frame_message(parabola):
 
     with pytest.raises(DegenerateMetricError, match="tangent plane degenerate"):
         octet_generic(jet_at, 1.0, 0.0)
+
+
+def test_gauge_flip_negates_nu1_nu2_lambda_mu_only():
+    o = gauge_flip(FrenetOctet(0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.0, -0.8))
+    assert octet_tuple(o) == (0.1, -0.2, -0.3, 0.4, -0.5, 0.6, 0.0, -0.8)
+    assert math.copysign(1.0, o.beta1) == 1.0
