@@ -691,6 +691,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # parsing, differentiating and evaluating recurse once per tree level
+        print("error: expression nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except (_PointError, EvalDomainError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -12,9 +12,10 @@ Accepted grammar, lowest to highest precedence::
 ``NUMBER`` covers decimal and scientific notation.
 
 Trees are immutable dataclasses compared structurally.  ``differentiate``
-returns a fresh tree and folds only the identities that evaluate to the
-same double in IEEE arithmetic for every finite input, sign of zero and
-domain errors included:
+returns a tree that shares subtrees, with its input and within itself: it
+differentiates each node object once.  It folds only the identities that
+evaluate to the same double in IEEE arithmetic for every finite input, sign
+of zero and domain errors included:
 
 * ``1*x`` and ``x*1`` become ``x``;
 * ``x - 0`` becomes ``x`` (a positive zero only: ``-0 - (-0)`` is ``+0``);
@@ -32,8 +33,9 @@ domain error otherwise.
 Evaluation reads a tape (``_tape``) that holds each distinct subtree of
 its trees once.  ``compile_expr`` builds nested closures of ``u`` from it
 (``evaluate`` calls them once); ``Profile`` builds one tape of its three
-trees, for closures and for a run over a whole u-grid that does the same
-float operations and reports a miss where a closure would raise.
+trees, for a run over a whole u-grid that does the same float operations
+and reports a miss where a closure would raise, and for the closures that
+its first scalar read builds.
 """
 
 from __future__ import annotations
@@ -510,71 +512,92 @@ def _fold(op: str, a: Expr, b: Expr) -> Expr:
         return a
     node = Binary(op, a, b)
     if isinstance(a, Constant) and isinstance(b, Constant):
+        # the float operation and checks of _compile_binary's closure
+        x, y = a.value, b.value
         try:
-            return Constant(evaluate(node, 0.0))
-        except EvalDomainError:
+            if op == "^":
+                return Constant(_power(node, x, y))
+            return Constant(_finite(node, _BINARY_FN[op](x, y)))
+        except (EvalDomainError, ZeroDivisionError):
             pass  # keep the node, so the domain error is raised at eval time
     return node
 
 
-def differentiate(e: Expr) -> Expr:
+def differentiate(e: Expr, _memo: dict | None = None) -> Expr:
     """Symbolic derivative with respect to ``u``.
 
     The power rule covers any constant real exponent (the rotational
     meridians use non-integer powers); a non-constant exponent falls back to
     ``a^b * (b' log a + b a'/a)``, whose domain is enforced at eval time.
+
+    Each node is differentiated once: a subtree object met again is given
+    its derivative object again, so the result shares subtrees.  ``_memo``
+    (``id`` of a node -> its derivative) may be carried across calls on
+    trees that stay alive meanwhile, as ``Profile.from_expr`` does for d1
+    and d2: ``d(d(e))`` then reuses the derivatives of the subtrees that
+    ``d(e)`` took over from ``e``.
     """
+    if _memo is None:
+        _memo = {}
+    else:
+        d = _memo.get(id(e))
+        if d is not None:
+            return d
     match e:
         case Constant(_):
-            return Constant(0.0)
+            d = Constant(0.0)
         case Variable():
-            return Constant(1.0)
+            d = Constant(1.0)
         case Unary("neg", child):
-            return Unary("neg", differentiate(child))
+            d = Unary("neg", differentiate(child, _memo))
         case Unary("sin", child):
-            return _fold("*", Unary("cos", child), differentiate(child))
+            d = _fold("*", Unary("cos", child), differentiate(child, _memo))
         case Unary("cos", child):
-            return Unary("neg", _fold("*", Unary("sin", child), differentiate(child)))
+            d = Unary("neg", _fold("*", Unary("sin", child), differentiate(child, _memo)))
         case Unary("exp", child):
-            return _fold("*", e, differentiate(child))
+            d = _fold("*", e, differentiate(child, _memo))
         case Unary("log", child):
-            return _fold("/", differentiate(child), child)
+            d = _fold("/", differentiate(child, _memo), child)
         case Unary("sqrt", child):
-            return _fold("/", differentiate(child), _fold("*", Constant(2.0), e))
+            d = _fold("/", differentiate(child, _memo), _fold("*", Constant(2.0), e))
         case Binary("+" | "-" as op, a, b):
-            return _fold(op, differentiate(a), differentiate(b))
+            d = _fold(op, differentiate(a, _memo), differentiate(b, _memo))
         case Binary("*", a, b):
-            return _fold(
+            d = _fold(
                 "+",
-                _fold("*", differentiate(a), b),
-                _fold("*", a, differentiate(b)),
+                _fold("*", differentiate(a, _memo), b),
+                _fold("*", a, differentiate(b, _memo)),
             )
         case Binary("/", a, b):
-            return _fold(
+            d = _fold(
                 "/",
                 _fold(
                     "-",
-                    _fold("*", differentiate(a), b),
-                    _fold("*", a, differentiate(b)),
+                    _fold("*", differentiate(a, _memo), b),
+                    _fold("*", a, differentiate(b, _memo)),
                 ),
                 _fold("^", b, Constant(2.0)),
             )
         case Binary("^", a, Constant(p)):
             if p == 0.0:
-                return Constant(0.0)
-            return _fold(
-                "*",
-                _fold("*", Constant(p), _fold("^", a, Constant(p - 1.0))),
-                differentiate(a),
-            )
+                d = Constant(0.0)
+            else:
+                d = _fold(
+                    "*",
+                    _fold("*", Constant(p), _fold("^", a, Constant(p - 1.0))),
+                    differentiate(a, _memo),
+                )
         case Binary("^", a, b):
             inner = _fold(
                 "+",
-                _fold("*", differentiate(b), Unary("log", a)),
-                _fold("/", _fold("*", b, differentiate(a)), a),
+                _fold("*", differentiate(b, _memo), Unary("log", a)),
+                _fold("/", _fold("*", b, differentiate(a, _memo)), a),
             )
-            return _fold("*", e, inner)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = _fold("*", e, inner)
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    _memo[id(e)] = d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -601,35 +624,52 @@ class Interval:
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
     derivatives, carried as expression trees.  The three trees share one
-    tape (``_tape``), built on construction: ``value``, ``deriv1`` and
-    ``deriv2`` call its closures, and ``grid`` runs it over a u-grid."""
+    tape (``_tape``), built on construction: ``grid`` runs it over a
+    u-grid, and the first scalar read (``value``, ``deriv1``, ``deriv2``)
+    builds its closures, which later reads call."""
 
     expr: Expr
     d1: Expr
     d2: Expr
     domain: Interval = Interval()
-    # plain attributes, not cached_property: an attribute that a class
-    # descriptor shadows loads about 3x slower, on every scalar read
-    _value: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _deriv1: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _deriv2: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _dag: tuple = field(init=False, repr=False, compare=False)  # _tape's (nodes, roots, last)
     # the closed whole line contains every float (NaN too, as contains()
     # says), so evaluation can skip the interval test
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dag = _tape((self.expr, self.d1, self.d2))
-        fns = _closures(dag[0])
-        for name, root in zip(("_value", "_deriv1", "_deriv2"), dag[1]):
-            object.__setattr__(self, name, fns[root])
-        object.__setattr__(self, "_dag", dag)
+        object.__setattr__(self, "_dag", _tape((self.expr, self.d1, self.d2)))
         object.__setattr__(self, "_whole_line", self.domain == Interval())
+
+    # Until the first scalar read, ``self._value`` (and the two others)
+    # finds these methods.  They build the closures and store them as plain
+    # instance attributes, which shadow the methods from then on: a later
+    # read costs what it would after an eager build, and a grid-only
+    # profile builds none.  (A ``__getattr__`` hook would slow every
+    # attribute read of the class.)
+    def _value(self, u: float) -> float:
+        self._build_closures()
+        return self._value(u)
+
+    def _deriv1(self, u: float) -> float:
+        self._build_closures()
+        return self._deriv1(u)
+
+    def _deriv2(self, u: float) -> float:
+        self._build_closures()
+        return self._deriv2(u)
+
+    def _build_closures(self) -> None:
+        nodes, roots, _ = self._dag
+        fns = _closures(nodes)
+        for name, root in zip(("_value", "_deriv1", "_deriv2"), roots):
+            object.__setattr__(self, name, fns[root])
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
-        d1 = differentiate(expr)
-        return cls(expr, d1, differentiate(d1), domain)
+        memo = {}  # shared: d2 reuses the derivatives of the subtrees d1 takes from expr
+        d1 = differentiate(expr, memo)
+        return cls(expr, d1, differentiate(d1, memo), domain)
 
     @classmethod
     def from_text(cls, text: str, domain: Interval = Interval()) -> "Profile":

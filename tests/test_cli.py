@@ -738,6 +738,34 @@ def test_unwritable_out_is_a_usage_error_naming_it(tmp_path, capsys, argv, where
     assert captured.err == f"error: cannot write --out {path!r}: {reason}\n"
 
 
+DEEP_SUM = "+".join(["u"] * 990)  # differentiate recurses once per term
+DEEP_PARENS = "(" * 250 + "u" + ")" * 250  # the parser recurses several frames per pair
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["verify", "--v", "0:1:2"]])
+@pytest.mark.parametrize("g_text", [DEEP_SUM, DEEP_PARENS], ids=["sum", "parens"])
+def test_too_deep_expression_is_a_usage_error(capsys, command, g_text):
+    argv = [command[0], "--f", "u", "--g", g_text, "--alpha", "1", "--beta", "2",
+            "--u", "1:2:3", *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nests too deeply\n"
+
+
+def test_deep_sum_below_the_limit_runs_in_a_fresh_interpreter(tmp_path):
+    # the derivative memo must add no frame per tree level
+    argv = ["invariants", "--f", "u", "--g", "+".join(["u"] * 900), "--alpha", "1",
+            "--beta", "2", "--u", "1:2:3", "--out", str(tmp_path / "out.csv")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from rotsurf4.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(_read_csv(tmp_path / "out.csv")) == 3
+
+
 # ---------------------------------------------------------------------------
 # a reader that closes stdout early
 
@@ -855,6 +883,23 @@ def _hex(record):
 def test_invariant_row_equals_two_call_composition(surface):
     for u in (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0):
         assert _hex(_invariant_row(surface, u, 0.0, 1e-8)) == _hex(_two_call_row(surface, u))
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--u", "0.5:2:5", "--v", "0:1:2"],
+    ["octet", "--u", "0.5:2:5"],
+    ["plot", "--u", "0.5:2:5", "--quantity", "k", "--out", "k.svg"],
+])
+def test_grid_commands_build_no_scalar_closures(tmp_path, monkeypatch, capsys, argv):
+    import rotsurf4.expr
+
+    def refuse(nodes):
+        raise AssertionError("a grid command built scalar closures")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(rotsurf4.expr, "_closures", refuse)
+    g = ["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--alpha", "1", "--beta", "2"]
+    assert main([argv[0], *g, *argv[1:]]) == 0
 
 
 def test_invariant_row_exact_values():

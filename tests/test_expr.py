@@ -11,8 +11,8 @@ from helpers import (central_diff, random_expr, reference_differentiate, referen
                      tame_at)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, _tape, compile_expr, differentiate, evaluate,
-                           parse, unparse)
+                           Variable, _fold, _tape, compile_expr, differentiate,
+                           evaluate, parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +323,42 @@ def test_differentiate_folds_only_exact_identities(text, derivative):
     assert unparse(differentiate(parse(text))) == derivative
 
 
+# constants where a fold can go wrong: signed zeros, the ends of the double
+# range, subnormals, negative bases under integer and fractional exponents
+fold_constants = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0, 1 / 3, 2.5, -8.0,
+                     1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1.1125369292536007e-308, 1024.0, -1075.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500)
+@given(st.sampled_from("+-*/^"), fold_constants, fold_constants)
+def test_constant_fold_is_the_evaluated_node_or_the_node(op, x, y):
+    a, b = Constant(x), Constant(y)
+    folded = _fold(op, a, b)
+    try:
+        want = evaluate(Binary(op, a, b), 0.0)
+    except EvalDomainError:
+        # kept exactly where evaluation raises, so the error names this node
+        assert type(folded) is Binary and folded.op == op
+        assert folded.left is a and folded.right is b
+    else:
+        assert type(folded) is Constant and folded.value.hex() == want.hex()
+
+
+def _node_objects(*trees) -> int:
+    """The number of distinct node objects (by ``id``) in ``trees``."""
+    seen, stack = set(), list(trees)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(getattr(e, name) for name in ("child", "left", "right")
+                         if hasattr(e, name))
+    return len(seen)
+
+
 @pytest.mark.parametrize("text", ["log(u-3)*log(u-3)", "sqrt(u-3)+exp(1000*u)*sqrt(u-3)"])
 def test_repeated_failing_subtree_raises_at_its_first_occurrence(text):
     # a repeat shares the closure of its first occurrence, which a walk fails at first
@@ -436,9 +472,14 @@ def test_tape_records_last_readers_and_keeps_roots():
 # profiles
 
 def test_profile_derivatives_are_structural():
-    p = Profile.from_text("u^2 + sin(u)")
-    assert p.d1 == differentiate(p.expr)
-    assert p.d2 == differentiate(p.d1)
+    for text in ("u^2 + sin(u)", "sin(u^2)*exp(u)/sqrt(u)"):
+        p = Profile.from_text(text)
+        assert p.d1 == differentiate(p.expr)
+        assert p.d2 == differentiate(p.d1)
+    # one memo for d1 and d2 shares subtrees; a second call re-differentiates
+    # the subtrees that d1 took from the source
+    d1 = differentiate(p.expr)
+    assert _node_objects(p.expr, p.d1, p.d2) < _node_objects(p.expr, d1, differentiate(d1))
 
 
 def test_profile_first_derivative_matches_central_difference():
@@ -480,6 +521,16 @@ def test_profile_grid_equals_scalar_reads():
     us = [0.25, 0.5, 1.0, 3.0]
     assert p.grid(us) == [[read(u) for u in us] for read in (p.value, p.deriv1, p.deriv2)]
     assert p.grid([0.5, -1.0]) is None  # sqrt(-1) at the second point
+
+
+def test_profile_builds_its_closures_on_the_first_scalar_read():
+    p = Profile.from_text("sin(u^2)*exp(u)/sqrt(u)")
+    us = [0.25, 0.5, 1.0, 3.0]
+    columns = p.grid(us)
+    assert "_value" not in vars(p)
+    reads = [[read(u).hex() for u in us] for read in (p.value, p.deriv1, p.deriv2)]
+    assert reads == [[x.hex() for x in column] for column in columns]
+    assert {"_value", "_deriv1", "_deriv2"} <= vars(p).keys()
 
 
 def test_profile_grid_misses_outside_the_domain():
