@@ -27,11 +27,7 @@ from .msc import (MscParams, identity_profile, msc_invariants, msc_profile,
                   power_law_invariants, scaled_msc_residual)
 from .octet import (FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
                     gauge_flip, invariants_from_octet, octet_generic)
-from .rotational import (ClosedFormRangeError, CurveCurvatures,
-                         DegenerateCurveError, RotationalSurface,
-                         closed_forms_at,
-                         closed_invariants_at, closed_octet_at,
-                         curve_frenet_oracle, frames_at, meridian_curvature,
-                         vline_curvatures, vline_derivatives)
+from .rotational import (ClosedFormRangeError, RotationalSurface, closed_forms_at,
+                         closed_invariants_at, closed_octet_at)
 
 __version__ = "0.1.0"

@@ -233,7 +233,7 @@ def _closed_rows(surface: RotationalSurface, us: list[float], v: float, closed):
 
 def _invariant_parts(surface: RotationalSurface, u: float, data):
     """The (first form, second form, K) that an invariants row classifies."""
-    ff, _, sf = _closed_forms(surface, u, data)
+    ff, sf = _closed_forms(surface, u, data)
     return ff, sf, _closed_invariants(surface, u, data)[2]
 
 
@@ -359,7 +359,7 @@ def cmd_verify(args, parser) -> int:
     for u in us:
         with _at(u, vs[0]):
             data = meridian(u)
-            ffc, _, sfc = _closed_forms(surface, u, data)
+            ffc, sfc = _closed_forms(surface, u, data)
             kc, xc, gc = _closed_invariants(surface, u, data)
             oc = _closed_octet(surface, u, data)
             ko, xo, go = invariants_from_octet(oc)

@@ -89,7 +89,11 @@ class EvalDomainError(ExprError):
 
     def __init__(self, node: "Expr | None", reason: str):
         if node is not None:
-            super().__init__(f"domain error in `{unparse(node)}`: {reason}")
+            try:
+                where = f"`{unparse(node)}`"
+            except RecursionError:  # a node too deep to print is named by its operator
+                where = f"a `{node.op}` node"
+            super().__init__(f"domain error in {where}: {reason}")
         else:
             super().__init__(reason)
         self.node = node

@@ -3,13 +3,15 @@ they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
 kernel, the framed generic pipeline, the per-point OBJ vertex, closed-form
 row and ``verify`` loops, the deviation expressions, the octet stencil
-with both normal parts built up front, the csv-module CSV writer)."""
+with both normal parts built up front, the csv-module CSV writer, the
+canonical frame of the family and the Frenet curvatures of its v-lines)."""
 
 import csv
 import dataclasses
 import math
 import random
 import sys
+from typing import NamedTuple
 
 from rotsurf4 import msc as msc_mod
 from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _PointError,
@@ -20,8 +22,9 @@ from rotsurf4.forms import (NonFiniteInvariantError, _normal_part, _tangent_form
                             ellipse_samples, first_form, generic_at, generic_invariants,
                             invariants, is_circle, lmn, principal_defect, second_form,
                             second_tensor, superconformal_residuals)
-from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, cross4,
-                               dot, fd_jet2, gram_schmidt_normals, norm, rotation_trig)
+from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2,
+                               RegularityError, Vec4, cross4, dot, fd_jet2, gram_schmidt_normals,
+                               norm, rotation_trig)
 from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
                             gauge_flip, invariants_from_octet, octet_generic)
 from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
@@ -394,7 +397,7 @@ def reference_verify(args, parser) -> int:
     residuals = []
     for u in us:
         with _at(u, vs[0]):
-            ffc, _, sfc = closed_forms_at(surface, u)
+            ffc, sfc = closed_forms_at(surface, u)
             kc, xc, gc = closed_invariants_at(surface, u)
             oc = closed_octet_at(surface, u)
             ko, xo, go = invariants_from_octet(oc)
@@ -508,3 +511,88 @@ def reference_octet_generic(jet_at, u, v):
     beta2 = dot((b_at(v_plus) - b_at(v_minus)) / (2.0 * _STEP), l)
     return FrenetOctet(dot(jet.z_uu, y) / ff.E, dot(jet.z_vv, x) / ff.G, dot(sxx, b),
                        dot(syy, b), dot(sxy, b), dot(sxy, l), beta1, beta2)
+
+
+# ---------------------------------------------------------------------------
+# the canonical frame of the family and the v-line curve oracle: the closed
+# Frenet curvatures of a v-line, its exact derivatives and the curvatures
+# that Gram-Schmidt on a derivative flag reads (acceptance criterion 5)
+
+def frames_at(s, u, v):
+    """The canonical positively oriented frame (x, y, n1, n2): unit
+    tangents along the u- and v-lines and the closed-form unit normals."""
+    f, f1, _, g, g1, _, ee, gg = s.meridian_jet(u)
+    a, b = s.alpha, s.beta
+    sqrt_e, sqrt_g = math.sqrt(ee), math.sqrt(gg)
+    ca, sa, cb, sb = math.cos(a * v), math.sin(a * v), math.cos(b * v), math.sin(b * v)
+    x = Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb) / sqrt_e
+    y = Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb) / sqrt_g
+    n1 = Vec4(g1 * ca, g1 * sa, -f1 * cb, -f1 * sb) / sqrt_e
+    n2 = Vec4(-b * g * sa, b * g * ca, a * f * sb, -a * f * cb) / sqrt_g
+    return x, y, n1, n2
+
+
+class CurveCurvatures(NamedTuple):
+    """First, second and third Frenet curvatures of a curve in 4-space,
+    taken with respect to the curve parameter."""
+
+    kappa: float
+    tau: float
+    sigma3: float
+
+
+def vline_curvatures(a, b, alpha, beta) -> CurveCurvatures:
+    """Frenet curvatures of the v-line through (a, 0, b, 0):
+
+        kappa  = sqrt((a^2 al^4 + b^2 be^4) / (a^2 al^2 + b^2 be^2))
+        tau    = a b al be (al^2 - be^2) / (sqrt(a^2 al^4 + b^2 be^4) sqrt(a^2 al^2 + b^2 be^2))
+        sigma3 = al be sqrt(a^2 al^2 + b^2 be^2) / sqrt(a^2 al^4 + b^2 be^4)
+
+    All three are constant in v, so the v-lines are helices for al != be
+    (and circles for al = be, where tau vanishes through the al^2 - be^2
+    factor)."""
+    q2 = a * a * alpha * alpha + b * b * beta * beta
+    q4 = a * a * alpha ** 4 + b * b * beta ** 4
+    if q2 <= 0.0 or q4 <= 0.0:
+        raise RegularityError("degenerate v-line: both rotation radii vanish")
+    return CurveCurvatures(
+        math.sqrt(q4 / q2),
+        a * b * alpha * beta * (alpha * alpha - beta * beta) / (math.sqrt(q4) * math.sqrt(q2)),
+        alpha * beta * math.sqrt(q2) / math.sqrt(q4))
+
+
+def vline_derivatives(a, b, alpha, beta, v):
+    """First four exact derivatives of the v-line
+    (a cos(al v), a sin(al v), b cos(be v), b sin(be v)): the k-th scales
+    the radii by al^k, be^k and turns both angles k quarter turns on."""
+    ca, sa, cb, sb = math.cos(alpha * v), math.sin(alpha * v), math.cos(beta * v), math.sin(beta * v)
+    out = []
+    for k in range(1, 5):
+        ca, sa, cb, sb = -sa, ca, -sb, cb  # d/dv of (cos, sin) is (-sin, cos)
+        ak, bk = a * alpha ** k, b * beta ** k
+        out.append(Vec4(ak * ca, ak * sa, bk * cb, bk * sb))
+    return tuple(out)
+
+
+_RANK_TOL = 1e-10  # relative length below which a derivative of the flag counts as zero
+
+
+def curve_frenet_oracle(d1, d2, d3, d4) -> CurveCurvatures:
+    """Numeric Frenet curvatures from the first four derivative vectors of
+    a curve, via Gram-Schmidt on the derivative flag.
+
+    With n_k the length of the k-th orthogonalized derivative, the
+    parameter-speed curvatures are n2/n1, n3/n2, n4/n3, as magnitudes.
+    When the flag drops rank at level k (curve confined to a flat of
+    dimension k-1), the curvatures from that level on are zero."""
+    frame, lengths = [], []
+    for vec in (d1, d2, d3, d4):
+        r = vec
+        for q, qlen in zip(frame, lengths):
+            if qlen > 0.0:
+                r = r - q * (dot(r, q) / (qlen * qlen))
+        n = norm(r)
+        frame.append(r)
+        lengths.append(n if n > _RANK_TOL * max(norm(vec), 1e-300) else 0.0)
+    n1, n2, n3, n4 = lengths
+    return CurveCurvatures(n2 / n1, n3 / n2 if n2 > 0.0 else 0.0, n4 / n3 if n3 > 0.0 else 0.0)

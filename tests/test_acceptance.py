@@ -6,7 +6,8 @@ import math
 import random
 import time
 
-from helpers import central_diff, octet_dev, random_expr, rel_dev, tame_at
+from helpers import (central_diff, curve_frenet_oracle, octet_dev, random_expr, rel_dev,
+                     tame_at, vline_curvatures, vline_derivatives)
 from rotsurf4.expr import Profile, differentiate, evaluate
 from rotsurf4.forms import (PointType, ellipse_samples, first_form,
                             gauss_curvature, generic_at, invariants, is_circle,
@@ -16,9 +17,7 @@ from rotsurf4.geometry import (Vec4, analytic_jet2, fd_jet2,
 from rotsurf4.msc import MscParams, msc_residual, msc_surface
 from rotsurf4.octet import invariants_from_octet, octet_generic
 from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
-                                 closed_invariants_at, closed_octet_at,
-                                 curve_frenet_oracle, vline_curvatures,
-                                 vline_derivatives)
+                                 closed_invariants_at, closed_octet_at)
 
 K_EXACT, KAPPA_EXACT, GAUSS_EXACT = 64 / 15625, 8 / 125, -8 / 125
 
@@ -81,7 +80,7 @@ def test_criterion_2_pipeline_equivalence_sweep():
             return analytic_jet2(s, uu, vv)
 
         for u in us:
-            ffc, _, sfc = closed_forms_at(s, u)
+            ffc, sfc = closed_forms_at(s, u)
             kc, xc, gc = closed_invariants_at(s, u)
             oc = closed_octet_at(s, u)
             for v in (0.0, 2.1):
@@ -183,7 +182,7 @@ def test_criterion_6_flat_family():
             u = 0.5 + 1.5 * i / 9
             k, kappa, gauss = closed_invariants_at(s, u)
             worst = max(worst, abs(k), abs(kappa), abs(gauss))
-            ffc, _, sfc = closed_forms_at(s, u)
+            ffc, sfc = closed_forms_at(s, u)
             rec = invariants(ffc, sfc, gauss)
             all_flat = all_flat and rec.point_type is PointType.FLAT
             generic = _generic_record(analytic_jet2(s, u, 0.0))

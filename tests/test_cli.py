@@ -753,6 +753,18 @@ def test_too_deep_expression_is_a_usage_error(capsys, command, g_text):
     assert captured.err == "error: expression nests too deeply\n"
 
 
+def test_domain_error_in_a_node_too_deep_to_print_names_its_operator(capsys):
+    # printing the 600-term sum under the failing `/` recurses past the limit
+    g_text = "(" + "+".join(["u"] * 600) + ")/(u-1)"
+    argv = ["invariants", "--f", "u", "--g", g_text, "--alpha", "1", "--beta", "2",
+            "--u", "1:2:3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: at (u, v) = (1.0, 0.0): "
+                            "domain error in a `/` node: division by zero\n")
+
+
 def test_deep_sum_below_the_limit_runs_in_a_fresh_interpreter(tmp_path):
     # the derivative memo must add no frame per tree level
     argv = ["invariants", "--f", "u", "--g", "+".join(["u"] * 900), "--alpha", "1",
@@ -871,7 +883,7 @@ def _invariant_row(surface, u, v_first, class_tol):
 
 
 def _two_call_row(surface, u):
-    ff, _, sf = closed_forms_at(surface, u)
+    ff, sf = closed_forms_at(surface, u)
     return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=1e-8)
 
 

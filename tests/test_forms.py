@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (field_values, reference_generic_at, reference_generic_invariants,
-                     rel_dev)
+from helpers import frames_at, reference_generic_at, reference_generic_invariants, rel_dev
 from rotsurf4.expr import Binary, Profile, Unary, Variable, evaluate, parse
 from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             PointType, SecondForm, SecondTensor, christoffel,
@@ -22,8 +21,7 @@ from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4,
                                analytic_jet2, det4, dot, fd_jet2,
                                gram_schmidt_normals, norm)
 from rotsurf4.msc import scaled_msc_residual
-from rotsurf4.rotational import (RotationalSurface, closed_forms_at,
-                                 closed_invariants_at, frames_at)
+from rotsurf4.rotational import RotationalSurface, closed_forms_at, closed_invariants_at
 
 SQRT5 = math.sqrt(5.0)
 
@@ -148,7 +146,7 @@ def test_lmn_zero_tensor():
 
 
 def test_lmn_matches_closed_form(parabola):
-    _, _, sf_closed = closed_forms_at(parabola, 1.0)
+    _, sf_closed = closed_forms_at(parabola, 1.0)
     jet = analytic_jet2(parabola, 1.0, 0.0)
     e1, e2 = gram_schmidt_normals(jet)
     sf = lmn(second_tensor(jet, e1, e2), first_form(jet).W)

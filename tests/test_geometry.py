@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (field_values, jet_dev, reference_analytic_jet2, reference_cross4,
-                     reference_det4, reference_gram_schmidt_normals, vec_dev)
+from helpers import (field_values, frames_at, jet_dev, reference_analytic_jet2,
+                     reference_cross4, reference_det4, reference_gram_schmidt_normals, vec_dev)
 from rotsurf4.expr import EvalDomainError, Profile
 from rotsurf4.forms import generic_at
 from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, RegularityError,
@@ -273,7 +273,6 @@ def _orthonormality_residual(jet, e1, e2):
 
 
 def test_gram_schmidt_matches_closed_frame(parabola):
-    from rotsurf4.rotational import frames_at
     jet = analytic_jet2(parabola, 1.0, 0.0)
     e1, e2 = gram_schmidt_normals(jet)
     _, _, n1, n2 = frames_at(parabola, 1.0, 0.0)

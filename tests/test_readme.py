@@ -1,6 +1,8 @@
 """Every ``rotsurf4`` command in the README's fenced blocks runs through
-``cli.main`` and exits 0, so the README cannot drift from the parser."""
+``cli.main`` and exits 0, and every fenced ``python`` block runs, so the
+README cannot drift from the parser or the library."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -31,7 +33,13 @@ def fenced_commands(text: str) -> list[str]:
     return commands
 
 
+def fenced_python(text: str) -> list[str]:
+    """The bodies of the fenced ``python`` blocks of ``text``."""
+    return re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
 COMMANDS = fenced_commands(README.read_text())
+PYTHON_BLOCKS = fenced_python(README.read_text())
 
 
 def test_fenced_commands_joins_continuations():
@@ -48,3 +56,14 @@ def test_readme_names_every_subcommand():
 def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command, comments=True)[1:]) == 0, capsys.readouterr().err
+
+
+def test_fenced_python_takes_only_python_blocks():
+    text = "```\nrotsurf4 msc\n```\n```python\nx = 1\n\ny = x\n```\n"
+    assert fenced_python(text) == ["x = 1\n\ny = x\n"]
+
+
+def test_readme_python_blocks_run():
+    assert PYTHON_BLOCKS
+    for block in PYTHON_BLOCKS:
+        exec(compile(block, str(README), "exec"), {})
