@@ -173,19 +173,18 @@ class _Parser:
         self.pos += 1
         return tok
 
+    # each nesting level costs three frames (parse_sum, parse_unary,
+    # parse_atom): products are folded into the sum loop, powers into unary
     def parse_sum(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        node, op = None, None
+        while True:
+            term = self.parse_unary()
+            while self.peek().kind == "op" and self.peek().text in "*/":
+                term = Binary(self.advance().text, term, self.parse_unary())
+            node = term if node is None else Binary(op, node, term)
+            if not (self.peek().kind == "op" and self.peek().text in "+-"):
+                return node
             op = self.advance().text
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_unary())
-        return node
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -198,9 +197,6 @@ class _Parser:
             if isinstance(operand, Constant) and self.pos == start + 1:
                 return Constant(-operand.value)
             return Unary("neg", operand)
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.peek().kind == "pow":
             self.advance()

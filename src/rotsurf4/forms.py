@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, det4, dot, norm,
-                       tangent_basis)
+from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, _tangent_plane, det4,
+                       dot, norm)
 
 __all__ = [
     "FirstForm",
@@ -165,25 +165,35 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
     )
 
 
-def _tangential(zij: Vec4, jet: Jet2, ff: FirstForm) -> tuple[float, float]:
-    """(G^u, G^v) of z_ij: the 2x2 system with matrix [[E, F], [F, G]]."""
-    a, b, det = dot(zij, jet.z_u), dot(zij, jet.z_v), ff.W * ff.W
+def _tangential(a: float, b: float, ff: FirstForm) -> tuple[float, float]:
+    """(G^u, G^v) of z_ij from a = <z_ij, z_u> and b = <z_ij, z_v>: the 2x2
+    system with matrix [[E, F], [F, G]]."""
+    det = ff.W * ff.W
     return (ff.G * a - ff.F * b) / det, (ff.E * b - ff.F * a) / det
 
 
 def christoffel(jet: Jet2) -> Christoffel:
     """Tangential decomposition coefficients of z_uu, z_uv, z_vv."""
     ff = first_form(jet)
-    return Christoffel(*_tangential(jet.z_uu, jet, ff), *_tangential(jet.z_uv, jet, ff),
-                       *_tangential(jet.z_vv, jet, ff))
+    return Christoffel(*[g for zij in (jet.z_uu, jet.z_uv, jet.z_vv)
+                         for g in _tangential(dot(zij, jet.z_u), dot(zij, jet.z_v), ff)])
 
 
-def _normal_part(zij: Vec4, jet: Jet2, ff: FirstForm) -> Vec4:
-    """n_ij = z_ij - G^u_ij z_u - G^v_ij z_v; ``ff`` is the first form of ``jet``."""
-    gu, gv = _tangential(zij, jet, ff)
+def _normal_parts(jet: Jet2, ff: FirstForm, *zijs: Vec4) -> list[tuple[float, ...]]:
+    """The components of n_ij = z_ij - G^u_ij z_u - G^v_ij z_v for each
+    z_ij, with the float operations of the Vec4 expression; ``ff`` is the
+    first form of ``jet``."""
     zu, zv = jet.z_u, jet.z_v
-    return Vec4(zij.x1 - gu * zu.x1 - gv * zv.x1, zij.x2 - gu * zu.x2 - gv * zv.x2,
-                zij.x3 - gu * zu.x3 - gv * zv.x3, zij.x4 - gu * zu.x4 - gv * zv.x4)
+    a1, a2, a3, a4 = zu.x1, zu.x2, zu.x3, zu.x4
+    b1, b2, b3, b4 = zv.x1, zv.x2, zv.x3, zv.x4
+    parts = []
+    for zij in zijs:
+        c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
+        gu, gv = _tangential(c1 * a1 + c2 * a2 + c3 * a3 + c4 * a4,
+                             c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4, ff)
+        parts.append((c1 - gu * a1 - gv * b1, c2 - gu * a2 - gv * b2,
+                      c3 - gu * a3 - gv * b3, c4 - gu * a4 - gv * b4))
+    return parts
 
 
 def lmn(ct: SecondTensor, w: float) -> SecondForm:
@@ -238,16 +248,18 @@ def invariants(ff: FirstForm, sf: SecondForm, gauss: float, *,
 
 
 def _tangent_form(jet: Jet2) -> FirstForm:
-    """:func:`first_form` behind the guards of :func:`geometry.tangent_basis`."""
-    tangent_basis(jet.z_u, jet.z_v)
-    return first_form(jet)
+    """The :func:`first_form` of ``jet`` behind the tangent-plane guard of
+    :func:`geometry.tangent_basis`, which leaves first_form's check nothing
+    to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
+    ee, ff, gg = _tangent_plane(jet.z_u, jet.z_v)[:3]
+    return FirstForm(ee, ff, gg, math.sqrt(ee * gg - ff * ff))
 
 
 def generic_at(jet: Jet2) -> tuple[FirstForm, Vec4, Vec4, Vec4]:
     """First form and the normal parts n11, n12, n22 of z_uu, z_uv, z_vv."""
     ff = _tangent_form(jet)
-    return (ff, _normal_part(jet.z_uu, jet, ff), _normal_part(jet.z_uv, jet, ff),
-            _normal_part(jet.z_vv, jet, ff))
+    n11, n12, n22 = _normal_parts(jet, ff, jet.z_uu, jet.z_uv, jet.z_vv)
+    return ff, Vec4(*n11), Vec4(*n12), Vec4(*n22)
 
 
 def second_form(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> SecondForm:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -188,26 +189,29 @@ def fd_jet2(surface_map: Callable[[float, float], Vec4], u: float, v: float,
     parts = _fd_parts(surface_map, u, v, h, z)
     if richardson:
         half = _fd_parts(surface_map, u, v, h / 2.0, z)
-        parts = {key: (half[key] * 4.0 - parts[key]) / 3.0 for key in parts}
-    return Jet2(z=z, **parts)
+        parts = [(a * 4.0 - b) / 3.0 for a, b in zip(half, parts)]
+    return Jet2(z, *[Vec4(*parts[i::5]) for i in range(5)])
 
 
-def _fd_parts(m, u, v, h, z) -> dict[str, Vec4]:
-    pu = m(u + h, v)
-    mu = m(u - h, v)
-    pv = m(u, v + h)
-    mv = m(u, v - h)
-    pp = m(u + h, v + h)
-    pm = m(u + h, v - h)
-    mp = m(u - h, v + h)
-    mm = m(u - h, v - h)
-    return {
-        "z_u": (pu - mu) / (2.0 * h),
-        "z_v": (pv - mv) / (2.0 * h),
-        "z_uu": (pu - z * 2.0 + mu) / (h * h),
-        "z_vv": (pv - z * 2.0 + mv) / (h * h),
-        "z_uv": ((pp - pm) - (mp - mm)) / (4.0 * h * h),
-    }
+_coords = attrgetter("x1", "x2", "x3", "x4")
+
+
+def _fd_parts(m, u, v, h, z) -> list[float]:
+    """z_u, z_v, z_uu, z_uv, z_vv of step h, interleaved component by
+    component (x1 of each, then x2, ...), by the float operations of
+
+        (pu - mu) / (2h),  (pu - z * 2 + mu) / (h h),  ((pp - pm) - (mp - mm)) / (4h h)
+
+    and their v twins on Vec4s; the map is called in the order pu, mu, pv,
+    mv, pp, pm, mp, mm."""
+    points = (z, m(u + h, v), m(u - h, v), m(u, v + h), m(u, v - h),
+              m(u + h, v + h), m(u + h, v - h), m(u - h, v + h), m(u - h, v - h))
+    d1, d2, d4 = 2.0 * h, h * h, 4.0 * h * h
+    parts = []
+    for c, pu, mu, pv, mv, pp, pm, mp, mm in zip(*map(_coords, points)):
+        parts += ((pu - mu) / d1, (pv - mv) / d1, (pu - c * 2.0 + mu) / d2,
+                  ((pp - pm) - (mp - mm)) / d4, (pv - c * 2.0 + mv) / d2)
+    return parts
 
 
 _BASIS = (Vec4(1.0, 0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0),
@@ -227,22 +231,34 @@ def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
     return best / best_norm
 
 
-def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
-    """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
-    raises :class:`DegenerateMetricError` where EG - F^2 is not positive
-    (NaN included) or the residual of zv is rounding, at most _FLOOR |zv|."""
-    ee = dot(zu, zu)
-    ff = dot(zu, zv)
-    gg = dot(zv, zv)
+def _tangent_plane(zu: Vec4, zv: Vec4) -> tuple[float, float, float, tuple, tuple]:
+    """(E, F, G, t1, t2) with (t1, t2) the components of the Gram-Schmidt
+    basis (zu/|zu|, t2) of the tangent plane; raises
+    :class:`DegenerateMetricError` where EG - F^2 is not positive (NaN
+    included) or the residual of zv is rounding, at most _FLOOR |zv|."""
+    a1, a2, a3, a4 = zu.x1, zu.x2, zu.x3, zu.x4
+    b1, b2, b3, b4 = zv.x1, zv.x2, zv.x3, zv.x4
+    ee = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
+    ff = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+    gg = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
     if not (ee > 0.0 and ee * gg - ff * ff > 0.0):  # also rejects NaN
         raise DegenerateMetricError(
             f"tangent plane degenerate: EG-F^2 = {ee * gg - ff * ff!r}")
-    t1 = zu / math.sqrt(ee)
-    w = zv - t1 * dot(zv, t1)
-    nw = norm(w)
+    r = math.sqrt(ee)
+    t1, t2, t3, t4 = a1 / r, a2 / r, a3 / r, a4 / r
+    p = b1 * t1 + b2 * t2 + b3 * t3 + b4 * t4
+    w1, w2, w3, w4 = b1 - t1 * p, b2 - t2 * p, b3 - t3 * p, b4 - t4 * p
+    nw = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
     if nw / math.sqrt(gg) <= _FLOOR:  # false for inf / inf, where |zv| overflows
         raise DegenerateMetricError("tangent vectors are collinear")
-    return t1, w / nw
+    return ee, ff, gg, (t1, t2, t3, t4), (w1 / nw, w2 / nw, w3 / nw, w4 / nw)
+
+
+def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
+    """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
+    raises as :func:`_tangent_plane` does."""
+    t1, t2 = _tangent_plane(zu, zv)[3:]
+    return Vec4(*t1), Vec4(*t2)
 
 
 def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:

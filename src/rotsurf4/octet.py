@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .forms import (FirstForm, _normal_part, _tangent_form, generic_at, principal_defect,
+from .forms import (FirstForm, _normal_parts, _tangent_form, generic_at, principal_defect,
                     second_form)
 from .geometry import _FLOOR, GeometryError, Jet2, Vec4, cross4, dot, norm
 
@@ -72,21 +72,24 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
     return FrenetOctet(*[-x if flip else x for x, flip in zip(_octet_values(o), _GAUGE_FLIPPED)])
 
 
-def _unit_or_none(n: Vec4, zij: Vec4, e: float) -> Vec4 | None:
-    """n / |n|, or None where n is only rounding: |n|/e <= 1e-12, or
-    |n| <= _FLOOR |z_ij|."""
-    size = norm(n)
+def _unit_or_none(n: Vec4 | tuple[float, ...], zij: Vec4,
+                  e: float) -> tuple[float, ...] | None:
+    """The components of n / |n|, or None where n is only rounding:
+    |n|/e <= 1e-12, or |n| <= _FLOOR |z_ij|."""
+    n1, n2, n3, n4 = n
+    size = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
     if size / e > 1e-12 and size > _FLOOR * norm(zij):
-        return n / size
+        return n1 / size, n2 / size, n3 / size, n4 / size
     return None
 
 
-def _b_direction(jet: Jet2, ff: FirstForm, n11: Vec4) -> Vec4 | None:
+def _b_direction(jet: Jet2, ff: FirstForm,
+                 n11: Vec4 | tuple[float, ...]) -> tuple[float, ...] | None:
     """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
     the first vanishes; n22 is built from the jet on that fallback only."""
     b = _unit_or_none(n11, jet.z_uu, ff.E)
     if b is None:
-        b = _unit_or_none(_normal_part(jet.z_vv, jet, ff), jet.z_vv, ff.G)
+        b = _unit_or_none(_normal_parts(jet, ff, jet.z_vv)[0], jet.z_vv, ff.G)
     return b
 
 
@@ -118,6 +121,8 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     if b is None:
         raise TotallyGeodesicError(
             f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
+    b1, b2, b3, b4 = b
+    b = Vec4(*b)
     x = jet.z_u / math.sqrt(ff.E)
     y = jet.z_v / math.sqrt(ff.G)
     l = cross4(x, y, b)
@@ -130,16 +135,25 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     lam = dot(sxy, b)
     mu = dot(sxy, l)
 
-    def b_at(stencil_jet: Jet2) -> Vec4:
+    l1, l2, l3, l4 = l.x1, l.x2, l.x3, l.x4
+
+    def b_at(stencil_jet: Jet2) -> tuple[float, ...]:
         sff = _tangent_form(stencil_jet)
-        bb = _b_direction(stencil_jet, sff, _normal_part(stencil_jet.z_uu, stencil_jet, sff))
+        bb = _b_direction(stencil_jet, sff, _normal_parts(stencil_jet, sff, stencil_jet.z_uu)[0])
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
+        c1, c2, c3, c4 = bb
         # keep the field continuous across the sign convention
-        return bb if dot(bb, b) >= 0.0 else -bb
+        return bb if c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4 >= 0.0 else (-c1, -c2, -c3, -c4)
 
-    beta1 = dot((b_at(u_plus) - b_at(u_minus)) / (2.0 * _STEP), l)
-    beta2 = dot((b_at(v_plus) - b_at(v_minus)) / (2.0 * _STEP), l)
+    def beta(plus: Jet2, minus: Jet2) -> float:
+        """<(b(plus) - b(minus)) / (2 _STEP), l> with the float operations of Vec4s."""
+        (p1, p2, p3, p4), (m1, m2, m3, m4) = b_at(plus), b_at(minus)
+        s = 2.0 * _STEP
+        return (p1 - m1) / s * l1 + (p2 - m2) / s * l2 + (p3 - m3) / s * l3 + (p4 - m4) / s * l4
+
+    beta1 = beta(u_plus, u_minus)
+    beta2 = beta(v_plus, v_minus)
     return FrenetOctet(gamma1, gamma2, nu1, nu2, lam, mu, beta1, beta2)
 
 

@@ -1,10 +1,12 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
-kernel, the framed generic pipeline, the per-point OBJ vertex, closed-form
-row and ``verify`` loops, the deviation expressions, the octet stencil
-with both normal parts built up front, the csv-module CSV writer, the
-canonical frame of the family and the Frenet curvatures of its v-lines)."""
+kernel, the Vec4 forms of the generic oracle's per-point kernels: fd_jet2,
+the tangent guard and the normal parts, the framed generic pipeline, the
+per-point OBJ vertex, closed-form row and ``verify`` loops, the deviation
+expressions, the octet stencil with both normal parts built up front, the
+csv-module CSV writer, the canonical frame of the family and the Frenet
+curvatures of its v-lines)."""
 
 import csv
 import dataclasses
@@ -18,15 +20,14 @@ from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _Poi
                           _rel)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (NonFiniteInvariantError, _normal_part, _tangent_form,
-                            ellipse_samples, first_form, generic_at, generic_invariants,
-                            invariants, is_circle, lmn, principal_defect, second_form,
-                            second_tensor, superconformal_residuals)
+from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form,
+                            generic_invariants, invariants, is_circle, lmn, principal_defect,
+                            second_form, second_tensor, superconformal_residuals)
 from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2,
-                               RegularityError, Vec4, cross4, dot, fd_jet2, gram_schmidt_normals,
-                               norm, rotation_trig)
+                               RegularityError, Vec4, cross4, dot, gram_schmidt_normals, norm,
+                               rotation_trig)
 from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
-                            gauge_flip, invariants_from_octet, octet_generic)
+                            gauge_flip, invariants_from_octet)
 from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
 
 
@@ -262,6 +263,76 @@ def reference_gram_schmidt_normals(jet):
 
 
 # ---------------------------------------------------------------------------
+# The generic oracle's per-point kernels written with Vec4 arithmetic and a
+# dict of parts: the bit-for-bit and error-text oracle for the component
+# kernels of ``rotsurf4.geometry.fd_jet2`` and ``tangent_basis`` and of
+# ``rotsurf4.forms._tangent_form`` and ``generic_at``.
+
+def reference_fd_jet2(surface_map, u, v, h=None, *, richardson=True):
+    if h is None:
+        h = 1e-4 * max(1.0, abs(u), abs(v))
+    if h <= 0.0:
+        raise ValueError("step must be positive")
+    z = surface_map(u, v)
+    parts = _reference_fd_parts(surface_map, u, v, h, z)
+    if richardson:
+        half = _reference_fd_parts(surface_map, u, v, h / 2.0, z)
+        parts = {key: (half[key] * 4.0 - parts[key]) / 3.0 for key in parts}
+    return Jet2(z=z, **parts)
+
+
+def _reference_fd_parts(m, u, v, h, z):
+    pu = m(u + h, v)
+    mu = m(u - h, v)
+    pv = m(u, v + h)
+    mv = m(u, v - h)
+    pp = m(u + h, v + h)
+    pm = m(u + h, v - h)
+    mp = m(u - h, v + h)
+    mm = m(u - h, v - h)
+    return {
+        "z_u": (pu - mu) / (2.0 * h),
+        "z_v": (pv - mv) / (2.0 * h),
+        "z_uu": (pu - z * 2.0 + mu) / (h * h),
+        "z_vv": (pv - z * 2.0 + mv) / (h * h),
+        "z_uv": ((pp - pm) - (mp - mm)) / (4.0 * h * h),
+    }
+
+
+def reference_tangent_basis(zu, zv):
+    ee = dot(zu, zu)
+    ff = dot(zu, zv)
+    gg = dot(zv, zv)
+    if not (ee > 0.0 and ee * gg - ff * ff > 0.0):
+        raise DegenerateMetricError(
+            f"tangent plane degenerate: EG-F^2 = {ee * gg - ff * ff!r}")
+    t1 = zu / math.sqrt(ee)
+    w = zv - t1 * dot(zv, t1)
+    nw = norm(w)
+    if nw / math.sqrt(gg) <= _FLOOR:
+        raise DegenerateMetricError("tangent vectors are collinear")
+    return t1, w / nw
+
+
+def reference_tangent_form(jet):
+    """``first_form`` behind the guards of ``reference_tangent_basis``."""
+    reference_tangent_basis(jet.z_u, jet.z_v)
+    return first_form(jet)
+
+
+def reference_normal_part(zij, jet, ff):
+    a, b, det = dot(zij, jet.z_u), dot(zij, jet.z_v), ff.W * ff.W
+    gu, gv = (ff.G * a - ff.F * b) / det, (ff.E * b - ff.F * a) / det
+    return zij - jet.z_u * gu - jet.z_v * gv
+
+
+def reference_generic_parts(jet):
+    """(first form, n11, n12, n22), as ``rotsurf4.forms.generic_at`` returns."""
+    ff = reference_tangent_form(jet)
+    return (ff, *(reference_normal_part(zij, jet, ff) for zij in (jet.z_uu, jet.z_uv, jet.z_vv)))
+
+
+# ---------------------------------------------------------------------------
 # The generic pipeline through an orthonormal normal frame: the rounding-bound
 # and error-text oracle for the frame-free ``rotsurf4.forms.generic_at`` and
 # ``generic_invariants``.
@@ -341,7 +412,8 @@ def reference_write_csv(path, header, row_format, rows):
 # ---------------------------------------------------------------------------
 # The analytic jet built with keyword Vec4 fields straight from the surface's
 # reads, and ``verify`` run one grid point at a time with every closed-side
-# value read again at each point: the bit-for-bit oracle for
+# value read again at each point and the Vec4 reference kernels on the
+# generic side: the bit-for-bit oracle for
 # ``rotsurf4.geometry.analytic_jet2_from`` and the byte-for-byte, error-point
 # and exit-code oracle for ``rotsurf4.cli.cmd_verify``, which reads each of
 # them once per grid line.
@@ -407,10 +479,10 @@ def reference_verify(args, parser) -> int:
         for v in vs:
             with _at(u, v):
                 jet_a = jet_at(u, v)
-                jet_f = fd_jet2(surface_map, u, v)
+                jet_f = reference_fd_jet2(surface_map, u, v)
                 checks["jets"].update(reference_jet_dev(jet_a, jet_f), (u, v))
 
-                rec = generic_invariants(jet_f, *generic_at(jet_f))
+                rec = generic_invariants(jet_f, *reference_generic_parts(jet_f))
                 checks["forms"].update(max(
                     _rel(rec.E, ffc.E), _rel(rec.F, ffc.F), _rel(rec.G, ffc.G),
                     _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
@@ -419,7 +491,7 @@ def reference_verify(args, parser) -> int:
 
                 if checks["octet"].note is None:
                     try:
-                        og = octet_generic(jet_at, u, v)
+                        og = reference_octet_generic(jet_at, u, v)
                         checks["octet"].update(reference_octet_dev(oc, og), (u, v))
                     except TotallyGeodesicError:
                         checks["octet"].note = "totally geodesic point: frame undefined"
@@ -435,7 +507,7 @@ def reference_verify(args, parser) -> int:
         for u in us:
             with _at(u, vs[0]):
                 jet = jet_at(u, vs[0])
-                parts = generic_at(jet)
+                parts = reference_generic_parts(jet)
                 rec = generic_invariants(jet, *parts)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
@@ -466,9 +538,10 @@ def reference_verify(args, parser) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ``rotsurf4.octet.octet_generic`` with the stencil's b direction built from
-# both normal parts up front: the oracle for the stencil that builds n22
-# only on the sigma(y,y) fallback.
+# ``rotsurf4.octet.octet_generic`` in Vec4 arithmetic on the reference
+# kernels, with the stencil's b direction built from both normal parts up
+# front: the oracle for the component stencil that builds n22 only on the
+# sigma(y,y) fallback.
 
 def _reference_b_direction(jet, ff, n11, n22):
     for n, zij, e in ((n11, jet.z_uu, ff.E), (n22, jet.z_vv, ff.G)):
@@ -482,7 +555,7 @@ def reference_octet_generic(jet_at, u, v):
     u_minus, u_plus, v_minus, v_plus = (jet_at(u - _STEP, v), jet_at(u + _STEP, v),
                                         jet_at(u, v - _STEP), jet_at(u, v + _STEP))
     jet = jet_at(u, v)
-    ff, n11, n12, n22 = generic_at(jet)
+    ff, n11, n12, n22 = reference_generic_parts(jet)
     sxx, syy = n11 / ff.E, n22 / ff.G
     sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
     defect = principal_defect(ff, second_form(jet, ff, n11, n12, n22))
@@ -499,10 +572,10 @@ def reference_octet_generic(jet_at, u, v):
     l = l / norm(l)
 
     def b_at(stencil_jet):
-        sff = _tangent_form(stencil_jet)
+        sff = reference_tangent_form(stencil_jet)
         bb = _reference_b_direction(stencil_jet, sff,
-                                    _normal_part(stencil_jet.z_uu, stencil_jet, sff),
-                                    _normal_part(stencil_jet.z_vv, stencil_jet, sff))
+                                    reference_normal_part(stencil_jet.z_uu, stencil_jet, sff),
+                                    reference_normal_part(stencil_jet.z_vv, stencil_jet, sff))
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         return bb if dot(bb, b) >= 0.0 else -bb

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -231,8 +232,9 @@ def test_verify_zero_tolerance_fails(capsys):
 
 def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
     # parabola on a 5x4 grid, an msc member, so the superconformal loop runs
-    jets, abscissae = [], []
+    jets, abscissae, map_calls = [], [], []
     jet_builder, meridian_at = cli.analytic_jet2_from, RotationalSurface.meridian_at
+    as_map = RotationalSurface.as_map
 
     def counted_jet(*args):
         jets.append(args)
@@ -242,8 +244,18 @@ def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
         abscissae.append(u)
         return meridian_at(surface, u)
 
+    def counted_map(surface):
+        surface_map = as_map(surface)
+
+        def counted(u, v):
+            map_calls.append((u, v))
+            return surface_map(u, v)
+
+        return counted
+
     monkeypatch.setattr(cli, "analytic_jet2_from", counted_jet)
     monkeypatch.setattr(RotationalSurface, "meridian_at", counted_point)
+    monkeypatch.setattr(RotationalSurface, "as_map", counted_map)
     assert main(["verify", *RUN, "--u", "1:2:5", "--v", "0:1:4"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     # 4 octet stencil jets and the jets check's centre jet at each of the 20
@@ -252,6 +264,50 @@ def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
     # fd_jet2 meets u, u -+ h and u -+ h/2 at each u: 25 distinct abscissae,
     # each read once by the surface map although the stencils read 340 points
     assert len(abscissae) == len(set(abscissae)) == 25
+    assert len(map_calls) == 17 * 20
+
+
+# verify's whole report, deviation digits included, as the SHA-256 of stdout
+# with the exit code: the four crosscheck commands of perfbench/workloads.py,
+# the straight meridians of test_octet.py (b from sigma(y,y)) and the flat branch
+def _crosscheck(*source, u="0.25:3.0:20"):
+    return [*source, "--alpha", "1", "--beta", "2", "--u", u, "--v", "0:6.283185307179586:10"]
+
+
+VERIFY_PINS = [
+    pytest.param(_crosscheck("--f", "u", "--g", "u^2"), 0,
+                 "cb37172e3c06e456446a48ba3a0653a87902e0ab8f874e3343e0d9b3374a491c",
+                 id="crosscheck-parabola"),
+    pytest.param(_crosscheck("--f", "u", "--g", "u^3"), 0,
+                 "e3830d5914bc55a7663d5c6c1651142bbcda4f406ee593ba891395656390a1ec",
+                 id="crosscheck-cubic"),
+    pytest.param(_crosscheck("--msc-c", "1", "--eps", "1", u="0.25:4.0:20"), 0,
+                 "15b858090cc29fecad4b6dcbe0d2a50b589464e60ffcbeadd9a4371f9544bd78",
+                 id="crosscheck-msc"),
+    pytest.param(_crosscheck("--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)"), 0,
+                 "4b00cce0ffa29f5e55dec1f9cdd1667379aa594ed3e41eaff421c859dabdd218",
+                 id="crosscheck-transcendental"),
+    pytest.param(["--f", "sin(u)", "--g", "sin(-(1e200))", "--alpha", "1.8279756397734301",
+                  "--beta", "2.717657573017669", "--u", "4.698009323661253:4.698009323661253:1",
+                  "--v", "0.16666666666666669:0.16666666666666669:1"], 0,
+                 "f3e59e248a3a2581441fcecc84263257b4481c0b44067bb2c4562917053574fa",
+                 id="straight-sin"),
+    pytest.param(["--f", "exp(-(exp(u)))", "--g=-(0.5)", "--alpha", "0.8153136288557405",
+                  "--beta", "4.371767330045304", "--u", "2.976032034303733:2.976032034303733:1",
+                  "--v", "3.1426987009704:3.1426987009704:1"], 1,
+                 "4ff13077c6f5ad398ba1e3592a5b2fab9806f15e76c085dd04e56ac6a08e17ff",
+                 id="straight-exp"),
+    pytest.param(["--msc-c", "0", "--eps", "1", "--alpha", "1", "--beta", "2",
+                  "--u", "0.5:2:3"], 0,
+                 "0489190fee6d7ccc5e1a32b4e1bc87d94237ec5d1f09e81cd9b948d166dd6982",
+                 id="flat-branch"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", VERIFY_PINS)
+def test_verify_report_bytes_are_pinned(capsys, argv, code, digest):
+    assert main(["verify", *argv]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _bits(x: float) -> bytes:
@@ -739,7 +795,7 @@ def test_unwritable_out_is_a_usage_error_naming_it(tmp_path, capsys, argv, where
 
 
 DEEP_SUM = "+".join(["u"] * 990)  # differentiate recurses once per term
-DEEP_PARENS = "(" * 250 + "u" + ")" * 250  # the parser recurses several frames per pair
+DEEP_PARENS = "(" * 400 + "u" + ")" * 400  # the parser recurses three frames per pair
 
 
 @pytest.mark.parametrize("command", [["invariants"], ["verify", "--v", "0:1:2"]])
@@ -765,17 +821,31 @@ def test_domain_error_in_a_node_too_deep_to_print_names_its_operator(capsys):
                             "domain error in a `/` node: division by zero\n")
 
 
-def test_deep_sum_below_the_limit_runs_in_a_fresh_interpreter(tmp_path):
-    # the derivative memo must add no frame per tree level
-    argv = ["invariants", "--f", "u", "--g", "+".join(["u"] * 900), "--alpha", "1",
-            "--beta", "2", "--u", "1:2:3", "--out", str(tmp_path / "out.csv")]
+def _invariants_in_a_fresh_interpreter(tmp_path, g_text):
+    """Exit code, stderr and CSV rows of ``invariants`` on ``g_text``, run
+    through ``cli.main`` in a new interpreter, whose stack holds none of
+    pytest's frames."""
+    argv = ["invariants", "--f", "u", "--g", g_text, "--alpha", "1", "--beta", "2",
+            "--u", "1:2:3", "--out", str(tmp_path / "out.csv")]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from rotsurf4.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=False)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert len(_read_csv(tmp_path / "out.csv")) == 3
+    out = tmp_path / "out.csv"
+    return proc.returncode, proc.stderr, len(_read_csv(out)) if out.exists() else None
+
+
+def test_deep_sum_below_the_limit_runs_in_a_fresh_interpreter(tmp_path):
+    # the derivative memo must add no frame per tree level
+    assert _invariants_in_a_fresh_interpreter(tmp_path, "+".join(["u"] * 900)) == (0, b"", 3)
+
+
+@pytest.mark.parametrize("opener", ["(", "sin("], ids=["parens", "sin"])
+def test_deep_nesting_below_the_limit_runs_in_a_fresh_interpreter(tmp_path, opener):
+    # three parser frames per level: 300 levels parse, as the tree walks do
+    g_text = opener * 300 + "u" + ")" * 300
+    assert _invariants_in_a_fresh_interpreter(tmp_path, g_text) == (0, b"", 3)
 
 
 # ---------------------------------------------------------------------------
