@@ -12,10 +12,11 @@ Accepted grammar, lowest to highest precedence::
 ``NUMBER`` covers decimal and scientific notation.
 
 Trees are immutable dataclasses compared structurally.  ``differentiate``
-returns a tree that shares subtrees, with its input and within itself: it
-differentiates each node object once.  It folds only the identities that
-evaluate to the same double in IEEE arithmetic for every finite input, sign
-of zero and domain errors included:
+runs on the tape of its input (below), so it differentiates each distinct
+subtree once and returns a tree that shares subtrees, with its input and
+within itself.  It folds only the identities that evaluate to the same
+double in IEEE arithmetic for every finite input, sign of zero and domain
+errors included:
 
 * ``1*x`` and ``x*1`` become ``x``;
 * ``x - 0`` becomes ``x`` (a positive zero only: ``-0 - (-0)`` is ``+0``);
@@ -30,12 +31,13 @@ for negative ``x`` and ``-0 + 0`` is ``+0``, so either fold can turn a
 Exponentiation with a negative base is exact for integer exponents and a
 domain error otherwise.
 
-Evaluation reads a tape (``_tape``) that holds each distinct subtree of
-its trees once.  ``compile_expr`` builds nested closures of ``u`` from it
-(``evaluate`` calls them once); ``Profile`` builds one tape of its three
-trees, for a run over a whole u-grid that does the same float operations
-and reports a miss where a closure would raise, and for the closures that
-its first scalar read builds.
+A tape (``_Tape``) holds each distinct subtree of its trees once.
+``compile_expr`` builds nested closures of ``u`` from it (``evaluate`` calls
+them once).  A ``Profile`` holds one tape of its three trees, for a run over
+a whole u-grid that does the same float operations and reports a miss where
+a closure would raise, and for the closures that its first scalar read
+builds; ``Profile.from_expr`` visits the expression once and derives d1 and
+d2 on the same tape, so no derivative tree is built and then walked again.
 """
 
 from __future__ import annotations
@@ -140,14 +142,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of each token of ``text``, then ``end``."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -155,23 +151,27 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if kind == "bad":
             raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def at_op(self, ops: str) -> bool:
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "op" and text in ops
 
     # each nesting level costs three frames (parse_sum, parse_unary,
     # parse_atom): products are folded into the sum loop, powers into unary
@@ -179,16 +179,15 @@ class _Parser:
         node, op = None, None
         while True:
             term = self.parse_unary()
-            while self.peek().kind == "op" and self.peek().text in "*/":
-                term = Binary(self.advance().text, term, self.parse_unary())
+            while self.at_op("*/"):
+                term = Binary(self.advance()[1], term, self.parse_unary())
             node = term if node is None else Binary(op, node, term)
-            if not (self.peek().kind == "op" and self.peek().text in "+-"):
+            if not self.at_op("+-"):
                 return node
-            op = self.advance().text
+            op = self.advance()[1]
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-"):
             self.advance()
             start = self.pos
             operand = self.parse_unary()
@@ -198,41 +197,39 @@ class _Parser:
                 return Constant(-operand.value)
             return Unary("neg", operand)
         base = self.parse_atom()
-        if self.peek().kind == "pow":
+        if self.peek()[0] == "pow":
             self.advance()
             return Binary("^", base, self.parse_unary())
         return base
 
     def parse_atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            value = float(tok.text)
+        kind, text, offset = self.advance()
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ExprSyntaxError("numeric literal overflows a double", tok.offset)
+                raise ExprSyntaxError("numeric literal overflows a double", offset)
             return Constant(value)
-        if tok.kind == "name":
-            if tok.text == "u":
+        if kind == "name":
+            if text == "u":
                 return Variable()
-            if tok.text in UNARY_FUNCTIONS:
-                opener = self.advance()
-                if not (opener.kind == "op" and opener.text == "("):
-                    raise ExprSyntaxError(f"expected '(' after {tok.text!r}", opener.offset)
+            if text in UNARY_FUNCTIONS:
+                self.expect("(", f"expected '(' after {text!r}")
                 arg = self.parse_sum()
-                self.expect_close()
-                return Unary(tok.text, arg)
-            raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
+                self.expect(")", "expected ')'")
+                return Unary(text, arg)
+            raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
+        if kind == "op" and text == "(":
             node = self.parse_sum()
-            self.expect_close()
+            self.expect(")", "expected ')'")
             return node
-        if tok.kind == "end":
-            raise ExprSyntaxError("unexpected end of input", tok.offset)
-        raise ExprSyntaxError(f"expected a value, found {tok.text!r}", tok.offset)
+        if kind == "end":
+            raise ExprSyntaxError("unexpected end of input", offset)
+        raise ExprSyntaxError(f"expected a value, found {text!r}", offset)
 
-    def expect_close(self) -> None:
-        tok = self.advance()
-        if not (tok.kind == "op" and tok.text == ")"):
-            raise ExprSyntaxError("expected ')'", tok.offset)
+    def expect(self, op: str, message: str) -> None:
+        kind, text, offset = self.advance()
+        if not (kind == "op" and text == op):
+            raise ExprSyntaxError(message, offset)
 
 
 def parse(text: str) -> Expr:
@@ -246,9 +243,9 @@ def parse(text: str) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(text))
     node = parser.parse_sum()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.offset)
+    kind, text, offset = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
     return node
 
 
@@ -263,7 +260,7 @@ def format_number(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError(f"cannot format non-finite constant {v!r}")
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return str(int(v)) if v or math.copysign(1.0, v) > 0.0 else "-0"
     return repr(v)
 
 
@@ -280,7 +277,7 @@ def _render(e: Expr, context: int) -> str:
 def _render_prec(e: Expr) -> tuple[str, int]:
     match e:
         case Constant(v):
-            return format_number(v), (_PREC_NEG if v < 0 else _PREC_ATOM)
+            return format_number(v), (_PREC_NEG if math.copysign(1.0, v) < 0.0 else _PREC_ATOM)
         case Variable():
             return "u", _PREC_ATOM
         case Unary("neg", Constant(v)) if v >= 0:
@@ -352,48 +349,6 @@ def _power(e: Expr, base: float, p: float) -> float:
         return _finite(e, math.pow(base, p))
     except OverflowError:
         raise EvalDomainError(e, "overflow") from None
-
-
-def _tape(trees) -> tuple[list[tuple], list[int], list[int | None]]:
-    """Each distinct subtree of ``trees`` once, in left-to-right post-order,
-    the positions of ``trees``, and the position of each entry's last reader
-    (None for a root and an unread entry).  An entry is ``(op, a, b, node)`` with
-    the operands' positions (``b`` None for a unary op), ``("const", value,
-    sign, node)`` or ``("u", None, None, node)``: the sign tells apart the
-    equal ``Constant(0.0)`` and ``Constant(-0.0)``.  ``node`` is the first
-    occurrence, the one a tree walk evaluates, and so fails at, first.
-    Objects that ``differentiate`` shares are visited once."""
-    nodes, slots, seen = [], {}, {}
-
-    def visit(e) -> int:
-        i = seen.get(id(e))
-        if i is not None:
-            return i
-        kind = type(e)
-        if kind is Binary and e.op in _BINARY_FN:
-            key = (e.op, visit(e.left), visit(e.right))
-        elif kind is Unary and e.op in _UNARY_FN:
-            key = (e.op, visit(e.child), None)
-        elif kind is Constant:
-            key = ("const", e.value, math.copysign(1.0, e.value))
-        elif kind is Variable:
-            key = ("u", None, None)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        i = slots.setdefault(key, len(nodes))
-        if i == len(nodes):
-            nodes.append((*key, e))
-        seen[id(e)] = i
-        return i
-
-    roots = [visit(e) for e in trees]
-    last = [None] * len(nodes)
-    for j, (op, a, b, _) in enumerate(nodes):
-        if op != "u" and op != "const":
-            last[a] = last[a if b is None else b] = j
-    for r in roots:
-        last[r] = None
-    return nodes, roots, last
 
 
 def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
@@ -494,110 +449,171 @@ def _run_columns(nodes: list[tuple], roots: list[int], last: list[int | None],
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# the tape and differentiation
 
-_ONE = Constant(1.0)
+class _Tape:
+    """Hash-consed entries, each distinct subtree once, after its operands.
+    An entry is ``(op, a, b, node)`` with the operands' positions (``b``
+    None for a unary op), ``("const", value, sign, node)`` or ``("u", None,
+    None, node)``: the sign tells apart the equal ``Constant(0.0)`` and
+    ``Constant(-0.0)``.  ``node`` is made when the entry is added: a visited
+    tree's own node (the first occurrence, which a tree walk evaluates, and
+    so fails at, first), or a new node on the nodes of a derived entry's
+    operands, so that equal subtrees of a derivative are one object.
 
+    A derivative is an entry position, or a float: a constant that becomes
+    an entry only when a kept node reads it, so no folded constant is one."""
 
-def _fold(op: str, a: Expr, b: Expr) -> Expr:
-    """``Binary(op, a, b)`` with the IEEE-exact identities of the module
-    docstring folded."""
-    if op == "*":
-        if a == _ONE:
-            return b
-        if b == _ONE:
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self.slots: dict[tuple, int] = {}
+        self.seen: dict[int, int] = {}  # id of a visited node -> its entry
+        self.derived: dict[int, int | float] = {}  # entry -> its derivative
+
+    def visit(self, e) -> int:
+        """The entry of tree ``e``, its subtrees added in left-to-right
+        post-order; node objects met again are visited once."""
+        i = self.seen.get(id(e))
+        if i is not None:
+            return i
+        kind = type(e)
+        if kind is Binary and e.op in _BINARY_FN:
+            key = (e.op, self.visit(e.left), self.visit(e.right))
+        elif kind is Unary and e.op in _UNARY_FN:
+            key = (e.op, self.visit(e.child), None)
+        elif kind is Constant:
+            key = ("const", e.value, math.copysign(1.0, e.value))
+        elif kind is Variable:
+            key = ("u", None, None)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        nodes = self.nodes
+        i = self.slots.setdefault(key, len(nodes))
+        if i == len(nodes):
+            nodes.append((*key, e))
+        self.seen[id(e)] = i
+        return i
+
+    def entry(self, x: int | float) -> int:
+        """The position of ``x``, adding a float as a constant entry."""
+        if type(x) is not float:
+            return x
+        key = ("const", x, math.copysign(1.0, x))
+        i = self.slots.get(key)
+        if i is None:
+            i = self.slots[key] = len(self.nodes)
+            self.nodes.append((*key, Constant(x)))
+        return i
+
+    def op(self, op: str, a: int | float, b: int | float | None = None) -> int:
+        """The entry ``(op, a, b)``, added with a new node if absent."""
+        if type(a) is float:
+            a = self.entry(a)
+        if type(b) is float:
+            b = self.entry(b)
+        key = (op, a, b)
+        i = self.slots.get(key)
+        if i is None:
+            nodes = self.nodes
+            i = self.slots[key] = len(nodes)
+            left = nodes[a][3]
+            nodes.append((op, a, b, Unary(op, left) if b is None else
+                          Binary(op, left, nodes[b][3])))
+        return i
+
+    def fold(self, op: str, a: int | float, b: int | float) -> int | float:
+        """``(op, a, b)`` with the IEEE-exact identities of the module
+        docstring folded.  Two constants fold with the closure's own float
+        operation and checks, and stay a node exactly where those raise."""
+        nodes = self.nodes
+        x = a if type(a) is float else nodes[a][1] if nodes[a][0] == "const" else None
+        y = b if type(b) is float else nodes[b][1] if nodes[b][0] == "const" else None
+        if op == "*":
+            if x == 1.0:
+                return b
+            if y == 1.0:
+                return a
+        elif op == "-" and y == 0.0 and math.copysign(1.0, y) > 0.0:
             return a
-    elif (op == "-" and isinstance(b, Constant) and b.value == 0.0
-          and math.copysign(1.0, b.value) > 0.0):
-        return a
-    node = Binary(op, a, b)
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        # the float operation and checks of _compile_binary's closure
-        x, y = a.value, b.value
-        try:
-            if op == "^":
-                return Constant(_power(node, x, y))
-            return Constant(_finite(node, _BINARY_FN[op](x, y)))
-        except (EvalDomainError, ZeroDivisionError):
-            pass  # keep the node, so the domain error is raised at eval time
-    return node
+        if x is not None and y is not None:
+            try:
+                if op == "^":
+                    return _power(None, x, y)
+                return _finite(None, _BINARY_FN[op](x, y))
+            except (EvalDomainError, ZeroDivisionError):
+                pass  # keep the node, so the domain error is raised at eval time
+        return self.op(op, a, b)
+
+    def derive(self, i: int) -> int | float:
+        """The derivative of entry ``i``, built once per entry."""
+        d = self.derived.get(i)
+        if d is not None:
+            return d
+        op, a, b, _ = self.nodes[i]
+        fold, derive = self.fold, self.derive
+        if op == "const":
+            d = 0.0
+        elif op == "u":
+            d = 1.0
+        elif op == "+" or op == "-":
+            d = fold(op, derive(a), derive(b))
+        elif op == "*":
+            d = fold("+", fold("*", derive(a), b), fold("*", a, derive(b)))
+        elif op == "/":
+            d = fold("/", fold("-", fold("*", derive(a), b), fold("*", a, derive(b))),
+                     fold("^", b, 2.0))
+        elif op == "^" and self.nodes[b][0] == "const":
+            p = self.nodes[b][1]
+            d = 0.0 if p == 0.0 else fold("*", fold("*", b, fold("^", a, p - 1.0)), derive(a))
+        elif op == "^":
+            d = fold("*", i, fold("+", fold("*", derive(b), self.op("log", a)),
+                                  fold("/", fold("*", b, derive(a)), a)))
+        elif op == "neg":
+            d = self.op("neg", derive(a))
+        elif op == "sin":
+            d = fold("*", self.op("cos", a), derive(a))
+        elif op == "cos":
+            d = self.op("neg", fold("*", self.op("sin", a), derive(a)))
+        elif op == "exp":
+            d = fold("*", i, derive(a))
+        elif op == "log":
+            d = fold("/", derive(a), a)
+        else:  # sqrt
+            d = fold("/", derive(a), fold("*", 2.0, i))
+        self.derived[i] = d
+        return d
+
+    def dag(self, roots: list[int]) -> tuple[list[tuple], list[int], list[int | None]]:
+        """The entries, ``roots`` and the position of each entry's last
+        reader (None for a root and an unread entry)."""
+        last = [None] * len(self.nodes)
+        for j, (op, a, b, _) in enumerate(self.nodes):
+            if op != "u" and op != "const":
+                last[a] = last[a if b is None else b] = j
+        for r in roots:
+            last[r] = None
+        return self.nodes, roots, last
 
 
-def differentiate(e: Expr, _memo: dict | None = None) -> Expr:
+def _tape(trees) -> tuple[list[tuple], list[int], list[int | None]]:
+    """``_Tape.dag`` of the entries of ``trees``, in left-to-right post-order."""
+    tape = _Tape()
+    return tape.dag([tape.visit(e) for e in trees])
+
+
+def differentiate(e: Expr) -> Expr:
     """Symbolic derivative with respect to ``u``.
 
     The power rule covers any constant real exponent (the rotational
     meridians use non-integer powers); a non-constant exponent falls back to
     ``a^b * (b' log a + b a'/a)``, whose domain is enforced at eval time.
 
-    Each node is differentiated once: a subtree object met again is given
-    its derivative object again, so the result shares subtrees.  ``_memo``
-    (``id`` of a node -> its derivative) may be carried across calls on
-    trees that stay alive meanwhile, as ``Profile.from_expr`` does for d1
-    and d2: ``d(d(e))`` then reuses the derivatives of the subtrees that
-    ``d(e)`` took over from ``e``.
+    The rules run on the tape of ``e`` (``_Tape``), as in
+    ``Profile.from_expr``: each distinct subtree is differentiated once, and
+    the result shares subtrees with ``e`` and within itself.
     """
-    if _memo is None:
-        _memo = {}
-    else:
-        d = _memo.get(id(e))
-        if d is not None:
-            return d
-    match e:
-        case Constant(_):
-            d = Constant(0.0)
-        case Variable():
-            d = Constant(1.0)
-        case Unary("neg", child):
-            d = Unary("neg", differentiate(child, _memo))
-        case Unary("sin", child):
-            d = _fold("*", Unary("cos", child), differentiate(child, _memo))
-        case Unary("cos", child):
-            d = Unary("neg", _fold("*", Unary("sin", child), differentiate(child, _memo)))
-        case Unary("exp", child):
-            d = _fold("*", e, differentiate(child, _memo))
-        case Unary("log", child):
-            d = _fold("/", differentiate(child, _memo), child)
-        case Unary("sqrt", child):
-            d = _fold("/", differentiate(child, _memo), _fold("*", Constant(2.0), e))
-        case Binary("+" | "-" as op, a, b):
-            d = _fold(op, differentiate(a, _memo), differentiate(b, _memo))
-        case Binary("*", a, b):
-            d = _fold(
-                "+",
-                _fold("*", differentiate(a, _memo), b),
-                _fold("*", a, differentiate(b, _memo)),
-            )
-        case Binary("/", a, b):
-            d = _fold(
-                "/",
-                _fold(
-                    "-",
-                    _fold("*", differentiate(a, _memo), b),
-                    _fold("*", a, differentiate(b, _memo)),
-                ),
-                _fold("^", b, Constant(2.0)),
-            )
-        case Binary("^", a, Constant(p)):
-            if p == 0.0:
-                d = Constant(0.0)
-            else:
-                d = _fold(
-                    "*",
-                    _fold("*", Constant(p), _fold("^", a, Constant(p - 1.0))),
-                    differentiate(a, _memo),
-                )
-        case Binary("^", a, b):
-            inner = _fold(
-                "+",
-                _fold("*", differentiate(b, _memo), Unary("log", a)),
-                _fold("/", _fold("*", b, differentiate(a, _memo)), a),
-            )
-            d = _fold("*", e, inner)
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    _memo[id(e)] = d
-    return d
+    tape = _Tape()
+    return tape.nodes[tape.entry(tape.derive(tape.visit(e)))][3]
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +640,25 @@ class Interval:
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
     derivatives, carried as expression trees.  The three trees share one
-    tape (``_tape``), built on construction: ``grid`` runs it over a
-    u-grid, and the first scalar read (``value``, ``deriv1``, ``deriv2``)
-    builds its closures, which later reads call."""
+    tape (``_Tape``): ``from_expr`` derives d1 and d2 on it, the constructor
+    visits any three trees into it.  ``grid`` runs it over a u-grid, and the
+    first scalar read (``value``, ``deriv1``, ``deriv2``) builds its
+    closures, which later reads call."""
 
     expr: Expr
     d1: Expr
     d2: Expr
     domain: Interval = Interval()
-    _dag: tuple = field(init=False, repr=False, compare=False)  # _tape's (nodes, roots, last)
+    _dag: tuple = field(init=False, repr=False, compare=False)  # _Tape.dag's (nodes, roots, last)
     # the closed whole line contains every float (NaN too, as contains()
     # says), so evaluation can skip the interval test
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_dag", _tape((self.expr, self.d1, self.d2)))
+        self._set_dag(_tape((self.expr, self.d1, self.d2)))
+
+    def _set_dag(self, dag: tuple) -> None:
+        object.__setattr__(self, "_dag", dag)
         object.__setattr__(self, "_whole_line", self.domain == Interval())
 
     # Until the first scalar read, ``self._value`` (and the two others)
@@ -667,9 +687,18 @@ class Profile:
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
-        memo = {}  # shared: d2 reuses the derivatives of the subtrees d1 takes from expr
-        d1 = differentiate(expr, memo)
-        return cls(expr, d1, differentiate(d1, memo), domain)
+        """``expr`` and its two derivatives, derived on the tape of ``expr``:
+        d2 reuses the derivatives of the entries that d1 reads."""
+        tape = _Tape()
+        roots = [tape.visit(expr)]
+        for _ in range(2):
+            roots.append(tape.entry(tape.derive(roots[-1])))
+        profile = object.__new__(cls)  # __init__ would build the tape again
+        for name, value in zip(("expr", "d1", "d2", "domain"),
+                               (*(tape.nodes[r][3] for r in roots), domain)):
+            object.__setattr__(profile, name, value)  # vars() would slow every read
+        profile._set_dag(tape.dag(roots))
+        return profile
 
     @classmethod
     def from_text(cls, text: str, domain: Interval = Interval()) -> "Profile":

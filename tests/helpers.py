@@ -1,12 +1,12 @@
 """Shared test utilities, kept independent of the library internals where
 they act as oracles (tolerance math, finite differences, random trees, the
-tree-walking evaluator, the unfolded differentiator, the Vec4-based frame
-kernel, the Vec4 forms of the generic oracle's per-point kernels: fd_jet2,
-the tangent guard and the normal parts, the framed generic pipeline, the
-per-point OBJ vertex, closed-form row and ``verify`` loops, the deviation
-expressions, the octet stencil with both normal parts built up front, the
-csv-module CSV writer, the canonical frame of the family and the Frenet
-curvatures of its v-lines)."""
+tree-walking evaluator, the unfolded and the folded tree differentiators,
+the Vec4-based frame kernel, the Vec4 forms of the generic oracle's
+per-point kernels: fd_jet2, the tangent guard and the normal parts, the
+framed generic pipeline, the per-point OBJ vertex, closed-form row and
+``verify`` loops, the deviation expressions, the octet stencil with both
+normal parts built up front, the csv-module CSV writer, the canonical frame
+of the family and the Frenet curvatures of its v-lines)."""
 
 import csv
 import dataclasses
@@ -191,6 +191,88 @@ def reference_differentiate(e):
             return Binary("*", e, Binary("+", Binary("*", d(b), Unary("log", a)),
                                          Binary("/", Binary("*", b, d(a)), a)))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_ONE = Constant(1.0)
+_FOLD_FN = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y,
+            "/": lambda x, y: x / y}
+
+
+def _reference_fold(op: str, a, b):
+    """``Binary(op, a, b)`` with ``1*x``, ``x*1``, ``x - (+0)`` and finite
+    constant operations folded, the node kept where the operation raises."""
+    if op == "*":
+        if a == _ONE:
+            return b
+        if b == _ONE:
+            return a
+    elif (op == "-" and isinstance(b, Constant) and b.value == 0.0
+          and math.copysign(1.0, b.value) > 0.0):
+        return a
+    node = Binary(op, a, b)
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        x, y = a.value, b.value
+        try:
+            if op == "^":
+                return Constant(_power(node, x, y))
+            return Constant(_finite(node, _FOLD_FN[op](x, y)))
+        except (EvalDomainError, ZeroDivisionError):
+            pass
+    return node
+
+
+def reference_folded_differentiate(e, _memo=None):
+    """The folded symbolic derivative as a recursive tree rewrite, one tree
+    node per rule application (a node object met again is given its
+    derivative object again): the oracle for the derivatives that
+    ``rotsurf4.expr`` builds on its tape."""
+    if _memo is None:
+        _memo = {}
+    else:
+        d = _memo.get(id(e))
+        if d is not None:
+            return d
+
+    def d(x):
+        return reference_folded_differentiate(x, _memo)
+
+    fold = _reference_fold
+    match e:
+        case Constant(_):
+            out = Constant(0.0)
+        case Variable():
+            out = Constant(1.0)
+        case Unary("neg", child):
+            out = Unary("neg", d(child))
+        case Unary("sin", child):
+            out = fold("*", Unary("cos", child), d(child))
+        case Unary("cos", child):
+            out = Unary("neg", fold("*", Unary("sin", child), d(child)))
+        case Unary("exp", child):
+            out = fold("*", e, d(child))
+        case Unary("log", child):
+            out = fold("/", d(child), child)
+        case Unary("sqrt", child):
+            out = fold("/", d(child), fold("*", Constant(2.0), e))
+        case Binary("+" | "-" as op, a, b):
+            out = fold(op, d(a), d(b))
+        case Binary("*", a, b):
+            out = fold("+", fold("*", d(a), b), fold("*", a, d(b)))
+        case Binary("/", a, b):
+            out = fold("/", fold("-", fold("*", d(a), b), fold("*", a, d(b))),
+                       fold("^", b, Constant(2.0)))
+        case Binary("^", a, Constant(p)):
+            if p == 0.0:
+                out = Constant(0.0)
+            else:
+                out = fold("*", fold("*", Constant(p), fold("^", a, Constant(p - 1.0))), d(a))
+        case Binary("^", a, b):
+            out = fold("*", e, fold("+", fold("*", d(b), Unary("log", a)),
+                                    fold("/", fold("*", b, d(a)), a)))
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    _memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (central_diff, random_expr, reference_differentiate, reference_evaluate,
-                     tame_at)
+                     reference_folded_differentiate, tame_at)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, ExprSyntaxError,
                            Interval, Profile, Unary, UnknownIdentifierError,
-                           Variable, _fold, _tape, compile_expr, differentiate,
+                           Variable, _tape, _Tape, compile_expr, differentiate,
                            evaluate, parse, unparse)
 
 
@@ -228,6 +228,38 @@ def test_text_round_trip_is_idempotent(e):
     assert parse(again) == parse(text)
 
 
+def _hex_form(e):
+    """``e`` as nested tuples with each constant as ``float.hex``, so that
+    ``Constant(0.0)`` and ``Constant(-0.0)`` compare unequal."""
+    match e:
+        case Constant(v):
+            return v.hex()
+        case Variable():
+            return "u"
+        case Unary(op, child):
+            return op, _hex_form(child)
+        case Binary(op, left, right):
+            return op, _hex_form(left), _hex_form(right)
+
+
+@settings(max_examples=300)
+@given(expr_trees)
+def test_round_trip_keeps_the_bits_of_every_constant(e):
+    assert _hex_form(parse(unparse(e))) == _hex_form(e)
+
+
+@pytest.mark.parametrize("tree, text", [
+    (parse("u*-0"), "u*-0"),
+    (Binary("^", Constant(-0.0), Constant(2.0)), "(-0)^2"),
+    (Unary("neg", Constant(-0.0)), "-(-0)"),
+    (Binary("-", Variable(), Constant(-0.0)), "u--0"),
+])
+def test_negative_zero_keeps_its_sign_in_text(tree, text):
+    assert unparse(tree) == text
+    assert _hex_form(parse(text)) == _hex_form(tree)
+    assert evaluate(parse(text), 2.0).hex() == evaluate(tree, 2.0).hex()
+
+
 def test_round_trip_on_sample_texts():
     for text in ("u", "u^2", "2*u^0.5", "-u^2", "sin(u)*cos(u)-1/u",
                  "1.5e-3*u + sqrt(u+2)", "u^-2", "-(2)", "(u+1)*(u-1)"):
@@ -336,15 +368,23 @@ fold_constants = st.one_of(
 @given(st.sampled_from("+-*/^"), fold_constants, fold_constants)
 def test_constant_fold_is_the_evaluated_node_or_the_node(op, x, y):
     a, b = Constant(x), Constant(y)
-    folded = _fold(op, a, b)
+    tape = _Tape()
+    operands = (tape.visit(a), tape.visit(b))
+    size = len(tape.nodes)
+    folded = tape.fold(op, *operands)
     try:
         want = evaluate(Binary(op, a, b), 0.0)
     except EvalDomainError:
         # kept exactly where evaluation raises, so the error names this node
-        assert type(folded) is Binary and folded.op == op
-        assert folded.left is a and folded.right is b
+        assert folded == size and tape.nodes[folded][:3] == (op, *operands)
+        node = tape.nodes[folded][3]
+        assert type(node) is Binary and node.op == op
+        assert node.left is tape.nodes[operands[0]][3] and node.right is tape.nodes[operands[1]][3]
     else:
-        assert type(folded) is Constant and folded.value.hex() == want.hex()
+        # a value, or an operand (1*x, x*1, x - 0): no entry for the folded node
+        value = folded if type(folded) is float else tape.nodes[folded][1]
+        assert value.hex() == want.hex()
+        assert len(tape.nodes) == size
 
 
 def _node_objects(*trees) -> int:
@@ -476,10 +516,53 @@ def test_profile_derivatives_are_structural():
         p = Profile.from_text(text)
         assert p.d1 == differentiate(p.expr)
         assert p.d2 == differentiate(p.d1)
-    # one memo for d1 and d2 shares subtrees; a second call re-differentiates
-    # the subtrees that d1 took from the source
-    d1 = differentiate(p.expr)
-    assert _node_objects(p.expr, p.d1, p.d2) < _node_objects(p.expr, d1, differentiate(d1))
+
+
+# ---------------------------------------------------------------------------
+# derivatives on the tape, against the recursive tree rewrite
+
+def _same_entries(nodes, other) -> bool:
+    """Whether two tapes hold the same subtrees, each once, in any order:
+    each entry of ``nodes`` is found in ``other`` by its key with the
+    operands renamed, and that map is one to one and onto."""
+    slots = {entry[:3]: j for j, entry in enumerate(other)}
+    to_other = []
+    for op, a, b, _ in nodes:
+        if op != "u" and op != "const":
+            a, b = to_other[a], None if b is None else to_other[b]
+        to_other.append(slots.get((op, a, b)))
+    return None not in to_other and sorted(to_other) == list(range(len(other)))
+
+
+def _reachable(nodes, roots) -> set[int]:
+    seen, stack = set(), list(roots)
+    while stack:
+        j = stack.pop()
+        if j not in seen:
+            seen.add(j)
+            op, a, b, _ = nodes[j]
+            if op != "u" and op != "const":
+                stack.extend(x for x in (a, b) if x is not None)
+    return seen
+
+
+@settings(max_examples=300)
+@given(expr_trees)
+def test_tape_derivatives_equal_the_tree_rewrite(e):
+    p = Profile.from_expr(e)
+    d1 = reference_folded_differentiate(e)
+    d2 = reference_folded_differentiate(d1)
+    assert _hex_form(p.d1) == _hex_form(d1) and _hex_form(p.d2) == _hex_form(d2)
+    assert _hex_form(differentiate(e)) == _hex_form(d1)
+    assert _hex_form(differentiate(p.d1)) == _hex_form(d2)
+    nodes, roots, _ = p._dag
+    # the distinct subtrees of the three trees, each once, and nothing else:
+    # no constant that a fold discarded, no entry that no root reads
+    assert _same_entries(nodes, _tape((e, d1, d2))[0])
+    assert _reachable(nodes, roots) == set(range(len(nodes)))
+    # d1 and d2 add one node object per distinct subtree that e lacks
+    assert (_node_objects(p.expr, p.d1, p.d2) - _node_objects(p.expr)
+            == len(nodes) - len(_tape((e,))[0]))
 
 
 def test_profile_first_derivative_matches_central_difference():
