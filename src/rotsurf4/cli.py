@@ -32,13 +32,12 @@ from operator import attrgetter
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
-from .forms import (NonFiniteInvariantError, ellipse_samples, generic_at,
-                    generic_invariants, invariants, is_circle,
-                    superconformal_residuals, superconformal_verdict)
+from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_at,
+                    generic_invariants, is_circle, superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotate, rotation_trig)
-from .octet import (_GAUGE_FLIPPED, TotallyGeodesicError, _octet_values, invariants_from_octet,
-                    octet_generic)
+from .octet import (_GAUGE_FLIPPED, FrenetOctet, TotallyGeodesicError, _octet_values,
+                    invariants_from_octet, octet_generic)
 from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
 
 EXIT_OK = 0
@@ -47,12 +46,12 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BROKEN_PIPE = 141
 
-# CSV header and row formats: fields joined by "," and lines ended by "\r\n",
-# as csv.writer writes them (no field here needs quoting); %.17g is lossless
+# CSV formats as csv.writer writes them ("," between fields, "\r\n" ends a line, no quotes);
+# %.17g is lossless, and F, M, gamma1, lambda and beta1 are +0.0 here, which it writes as 0
 _INVARIANT_HEADER = "u,v,E,F,G,L,M,N,k,kappa,K,type\r\n"
-_INVARIANT_ROW = "%.17g," * 11 + "%s\r\n"
+_INVARIANT_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0," + "%.17g," * 4 + "%s\r\n"
 _OCTET_HEADER = "u,gamma1,gamma2,nu1,nu2,lambda,mu,beta1,beta2\r\n"
-_OCTET_ROW = ",".join(["%.17g"] * 9) + "\r\n"
+_OCTET_ROW = "%.17g,0,%.17g,%.17g,%.17g,0,%.17g,0,%.17g\r\n"
 _MSC_HEADER = "u,k,kappa,K,residual,minimal,superconformal\r\n"
 _MSC_ROW = "%.17g," * 5 + "%s,%s\r\n"
 
@@ -219,40 +218,39 @@ def _write_out(path: str, chunks) -> None:
 # ---------------------------------------------------------------------------
 # invariants / octet grids
 
-def _closed_rows(surface: RotationalSurface, us: list[float], v: float, closed):
-    """``closed(surface, u, meridian_jet(u))`` for each u, lazily, with the
-    jets read over the whole grid (``meridian_jets``); an error reading a
-    u's jet or in ``closed`` names (u, v), so the first one met in u order
-    is reported."""
-    jets = surface.meridian_jets(us)
-    for u in us:
-        with _at(u, v):
-            row = closed(surface, u, next(jets))
-        yield row
+def _grid_rows(surface: RotationalSurface, us: list[float], v: float, row) -> list:
+    """[row(u, jet) for u in us] over ``meridian_jets(us)``; an error names (u, v) for its u."""
+    rows, jets = [], surface.meridian_jets(us)
+    try:
+        for u in us:
+            rows.append(row(u, next(jets)))
+    except (GeometryError, EvalDomainError) as exc:
+        raise _PointError(u, v, exc) from exc
+    return rows
 
 
-def _invariant_parts(surface: RotationalSurface, u: float, data):
-    """The (first form, second form, K) that an invariants row classifies."""
-    ff, sf = _closed_forms(surface, u, data)
-    return ff, sf, _closed_invariants(surface, u, data)[2]
+def _invariant_row(surface: RotationalSurface, tol: float, u: float, jet) -> tuple:
+    """(E, G, L, N, k, kappa, K, type) at u, k and kappa by the float operations
+    of ``forms.invariants`` less its F = M = 0.0 terms (x - 0.0 is x bit for bit)."""
+    ee, gg, _, big_l, big_n = _closed_forms(surface, u, jet)
+    k, kappa = big_l * big_n / (ee * gg), (ee * big_n + gg * big_l) / (2.0 * (ee * gg))
+    return (ee, gg, big_l, big_n, k, kappa, _closed_invariants(surface, u, jet)[2],
+            _classify(k, kappa, big_l, 0.0, big_n, tol))
 
 
 def cmd_invariants(args, parser) -> int:
+    """The CSV rows of each (u, v), from one row tuple per u (``_invariant_row``)."""
     surface, us, vs = _build_config(args, parser)
-    records = [invariants(ff, sf, gauss, class_tol=args.tol_class)
-               for ff, sf, gauss in _closed_rows(surface, us, vs[0], _invariant_parts)]
+    rows = _grid_rows(surface, us, vs[0], partial(_invariant_row, surface, args.tol_class))
     _write_csv(args.out, _INVARIANT_HEADER, _INVARIANT_ROW,
-               ((u, v, rec.E, rec.F, rec.G, rec.L, rec.M, rec.N, rec.k, rec.kappa, rec.K,
-                 rec.point_type.value) for u, rec in zip(us, records) for v in vs))
+               ((u, v, *row) for u, row in zip(us, rows) for v in vs))
     return EXIT_OK
 
 
 def cmd_octet(args, parser) -> int:
     surface, us, vs = _build_config(args, parser)
-    octets = list(_closed_rows(surface, us, vs[0], _closed_octet))
-    _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW,
-               ((u, o.gamma1, o.gamma2, o.nu1, o.nu2, o.lam, o.mu, o.beta1, o.beta2)
-                for u, o in zip(us, octets)))
+    rows = _grid_rows(surface, us, vs[0], partial(_closed_octet, surface))
+    _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW, ((u, *row) for u, row in zip(us, rows)))
     return EXIT_OK
 
 
@@ -359,9 +357,10 @@ def cmd_verify(args, parser) -> int:
     for u in us:
         with _at(u, vs[0]):
             data = meridian(u)
-            ffc, sfc = _closed_forms(surface, u, data)
+            ec, gc_, _, lc, nc = _closed_forms(surface, u, data)
             kc, xc, gc = _closed_invariants(surface, u, data)
-            oc = _closed_octet(surface, u, data)
+            gamma2, nu1, nu2, mu, beta2 = _closed_octet(surface, u, data)
+            oc = FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
             ko, xo, go = invariants_from_octet(oc)
             checks["octet-vs-invariants"].update(
                 max(_rel(ko, kc), _rel(xo, xc), _rel(go, gc)), (u, vs[0]))
@@ -374,8 +373,8 @@ def cmd_verify(args, parser) -> int:
 
                 rec = generic_invariants(jet_f, *generic_at(jet_f))
                 checks["forms"].update(max(
-                    _rel(rec.E, ffc.E), _rel(rec.F, ffc.F), _rel(rec.G, ffc.G),
-                    _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
+                    _rel(rec.E, ec), _rel(rec.F, 0.0), _rel(rec.G, gc_),
+                    _rel(rec.L, lc), _rel(rec.M, 0.0), _rel(rec.N, nc)), (u, v))
                 checks["invariants"].update(max(
                     _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
 
@@ -596,13 +595,12 @@ def cmd_plot(args, parser) -> int:
         text = _svg_ellipse_plot(points, (dot(report.center, e1), dot(report.center, e2)))
     else:
         surface, us, vs = _build_config(args, parser)
-
-        def closed(s, u, data):
-            if args.quantity in ("k", "kappa", "K"):
-                return _closed_invariants(s, u, data)[("k", "kappa", "K").index(args.quantity)]
-            return getattr(_closed_octet(s, u, data), args.quantity)  # a FrenetOctet field
-        values = list(_closed_rows(surface, us, vs[0], closed))
-        text = _svg_line_plot(us, values, args.quantity)
+        if args.quantity in ("k", "kappa", "K"):
+            closed, i = _closed_invariants, ("k", "kappa", "K").index(args.quantity)
+        else:
+            closed, i = _closed_octet, ("gamma2", "nu1", "nu2", "mu", "beta2").index(args.quantity)
+        rows = _grid_rows(surface, us, vs[0], partial(closed, surface))
+        text = _svg_line_plot(us, [row[i] for row in rows], args.quantity)
     _write_out(args.out, (text,))
     return EXIT_OK
 

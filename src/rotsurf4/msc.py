@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 from .expr import Interval, Profile, format_number
-from .rotational import ClosedFormRangeError, RotationalSurface, _check_speeds, _finite_at
+from .rotational import ClosedFormRangeError, RotationalSurface, _check_speeds
 
 __all__ = [
     "DEFAULT_U_DOMAIN",
@@ -106,9 +106,10 @@ def _msc_sides(s: RotationalSurface, u: float) -> tuple[float, float]:
     a b (g - u g') and a^2 u g' - b^2 g bit for bit."""
     f, f1, g, g1 = s.f.value(u), s.f.deriv1(u), s.g.value(u), s.g.deriv1(u)
     a, b = s.alpha, s.beta
-    sides = a * b * (g * f1 - f * g1), a * a * f * g1 - b * b * g * f1
-    _finite_at(u, sides)
-    return sides
+    lhs, rhs = a * b * (g * f1 - f * g1), a * a * f * g1 - b * b * g * f1
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return lhs, rhs
 
 
 def msc_residual(s: RotationalSurface, u: float, eps: int) -> float:
@@ -122,7 +123,8 @@ def msc_residual(s: RotationalSurface, u: float, eps: int) -> float:
         raise ValueError("eps must be +1 or -1")
     lhs, rhs = _msc_sides(s, u)
     residual = lhs - eps * rhs
-    _finite_at(u, (residual,))
+    if not math.isfinite(residual):
+        raise ClosedFormRangeError(u, "non-finite result")
     return residual
 
 
@@ -165,7 +167,8 @@ def power_law_invariants(c: float, p: float, eps: int, u: float) -> tuple[float,
         gauss = -2.0 * amp / base ** 3
     except OverflowError:  # float ** raises where * would give inf
         raise ClosedFormRangeError(u, "non-finite result") from None
-    _finite_at(u, (k, kappa, gauss))
+    if not (math.isfinite(k) and math.isfinite(kappa) and math.isfinite(gauss)):
+        raise ClosedFormRangeError(u, "non-finite result")
     return k, kappa, gauss
 
 

@@ -14,8 +14,8 @@ rather than return inf or nan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf, isfinite, sqrt
 from typing import Iterator
 
 from .expr import Profile
@@ -41,14 +41,9 @@ class ClosedFormRangeError(GeometryError):
         self.u = u
 
 
-def _finite_at(u: float, values) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ClosedFormRangeError(u, "non-finite result")
-
-
 def _check_speeds(alpha: float, beta: float) -> None:
     for name, speed in (("alpha", alpha), ("beta", beta)):
-        if not (0.0 < speed < math.inf):  # also false for NaN
+        if not (0.0 < speed < inf):  # also false for NaN
             raise ValueError(f"rotation speed {name} must be finite and positive, got {speed!r}")
 
 
@@ -134,10 +129,12 @@ def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondFo
         L = 2 a b (g f' - f g')(g' f'' - f' g'') / (G E)
         N = -2 a b (g f' - f g')(b^2 g f' - a^2 f g') / (G E)
     """
-    return _closed_forms(s, u, s.meridian_jet(u))
+    ee, gg, w, big_l, big_n = _closed_forms(s, u, s.meridian_jet(u))
+    return FirstForm(ee, 0.0, gg, w), SecondForm(big_l, 0.0, big_n)
 
 
-def _closed_forms(s: RotationalSurface, u: float, data) -> tuple[FirstForm, SecondForm]:
+def _closed_forms(s: RotationalSurface, u: float, data) -> tuple[float, float, float, float, float]:
+    """(E, G, W, L, N) from the meridian jet of u; W = sqrt(EG) is finite only if E and G are."""
     f, f1, f2, g, g1, g2, ee, gg = data
     a, b = s.alpha, s.beta
     try:
@@ -145,9 +142,10 @@ def _closed_forms(s: RotationalSurface, u: float, data) -> tuple[FirstForm, Seco
         big_n = -2.0 * a * b * (g * f1 - f * g1) * (b * b * g * f1 - a * a * f * g1) / (gg * ee)
     except ZeroDivisionError:
         raise ClosedFormRangeError(u, "zero divisor") from None
-    w = math.sqrt(ee * gg)
-    _finite_at(u, (ee, gg, w, big_l, big_n))
-    return FirstForm(ee, 0.0, gg, w), SecondForm(big_l, 0.0, big_n)
+    w = sqrt(ee * gg)
+    if not (isfinite(w) and isfinite(big_l) and isfinite(big_n)):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return ee, gg, w, big_l, big_n
 
 
 def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, float]:
@@ -177,7 +175,8 @@ def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, flo
         raise ClosedFormRangeError(u, "zero divisor") from None
     except OverflowError:  # float ** raises where * would give inf
         raise ClosedFormRangeError(u, "non-finite result") from None
-    _finite_at(u, (k, kappa, gauss))
+    if not (isfinite(k) and isfinite(kappa) and isfinite(gauss)):
+        raise ClosedFormRangeError(u, "non-finite result")
     return k, kappa, gauss
 
 
@@ -191,20 +190,23 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
         mu    = a b (g f' - f g') / (sqrt(E) G)
         beta2 = a b (f f' + g g') / (sqrt(E) sqrt(G))
     """
-    return _closed_octet(s, u, s.meridian_jet(u))
+    gamma2, nu1, nu2, mu, beta2 = _closed_octet(s, u, s.meridian_jet(u))
+    return FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
 
 
-def _closed_octet(s: RotationalSurface, u: float, data) -> FrenetOctet:
+def _closed_octet(s: RotationalSurface, u: float, data) -> tuple[float, float, float, float, float]:
     f, f1, f2, g, g1, g2, ee, gg = data
     a, b = s.alpha, s.beta
-    sqrt_e = math.sqrt(ee)
+    sqrt_e = sqrt(ee)
     try:
         nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
         gamma2 = -(a * a * f * f1 + b * b * g * g1) / (sqrt_e * gg)
         nu2 = (b * b * g * f1 - a * a * f * g1) / (sqrt_e * gg)
         mu = a * b * (g * f1 - f * g1) / (sqrt_e * gg)
-        beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * math.sqrt(gg))
+        beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * sqrt(gg))
     except ZeroDivisionError:
         raise ClosedFormRangeError(u, "zero divisor") from None
-    _finite_at(u, (nu1, gamma2, nu2, mu, beta2))
-    return FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
+    if not (isfinite(nu1) and isfinite(gamma2) and isfinite(nu2) and isfinite(mu)
+            and isfinite(beta2)):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return gamma2, nu1, nu2, mu, beta2

@@ -16,8 +16,9 @@ import sys
 from typing import NamedTuple
 
 from rotsurf4 import msc as msc_mod
-from rotsurf4.cli import (EXIT_OK, EXIT_VERIFY, _at, _build_config, _Check, _PointError,
-                          _rel)
+from rotsurf4.cli import (_INVARIANT_HEADER, _OCTET_HEADER, EXIT_OK, EXIT_VERIFY, _at,
+                          _build_config, _Check, _PointError, _rel, _svg_line_plot, _write_out,
+                          cmd_plot)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
 from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form,
@@ -463,18 +464,59 @@ def reference_export_vertices(surface, us, vs, pick):
 
 
 # ---------------------------------------------------------------------------
-# The closed-form rows computed one u at a time from the scalar
-# ``meridian_jet``, and the CSV written field by field through the csv
-# module: the byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
-# grid-structured ``_closed_rows`` and one-format-per-row ``_write_csv``.
+# The closed-form grid commands computed one u at a time from the public
+# ``closed_forms_at``, ``closed_invariants_at``, ``closed_octet_at`` and
+# ``forms.invariants``, with every CSV field (the ones the CLI's row formats
+# write as a literal 0 included) written through the csv module: the
+# byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
+# ``cmd_invariants``, ``cmd_octet`` and line ``cmd_plot``, which compute
+# their rows in one loop over the whole-grid meridian jets, and for its
+# one-format-per-row ``_write_csv``.
 
-def reference_closed_rows(surface, us, v, closed):
+def _reference_rows(us, v, closed):
+    rows = []
     for u in us:
         try:
-            row = closed(surface, u, surface.meridian_jet(u))
+            rows.append(closed(u))
         except (GeometryError, EvalDomainError) as exc:
             raise _PointError(u, v, exc) from exc
-        yield row
+    return rows
+
+
+def reference_invariants(args, parser) -> int:
+    surface, us, vs = _build_config(args, parser)
+
+    def record(u):
+        ff, sf = closed_forms_at(surface, u)
+        return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=args.tol_class)
+
+    rows = [[u, v, *field_values(rec)[:-1], rec.point_type.value]
+            for u, rec in zip(us, _reference_rows(us, vs[0], record)) for v in vs]
+    reference_write_csv(args.out, _INVARIANT_HEADER, None, rows)
+    return EXIT_OK
+
+
+def reference_octet(args, parser) -> int:
+    surface, us, vs = _build_config(args, parser)
+    octets = _reference_rows(us, vs[0], lambda u: closed_octet_at(surface, u))
+    reference_write_csv(args.out, _OCTET_HEADER, None,
+                        [[u, *octet_tuple(o)] for u, o in zip(us, octets)])
+    return EXIT_OK
+
+
+def reference_plot(args, parser) -> int:
+    if args.quantity == "ellipse":
+        return cmd_plot(args, parser)
+    surface, us, vs = _build_config(args, parser)
+    if args.quantity in ("k", "kappa", "K"):
+        index = ("k", "kappa", "K").index(args.quantity)
+        values = _reference_rows(us, vs[0],
+                                 lambda u: closed_invariants_at(surface, u)[index])
+    else:
+        values = _reference_rows(us, vs[0],
+                                 lambda u: getattr(closed_octet_at(surface, u), args.quantity))
+    _write_out(args.out, (_svg_line_plot(us, values, args.quantity),))
+    return EXIT_OK
 
 
 def reference_write_csv(path, header, row_format, rows):

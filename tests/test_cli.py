@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from rotsurf4 import cli
 from helpers import field_values, num, reference_jet_dev, reference_octet_dev
 from rotsurf4.cli import main
 from rotsurf4.expr import Profile
-from rotsurf4.forms import SecondForm, classify, invariants
+from rotsurf4.forms import NonFiniteInvariantError, PointType, SecondForm, classify, invariants
 from rotsurf4.geometry import Jet2, Vec4
 from rotsurf4.msc import MscParams, msc_surface
 from rotsurf4.octet import FrenetOctet
@@ -93,6 +94,26 @@ def test_invariants_out_of_range_point_names_it(tmp_path, capsys, f, g, reason):
     assert code == 3
     err = capsys.readouterr().err
     assert "(u, v) = (1.0, 0.0)" in err and reason in err
+    assert not out.exists()
+
+
+def test_invariants_classification_error_names_its_point(tmp_path, monkeypatch, capsys):
+    # no CLI input is known to reach this once the closed forms are finite,
+    # so the scalar classification core is made to fail at the second u
+    classify_point, calls = cli._classify, []
+
+    def fail_second(k, kappa, big_l, big_m, big_n, tol):
+        calls.append(k)
+        if len(calls) == 2:
+            raise NonFiniteInvariantError(f"cannot classify: k={k!r}")
+        return classify_point(k, kappa, big_l, big_m, big_n, tol)
+
+    monkeypatch.setattr(cli, "_classify", fail_second)
+    out = tmp_path / "inv.csv"
+    code = main(["invariants", *RUN, "--u", "0.5:1.5:3", "--v", "0.25:1:2", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: at (u, v) = (1.0, 0.25): cannot classify: "
+                                       f"k={calls[1]!r}\n")
     assert not out.exists()
 
 
@@ -947,18 +968,22 @@ SURFACES = [
 
 
 def _invariant_row(surface, u, v_first, class_tol):
-    """One ``invariants`` record through the CLI's row path, on a one-point grid."""
-    (parts,) = cli._closed_rows(surface, [u], v_first, cli._invariant_parts)
-    return invariants(*parts, class_tol=class_tol)
+    """One ``invariants`` row through the CLI's row path, on a one-point grid,
+    as the fields of an InvariantRecord; F and M, which the row format writes
+    as 0, are 0.0."""
+    (row,) = cli._grid_rows(surface, [u], v_first,
+                            partial(cli._invariant_row, surface, class_tol))
+    ee, gg, big_l, big_n, k, kappa, gauss, point_type = row
+    return [ee, 0.0, gg, big_l, 0.0, big_n, k, kappa, gauss, PointType(point_type)]
 
 
 def _two_call_row(surface, u):
     ff, sf = closed_forms_at(surface, u)
-    return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=1e-8)
+    return field_values(invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=1e-8))
 
 
-def _hex(record):
-    return [x.hex() if isinstance(x, float) else x for x in field_values(record)]
+def _hex(values):
+    return [x.hex() if isinstance(x, float) else x for x in values]
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -988,7 +1013,7 @@ def test_invariant_row_exact_values():
     # repr round-trips, so any change to the closed-form arithmetic shows here
     surface = SURFACES[3]
     record = _invariant_row(surface, 0.7, 0.0, 1e-8)
-    assert [repr(x) for x in field_values(record)] == [
+    assert [repr(x) for x in record] == [
         "1.2638323711699837", "0.0", "6.554642907934198", "0.90473295077101", "0.0",
         "-1.9219251077668564", "-0.20990286026066005", "0.21132441934892673",
         "0.8813162406277878", "<PointType.HYPERBOLIC: 'hyperbolic'>"]
