@@ -28,17 +28,17 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, repeat
-from operator import attrgetter
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_at,
                     generic_invariants, is_circle, superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
-                       gram_schmidt_normals, norm, rotate, rotation_trig)
+                       gram_schmidt_normals, norm, rotation_trig)
 from .octet import (_GAUGE_FLIPPED, FrenetOctet, TotallyGeodesicError, _octet_values,
                     invariants_from_octet, octet_generic)
-from .rotational import RotationalSurface, _closed_forms, _closed_invariants, _closed_octet
+from .rotational import (RotationalSurface, _closed_forms, _closed_gauss, _closed_invariants,
+                         _closed_octet)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -234,7 +234,7 @@ def _invariant_row(surface: RotationalSurface, tol: float, u: float, jet) -> tup
     of ``forms.invariants`` less its F = M = 0.0 terms (x - 0.0 is x bit for bit)."""
     ee, gg, _, big_l, big_n = _closed_forms(surface, u, jet)
     k, kappa = big_l * big_n / (ee * gg), (ee * big_n + gg * big_l) / (2.0 * (ee * gg))
-    return (ee, gg, big_l, big_n, k, kappa, _closed_invariants(surface, u, jet)[2],
+    return (ee, gg, big_l, big_n, k, kappa, _closed_gauss(surface, u, jet),
             _classify(k, kappa, big_l, 0.0, big_n, tol))
 
 
@@ -454,40 +454,39 @@ def cmd_msc(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # export / plot
 
-# dropN keeps the other three Vec4 coordinates, in order
-_PROJECTIONS = {f"drop{n}": attrgetter(*(f"x{i}" for i in range(1, 5) if i != n))
-                for n in range(1, 5)}
-# one vertex line, at the CSV rows' lossless %.17g
-_VERTEX = "v %.17g %.17g %.17g"
+# dropN keeps the other three coordinates, x1..x4 as 0..3, in order
+_PROJECTIONS = {f"drop{n}": tuple(i for i in range(4) if i != n - 1) for n in range(1, 5)}
+_VERTEX = "v %.17g %.17g %.17g\n"  # one vertex line, at the CSV rows' lossless %.17g
 
 
-def _vertex_lines(surface: RotationalSurface, us: list[float], vs: list[float], pick) -> list[str]:
-    """The OBJ vertex lines, u-major, with the meridian read once per u and the
-    rotation once per v; an error names the point that u-major order meets first."""
+def cmd_export(args, parser) -> int:
+    """The OBJ text, one vertex and one face chunk per u-row, built before ``--out`` is
+    opened.  Vertices take ``rotate``'s float operations, zero components included (zeros
+    keep their signs); an error names the point that u-major order meets first."""
+    surface, us, vs = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
+    nu, nv = len(us), len(vs)
+    if nu < 2 or nv < 2:
+        parser.error("export needs at least a 2x2 grid")
     points, trig = [], []
-    for u in us:
+    for u in us:  # the meridian once per u, the rotation once per v
         with _at(u, vs[0]):
             points.append(surface.meridian_at(u))
         for v in vs[len(trig):]:  # after the first u's profiles only, as u-major order has it
             with _at(u, v):
                 trig.append(rotation_trig(surface.alpha, surface.beta, v))
-    return [_VERTEX % pick(rotate(p, t)) for p in points for t in trig]
-
-
-def cmd_export(args, parser) -> int:
-    surface, us, vs = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
-    nu, nv = len(us), len(vs)
-    if nu < 2 or nv < 2:
-        parser.error("export needs at least a 2x2 grid")
-    lines = _vertex_lines(surface, us, vs, _PROJECTIONS[args.projection])
-
+    rotated = (lambda x1, x2, x3, x4: [x1 * ca - x2 * sa for ca, sa, _, _ in trig],  # per v
+               lambda x1, x2, x3, x4: [x1 * sa + x2 * ca for ca, sa, _, _ in trig],
+               lambda x1, x2, x3, x4: [x3 * cb - x4 * sb for _, _, cb, sb in trig],
+               lambda x1, x2, x3, x4: [x3 * sb + x4 * cb for _, _, cb, sb in trig])
+    picks, row = [rotated[i] for i in _PROJECTIONS[args.projection]], _VERTEX * nv
+    chunks = [row % tuple(chain.from_iterable(zip(*[f(p.x1, p.x2, p.x3, p.x4) for f in picks])))
+              for p in points]
+    # row 0's quad j is (a, a + nv, d + nv, d), a = j at (0, j - 1), d at (0, j mod nv)
     wrap = nv if args.close_v else nv - 1
-    for i in range(nu - 1):
-        for j in range(wrap):  # vertex a at (i, j), d at (i, j + 1); a + nv at (i + 1, j)
-            a, d = i * nv + j + 1, i * nv + (j + 1) % nv + 1
-            lines.append(f"f {a} {a + nv} {d + nv} {d}")
-
-    _write_out(args.out, ("\n".join(lines) + "\n",))
+    quads = [x for j in range(1, wrap + 1) for x in (j, j + nv, j % nv + 1 + nv, j % nv + 1)]
+    row = "f %d %d %d %d\n" * wrap
+    chunks += [row % tuple([x + i * nv for x in quads]) for i in range(nu - 1)]  # row i: + i nv
+    _write_out(args.out, chunks)
     return EXIT_OK
 
 

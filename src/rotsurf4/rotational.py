@@ -170,14 +170,25 @@ def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, flo
     try:
         k = -4.0 * a * a * b * b * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
         kappa = a * b * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
-        gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / (gg * gg * ee * ee)
     except ZeroDivisionError:
         raise ClosedFormRangeError(u, "zero divisor") from None
     except OverflowError:  # float ** raises where * would give inf
         raise ClosedFormRangeError(u, "non-finite result") from None
-    if not (isfinite(k) and isfinite(kappa) and isfinite(gauss)):
+    if not (isfinite(k) and isfinite(kappa)):
         raise ClosedFormRangeError(u, "non-finite result")
-    return k, kappa, gauss
+    return k, kappa, _closed_gauss(s, u, data)
+
+
+def _closed_gauss(s: RotationalSurface, u: float, data) -> float:
+    """K of ``closed_invariants_at``, refused where (G E)^2 is 0 or inf or K is not finite."""
+    f, f1, f2, g, g1, g2, ee, gg = data
+    a, b, mixed, den = s.alpha, s.beta, g * f1 - f * g1, gg * gg * ee * ee
+    if 0.0 < den < inf:
+        gauss = (gg * (b * b * g * f1 - a * a * f * g1) * (g1 * f2 - f1 * g2)
+                 - a * a * b * b * ee * mixed * mixed) / den
+        if isfinite(gauss):
+            return gauss
+    raise ClosedFormRangeError(u, "non-finite result" if den else "zero divisor")
 
 
 def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:

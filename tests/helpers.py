@@ -3,7 +3,7 @@ they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded and the folded tree differentiators,
 the Vec4-based frame kernel, the Vec4 forms of the generic oracle's
 per-point kernels: fd_jet2, the tangent guard and the normal parts, the
-framed generic pipeline, the per-point OBJ vertex, closed-form row and
+framed generic pipeline, the per-point ``export``, closed-form row and
 ``verify`` loops, the deviation expressions, the octet stencil with both
 normal parts built up front, the csv-module CSV writer, the canonical frame
 of the family and the Frenet curvatures of its v-lines)."""
@@ -29,7 +29,8 @@ from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet
                                rotation_trig)
 from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
                             gauge_flip, invariants_from_octet)
-from rotsurf4.rotational import closed_forms_at, closed_invariants_at, closed_octet_at
+from rotsurf4.rotational import (ClosedFormRangeError, closed_forms_at, closed_invariants_at,
+                                 closed_octet_at)
 
 
 def field_values(record) -> list:
@@ -446,12 +447,19 @@ def reference_generic_invariants(ff, ct):
 
 
 # ---------------------------------------------------------------------------
-# The OBJ vertex lines written one grid point at a time through the surface
-# map: the byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
-# grid-structured ``_vertex_lines``.
+# ``export`` run one grid point at a time: each vertex through the surface map
+# (``rotate`` on Vec4s) and formatted number by number, each face by its own
+# f-string, all lines joined at the end: the byte-for-byte and error-point
+# oracle for ``rotsurf4.cli.cmd_export``, which builds one vertex chunk and
+# one face chunk per u-row from the meridian read once per u and the rotation
+# once per v.
 
-def reference_export_vertices(surface, us, vs, pick):
-    surface_map = surface.as_map()
+def reference_export(args, parser) -> int:
+    surface, us, vs = _build_config(args, parser, default_v=(0.0, 2.0 * math.pi, 24))
+    nu, nv = len(us), len(vs)
+    if nu < 2 or nv < 2:
+        parser.error("export needs at least a 2x2 grid")
+    surface_map, dropped = surface.as_map(), int(args.projection.removeprefix("drop"))
     lines = []
     for u in us:
         for v in vs:
@@ -459,14 +467,22 @@ def reference_export_vertices(surface, us, vs, pick):
                 point = surface_map(u, v)
             except (GeometryError, EvalDomainError) as exc:
                 raise _PointError(u, v, exc) from exc
-            lines.append("v " + " ".join(num(c) for c in pick(point)))
-    return lines
+            kept = [x for i, x in enumerate((point.x1, point.x2, point.x3, point.x4), 1)
+                    if i != dropped]
+            lines.append("v " + " ".join(num(x) for x in kept))
+    for i in range(nu - 1):
+        for j in range(nv if args.close_v else nv - 1):
+            a, d = i * nv + j + 1, i * nv + (j + 1) % nv + 1
+            lines.append(f"f {a} {a + nv} {d + nv} {d}")
+    _write_out(args.out, ("\n".join(lines) + "\n",))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # The closed-form grid commands computed one u at a time from the public
 # ``closed_forms_at``, ``closed_invariants_at``, ``closed_octet_at`` and
-# ``forms.invariants``, with every CSV field (the ones the CLI's row formats
+# ``forms.invariants`` (an ``invariants`` row's K from ``reference_gauss``),
+# with every CSV field (the ones the CLI's row formats
 # write as a literal 0 included) written through the csv module: the
 # byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
 # ``cmd_invariants``, ``cmd_octet`` and line ``cmd_plot``, which compute
@@ -483,12 +499,30 @@ def _reference_rows(us, v, closed):
     return rows
 
 
+def reference_gauss(surface, u):
+    """K at u by the formula of ``closed_invariants_at`` alone, from
+    ``meridian_jet``: refused where its divisor (G E)^2 is 0 or inf or K is
+    not finite, and not where only the closed k or kappa would be."""
+    f, f1, f2, g, g1, g2, ee, gg = surface.meridian_jet(u)
+    a, b = surface.alpha, surface.beta
+    mixed = g * f1 - f * g1
+    radial = b * b * g * f1 - a * a * f * g1
+    bend = g1 * f2 - f1 * g2
+    divisor = gg * gg * ee * ee
+    if divisor == 0.0:
+        raise ClosedFormRangeError(u, "zero divisor")
+    gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / divisor
+    if math.isinf(divisor) or not math.isfinite(gauss):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return gauss
+
+
 def reference_invariants(args, parser) -> int:
     surface, us, vs = _build_config(args, parser)
 
     def record(u):
         ff, sf = closed_forms_at(surface, u)
-        return invariants(ff, sf, closed_invariants_at(surface, u)[2], class_tol=args.tol_class)
+        return invariants(ff, sf, reference_gauss(surface, u), class_tol=args.tol_class)
 
     rows = [[u, v, *field_values(rec)[:-1], rec.point_type.value]
             for u, rec in zip(us, _reference_rows(us, vs[0], record)) for v in vs]

@@ -784,7 +784,9 @@ def test_export_names_the_first_point_in_u_major_order(tmp_path, capsys, g_text,
 @example(x=-1e308)
 def test_vertex_format_writes_what_num_writes(x):
     assert "%.17g" % x == num(x)
-    assert cli._VERTEX % (x, -x, 0.5) == "v " + " ".join(map(num, (x, -x, 0.5)))
+    assert cli._VERTEX % (x, -x, 0.5) == "v " + " ".join(map(num, (x, -x, 0.5))) + "\n"
+    assert (cli._VERTEX * 2) % (x, -x, 0.5, 0.5, x, -x) == "".join(
+        "v " + " ".join(map(num, xs)) + "\n" for xs in ((x, -x, 0.5), (0.5, x, -x)))
 
 
 @pytest.mark.parametrize("argv", [

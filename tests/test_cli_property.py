@@ -8,8 +8,9 @@ double range (NaN, +-inf, 0, negative values, +-1e308).  Each run must exit 0 (o
 ``verify`` and ``msc``) with every number it wrote finite, or exit 2 or 3,
 and no exception may escape ``main``.
 
-On the same draws, ``export`` (meridian read once per u, rotation once per
-v) must answer exactly as the per-point loop over the surface map does,
+On the same draws, ``export`` (one vertex and one face chunk per u-row)
+must answer exactly as the per-point command over the surface map does,
+with faces that form a consistently oriented quad mesh,
 ``invariants``, ``octet``, ``plot`` of k or nu1 and ``msc`` (profiles
 read over the whole u-grid, each CSV row written by one format from a
 plain tuple) exactly as the public per-point closed forms and the csv
@@ -26,6 +27,7 @@ import math
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_export_vertices, reference_invariants, reference_octet,
+from helpers import (reference_export, reference_invariants, reference_octet,
                      reference_plot, reference_verify, reference_write_csv)
 from rotsurf4 import cli
 from rotsurf4.cli import main
@@ -171,10 +173,50 @@ def _run(argv, out: Path | None):
                "--v=-2:2:5", "--projection=drop3", "--close-v"])
 def test_export_matches_per_point_reference(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        grid = _run(argv, Path(tmp) / "grid.obj")
-        with mock.patch.object(cli, "_vertex_lines", reference_export_vertices):
-            reference = _run(argv, Path(tmp) / "reference.obj")
+        out = Path(tmp) / "mesh.obj"
+        grid = _run(argv, out)
+        if out.exists():
+            out.unlink()
+        with mock.patch.object(cli, "cmd_export", reference_export):
+            parser = cli.build_parser()
+        with mock.patch.object(cli, "_parser", lambda: parser):
+            reference = _run(argv, out)
     assert grid == reference
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=export_lines())
+@example(argv=["export", "--f=u", "--g=u^2+1", "--alpha=1", "--beta=2", "--u=0:1:3",
+               "--v=0:1:2", "--close-v"])
+@example(argv=["export", "--f=u", "--g=u^2+1", "--alpha=1", "--beta=2", "--u=0:1:2",
+               "--v=0:1:3", "--close-v"])
+def test_export_faces_form_an_oriented_quad_mesh(argv):
+    """Every face of an exported mesh is a quad on vertices 1..nu nv; each
+    undirected edge borders at most two faces, which run it in opposite
+    directions; and V - E + F is 0 for a closed v (an annulus, nv >= 3) and 1
+    for an open one (a disc).  With ``--close-v`` and nv = 2 the two quads of
+    each row share all four vertices, so an inner row's v-edge borders four
+    faces; that degenerate mesh is pinned as it is (``nv2-close-v`` in
+    ``test_export_pins.py``), and here only its shared vertex sets are checked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, _, data = _run(argv, Path(tmp) / "mesh.obj")
+    if code != 0:
+        return
+    nu, nv = (int(spec.rsplit(":", 1)[1]) for spec in argv[5:7])
+    close_v = "--close-v" in argv
+    lines = data.decode().splitlines()
+    faces = [tuple(map(int, line.split()[1:])) for line in lines if line.startswith("f ")]
+    assert len(lines) - len(faces) == nu * nv
+    assert len(faces) == (nu - 1) * (nv if close_v else nv - 1)
+    assert all(len(face) == 4 and all(1 <= x <= nu * nv for x in face) for face in faces)
+    if close_v and nv == 2:
+        assert all(set(faces[i]) == set(faces[i + 1]) for i in range(0, len(faces), 2))
+        return
+    directed = Counter((a, b) for face in faces for a, b in zip(face, face[1:] + face[:1]))
+    assert max(directed.values()) == 1  # so a shared edge runs in opposite directions
+    edges = Counter(frozenset(edge) for edge in directed)
+    assert max(edges.values()) <= 2
+    assert nu * nv - len(edges) + len(faces) == (0 if close_v else 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -187,6 +229,12 @@ def test_export_matches_per_point_reference(argv):
                "--v=0:1:1"], to_file=True)
 @example(argv=["plot", "--alpha=1", "--beta=2", "--u=-1:1:3", "--f=u", "--g=u^2",
                "--v=0:0:1", "--quantity=nu1"], to_file=True)
+# the closed k's (G E)^3 underflows at u = 1, where an invariants row answers;
+# then (G E)^2 overflows at u = 1, which K refuses
+@example(argv=["invariants", "--alpha=1", "--beta=2", "--u=1e-10:1:2", "--f=1e-30*u^-2",
+               "--g=1e-120", "--v=0:1:2"], to_file=True)
+@example(argv=["invariants", "--alpha=1", "--beta=2", "--u=1:2:2", "--f=1e40", "--g=1e40*u",
+               "--v=0:1:1"], to_file=False)
 def test_closed_rows_match_per_point_reference(argv, to_file):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out" if to_file or argv[0] == "plot" else None

@@ -6,7 +6,8 @@ of the ``--out`` file (None when the command wrote none).  The cases cover
 several v values per u, a -0.0 one-point grid, a zero classification
 tolerance, a power-law source, three plotted quantities, and the errors a
 grid can meet: a vanishing radius at an interior u, a closed form that
-divides by zero or overflows (``**`` raises there), and a profile domain
+divides by zero or overflows (``**`` raises there), a divisor (G E)^2 of K
+that overflows (``verify`` reads the same closed K), and a profile domain
 error, which makes the whole-grid profile read miss."""
 
 import hashlib
@@ -19,10 +20,14 @@ from rotsurf4.cli import main
 SURFACE = ["--f", "u", "--g", "u^3+u", "--alpha", "1", "--beta", "2", "--u", "0.5:2:9"]
 # G = a^2 f^2 + b^2 g^2 vanishes at u = 0, the third of five points
 RADII_VANISH = ["--f", "u", "--g", "u^2", "--alpha", "1", "--beta", "2", "--u=-1:1:5"]
-# (G E)^3 underflows to 0 at u = 1, where G E does not
+# (G E)^3 underflows to 0 at u = 1, where G E and (G E)^2 do not: the closed k
+# refuses it (and so does plot of kappa, which reads it first), while an
+# invariants row, whose K divides by (G E)^2, answers
 TINY = ["--f", "1e-30*u^-2", "--g", "1e-120", "--alpha", "1", "--beta", "2", "--u", "1e-10:1:2"]
 # G E overflows at u = 1; the closed k's G ** 3 raises OverflowError there
 HUGE = ["--f", "1e110*u^9", "--g", "u^2", "--alpha", "1", "--beta", "2", "--u", "1e-10:1:2"]
+# (G E)^2 overflows at u = 1, where (G E)^3 = G^3 E^3 gives inf without raising
+GAUSS = ["--f", "1e40", "--g", "1e40*u", "--alpha", "1", "--beta", "2", "--u", "1:2:2"]
 # the whole-grid read misses at u = 0.5, so every jet is read per point
 SQRT = ["--f", "u", "--g", "sqrt(u-1)", "--alpha", "1", "--beta", "2", "--u", "0.5:2:4"]
 
@@ -61,8 +66,8 @@ CASES = {
         "c90978da9055e70962d9ea1078c87ae8f4534f2aeb07bcf4527ad288e81ad8ff"),
     "plot-radii-vanish": (["plot", *RADII_VANISH, "--quantity", "mu"], True,
         "c90978da9055e70962d9ea1078c87ae8f4534f2aeb07bcf4527ad288e81ad8ff"),
-    "invariants-zero-divisor": (["invariants", *TINY], True,
-        "2b68b77c60d32b52739f60a46cc60f12d121b29889b7db32ed3f7e5a430bfaa3"),
+    "invariants-tiny": (["invariants", *TINY], True,
+        "27bf139a4c3884256b62ea158b714cd3bf59bc4e42f87b5cf8a4c6b00fd7bfbe"),
     "octet-tiny": (["octet", *TINY], True,
         "2c405cfdda656a7a917315b2a8891982b3e3ce7175df2f1724753913ce84ea35"),
     "plot-zero-divisor": (["plot", *TINY, "--quantity", "kappa"], True,
@@ -70,6 +75,12 @@ CASES = {
     "invariants-overflow": (["invariants", *HUGE], True,
         "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
     "plot-power-overflow": (["plot", *HUGE, "--quantity", "k"], True,
+        "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
+    "invariants-gauss-overflow": (["invariants", *GAUSS], False,
+        "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
+    "plot-gauss-overflow": (["plot", *GAUSS, "--quantity", "K"], True,
+        "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
+    "verify-gauss-overflow": (["verify", *GAUSS], False,
         "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
     "invariants-grid-miss": (["invariants", *SQRT], True,
         "f79833778f08fd45813793d6b986b0b8afbea34ad447c22323ac410c7a4946d7"),
