@@ -31,13 +31,14 @@ for negative ``x`` and ``-0 + 0`` is ``+0``, so either fold can turn a
 Exponentiation with a negative base is exact for integer exponents and a
 domain error otherwise.
 
-A tape (``_Tape``) holds each distinct subtree of its trees once.
-``compile_expr`` builds nested closures of ``u`` from it (``evaluate`` calls
-them once).  A ``Profile`` holds one tape of its three trees, for a run over
-a whole u-grid that does the same float operations and reports a miss where
-a closure would raise, and for the closures that its first scalar read
-builds; ``Profile.from_expr`` visits the expression once and derives d1 and
-d2 on the same tape, so no derivative tree is built and then walked again.
+A tape (``_Tape``) holds each distinct subtree once; the parser and the
+derivative rules add its entries, and node objects are made from them only
+when a tree is read.  ``compile_expr`` builds nested closures of ``u`` from
+it (``evaluate`` calls them once).  A ``Profile`` holds one tape of its
+three trees, for a grid run that does the same float operations, reports a
+miss where a closure would raise and makes no node object, and for the
+closures that its first scalar read builds.  ``Profile.from_text`` parses
+straight onto the tape and derives d1 and d2 there.
 """
 
 from __future__ import annotations
@@ -157,9 +158,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
+    """Parses tokens onto a tape; each method returns the entry it parsed."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], tape: "_Tape"):
         self.tokens = tokens
         self.pos = 0
+        self.tape = tape
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -175,48 +179,46 @@ class _Parser:
 
     # each nesting level costs three frames (parse_sum, parse_unary,
     # parse_atom): products are folded into the sum loop, powers into unary
-    def parse_sum(self) -> Expr:
+    def parse_sum(self) -> int:
         node, op = None, None
         while True:
             term = self.parse_unary()
             while self.at_op("*/"):
-                term = Binary(self.advance()[1], term, self.parse_unary())
-            node = term if node is None else Binary(op, node, term)
+                term = self.tape.op(self.advance()[1], term, self.parse_unary())
+            node = term if node is None else self.tape.op(op, node, term)
             if not self.at_op("+-"):
                 return node
             op = self.advance()[1]
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> int:
         if self.at_op("-"):
             self.advance()
-            start = self.pos
-            operand = self.parse_unary()
             # "-2" becomes a negative literal; "-(2)" keeps the negation node,
-            # and "-2^3" never reaches here as a Constant (pow binds tighter).
-            if isinstance(operand, Constant) and self.pos == start + 1:
-                return Constant(-operand.value)
-            return Unary("neg", operand)
+            # and so does "-2^3" (pow binds tighter)
+            if self.peek()[0] == "num" and self.tokens[self.pos + 1][0] != "pow":
+                return self.parse_atom(-1.0)
+            return self.tape.op("neg", self.parse_unary())
         base = self.parse_atom()
         if self.peek()[0] == "pow":
             self.advance()
-            return Binary("^", base, self.parse_unary())
+            return self.tape.op("^", base, self.parse_unary())
         return base
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, sign: float = 1.0) -> int:
         kind, text, offset = self.advance()
         if kind == "num":
-            value = float(text)
+            value = sign * float(text)  # exact: a sign flip
             if not math.isfinite(value):
                 raise ExprSyntaxError("numeric literal overflows a double", offset)
-            return Constant(value)
+            return self.tape.entry(value)
         if kind == "name":
             if text == "u":
-                return Variable()
+                return self.tape.op("u", None)
             if text in UNARY_FUNCTIONS:
                 self.expect("(", f"expected '(' after {text!r}")
                 arg = self.parse_sum()
                 self.expect(")", "expected ')'")
-                return Unary(text, arg)
+                return self.tape.op(text, arg)
             raise UnknownIdentifierError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
             node = self.parse_sum()
@@ -233,20 +235,27 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an expression tree.
+    """Parse ``text`` into an expression tree (equal subtrees are one object).
 
     Raises :class:`ExprSyntaxError` (with byte offset) on malformed input,
     :class:`UnknownIdentifierError` for names other than ``u`` and the five
     supported functions, and rejects empty input.
     """
+    tape = _Tape()
+    root = _parse_onto(tape, text)
+    return tape.fill()[root]
+
+
+def _parse_onto(tape: "_Tape", text: str) -> int:
+    """The entry of ``text`` parsed onto ``tape``; raises as ``parse``."""
     if not text or text.strip() == "":
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_sum()
+    parser = _Parser(_tokenize(text), tape)
+    root = parser.parse_sum()
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
-    return node
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +360,15 @@ def _power(e: Expr, base: float, p: float) -> float:
         raise EvalDomainError(e, "overflow") from None
 
 
-def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
+def _closures(tape: "_Tape") -> list[Callable[[float], float]]:
     """One closure of ``u`` per tape entry, calling those of its operands;
     each raises :class:`EvalDomainError` carrying its entry's node."""
     fns = []
-    for op, a, b, e in nodes:
-        if op == "u" or op == "const":
-            fns.append(_compile_leaf(e))
+    for (op, a, b), e in zip(tape.nodes, tape.fill()):
+        if op == "u":
+            fns.append(lambda u: u)
+        elif op == "const":
+            fns.append(lambda u, v=a: v)
         elif b is None:
             fns.append(_compile_unary(e, op, fns[a]))
         else:
@@ -368,15 +379,8 @@ def _closures(nodes: list[tuple]) -> list[Callable[[float], float]]:
 def compile_expr(e: Expr) -> Callable[[float], float]:
     """Turn ``e`` into a function of ``u`` built from nested closures that
     raise :class:`EvalDomainError` carrying the node that left the reals."""
-    nodes, (root,), _ = _tape((e,))
-    return _closures(nodes)[root]
-
-
-def _compile_leaf(e: Expr) -> Callable[[float], float]:
-    if type(e) is Variable:
-        return lambda u: u
-    v = e.value
-    return lambda u: v
+    tape, (root,) = _tape((e,))
+    return _closures(tape)[root]
 
 
 def _compile_unary(e: Expr, op: str, c: Callable[[float], float]) -> Callable[[float], float]:
@@ -424,15 +428,15 @@ def _run_columns(nodes: list[tuple], roots: list[int], last: list[int | None],
     A column is dropped once its last reader (``last``) has run."""
     columns = []
     try:
-        for j, (op, a, b, e) in enumerate(nodes):
+        for j, (op, a, b) in enumerate(nodes):
             if op == "u":
                 column = list(us)
             elif op == "const":
-                column = [e.value] * len(us)
+                column = [a] * len(us)
             elif b is None:
                 column = list(map(_UNARY_FN[op], columns[a]))
             elif op == "^" and not min(columns[a], default=1.0) > 0.0:
-                column = list(map(partial(_power, e), columns[a], columns[b]))
+                column = list(map(partial(_power, None), columns[a], columns[b]))
             else:  # + - * /, or ^ by _power's positive-base branch, list-wide
                 column = list(map(_BINARY_FN[op], columns[a], columns[b]))
                 if not all(map(math.isfinite, column)):
@@ -453,13 +457,10 @@ def _run_columns(nodes: list[tuple], roots: list[int], last: list[int | None],
 
 class _Tape:
     """Hash-consed entries, each distinct subtree once, after its operands.
-    An entry is ``(op, a, b, node)`` with the operands' positions (``b``
-    None for a unary op), ``("const", value, sign, node)`` or ``("u", None,
-    None, node)``: the sign tells apart the equal ``Constant(0.0)`` and
-    ``Constant(-0.0)``.  ``node`` is made when the entry is added: a visited
-    tree's own node (the first occurrence, which a tree walk evaluates, and
-    so fails at, first), or a new node on the nodes of a derived entry's
-    operands, so that equal subtrees of a derivative are one object.
+    An entry is ``(op, a, b)`` with the operands' positions (``b`` None for
+    a unary op), ``("const", value, sign)`` or ``("u", None, None)``: the
+    sign tells apart the equal ``Constant(0.0)`` and ``Constant(-0.0)``.
+    ``fill`` makes the node objects when a tree is read.
 
     A derivative is an entry position, or a float: a constant that becomes
     an entry only when a kept node reads it, so no folded constant is one."""
@@ -469,10 +470,23 @@ class _Tape:
         self.slots: dict[tuple, int] = {}
         self.seen: dict[int, int] = {}  # id of a visited node -> its entry
         self.derived: dict[int, int | float] = {}  # entry -> its derivative
+        self.trees: list = []  # the node object of each entry, as far as made
+
+    def fill(self) -> list:
+        """The node object of every entry, made for those that lack one in a
+        forward pass, so equal subtrees are one object and nothing recurses."""
+        trees = self.trees
+        for op, a, b in self.nodes[len(trees):]:
+            trees.append(Constant(a) if op == "const" else Variable() if op == "u" else
+                         Unary(op, trees[a]) if b is None else Binary(op, trees[a], trees[b]))
+        return trees
 
     def visit(self, e) -> int:
         """The entry of tree ``e``, its subtrees added in left-to-right
-        post-order; node objects met again are visited once."""
+        post-order; node objects met again are visited once.  A new entry
+        keeps ``e`` as its node object (the first occurrence, which a tree
+        walk evaluates, and so fails at, first); so a tape is visited before
+        any ``op`` or ``entry`` adds to it."""
         i = self.seen.get(id(e))
         if i is not None:
             return i
@@ -490,7 +504,8 @@ class _Tape:
         nodes = self.nodes
         i = self.slots.setdefault(key, len(nodes))
         if i == len(nodes):
-            nodes.append((*key, e))
+            self.trees.append(e)
+            nodes.append(key)
         self.seen[id(e)] = i
         return i
 
@@ -502,11 +517,11 @@ class _Tape:
         i = self.slots.get(key)
         if i is None:
             i = self.slots[key] = len(self.nodes)
-            self.nodes.append((*key, Constant(x)))
+            self.nodes.append(key)
         return i
 
-    def op(self, op: str, a: int | float, b: int | float | None = None) -> int:
-        """The entry ``(op, a, b)``, added with a new node if absent."""
+    def op(self, op: str, a: int | float | None, b: int | float | None = None) -> int:
+        """The entry ``(op, a, b)``, added if absent."""
         if type(a) is float:
             a = self.entry(a)
         if type(b) is float:
@@ -514,11 +529,8 @@ class _Tape:
         key = (op, a, b)
         i = self.slots.get(key)
         if i is None:
-            nodes = self.nodes
-            i = self.slots[key] = len(nodes)
-            left = nodes[a][3]
-            nodes.append((op, a, b, Unary(op, left) if b is None else
-                          Binary(op, left, nodes[b][3])))
+            i = self.slots[key] = len(self.nodes)
+            self.nodes.append(key)
         return i
 
     def fold(self, op: str, a: int | float, b: int | float) -> int | float:
@@ -549,7 +561,7 @@ class _Tape:
         d = self.derived.get(i)
         if d is not None:
             return d
-        op, a, b, _ = self.nodes[i]
+        op, a, b = self.nodes[i]
         fold, derive = self.fold, self.derive
         if op == "const":
             d = 0.0
@@ -587,7 +599,7 @@ class _Tape:
         """The entries, ``roots`` and the position of each entry's last
         reader (None for a root and an unread entry)."""
         last = [None] * len(self.nodes)
-        for j, (op, a, b, _) in enumerate(self.nodes):
+        for j, (op, a, b) in enumerate(self.nodes):
             if op != "u" and op != "const":
                 last[a] = last[a if b is None else b] = j
         for r in roots:
@@ -595,10 +607,10 @@ class _Tape:
         return self.nodes, roots, last
 
 
-def _tape(trees) -> tuple[list[tuple], list[int], list[int | None]]:
-    """``_Tape.dag`` of the entries of ``trees``, in left-to-right post-order."""
+def _tape(trees) -> tuple[_Tape, list[int]]:
+    """A tape of ``trees`` and their entries, added in left-to-right post-order."""
     tape = _Tape()
-    return tape.dag([tape.visit(e) for e in trees])
+    return tape, [tape.visit(e) for e in trees]
 
 
 def differentiate(e: Expr) -> Expr:
@@ -613,7 +625,8 @@ def differentiate(e: Expr) -> Expr:
     the result shares subtrees with ``e`` and within itself.
     """
     tape = _Tape()
-    return tape.nodes[tape.entry(tape.derive(tape.visit(e)))][3]
+    root = tape.entry(tape.derive(tape.visit(e)))
+    return tape.fill()[root]
 
 
 # ---------------------------------------------------------------------------
@@ -640,69 +653,52 @@ class Interval:
 class Profile:
     """A scalar function of ``u`` with exact symbolic first and second
     derivatives, carried as expression trees.  The three trees share one
-    tape (``_Tape``): ``from_expr`` derives d1 and d2 on it, the constructor
-    visits any three trees into it.  ``grid`` runs it over a u-grid, and the
-    first scalar read (``value``, ``deriv1``, ``deriv2``) builds its
-    closures, which later reads call."""
+    tape (``_Tape``): ``from_text`` and ``from_expr`` derive d1 and d2 on
+    it, the constructor visits any three trees into it.  ``grid`` runs it
+    over a u-grid, making no node object.  The trees of a derived profile
+    are made on the first read of one or of a scalar (``value``, ``deriv1``,
+    ``deriv2``), which also builds the closures (``_Lazy``)."""
 
     expr: Expr
     d1: Expr
     d2: Expr
     domain: Interval = Interval()
+    _tape: _Tape = field(init=False, repr=False, compare=False)
     _dag: tuple = field(init=False, repr=False, compare=False)  # _Tape.dag's (nodes, roots, last)
     # the closed whole line contains every float (NaN too, as contains()
     # says), so evaluation can skip the interval test
     _whole_line: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._set_dag(_tape((self.expr, self.d1, self.d2)))
+        self._set_tape(*_tape((self.expr, self.d1, self.d2)))
 
-    def _set_dag(self, dag: tuple) -> None:
-        object.__setattr__(self, "_dag", dag)
+    def _set_tape(self, tape: _Tape, roots: list[int]) -> None:
+        object.__setattr__(self, "_tape", tape)
+        object.__setattr__(self, "_dag", tape.dag(roots))
         object.__setattr__(self, "_whole_line", self.domain == Interval())
-
-    # Until the first scalar read, ``self._value`` (and the two others)
-    # finds these methods.  They build the closures and store them as plain
-    # instance attributes, which shadow the methods from then on: a later
-    # read costs what it would after an eager build, and a grid-only
-    # profile builds none.  (A ``__getattr__`` hook would slow every
-    # attribute read of the class.)
-    def _value(self, u: float) -> float:
-        self._build_closures()
-        return self._value(u)
-
-    def _deriv1(self, u: float) -> float:
-        self._build_closures()
-        return self._deriv1(u)
-
-    def _deriv2(self, u: float) -> float:
-        self._build_closures()
-        return self._deriv2(u)
-
-    def _build_closures(self) -> None:
-        nodes, roots, _ = self._dag
-        fns = _closures(nodes)
-        for name, root in zip(("_value", "_deriv1", "_deriv2"), roots):
-            object.__setattr__(self, name, fns[root])
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
         """``expr`` and its two derivatives, derived on the tape of ``expr``:
         d2 reuses the derivatives of the entries that d1 reads."""
-        tape = _Tape()
-        roots = [tape.visit(expr)]
-        for _ in range(2):
-            roots.append(tape.entry(tape.derive(roots[-1])))
-        profile = object.__new__(cls)  # __init__ would build the tape again
-        for name, value in zip(("expr", "d1", "d2", "domain"),
-                               (*(tape.nodes[r][3] for r in roots), domain)):
-            object.__setattr__(profile, name, value)  # vars() would slow every read
-        profile._set_dag(tape.dag(roots))
-        return profile
+        return cls._derived(_Tape.visit, expr, domain)
 
     @classmethod
     def from_text(cls, text: str, domain: Interval = Interval()) -> "Profile":
-        return cls.from_expr(parse(text), domain)
+        """``from_expr(parse(text))``, with the text parsed onto the tape."""
+        return cls._derived(_parse_onto, text, domain)
+
+    @classmethod
+    def _derived(cls, add: Callable, source, domain: Interval) -> "Profile":
+        """The profile of the entry that ``add(tape, source)`` puts on a new tape."""
+        tape = _Tape()
+        roots = [add(tape, source)]
+        for _ in range(2):
+            roots.append(tape.entry(tape.derive(roots[-1])))
+        profile = object.__new__(cls)  # __init__ would need the trees
+        object.__setattr__(profile, "domain", domain)  # vars() would slow every read
+        profile._set_tape(tape, roots)
+        return profile
 
     def _check_domain(self, u: float) -> None:
         if not self._whole_line and not self.domain.contains(u):
@@ -731,3 +727,34 @@ class Profile:
         if not (self._whole_line or all(map(self.domain.contains, us))):
             return None
         return _run_columns(*self._dag, us)
+
+
+class _Lazy:
+    """Until the first read, a profile's ``name`` finds this non-data
+    descriptor on the class.  It makes what ``make`` makes of the profile's
+    tape (``_Tape.fill``'s trees or ``_closures``), stores the item of each
+    root under ``names`` as plain instance attributes, which shadow it from
+    then on, and returns its own.  So a later read costs what it would after
+    an eager build, a grid-only profile builds nothing, and ``==``, ``hash``
+    and ``repr`` see the trees.  (A ``__getattr__`` hook would slow every
+    attribute read of the class.)"""
+
+    def __init__(self, make: Callable, names: tuple[str, ...], name: str):
+        self.make, self.names, self.name = make, names, name
+
+    def __get__(self, profile: Profile | None, owner: type | None = None):
+        if profile is None:
+            return self
+        made = self.make(profile._tape)
+        for name, root in zip(self.names, profile._dag[1]):
+            object.__setattr__(profile, name, made[root])
+        return getattr(profile, self.name)
+
+
+# set after the dataclass is made, which would take the trees' for defaults;
+# ``_closures`` is looked up at each build, as a call in a method would be
+for _make, _names in ((_Tape.fill, ("expr", "d1", "d2")),
+                      (lambda tape: _closures(tape), ("_value", "_deriv1", "_deriv2"))):
+    for _name in _names:
+        setattr(Profile, _name, _Lazy(_make, _names, _name))
+del _make, _names, _name

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -376,10 +377,11 @@ def test_constant_fold_is_the_evaluated_node_or_the_node(op, x, y):
         want = evaluate(Binary(op, a, b), 0.0)
     except EvalDomainError:
         # kept exactly where evaluation raises, so the error names this node
-        assert folded == size and tape.nodes[folded][:3] == (op, *operands)
-        node = tape.nodes[folded][3]
+        assert folded == size and tape.nodes[folded] == (op, *operands)
+        trees = tape.fill()
+        node = trees[folded]
         assert type(node) is Binary and node.op == op
-        assert node.left is tape.nodes[operands[0]][3] and node.right is tape.nodes[operands[1]][3]
+        assert node.left is trees[operands[0]] and node.right is trees[operands[1]]
     else:
         # a value, or an operand (1*x, x*1, x - 0): no entry for the folded node
         value = folded if type(folded) is float else tape.nodes[folded][1]
@@ -500,7 +502,8 @@ def test_grid_keeps_constants_of_either_sign_of_zero_apart():
 
 def test_tape_records_last_readers_and_keeps_roots():
     # value u*u + u, d1 u*u (a root that the value also reads), d2 sin(u)
-    nodes, roots, last = _tape((parse("u*u + u"), parse("u*u"), parse("sin(u)")))
+    tape, roots = _tape((parse("u*u + u"), parse("u*u"), parse("sin(u)")))
+    nodes, roots, last = tape.dag(roots)
     assert [n[0] for n in nodes] == ["u", "*", "+", "sin"]
     assert roots == [2, 1, 3]
     assert last == [3, None, None, None]  # u is read last by sin; roots are kept
@@ -525,9 +528,9 @@ def _same_entries(nodes, other) -> bool:
     """Whether two tapes hold the same subtrees, each once, in any order:
     each entry of ``nodes`` is found in ``other`` by its key with the
     operands renamed, and that map is one to one and onto."""
-    slots = {entry[:3]: j for j, entry in enumerate(other)}
+    slots = {entry: j for j, entry in enumerate(other)}
     to_other = []
-    for op, a, b, _ in nodes:
+    for op, a, b in nodes:
         if op != "u" and op != "const":
             a, b = to_other[a], None if b is None else to_other[b]
         to_other.append(slots.get((op, a, b)))
@@ -540,7 +543,7 @@ def _reachable(nodes, roots) -> set[int]:
         j = stack.pop()
         if j not in seen:
             seen.add(j)
-            op, a, b, _ = nodes[j]
+            op, a, b = nodes[j]
             if op != "u" and op != "const":
                 stack.extend(x for x in (a, b) if x is not None)
     return seen
@@ -558,11 +561,16 @@ def test_tape_derivatives_equal_the_tree_rewrite(e):
     nodes, roots, _ = p._dag
     # the distinct subtrees of the three trees, each once, and nothing else:
     # no constant that a fold discarded, no entry that no root reads
-    assert _same_entries(nodes, _tape((e, d1, d2))[0])
+    assert _same_entries(nodes, _tape((e, d1, d2))[0].nodes)
     assert _reachable(nodes, roots) == set(range(len(nodes)))
     # d1 and d2 add one node object per distinct subtree that e lacks
     assert (_node_objects(p.expr, p.d1, p.d2) - _node_objects(p.expr)
-            == len(nodes) - len(_tape((e,))[0]))
+            == len(nodes) - len(_tape((e,))[0].nodes))
+    # the parser adds the same entries as a visit of its tree: a negative
+    # literal ("-2") leaves no entry of its positive value behind
+    q = Profile.from_text(unparse(e))
+    assert [_hex_form(t) for t in (q.expr, q.d1, q.d2)] == [_hex_form(t) for t in (e, d1, d2)]
+    assert q._dag[0] == nodes and q._dag[1] == roots
 
 
 def test_profile_first_derivative_matches_central_difference():
@@ -633,5 +641,145 @@ def test_profile_is_freed_without_the_cycle_collector():
             ref = weakref.ref(p)
             del p
             assert ref() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# value semantics: nodes and profiles compare, hash, print and match as
+# frozen dataclasses, however their trees were made
+
+_U2_TREES = (
+    "expr=Binary(op='^', left=Variable(), right=Constant(value=2.0)), "
+    "d1=Binary(op='*', left=Constant(value=2.0), "
+    "right=Binary(op='^', left=Variable(), right=Constant(value=1.0))), "
+    "d2=Binary(op='+', left=Binary(op='*', left=Constant(value=0.0), "
+    "right=Binary(op='^', left=Variable(), right=Constant(value=1.0))), "
+    "right=Binary(op='*', left=Constant(value=2.0), "
+    "right=Binary(op='^', left=Variable(), right=Constant(value=0.0))))")
+
+
+def _profiles_of(text):
+    """Fresh profiles of ``text`` from ``from_text``, ``from_expr`` and the
+    constructor, none of whose fields has been read."""
+    e = parse(text)
+    d1 = differentiate(e)
+    return [Profile.from_text(text), Profile.from_expr(parse(text)),
+            Profile(e, d1, differentiate(d1))]
+
+
+@pytest.mark.parametrize("text", ["u^2", "u^2 + sin(u)", "sin(u^2)*exp(u)/sqrt(u)",
+                                  "-(2)*u - -0*u^0.5", "u*u + u*u"])
+def test_profiles_of_one_text_are_equal_and_hash_alike(text):
+    first, second, third = _profiles_of(text)
+    assert first == third and second == third and third == first
+    assert len({hash(p) for p in _profiles_of(text)}) == 1
+    assert Profile.from_text(text) != Profile.from_text(f"{text} + 1")
+    assert Profile.from_text(text) != Profile.from_text(text, domain=Interval(0.0))
+
+
+def test_profile_repr_prints_its_trees_and_domain():
+    for p in _profiles_of("u^2"):
+        assert repr(p) == (f"Profile({_U2_TREES}, "
+                           "domain=Interval(lo=-inf, hi=inf, open_lo=False))")
+
+
+@pytest.mark.parametrize("name", ["expr", "d1", "d2", "domain"])
+def test_profile_fields_are_frozen_before_and_after_their_first_read(name):
+    for p in _profiles_of("sin(u)*u"):
+        for _ in range(2):  # unread, then read
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, Variable())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+            assert getattr(p, name) != Variable()
+        assert p == Profile.from_text("sin(u)*u")
+
+
+def test_nodes_compare_hash_print_and_freeze_as_values():
+    assert Binary("+", Variable(), Constant(1.0)) == parse("u+1") == parse("u + 1.0")
+    assert hash(parse("sin(u)*2")) == hash(Binary("*", Unary("sin", Variable()), Constant(2.0)))
+    # equal as floats: the tapes, not the trees, keep signed zeros apart
+    assert Constant(0.0) == Constant(-0.0) and hash(Constant(0.0)) == hash(Constant(-0.0))
+    assert parse("-(2)*u") != parse("-2*u")
+    assert repr(parse("-(2)*u - -0")) == (
+        "Binary(op='-', left=Binary(op='*', left=Unary(op='neg', child=Constant(value=2.0)), "
+        "right=Variable()), right=Constant(value=-0.0))")
+    for node, name in ((Constant(1.0), "value"), (Unary("sin", Variable()), "child"),
+                       (parse("u*u"), "left"), (parse("u*u"), "op")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+
+
+def _shape(e) -> str:
+    # the positional patterns of _render_prec
+    match e:
+        case Unary("neg", Constant(v)) if v >= 0:
+            return "negated literal"
+        case Unary(op, Variable()):
+            return f"{op} of u"
+        case Binary("+" | "-" as op, Constant(v), b):
+            return f"{v!r} {op} {_shape(b)}"
+        case Binary("^", a, Constant(p)):
+            return f"({_shape(a)})^{p!r}"
+        case Constant(v):
+            return repr(v)
+        case Variable():
+            return "u"
+    return "other"
+
+
+def test_nodes_match_positional_patterns():
+    assert _shape(parse("-(2)")) == "negated literal"
+    assert _shape(parse("-2")) == "-2.0"
+    assert _shape(parse("1 - sqrt(u)^0.5")) == "1.0 - (sqrt of u)^0.5"
+    p = Profile.from_text("sin(u)")
+    match p:
+        case Profile(Unary("sin", Variable()), Unary("cos", Variable()), Unary("neg", d2)):
+            assert d2 == Unary("sin", Variable())
+        case _:
+            pytest.fail(f"no match: {p!r}")
+
+
+# ---------------------------------------------------------------------------
+# node objects: made only when a tree or a scalar is read
+
+def test_a_flat_sum_longer_than_the_recursion_limit_parses():
+    # the parser loops over a sum, and the node objects of the tape's
+    # entries are made in one forward pass, with no recursion
+    e = parse("+".join(["u"] * 5000))
+    depth = 0
+    while type(e) is Binary:
+        e, depth = e.left, depth + 1
+    assert depth == 4999 and e == Variable()
+
+
+_NODE_TYPES = (Constant, Unary, Binary)
+
+
+def _live_nodes() -> int:
+    return sum(type(o) in _NODE_TYPES for o in gc.get_objects())
+
+
+def _sweep_profiles():
+    from test_profile_pins import SWEEP
+    return [Profile.from_text(g_text) for g_text, _, _ in SWEEP]
+
+
+@pytest.mark.parametrize("read", [lambda p: p.d2, lambda p: p.value(1.0)], ids=["d2", "value"])
+def test_grid_makes_no_node_objects_and_a_first_read_makes_them(read):
+    us = [0.5 + 1.5 * k / 7 for k in range(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        profiles = _sweep_profiles()
+        assert all(p.grid(us) is not None for p in profiles)
+        assert _live_nodes() == before
+        for p in profiles:
+            read(p)
+        # one object per entry, the variable's entry aside
+        assert _live_nodes() - before == sum(op != "u" for p in profiles
+                                             for op, *_ in p._dag[0])
     finally:
         gc.enable()
