@@ -18,6 +18,13 @@ in a positive orthonormal normal frame (e1, e2); so with c_ij^k = <z_ij, e_k>
 D1 = D(c11, c12), D2 = D(c11, c22), D3 = D(c12, c22) (Ganchev and Milousheva,
 Kodai Math. J. 31 (2008)).  kappa is the curvature of the normal connection;
 its sign follows the ambient orientation, which det4 supplies.
+
+One frame-free kernel on float components computes each value by the float
+operations of its Vec4 expression: ``_plane`` (a jet's tangent plane behind
+the guard of ``geometry.tangent_basis``), ``_normal`` (the normal part of a
+z_ij), ``_areas`` (L, M, N) and ``_direction`` (the octet's b).  The records
+of ``generic_at``, ``second_form`` and ``generic_invariants`` wrap it, and
+``octet.octet_generic`` reads it at its centre and its b-field stencil.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4, _tangent_plane, det4,
-                       dot, norm)
+from .geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, _coords, _det4,
+                       _tangent_plane, dot, norm)
 
 __all__ = [
     "FirstForm",
@@ -168,35 +175,12 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
     )
 
 
-def _tangential(a: float, b: float, ff: FirstForm) -> tuple[float, float]:
-    """(G^u, G^v) of z_ij from a = <z_ij, z_u> and b = <z_ij, z_v>: the 2x2
-    system with matrix [[E, F], [F, G]]."""
-    det = ff.W * ff.W
-    return (ff.G * a - ff.F * b) / det, (ff.E * b - ff.F * a) / det
-
-
 def christoffel(jet: Jet2) -> Christoffel:
     """Tangential decomposition coefficients of z_uu, z_uv, z_vv."""
     ff = first_form(jet)
+    plane = (_coords(jet.z_u), _coords(jet.z_v), ff.E, ff.F, ff.G, ff.W)
     return Christoffel(*[g for zij in (jet.z_uu, jet.z_uv, jet.z_vv)
-                         for g in _tangential(dot(zij, jet.z_u), dot(zij, jet.z_v), ff)])
-
-
-def _normal_parts(jet: Jet2, ff: FirstForm, *zijs: Vec4) -> list[tuple[float, ...]]:
-    """The components of n_ij = z_ij - G^u_ij z_u - G^v_ij z_v for each
-    z_ij, with the float operations of the Vec4 expression; ``ff`` is the
-    first form of ``jet``."""
-    zu, zv = jet.z_u, jet.z_v
-    a1, a2, a3, a4 = zu.x1, zu.x2, zu.x3, zu.x4
-    b1, b2, b3, b4 = zv.x1, zv.x2, zv.x3, zv.x4
-    parts = []
-    for zij in zijs:
-        c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
-        gu, gv = _tangential(c1 * a1 + c2 * a2 + c3 * a3 + c4 * a4,
-                             c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4, ff)
-        parts.append((c1 - gu * a1 - gv * b1, c2 - gu * a2 - gv * b2,
-                      c3 - gu * a3 - gv * b3, c4 - gu * a4 - gv * b4))
-    return parts
+                         for g in _normal(plane, zij)[:2]])
 
 
 def lmn(ct: SecondTensor, w: float) -> SecondForm:
@@ -254,26 +238,66 @@ def invariants(ff: FirstForm, sf: SecondForm, gauss: float, *,
                            k, kappa, gauss, classify(k, kappa, sf, class_tol))
 
 
-def _tangent_form(jet: Jet2) -> FirstForm:
-    """The :func:`first_form` of ``jet`` behind the tangent-plane guard of
-    :func:`geometry.tangent_basis`, which leaves first_form's check nothing
-    to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
-    ee, ff, gg = _tangent_plane(jet.z_u, jet.z_v)[:3]
-    return FirstForm(ee, ff, gg, math.sqrt(ee * gg - ff * ff))
+def _plane(jet: Jet2) -> tuple:
+    """(z_u, z_v, E, F, G, W), the tangent vectors as 4-tuples, behind the
+    tangent-plane guard of :func:`geometry.tangent_basis`, which leaves
+    first_form's check nothing to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
+    zu, zv = _coords(jet.z_u), _coords(jet.z_v)
+    ee, ff, gg = _tangent_plane(zu, zv)[:3]
+    return zu, zv, ee, ff, gg, math.sqrt(ee * gg - ff * ff)
+
+
+def _normal(plane: tuple, zij: Vec4) -> tuple[float, float, tuple[float, float, float, float]]:
+    """(G^u, G^v, n): the 2x2 system [[E, F], [F, G]] (G^u, G^v) = (<z_ij, z_u>,
+    <z_ij, z_v>) and the components of n = z_ij - G^u z_u - G^v z_v."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4), ee, ff, gg, w = plane
+    c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
+    a = c1 * a1 + c2 * a2 + c3 * a3 + c4 * a4
+    b = c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
+    det = w * w
+    gu, gv = (gg * a - ff * b) / det, (ee * b - ff * a) / det
+    return gu, gv, (c1 - gu * a1 - gv * b1, c2 - gu * a2 - gv * b2,
+                    c3 - gu * a3 - gv * b3, c4 - gu * a4 - gv * b4)
+
+
+def _areas(plane: tuple, n11: tuple, n12: tuple, n22: tuple) -> tuple[float, float, float]:
+    """(L, M, N) from the normal parts by the det4 areas of the module docstring."""
+    zu, zv, w = plane[0], plane[1], plane[5]
+    w2 = w * w
+    return (2.0 * _det4(zu, zv, n11, n12) / w2, _det4(zu, zv, n11, n22) / w2,
+            2.0 * _det4(zu, zv, n12, n22) / w2)
+
+
+def _unit(n: tuple, zij: Vec4, e: float) -> tuple[float, float, float, float] | None:
+    """The components of n / |n|, or None where the normal part n of z_ij is
+    only rounding: |n|/e <= 1e-12, or |n| <= _FLOOR |z_ij|."""
+    n1, n2, n3, n4 = n
+    size = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
+    if size / e > 1e-12:
+        c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
+        if size > _FLOOR * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4):  # |z_ij|
+            return n1 / size, n2 / size, n3 / size, n4 / size
+    return None
+
+
+def _direction(jet: Jet2, plane: tuple, n11: tuple) -> tuple[float, float, float, float] | None:
+    """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
+    the first vanishes; n22 is built from the jet on that fallback only."""
+    return (_unit(n11, jet.z_uu, plane[2])
+            or _unit(_normal(plane, jet.z_vv)[2], jet.z_vv, plane[4]))
 
 
 def generic_at(jet: Jet2) -> tuple[FirstForm, Vec4, Vec4, Vec4]:
     """First form and the normal parts n11, n12, n22 of z_uu, z_uv, z_vv."""
-    ff = _tangent_form(jet)
-    n11, n12, n22 = _normal_parts(jet, ff, jet.z_uu, jet.z_uv, jet.z_vv)
-    return ff, Vec4(*n11), Vec4(*n12), Vec4(*n22)
+    plane = _plane(jet)
+    return (FirstForm(*plane[2:]),
+            *[Vec4(*_normal(plane, zij)[2]) for zij in (jet.z_uu, jet.z_uv, jet.z_vv)])
 
 
 def second_form(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> SecondForm:
     """L, M, N from the normal parts by the det4 areas of the module docstring."""
-    zu, zv, w2 = jet.z_u, jet.z_v, ff.W * ff.W
-    return SecondForm(2.0 * det4(zu, zv, n11, n12) / w2, det4(zu, zv, n11, n22) / w2,
-                      2.0 * det4(zu, zv, n12, n22) / w2)
+    plane = (_coords(jet.z_u), _coords(jet.z_v), ff.E, ff.F, ff.G, ff.W)
+    return SecondForm(*_areas(plane, _coords(n11), _coords(n12), _coords(n22)))
 
 
 def _check_ew(ff: FirstForm) -> None:
@@ -307,9 +331,14 @@ def second_form_value(sf: SecondForm, a: float, b: float) -> float:
 def principal_defect(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> str | None:
     """None where the parameter lines are principal, |F| <= tol max(1, E, G)
     and |M| <= tol max(1, |L|, |N|); else ``"F = <F>"`` or ``"M = <M>"``."""
-    if abs(ff.F) > tol * max(1.0, ff.E, ff.G):
-        return f"F = {ff.F!r}"
-    return f"M = {sf.M!r}" if abs(sf.M) > tol * max(1.0, abs(sf.L), abs(sf.N)) else None
+    return _defect(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N, tol)
+
+
+def _defect(ee: float, ff: float, gg: float, big_l: float, big_m: float, big_n: float,
+            tol: float = PRINCIPAL_TOL) -> str | None:
+    if abs(ff) > tol * max(1.0, ee, gg):
+        return f"F = {ff!r}"
+    return f"M = {big_m!r}" if abs(big_m) > tol * max(1.0, abs(big_l), abs(big_n)) else None
 
 
 def is_principal_params(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> bool:

@@ -89,37 +89,35 @@ def norm(a: Vec4) -> float:
     return math.sqrt(dot(a, a))
 
 
-def _det3(a1, a2, a3, b1, b2, b3, c1, c2, c3) -> float:
-    """Determinant of the 3x3 matrix with rows (a1, a2, a3), (b1, b2, b3),
-    (c1, c2, c3), expanded along the first row."""
-    return (a1 * (b2 * c3 - b3 * c2)
-            - a2 * (b1 * c3 - b3 * c1)
-            + a3 * (b1 * c2 - b2 * c1))
+def _det3s(b, c, d) -> tuple[float, float, float, float]:
+    """The 3x3 minors of the rows b, c, d (4-tuples), the k-th without
+    column k, each expanded along b, with the 2x2 minors of c, d shared."""
+    b1, b2, b3, b4 = b
+    c1, c2, c3, c4 = c
+    d1, d2, d3, d4 = d
+    m12, m13, m14 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c1 * d4 - c4 * d1
+    m23, m24, m34 = c2 * d3 - c3 * d2, c2 * d4 - c4 * d2, c3 * d4 - c4 * d3
+    return (b2 * m34 - b3 * m24 + b4 * m23, b1 * m34 - b3 * m14 + b4 * m13,
+            b1 * m24 - b2 * m14 + b4 * m12, b1 * m23 - b2 * m13 + b3 * m12)
+
+
+def _det4(a, b, c, d) -> float:
+    """:func:`det4` of the 4-tuples a, b, c, d."""
+    a1, a2, a3, a4 = a
+    t1, t2, t3, t4 = _det3s(b, c, d)
+    return 0.0 + a1 * t1 + -a2 * t2 + a3 * t3 + -a4 * t4
 
 
 def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> float:
     """Determinant of the 4x4 matrix with rows a, b, c, d, expanded along
     the first row."""
-    b1, b2, b3, b4 = b.x1, b.x2, b.x3, b.x4
-    c1, c2, c3, c4 = c.x1, c.x2, c.x3, c.x4
-    d1, d2, d3, d4 = d.x1, d.x2, d.x3, d.x4
-    total = 0.0
-    total += a.x1 * _det3(b2, b3, b4, c2, c3, c4, d2, d3, d4)
-    total += -a.x2 * _det3(b1, b3, b4, c1, c3, c4, d1, d3, d4)
-    total += a.x3 * _det3(b1, b2, b4, c1, c2, c4, d1, d2, d4)
-    total += -a.x4 * _det3(b1, b2, b3, c1, c2, c3, d1, d2, d3)
-    return total
+    return _det4(_coords(a), _coords(b), _coords(c), _coords(d))
 
 
 def cross4(a: Vec4, b: Vec4, c: Vec4) -> Vec4:
     """The vector d with dot(d, w) == det4(a, b, c, w) for every w."""
-    a1, a2, a3, a4 = a.x1, a.x2, a.x3, a.x4
-    b1, b2, b3, b4 = b.x1, b.x2, b.x3, b.x4
-    c1, c2, c3, c4 = c.x1, c.x2, c.x3, c.x4
-    return Vec4(-_det3(a2, a3, a4, b2, b3, b4, c2, c3, c4),
-                _det3(a1, a3, a4, b1, b3, b4, c1, c3, c4),
-                -_det3(a1, a2, a4, b1, b2, b4, c1, c2, c4),
-                _det3(a1, a2, a3, b1, b2, b3, c1, c2, c3))
+    t1, t2, t3, t4 = _det3s(_coords(a), _coords(b), _coords(c))
+    return Vec4(-t1, t2, -t3, t4)
 
 
 @dataclass(slots=True)
@@ -231,13 +229,14 @@ def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
     return best / best_norm
 
 
-def _tangent_plane(zu: Vec4, zv: Vec4) -> tuple[float, float, float, tuple, tuple]:
-    """(E, F, G, t1, t2) with (t1, t2) the components of the Gram-Schmidt
-    basis (zu/|zu|, t2) of the tangent plane; raises
+def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tuple, float]:
+    """(E, F, G, t1, w, |w|) of the tangent vectors with components ``a``
+    and ``b``: t1 = a/|a| and the residual w = b - <b, t1> t1, which
+    :func:`tangent_basis` scales to t2; raises
     :class:`DegenerateMetricError` where EG - F^2 is not positive (NaN
-    included) or the residual of zv is rounding, at most _FLOOR |zv|."""
-    a1, a2, a3, a4 = zu.x1, zu.x2, zu.x3, zu.x4
-    b1, b2, b3, b4 = zv.x1, zv.x2, zv.x3, zv.x4
+    included) or w is rounding, |w| <= _FLOOR |b|."""
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
     ee = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
     ff = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
     gg = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
@@ -249,16 +248,16 @@ def _tangent_plane(zu: Vec4, zv: Vec4) -> tuple[float, float, float, tuple, tupl
     p = b1 * t1 + b2 * t2 + b3 * t3 + b4 * t4
     w1, w2, w3, w4 = b1 - t1 * p, b2 - t2 * p, b3 - t3 * p, b4 - t4 * p
     nw = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
-    if nw / math.sqrt(gg) <= _FLOOR:  # false for inf / inf, where |zv| overflows
+    if nw / math.sqrt(gg) <= _FLOOR:  # false for inf / inf, where |b| overflows
         raise DegenerateMetricError("tangent vectors are collinear")
-    return ee, ff, gg, (t1, t2, t3, t4), (w1 / nw, w2 / nw, w3 / nw, w4 / nw)
+    return ee, ff, gg, (t1, t2, t3, t4), (w1, w2, w3, w4), nw
 
 
 def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
     """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
     raises as :func:`_tangent_plane` does."""
-    t1, t2 = _tangent_plane(zu, zv)[3:]
-    return Vec4(*t1), Vec4(*t2)
+    t1, (w1, w2, w3, w4), nw = _tangent_plane(_coords(zu), _coords(zv))[3:]
+    return Vec4(*t1), Vec4(w1 / nw, w2 / nw, w3 / nw, w4 / nw)
 
 
 def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .forms import (FirstForm, _normal_parts, _tangent_form, generic_at, principal_defect,
-                    second_form)
-from .geometry import _FLOOR, GeometryError, Jet2, Vec4, cross4, dot, norm
+from .forms import _areas, _defect, _direction, _normal, _plane
+from .geometry import GeometryError, Jet2, _coords, _det3s
 
 __all__ = [
     "FrenetOctet",
@@ -72,27 +71,6 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
     return FrenetOctet(*[-x if flip else x for x, flip in zip(_octet_values(o), _GAUGE_FLIPPED)])
 
 
-def _unit_or_none(n: Vec4 | tuple[float, ...], zij: Vec4,
-                  e: float) -> tuple[float, ...] | None:
-    """The components of n / |n|, or None where n is only rounding:
-    |n|/e <= 1e-12, or |n| <= _FLOOR |z_ij|."""
-    n1, n2, n3, n4 = n
-    size = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
-    if size / e > 1e-12 and size > _FLOOR * norm(zij):
-        return n1 / size, n2 / size, n3 / size, n4 / size
-    return None
-
-
-def _b_direction(jet: Jet2, ff: FirstForm,
-                 n11: Vec4 | tuple[float, ...]) -> tuple[float, ...] | None:
-    """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
-    the first vanishes; n22 is built from the jet on that fallback only."""
-    b = _unit_or_none(n11, jet.z_uu, ff.E)
-    if b is None:
-        b = _unit_or_none(_normal_parts(jet, ff, jet.z_vv)[0], jet.z_vv, ff.G)
-    return b
-
-
 def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> FrenetOctet:
     """The eight invariants at (u, v) from the jets of the map ``jet_at`` alone.
 
@@ -101,56 +79,60 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     exact in the jet at (u, v).  The stencil jets are read first, at
     (u - _STEP, v), (u + _STEP, v), (u, v - _STEP) and (u, v + _STEP) in
     that order, and only then the jet at (u, v), so an error reading a
-    stencil jet is raised before any error at the centre.  A stencil jet
-    builds n22 only on the sigma(y,y) fallback, where n11 gives no
-    direction.  Raises
-    :class:`NonPrincipalParamsError` away from principal parameters and
-    :class:`TotallyGeodesicError` where b is undefined.
+    stencil jet is raised before any error at the centre.  The centre and,
+    in the order u + _STEP, u - _STEP, v + _STEP, v - _STEP, the stencil's
+    b directions come from the frame-free kernel of :mod:`forms`; a stencil
+    point builds n22 only on the sigma(y,y) fallback, where n11 gives no
+    direction.  Raises :class:`NonPrincipalParamsError` away from principal
+    parameters and :class:`TotallyGeodesicError` where b is undefined.
     """
     u_minus, u_plus, v_minus, v_plus = (jet_at(u - _STEP, v), jet_at(u + _STEP, v),
                                         jet_at(u, v - _STEP), jet_at(u, v + _STEP))
     jet = jet_at(u, v)
-    ff, n11, n12, n22 = generic_at(jet)
-    sxx, syy = n11 / ff.E, n22 / ff.G
-    sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
-    defect = principal_defect(ff, second_form(jet, ff, n11, n12, n22))
+    plane = _plane(jet)
+    (a1, a2, a3, a4), (c1, c2, c3, c4), ee, ff, gg, _ = plane
+    n11, n12, n22 = [_normal(plane, zij)[2] for zij in (jet.z_uu, jet.z_uv, jet.z_vv)]
+    defect = _defect(ee, ff, gg, *_areas(plane, n11, n12, n22))
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 
-    b = _b_direction(jet, ff, n11)
+    b = _direction(jet, plane, n11)
     if b is None:
         raise TotallyGeodesicError(
             f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
     b1, b2, b3, b4 = b
-    b = Vec4(*b)
-    x = jet.z_u / math.sqrt(ff.E)
-    y = jet.z_v / math.sqrt(ff.G)
-    l = cross4(x, y, b)
-    l = l / norm(l)
+    se, sg = math.sqrt(ee), math.sqrt(gg)
+    x1, x2, x3, x4 = x = a1 / se, a2 / se, a3 / se, a4 / se
+    y1, y2, y3, y4 = y = c1 / sg, c2 / sg, c3 / sg, c4 / sg
+    l1, l2, l3, l4 = _det3s(x, y, b)  # cross4(x, y, b) is (-l1, l2, -l3, l4)
+    size = math.sqrt(l1 * l1 + l2 * l2 + l3 * l3 + l4 * l4)
+    l1, l2, l3, l4 = -l1 / size, l2 / size, -l3 / size, l4 / size
 
-    gamma1 = dot(jet.z_uu, y) / ff.E
-    gamma2 = dot(jet.z_vv, x) / ff.G
-    nu1 = dot(sxx, b)
-    nu2 = dot(syy, b)
-    lam = dot(sxy, b)
-    mu = dot(sxy, l)
-
-    l1, l2, l3, l4 = l.x1, l.x2, l.x3, l.x4
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = _coords(jet.z_uu), _coords(jet.z_vv)
+    gamma1 = (p1 * y1 + p2 * y2 + p3 * y3 + p4 * y4) / ee
+    gamma2 = (q1 * x1 + q2 * x2 + q3 * x3 + q4 * x4) / gg
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = n11, n22
+    nu1 = p1 / ee * b1 + p2 / ee * b2 + p3 / ee * b3 + p4 / ee * b4
+    nu2 = q1 / gg * b1 + q2 / gg * b2 + q3 / gg * b3 + q4 / gg * b4
+    s = se * sg
+    m1, m2, m3, m4 = n12[0] / s, n12[1] / s, n12[2] / s, n12[3] / s  # sigma(x,y)
+    lam = m1 * b1 + m2 * b2 + m3 * b3 + m4 * b4
+    mu = m1 * l1 + m2 * l2 + m3 * l3 + m4 * l4
 
     def b_at(stencil_jet: Jet2) -> tuple[float, ...]:
-        sff = _tangent_form(stencil_jet)
-        bb = _b_direction(stencil_jet, sff, _normal_parts(stencil_jet, sff, stencil_jet.z_uu)[0])
+        splane = _plane(stencil_jet)
+        bb = _direction(stencil_jet, splane, _normal(splane, stencil_jet.z_uu)[2])
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
-        c1, c2, c3, c4 = bb
+        e1, e2, e3, e4 = bb
         # keep the field continuous across the sign convention
-        return bb if c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4 >= 0.0 else (-c1, -c2, -c3, -c4)
+        return bb if e1 * b1 + e2 * b2 + e3 * b3 + e4 * b4 >= 0.0 else (-e1, -e2, -e3, -e4)
 
     def beta(plus: Jet2, minus: Jet2) -> float:
-        """<(b(plus) - b(minus)) / (2 _STEP), l> with the float operations of Vec4s."""
+        """<(b(plus) - b(minus)) / (2 _STEP), l>."""
         (p1, p2, p3, p4), (m1, m2, m3, m4) = b_at(plus), b_at(minus)
-        s = 2.0 * _STEP
-        return (p1 - m1) / s * l1 + (p2 - m2) / s * l2 + (p3 - m3) / s * l3 + (p4 - m4) / s * l4
+        h = 2.0 * _STEP
+        return (p1 - m1) / h * l1 + (p2 - m2) / h * l2 + (p3 - m3) / h * l3 + (p4 - m4) / h * l4
 
     beta1 = beta(u_plus, u_minus)
     beta2 = beta(v_plus, v_minus)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
+from sys import float_info
 from typing import Iterator
 
 from .expr import Profile
@@ -45,6 +46,9 @@ def _check_speeds(alpha: float, beta: float) -> None:
     for name, speed in (("alpha", alpha), ("beta", beta)):
         if not (0.0 < speed < inf):  # also false for NaN
             raise ValueError(f"rotation speed {name} must be finite and positive, got {speed!r}")
+        if speed * speed < float_info.min:
+            raise ValueError(f"rotation speed {name} squared underflows: "
+                             f"alpha={alpha!r}, beta={beta!r}")
 
 
 @dataclass(frozen=True)
@@ -180,12 +184,17 @@ def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, flo
 
 
 def _closed_gauss(s: RotationalSurface, u: float, data) -> float:
-    """K of ``closed_invariants_at``, refused where (G E)^2 is 0 or inf or K is not finite."""
+    """K of ``closed_invariants_at``, refused where (G E)^2 is 0 or inf, K is not finite, or a
+    numerator term (G radial bend, a^2 b^2 E mixed^2) is 0 or subnormal with no zero factor."""
     f, f1, f2, g, g1, g2, ee, gg = data
     a, b, mixed, den = s.alpha, s.beta, g * f1 - f * g1, gg * gg * ee * ee
     if 0.0 < den < inf:
-        gauss = (gg * (b * b * g * f1 - a * a * f * g1) * (g1 * f2 - f1 * g2)
-                 - a * a * b * b * ee * mixed * mixed) / den
+        radial, bend = b * b * g * f1 - a * a * f * g1, g1 * f2 - f1 * g2
+        bent, twisted = gg * radial * bend, a * a * b * b * ee * mixed * mixed
+        if (abs(bent) < float_info.min and radial and bend
+                or abs(twisted) < float_info.min and mixed):
+            raise ClosedFormRangeError(u, "a term of K's numerator underflows")
+        gauss = (bent - twisted) / den
         if isfinite(gauss):
             return gauss
     raise ClosedFormRangeError(u, "non-finite result" if den else "zero divisor")

@@ -2,11 +2,12 @@
 they act as oracles (tolerance math, finite differences, random trees, the
 tree-walking evaluator, the unfolded and the folded tree differentiators,
 the Vec4-based frame kernel, the Vec4 forms of the generic oracle's
-per-point kernels: fd_jet2, the tangent guard and the normal parts, the
-framed generic pipeline, the per-point ``export``, closed-form row and
-``verify`` loops, the deviation expressions, the octet stencil with both
-normal parts built up front, the csv-module CSV writer, the canonical frame
-of the family and the Frenet curvatures of its v-lines)."""
+per-point kernels: fd_jet2, the tangent guard, the normal parts, the
+second form and the invariant record, the framed generic pipeline, the
+per-point ``export``, closed-form row and ``verify`` loops, the deviation
+expressions, the octet with both normal parts built up front, the
+csv-module CSV writer, the canonical frame of the family and the Frenet
+curvatures of its v-lines)."""
 
 import csv
 import dataclasses
@@ -21,11 +22,11 @@ from rotsurf4.cli import (_INVARIANT_HEADER, _OCTET_HEADER, EXIT_OK, EXIT_VERIFY
                           cmd_plot)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (NonFiniteInvariantError, ellipse_samples, first_form,
-                            generic_invariants, invariants, is_circle, lmn, principal_defect,
-                            second_form, second_tensor, superconformal_residuals)
+from rotsurf4.forms import (NonFiniteInvariantError, SecondForm, ellipse_samples, first_form,
+                            invariants, is_circle, lmn, principal_defect, second_tensor,
+                            superconformal_residuals)
 from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2,
-                               RegularityError, Vec4, cross4, dot, gram_schmidt_normals, norm,
+                               RegularityError, Vec4, dot, gram_schmidt_normals, norm,
                                rotation_trig)
 from rotsurf4.octet import (_STEP, FrenetOctet, NonPrincipalParamsError, TotallyGeodesicError,
                             gauge_flip, invariants_from_octet)
@@ -349,8 +350,9 @@ def reference_gram_schmidt_normals(jet):
 # ---------------------------------------------------------------------------
 # The generic oracle's per-point kernels written with Vec4 arithmetic and a
 # dict of parts: the bit-for-bit and error-text oracle for the component
-# kernels of ``rotsurf4.geometry.fd_jet2`` and ``tangent_basis`` and of
-# ``rotsurf4.forms._tangent_form`` and ``generic_at``.
+# kernels of ``rotsurf4.geometry.fd_jet2`` and ``tangent_basis`` and for
+# ``rotsurf4.forms``' frame-free kernel under ``generic_at``, ``second_form``
+# and ``generic_invariants``.
 
 def reference_fd_jet2(surface_map, u, v, h=None, *, richardson=True):
     if h is None:
@@ -414,6 +416,24 @@ def reference_generic_parts(jet):
     """(first form, n11, n12, n22), as ``rotsurf4.forms.generic_at`` returns."""
     ff = reference_tangent_form(jet)
     return (ff, *(reference_normal_part(zij, jet, ff) for zij in (jet.z_uu, jet.z_uv, jet.z_vv)))
+
+
+def reference_second_form(jet, ff, n11, n12, n22):
+    """``rotsurf4.forms.second_form``: L, M, N by the det4 areas on Vec4s."""
+    zu, zv, w2 = jet.z_u, jet.z_v, ff.W * ff.W
+    return SecondForm(2.0 * reference_det4(zu, zv, n11, n12) / w2,
+                      reference_det4(zu, zv, n11, n22) / w2,
+                      2.0 * reference_det4(zu, zv, n12, n22) / w2)
+
+
+def reference_frame_free_invariants(jet, ff, n11, n12, n22):
+    """``rotsurf4.forms.generic_invariants`` on Vec4s: the invariant record
+    from what ``reference_generic_parts`` returns, refused where E W^2
+    underflows to 0."""
+    if ff.E * ff.W * ff.W == 0.0:  # although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={ff.E!r}, W={ff.W!r}")
+    gauss = (dot(n11, n22) - dot(n12, n12)) / (ff.W * ff.W)
+    return invariants(ff, reference_second_form(jet, ff, n11, n12, n22), gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +521,9 @@ def _reference_rows(us, v, closed):
 
 def reference_gauss(surface, u):
     """K at u by the formula of ``closed_invariants_at`` alone, from
-    ``meridian_jet``: refused where its divisor (G E)^2 is 0 or inf or K is
-    not finite, and not where only the closed k or kappa would be."""
+    ``meridian_jet``: refused where its divisor (G E)^2 is 0 or inf, where a
+    term of its numerator is 0 or subnormal with no zero factor, or where K
+    is not finite, and not where only the closed k or kappa would be."""
     f, f1, f2, g, g1, g2, ee, gg = surface.meridian_jet(u)
     a, b = surface.alpha, surface.beta
     mixed = g * f1 - f * g1
@@ -511,8 +532,15 @@ def reference_gauss(surface, u):
     divisor = gg * gg * ee * ee
     if divisor == 0.0:
         raise ClosedFormRangeError(u, "zero divisor")
-    gauss = (gg * radial * bend - a * a * b * b * ee * mixed * mixed) / divisor
-    if math.isinf(divisor) or not math.isfinite(gauss):
+    if math.isinf(divisor):
+        raise ClosedFormRangeError(u, "non-finite result")
+    terms = ((gg * radial * bend, (gg, radial, bend)),
+             (a * a * b * b * ee * mixed * mixed, (a, b, ee, mixed)))
+    for term, factors in terms:
+        if abs(term) < sys.float_info.min and 0.0 not in factors:
+            raise ClosedFormRangeError(u, "a term of K's numerator underflows")
+    gauss = (terms[0][0] - terms[1][0]) / divisor
+    if not math.isfinite(gauss):
         raise ClosedFormRangeError(u, "non-finite result")
     return gauss
 
@@ -640,7 +668,7 @@ def reference_verify(args, parser) -> int:
                 jet_f = reference_fd_jet2(surface_map, u, v)
                 checks["jets"].update(reference_jet_dev(jet_a, jet_f), (u, v))
 
-                rec = generic_invariants(jet_f, *reference_generic_parts(jet_f))
+                rec = reference_frame_free_invariants(jet_f, *reference_generic_parts(jet_f))
                 checks["forms"].update(max(
                     _rel(rec.E, ffc.E), _rel(rec.F, ffc.F), _rel(rec.G, ffc.G),
                     _rel(rec.L, sfc.L), _rel(rec.M, sfc.M), _rel(rec.N, sfc.N)), (u, v))
@@ -666,7 +694,7 @@ def reference_verify(args, parser) -> int:
             with _at(u, vs[0]):
                 jet = jet_at(u, vs[0])
                 parts = reference_generic_parts(jet)
-                rec = generic_invariants(jet, *parts)
+                rec = reference_frame_free_invariants(jet, *parts)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
                 report = is_circle(ellipse_samples(*parts, 16), args.tol_circle)
@@ -697,9 +725,9 @@ def reference_verify(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 # ``rotsurf4.octet.octet_generic`` in Vec4 arithmetic on the reference
-# kernels, with the stencil's b direction built from both normal parts up
-# front: the oracle for the component stencil that builds n22 only on the
-# sigma(y,y) fallback.
+# kernels, with the b direction built from both normal parts up front: the
+# oracle for the octet's centre and stencil on the component kernel, which
+# builds a stencil point's n22 only on the sigma(y,y) fallback.
 
 def _reference_b_direction(jet, ff, n11, n22):
     for n, zij, e in ((n11, jet.z_uu, ff.E), (n22, jet.z_vv, ff.G)):
@@ -716,7 +744,7 @@ def reference_octet_generic(jet_at, u, v):
     ff, n11, n12, n22 = reference_generic_parts(jet)
     sxx, syy = n11 / ff.E, n22 / ff.G
     sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
-    defect = principal_defect(ff, second_form(jet, ff, n11, n12, n22))
+    defect = principal_defect(ff, reference_second_form(jet, ff, n11, n12, n22))
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 
@@ -726,7 +754,7 @@ def reference_octet_generic(jet_at, u, v):
             f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
     x = jet.z_u / math.sqrt(ff.E)
     y = jet.z_v / math.sqrt(ff.G)
-    l = cross4(x, y, b)
+    l = reference_cross4(x, y, b)
     l = l / norm(l)
 
     def b_at(stencil_jet):

@@ -86,6 +86,9 @@ def test_invariants_domain_error_names_first_point(tmp_path, capsys):
 @pytest.mark.parametrize("f, g, reason", [
     ("1e-120*u", "1e-120*u^2", "zero divisor"),   # E*G underflows to 0
     ("1e200*u", "u^2", "non-finite result"),       # E and G overflow
+    # a^2 b^2 E mixed^2 underflows to 0 with no zero factor: K would read -0.0
+    # where the octet's nu1 nu2 - mu^2 gives about -4e-140
+    ("1e-25*u^-2", "1e-120", "a term of K's numerator underflows"),
 ])
 def test_invariants_out_of_range_point_names_it(tmp_path, capsys, f, g, reason):
     out = tmp_path / "inv.csv"
@@ -463,9 +466,11 @@ def test_msc_residual_overflow_names_point(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("alpha, beta", [("1e308", "1e-300"), ("1e-300", "1e308")])
+@pytest.mark.parametrize("alpha, beta", [("1e308", "1e-300"), ("1e-300", "1e308"),
+                                         ("1e308", "1e-100"), ("1e-100", "1e308")])
 def test_msc_exponent_out_of_range_usage_error(capsys, alpha, beta):
-    # beta/alpha underflows to 0 or overflows to inf
+    # beta/alpha underflows to 0 or overflows to inf; where a speed is 1e-300,
+    # its square underflows too, which is refused first, naming both speeds
     assert main(["msc", "--c", "0", "--alpha", alpha, "--beta", beta]) == 2
     err = capsys.readouterr().err
     assert f"alpha={float(alpha)!r}, beta={float(beta)!r}" in err

@@ -229,8 +229,9 @@ def test_export_faces_form_an_oriented_quad_mesh(argv):
                "--v=0:1:1"], to_file=True)
 @example(argv=["plot", "--alpha=1", "--beta=2", "--u=-1:1:3", "--f=u", "--g=u^2",
                "--v=0:0:1", "--quantity=nu1"], to_file=True)
-# the closed k's (G E)^3 underflows at u = 1, where an invariants row answers;
-# then (G E)^2 overflows at u = 1, which K refuses
+# the closed k's (G E)^3 underflows at u = 1, where an invariants row refuses
+# K, a term of whose numerator underflows; then (G E)^2 overflows at u = 1,
+# which K refuses
 @example(argv=["invariants", "--alpha=1", "--beta=2", "--u=1e-10:1:2", "--f=1e-30*u^-2",
                "--g=1e-120", "--v=0:1:2"], to_file=True)
 @example(argv=["invariants", "--alpha=1", "--beta=2", "--u=1:2:2", "--f=1e40", "--g=1e40*u",
@@ -309,13 +310,17 @@ def test_wintgen_gap_on_the_cli_rows(argv):
     _check_wintgen_gap(argv)
 
 
-# G = a*a*f*f + b*b*g*g drops a^2 f^2 where a*a underflows and a*f does not
-# (here a f = 1e8, so G is 1e16 where the rows use 0.25), which the law sees
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a*a underflows in G while a*f is normal")
-def test_wintgen_gap_where_alpha_squared_underflows():
-    _check_wintgen_gap(["invariants", "--alpha=1e-300", "--beta=0.5", "--u=-1.0:0.0:1",
-                        "--f=1e308", "--g=u"])
+# G = a*a*f*f + b*b*g*g would drop a^2 f^2 where a*a underflows and a*f
+# does not (a f = 1e8 in the second command, so G is 1e16, not 0.25), which
+# the law saw; such a speed is now a usage error that names it
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--f=-(1e308)", "--g=sin(u)", "--alpha=1e-300", "--beta=2", "--u=1:1:1"],
+    ["invariants", "--f=1e308", "--g=u", "--alpha=1e-300", "--beta=0.5", "--u=-1.0:0.0:1"],
+])
+def test_a_speed_whose_square_underflows_is_a_usage_error(argv):
+    code, out, err, _ = _run(argv, None)
+    assert (code, out) == (2, "")
+    assert "rotation speed alpha squared underflows" in err
 
 
 def _check_wintgen_gap(argv):

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_surface
-from helpers import (octet_tuple, reference_fd_jet2, reference_generic_parts,
-                     reference_octet_generic, reference_tangent_basis, reference_tangent_form)
-from rotsurf4.forms import _tangent_form, generic_at
+from helpers import (field_values, octet_tuple, reference_fd_jet2, reference_frame_free_invariants,
+                     reference_generic_parts, reference_octet_generic, reference_tangent_basis,
+                     reference_tangent_form)
+from rotsurf4.forms import _plane, generic_at, generic_invariants
 from rotsurf4.geometry import Jet2, RegularityError, Vec4, analytic_jet2, fd_jet2, tangent_basis
 from rotsurf4.octet import _STEP, octet_generic
 
@@ -36,7 +37,7 @@ ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
 
 
 def _hex(values):
-    return [float.hex(x) for x in values]
+    return [float.hex(x) if isinstance(x, float) else x for x in values]
 
 
 def _outcome(fn):
@@ -116,7 +117,7 @@ def test_tangent_guard_is_the_vec4_reference(pair):
     jet = Jet2(ZERO, zu, zv, ZERO, ZERO, ZERO)
     assert (_outcome(lambda: [x for t in tangent_basis(zu, zv) for x in t])
             == _outcome(lambda: [x for t in reference_tangent_basis(zu, zv) for x in t]))
-    assert (_outcome(lambda: _form_values(_tangent_form(jet)))
+    assert (_outcome(lambda: _plane(jet)[2:])
             == _outcome(lambda: _form_values(reference_tangent_form(jet))))
 
 
@@ -132,12 +133,20 @@ def test_generic_at_is_the_vec4_reference(jet):
             == _outcome(lambda: _parts_values(reference_generic_parts(jet))))
 
 
+@settings(max_examples=300, deadline=None)
+@given(kernel_jets())
+def test_generic_invariants_is_the_vec4_reference(jet):
+    assert (_outcome(lambda: field_values(generic_invariants(jet, *generic_at(jet))))
+            == _outcome(lambda: field_values(
+                reference_frame_free_invariants(jet, *reference_generic_parts(jet)))))
+
+
 _STENCIL = ((-_STEP, 0.0), (_STEP, 0.0), (0.0, -_STEP), (0.0, _STEP))
+_MERIDIANS = (("u", "u^2"), ("u", "u^3"), ("3*u - 1", "0.5"), ("u", "sin(u)*exp(-u^2)+sqrt(u)"))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((("u", "u^2"), ("u", "u^3"), ("3*u - 1", "0.5"),
-                        ("u", "sin(u)*exp(-u^2)+sqrt(u)"))),
+@given(st.sampled_from(_MERIDIANS),
        st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=-3.0, max_value=3.0),
        st.lists(st.one_of(st.none(), kernel_jets()), min_size=4, max_size=4))
 def test_octet_stencil_is_the_vec4_reference(meridian, u, v, drawn):
@@ -149,6 +158,46 @@ def test_octet_stencil_is_the_vec4_reference(meridian, u, v, drawn):
 
     def jet_at(uu, vv):
         return stencil.get((uu, vv)) or analytic_jet2(surface, uu, vv)
+
+    assert (_outcome(lambda: octet_tuple(octet_generic(jet_at, u, v)))
+            == _outcome(lambda: octet_tuple(reference_octet_generic(jet_at, u, v))))
+
+
+def _centre(data, jet):
+    """The surface's principal jet, a drawn jet, or the surface's jet with
+    some parts drawn or replaced by tangential combinations a z_u + b z_v:
+    a drawn z_u or z_v makes F nonzero or the plane degenerate, a drawn z_uv
+    ("twisted") makes M nonzero, a tangential z_uu leaves only sigma(y,y) to
+    give b, and a tangential z_vv as well ("flat") leaves b undefined."""
+    shape = data.draw(st.sampled_from(("surface", "drawn", "parts", "parts", "flat", "twisted")))
+    if shape == "surface":
+        return jet
+    if shape == "drawn":
+        return data.draw(kernel_jets())
+    parts = {name: getattr(jet, name) for name in ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv")}
+    names = {"flat": ("z_uu", "z_vv"), "twisted": ("z_uv",)}.get(shape) or data.draw(
+        st.sets(st.sampled_from(("z_u", "z_v", "z_uu", "z_uv", "z_vv")), min_size=1))
+    for name in names:
+        if shape != "flat" and (shape == "twisted" or data.draw(st.booleans())):
+            parts[name] = data.draw(special_vecs())
+        else:
+            parts[name] = jet.z_u * data.draw(plain_floats) + jet.z_v * data.draw(plain_floats)
+    return Jet2(**parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MERIDIANS), st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.lists(st.one_of(st.none(), kernel_jets()), min_size=4, max_size=4), st.data())
+def test_octet_centre_is_the_vec4_reference(meridian, u, v, drawn, data):
+    # the centre drawn as well as the stencil, so non-principal, degenerate
+    # and totally geodesic centres, and b from sigma(y,y), meet the reference
+    surface = make_surface(*meridian, 1.0, 2.0)
+    points = {(u + du, v + dv): jet for (du, dv), jet in zip(_STENCIL, drawn)}
+    points[u, v] = _centre(data, analytic_jet2(surface, u, v))
+
+    def jet_at(uu, vv):
+        return points.get((uu, vv)) or analytic_jet2(surface, uu, vv)
 
     assert (_outcome(lambda: octet_tuple(octet_generic(jet_at, u, v)))
             == _outcome(lambda: octet_tuple(reference_octet_generic(jet_at, u, v))))

@@ -9,8 +9,8 @@ from helpers import curve_frenet_oracle, frames_at, rel_dev, vline_curvatures, v
 from rotsurf4.expr import EvalDomainError, Profile
 from rotsurf4.geometry import GeometryError, RegularityError, Vec4, fd_jet2
 from rotsurf4.octet import invariants_from_octet
-from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface, closed_forms_at,
-                                 closed_invariants_at, closed_octet_at)
+from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface, _closed_gauss,
+                                 closed_forms_at, closed_invariants_at, closed_octet_at)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -30,6 +30,18 @@ def test_surface_rejects_nonpositive_speeds():
         RotationalSurface(f, g, 0.0, 1.0)
     with pytest.raises(ValueError):
         RotationalSurface(f, g, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("alpha, beta, name", [
+    (1e-300, 2.0, "alpha"), (1.0, 1.4e-154, "beta"), (5e-324, 1e-300, "alpha"),
+])
+def test_surface_rejects_speeds_whose_square_underflows_by_name(alpha, beta, name):
+    # a^2 and b^2 are factors of G = a^2 f^2 + b^2 g^2; below the smallest
+    # normal float they drop the terms they scale
+    f, g = Profile.from_text("u"), Profile.from_text("u^2")
+    with pytest.raises(ValueError, match=f"rotation speed {name} squared underflows"):
+        RotationalSurface(f, g, alpha, beta)
+    RotationalSurface(f, g, 1.5e-154, 1.0)  # 1.5e-154 squared is normal
 
 
 @pytest.mark.parametrize("alpha, beta, name", [
@@ -142,6 +154,22 @@ def test_closed_invariants_power_overflow_raises_with_u():
     with pytest.raises(ClosedFormRangeError) as err:
         closed_invariants_at(s, 1.0)
     assert err.value.u == 1.0 and "non-finite result" in str(err.value)
+
+
+@pytest.mark.parametrize("f, g, u, refused", [
+    ("1e-25*u^-2", "1e-120", 1.0, True),    # a^2 b^2 E mixed^2 underflows to 0
+    ("1e-150*u", "1e-10*u^2", 1.0, True),   # G radial bend underflows to -0.0
+    ("1e-25*u^-2", "1e-120", 1e-10, False),
+    ("u", "2*u", 1.0, False),               # both terms are 0 by a zero factor
+])
+def test_closed_gauss_refuses_a_numerator_term_that_underflows(f, g, u, refused):
+    s = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+    if refused:
+        with pytest.raises(ClosedFormRangeError, match="K's numerator underflows") as err:
+            _closed_gauss(s, u, s.meridian_jet(u))
+        assert err.value.u == u
+    else:
+        assert math.isfinite(_closed_gauss(s, u, s.meridian_jet(u)))
 
 
 def test_closed_invariants_running_example(parabola):
