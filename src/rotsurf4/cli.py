@@ -32,8 +32,9 @@ from itertools import chain, repeat
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_at,
-                    generic_invariants, is_circle, superconformal_residuals, superconformal_verdict)
-from .geometry import (GeometryError, analytic_jet2, analytic_jet2_from, dot, fd_jet2,
+                    generic_invariants, generic_values, is_circle, superconformal_residuals,
+                    superconformal_verdict)
+from .geometry import (GeometryError, analytic_jet2, analytic_parts_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotation_trig)
 from .octet import (_GAUGE_FLIPPED, FrenetOctet, TotallyGeodesicError, _octet_values,
                     invariants_from_octet, octet_generic)
@@ -261,14 +262,6 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _jet_values(j) -> tuple[float, ...]:
-    """The 24 components of a jet, z first and each Vec4 in x1..x4 order."""
-    z, zu, zv, zuu, zuv, zvv = j.z, j.z_u, j.z_v, j.z_uu, j.z_uv, j.z_vv
-    return (z.x1, z.x2, z.x3, z.x4, zu.x1, zu.x2, zu.x3, zu.x4, zv.x1, zv.x2, zv.x3, zv.x4,
-            zuu.x1, zuu.x2, zuu.x3, zuu.x4, zuv.x1, zuv.x2, zuv.x3, zuv.x4,
-            zvv.x1, zvv.x2, zvv.x3, zvv.x4)
-
-
 def _worst_rels(xs, ys, flips, plain: float, flipped: float) -> tuple[float, float]:
     """``max(plain, *map(_rel, xs, ys))`` and ``max(flipped, ...)`` of the same
     with each y whose ``flips`` entry is true negated, in one loop: x - (-y)
@@ -290,8 +283,9 @@ def _worst_rels(xs, ys, flips, plain: float, flipped: float) -> tuple[float, flo
 
 
 def _jet_dev(j1, j2) -> float:
-    """``max(0.0, *map(_rel, _jet_values(j1), _jet_values(j2)))``."""
-    return _worst_rels(_jet_values(j1), _jet_values(j2), repeat(False), 0.0, 0.0)[0]
+    """``max(0.0, *map(_rel, chain(*j1), chain(*j2)))`` over the 24 components of
+    two jets (Jet2s or tuple jets), z first and each part in x1..x4 order."""
+    return _worst_rels(chain(*j1), chain(*j2), repeat(False), 0.0, 0.0)[0]
 
 
 def _octet_dev(a, b) -> float:
@@ -342,13 +336,14 @@ def cmd_verify(args, parser) -> int:
     # holds -0.0 only as its one point, and x -+ octet._STEP is never -0.0.
     # The fd oracle's surface_map remembers its meridian points and trig the
     # same way (RotationalSurface.as_map), and the octet, which reads its
-    # centre jet after its stencil, is handed the jets check's jet_a there
+    # centre jet after its stencil, is handed the jets check's jet_a there.
+    # Analytic jets are in the tuple form, six 4-tuples (z, z_u, ..., z_vv)
     alpha, beta = surface.alpha, surface.beta
     meridian = cache(surface.meridian_jet)
     trig = cache(partial(rotation_trig, alpha, beta))
 
     def jet_at(u, v):
-        return analytic_jet2_from(alpha, beta, meridian(u), trig(v))
+        return analytic_parts_from(alpha, beta, meridian(u), trig(v))
 
     def octet_jet_at(uu, vv):
         return jet_a if uu == u and vv == v else jet_at(uu, vv)
@@ -371,12 +366,12 @@ def cmd_verify(args, parser) -> int:
                 jet_f = fd_jet2(surface_map, u, v)
                 checks["jets"].update(_jet_dev(jet_a, jet_f), (u, v))
 
-                rec = generic_invariants(jet_f, *generic_at(jet_f))
+                ef, ff, gf, lf, mf, nf, kf, xf, gauss = generic_values(jet_f)
                 checks["forms"].update(max(
-                    _rel(rec.E, ec), _rel(rec.F, 0.0), _rel(rec.G, gc_),
-                    _rel(rec.L, lc), _rel(rec.M, 0.0), _rel(rec.N, nc)), (u, v))
+                    _rel(ef, ec), _rel(ff, 0.0), _rel(gf, gc_),
+                    _rel(lf, lc), _rel(mf, 0.0), _rel(nf, nc)), (u, v))
                 checks["invariants"].update(max(
-                    _rel(rec.k, kc), _rel(rec.kappa, xc), _rel(rec.K, gc)), (u, v))
+                    _rel(kf, kc), _rel(xf, xc), _rel(gauss, gc)), (u, v))
 
                 if checks["octet"].note is None:
                     try:

@@ -22,9 +22,14 @@ its sign follows the ambient orientation, which det4 supplies.
 One frame-free kernel on float components computes each value by the float
 operations of its Vec4 expression: ``_plane`` (a jet's tangent plane behind
 the guard of ``geometry.tangent_basis``), ``_normal`` (the normal part of a
-z_ij), ``_areas`` (L, M, N) and ``_direction`` (the octet's b).  The records
-of ``generic_at``, ``second_form`` and ``generic_invariants`` wrap it, and
-``octet.octet_generic`` reads it at its centre and its b-field stencil.
+z_ij), ``_areas`` (L, M, N), ``_invariants`` (L, M, N, k, kappa, K and the
+point type) and ``_direction`` (the octet's b).  Its callers read a jet by
+unpacking, ``z, z_u, z_v, z_uu, z_uv, z_vv = jet``, so a ``Jet2`` of Vec4s
+and the tuple form of a jet (six 4-tuples) go through the same code.  The
+records of ``generic_at`` and ``generic_invariants`` wrap it,
+``generic_values`` returns the invariant record's nine numbers as plain
+floats (``verify``'s fd record), and ``octet.octet_generic`` reads it at
+its centre and its b-field stencil.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, _coords, _det4,
-                       _tangent_plane, dot, norm)
+from .geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, _tangent_plane,
+                       det4, dot, norm)
 
 __all__ = [
     "FirstForm",
@@ -49,8 +54,8 @@ __all__ = [
     "first_form",
     "second_tensor",
     "generic_at",
-    "second_form",
     "generic_invariants",
+    "generic_values",
     "christoffel",
     "lmn",
     "classify",
@@ -70,6 +75,7 @@ __all__ = [
 
 _FRAME_TOL = 1e-10  # largest residual second_tensor accepts for its frame
 PRINCIPAL_TOL = 1e-8  # relative size of F and M below which parameters are principal
+CLASS_TOL = 1e-8  # normalised |k| and |kappa| at or below which classify reads zero
 
 
 class FrameError(GeometryError):
@@ -177,8 +183,7 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
 
 def christoffel(jet: Jet2) -> Christoffel:
     """Tangential decomposition coefficients of z_uu, z_uv, z_vv."""
-    ff = first_form(jet)
-    plane = (_coords(jet.z_u), _coords(jet.z_v), ff.E, ff.F, ff.G, ff.W)
+    plane = _form_plane(jet, first_form(jet))
     return Christoffel(*[g for zij in (jet.z_uu, jet.z_uv, jet.z_vv)
                          for g in _normal(plane, zij)[:2]])
 
@@ -192,7 +197,7 @@ def lmn(ct: SecondTensor, w: float) -> SecondForm:
     return SecondForm(2.0 * d1 / w, d2 / w, 2.0 * d3 / w)
 
 
-def classify(k: float, kappa: float, sf: SecondForm, tol: float = 1e-8) -> PointType:
+def classify(k: float, kappa: float, sf: SecondForm, tol: float = CLASS_TOL) -> PointType:
     """Point type from the signs of k and kappa.
 
     Both are normalized by max(1, L^2, M^2, N^2, LN) before the comparison
@@ -228,30 +233,37 @@ def _classify(k: float, kappa: float, big_l: float, big_m: float, big_n: float, 
 
 
 def invariants(ff: FirstForm, sf: SecondForm, gauss: float, *,
-               class_tol: float = 1e-8) -> InvariantRecord:
+               class_tol: float = CLASS_TOL) -> InvariantRecord:
     """k and kappa from (E, F, G, L, M, N); the Gauss curvature is passed
     through from :func:`gauss_curvature` (or a closed form)."""
-    disc = ff.E * ff.G - ff.F * ff.F
-    k = (sf.L * sf.N - sf.M * sf.M) / disc
-    kappa = (ff.E * sf.N + ff.G * sf.L - 2.0 * ff.F * sf.M) / (2.0 * disc)
-    return InvariantRecord(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N,
-                           k, kappa, gauss, classify(k, kappa, sf, class_tol))
+    k, kappa, kind = _curvatures(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N, class_tol)
+    return InvariantRecord(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N, k, kappa, gauss,
+                           _POINT_TYPES[kind])
 
 
-def _plane(jet: Jet2) -> tuple:
+def _curvatures(ee: float, ff: float, gg: float, big_l: float, big_m: float, big_n: float,
+                tol: float) -> tuple[float, float, str]:
+    """(k, kappa, the value of their point type) of :func:`invariants`."""
+    disc = ee * gg - ff * ff
+    k = (big_l * big_n - big_m * big_m) / disc
+    kappa = (ee * big_n + gg * big_l - 2.0 * ff * big_m) / (2.0 * disc)
+    return k, kappa, _classify(k, kappa, big_l, big_m, big_n, tol)
+
+
+def _plane(zu, zv) -> tuple:
     """(z_u, z_v, E, F, G, W), the tangent vectors as 4-tuples, behind the
     tangent-plane guard of :func:`geometry.tangent_basis`, which leaves
     first_form's check nothing to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
-    zu, zv = _coords(jet.z_u), _coords(jet.z_v)
+    zu, zv = tuple(zu), tuple(zv)
     ee, ff, gg = _tangent_plane(zu, zv)[:3]
     return zu, zv, ee, ff, gg, math.sqrt(ee * gg - ff * ff)
 
 
-def _normal(plane: tuple, zij: Vec4) -> tuple[float, float, tuple[float, float, float, float]]:
+def _normal(plane: tuple, zij) -> tuple[float, float, tuple[float, float, float, float]]:
     """(G^u, G^v, n): the 2x2 system [[E, F], [F, G]] (G^u, G^v) = (<z_ij, z_u>,
     <z_ij, z_v>) and the components of n = z_ij - G^u z_u - G^v z_v."""
     (a1, a2, a3, a4), (b1, b2, b3, b4), ee, ff, gg, w = plane
-    c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
+    c1, c2, c3, c4 = zij
     a = c1 * a1 + c2 * a2 + c3 * a3 + c4 * a4
     b = c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
     det = w * w
@@ -264,54 +276,77 @@ def _areas(plane: tuple, n11: tuple, n12: tuple, n22: tuple) -> tuple[float, flo
     """(L, M, N) from the normal parts by the det4 areas of the module docstring."""
     zu, zv, w = plane[0], plane[1], plane[5]
     w2 = w * w
-    return (2.0 * _det4(zu, zv, n11, n12) / w2, _det4(zu, zv, n11, n22) / w2,
-            2.0 * _det4(zu, zv, n12, n22) / w2)
+    return (2.0 * det4(zu, zv, n11, n12) / w2, det4(zu, zv, n11, n22) / w2,
+            2.0 * det4(zu, zv, n12, n22) / w2)
 
 
-def _unit(n: tuple, zij: Vec4, e: float) -> tuple[float, float, float, float] | None:
+def _unit(n: tuple, zij, e: float) -> tuple[float, float, float, float] | None:
     """The components of n / |n|, or None where the normal part n of z_ij is
     only rounding: |n|/e <= 1e-12, or |n| <= _FLOOR |z_ij|."""
     n1, n2, n3, n4 = n
     size = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
     if size / e > 1e-12:
-        c1, c2, c3, c4 = zij.x1, zij.x2, zij.x3, zij.x4
+        c1, c2, c3, c4 = zij
         if size > _FLOOR * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4):  # |z_ij|
             return n1 / size, n2 / size, n3 / size, n4 / size
     return None
 
 
-def _direction(jet: Jet2, plane: tuple, n11: tuple) -> tuple[float, float, float, float] | None:
+def _direction(zuu, zvv, plane: tuple, n11: tuple) -> tuple[float, float, float, float] | None:
     """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
-    the first vanishes; n22 is built from the jet on that fallback only."""
-    return (_unit(n11, jet.z_uu, plane[2])
-            or _unit(_normal(plane, jet.z_vv)[2], jet.z_vv, plane[4]))
+    the first vanishes; n22 is built from z_vv on that fallback only."""
+    return _unit(n11, zuu, plane[2]) or _unit(_normal(plane, zvv)[2], zvv, plane[4])
+
+
+def _check_ew(ee: float, w: float) -> None:
+    if ee * w * w == 0.0:  # although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={ee!r}, W={w!r}")
+
+
+def _invariants(plane: tuple, n11: tuple, n12: tuple,
+                n22: tuple) -> tuple[float, float, float, float, float, float, str]:
+    """(L, M, N, k, kappa, K, the value of the point type) from the normal
+    parts; raises where E W^2 underflows to 0, or where :func:`classify` would."""
+    ee, ff, gg, w = plane[2:]
+    _check_ew(ee, w)
+    p1, p2, p3, p4 = n11
+    q1, q2, q3, q4 = n12
+    r1, r2, r3, r4 = n22
+    gauss = ((p1 * r1 + p2 * r2 + p3 * r3 + p4 * r4)
+             - (q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)) / (w * w)
+    big_l, big_m, big_n = _areas(plane, n11, n12, n22)
+    k, kappa, kind = _curvatures(ee, ff, gg, big_l, big_m, big_n, CLASS_TOL)
+    return big_l, big_m, big_n, k, kappa, gauss, kind
+
+
+def generic_values(jet) -> tuple[float, ...]:
+    """(E, F, G, L, M, N, k, kappa, K) of ``generic_invariants(jet,
+    *generic_at(jet))`` as plain floats, raising as those two raise."""
+    _, zu, zv, zuu, zuv, zvv = jet
+    plane = _plane(zu, zv)
+    return (*plane[2:5], *_invariants(plane, _normal(plane, zuu)[2], _normal(plane, zuv)[2],
+                                      _normal(plane, zvv)[2])[:6])
 
 
 def generic_at(jet: Jet2) -> tuple[FirstForm, Vec4, Vec4, Vec4]:
     """First form and the normal parts n11, n12, n22 of z_uu, z_uv, z_vv."""
-    plane = _plane(jet)
-    return (FirstForm(*plane[2:]),
-            *[Vec4(*_normal(plane, zij)[2]) for zij in (jet.z_uu, jet.z_uv, jet.z_vv)])
+    _, zu, zv, zuu, zuv, zvv = jet
+    plane = _plane(zu, zv)
+    return (FirstForm(*plane[2:]), *[Vec4(*_normal(plane, zij)[2]) for zij in (zuu, zuv, zvv)])
 
 
-def second_form(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> SecondForm:
-    """L, M, N from the normal parts by the det4 areas of the module docstring."""
-    plane = (_coords(jet.z_u), _coords(jet.z_v), ff.E, ff.F, ff.G, ff.W)
-    return SecondForm(*_areas(plane, _coords(n11), _coords(n12), _coords(n22)))
-
-
-def _check_ew(ff: FirstForm) -> None:
-    if ff.E * ff.W * ff.W == 0.0:  # although E, W > 0
-        raise NonFiniteInvariantError(f"E W underflows to 0 at E={ff.E!r}, W={ff.W!r}")
+def _form_plane(jet: Jet2, ff: FirstForm) -> tuple:
+    """The plane tuple of :func:`_plane` from ``jet`` and its first form."""
+    _, zu, zv, _, _, _ = jet
+    return tuple(zu), tuple(zv), ff.E, ff.F, ff.G, ff.W
 
 
 def generic_invariants(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4,
                        n22: Vec4) -> InvariantRecord:
     """The invariant record of ``jet`` from what :func:`generic_at` returns;
     raises where E W^2 underflows to 0."""
-    _check_ew(ff)
-    gauss = (dot(n11, n22) - dot(n12, n12)) / (ff.W * ff.W)
-    return invariants(ff, second_form(jet, ff, n11, n12, n22), gauss)
+    *values, kind = _invariants(_form_plane(jet, ff), tuple(n11), tuple(n12), tuple(n22))
+    return InvariantRecord(ff.E, ff.F, ff.G, *values, _POINT_TYPES[kind])
 
 
 def gauss_curvature(ff: FirstForm, ct: SecondTensor) -> float:
@@ -391,7 +426,7 @@ def ellipse_samples(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4, n: int) -> l
     """
     if n < 3:
         raise ValueError("need at least 3 samples")
-    _check_ew(ff)
+    _check_ew(ff.E, ff.W)
     h = mean_curvature_vector(ff, n11, n12, n22)
     a = n11 / ff.E - h
     sxy = (n12 * ff.E - n11 * ff.F) / (ff.E * ff.W)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -25,7 +24,7 @@ __all__ = [
     "rotation_trig",
     "rotate",
     "analytic_jet2",
-    "analytic_jet2_from",
+    "analytic_parts_from",
     "fd_jet2",
     "tangent_basis",
     "gram_schmidt_normals",
@@ -101,29 +100,26 @@ def _det3s(b, c, d) -> tuple[float, float, float, float]:
             b1 * m24 - b2 * m14 + b4 * m12, b1 * m23 - b2 * m13 + b3 * m12)
 
 
-def _det4(a, b, c, d) -> float:
-    """:func:`det4` of the 4-tuples a, b, c, d."""
+def det4(a, b, c, d) -> float:
+    """Determinant of the 4x4 matrix with rows a, b, c, d (Vec4s or
+    4-tuples), expanded along the first row."""
     a1, a2, a3, a4 = a
     t1, t2, t3, t4 = _det3s(b, c, d)
     return 0.0 + a1 * t1 + -a2 * t2 + a3 * t3 + -a4 * t4
 
 
-def det4(a: Vec4, b: Vec4, c: Vec4, d: Vec4) -> float:
-    """Determinant of the 4x4 matrix with rows a, b, c, d, expanded along
-    the first row."""
-    return _det4(_coords(a), _coords(b), _coords(c), _coords(d))
-
-
 def cross4(a: Vec4, b: Vec4, c: Vec4) -> Vec4:
     """The vector d with dot(d, w) == det4(a, b, c, w) for every w."""
-    t1, t2, t3, t4 = _det3s(_coords(a), _coords(b), _coords(c))
+    t1, t2, t3, t4 = _det3s(a, b, c)
     return Vec4(-t1, t2, -t3, t4)
 
 
 @dataclass(slots=True)
 class Jet2:
     """Position plus first and second partial derivatives at one
-    parameter point of a map (u, v) -> R^4; a value type like :class:`Vec4`."""
+    parameter point of a map (u, v) -> R^4; a value type like :class:`Vec4`.
+    It unpacks, as the tuple form of a jet does, to
+    ``z, z_u, z_v, z_uu, z_uv, z_vv``."""
 
     z: Vec4
     z_u: Vec4
@@ -131,6 +127,9 @@ class Jet2:
     z_uu: Vec4
     z_uv: Vec4
     z_vv: Vec4
+
+    def __iter__(self):
+        return iter((self.z, self.z_u, self.z_v, self.z_uu, self.z_uv, self.z_vv))
 
 
 def rotation_trig(alpha: float, beta: float, v: float) -> tuple[float, float, float, float]:
@@ -141,39 +140,41 @@ def rotation_trig(alpha: float, beta: float, v: float) -> tuple[float, float, fl
         raise GeometryError(f"rotation angle overflows at v={v!r}") from None
 
 
-def rotate(p: Vec4, trig: tuple[float, float, float, float]) -> Vec4:
-    """``p`` turned in the x1x2- and x3x4-planes by the angles of ``trig``."""
+def rotate(p, trig: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """The components of ``p`` (a Vec4 or a 4-tuple) turned in the x1x2- and
+    x3x4-planes by the angles of ``trig``."""
+    x1, x2, x3, x4 = p
     ca, sa, cb, sb = trig
-    return Vec4(p.x1 * ca - p.x2 * sa, p.x1 * sa + p.x2 * ca,
-                p.x3 * cb - p.x4 * sb, p.x3 * sb + p.x4 * cb)
+    return x1 * ca - x2 * sa, x1 * sa + x2 * ca, x3 * cb - x4 * sb, x3 * sb + x4 * cb
 
 
 def analytic_jet2(surface: "RotationalSurface", u: float, v: float) -> Jet2:
     """Exact 2-jet of (f cos av, f sin av, g cos bv, g sin bv) from
     :meth:`RotationalSurface.meridian_jet`, which may raise, and closed-form trig factors."""
     a, b = surface.alpha, surface.beta
-    return analytic_jet2_from(a, b, surface.meridian_jet(u), rotation_trig(a, b, v))
+    meridian, trig = surface.meridian_jet(u), rotation_trig(a, b, v)
+    return Jet2(*[Vec4(*part) for part in analytic_parts_from(a, b, meridian, trig)])
 
 
-def analytic_jet2_from(a: float, b: float, meridian: tuple, trig: tuple) -> Jet2:
-    """:func:`analytic_jet2` from its reads: ``meridian``, the tuple of
+def analytic_parts_from(a: float, b: float, meridian: tuple, trig: tuple) -> tuple:
+    """The tuple form of :func:`analytic_jet2`, six 4-tuples ``(z, z_u, z_v,
+    z_uu, z_uv, z_vv)``, from its reads: ``meridian``, the tuple of
     ``meridian_jet(u)``, and ``trig``, that of ``rotation_trig(a, b, v)``."""
     f, f1, f2, g, g1, g2, _, _ = meridian
     ca, sa, cb, sb = trig
-    return Jet2(
-        Vec4(f * ca, f * sa, g * cb, g * sb),
-        Vec4(f1 * ca, f1 * sa, g1 * cb, g1 * sb),
-        Vec4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
-        Vec4(f2 * ca, f2 * sa, g2 * cb, g2 * sb),
-        Vec4(-a * f1 * sa, a * f1 * ca, -b * g1 * sb, b * g1 * cb),
-        Vec4(-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb),
-    )
+    return ((f * ca, f * sa, g * cb, g * sb),
+            (f1 * ca, f1 * sa, g1 * cb, g1 * sb),
+            (-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
+            (f2 * ca, f2 * sa, g2 * cb, g2 * sb),
+            (-a * f1 * sa, a * f1 * ca, -b * g1 * sb, b * g1 * cb),
+            (-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb))
 
 
-def fd_jet2(surface_map: Callable[[float, float], Vec4], u: float, v: float,
+def fd_jet2(surface_map: Callable[[float, float], Vec4 | tuple], u: float, v: float,
             h: float | None = None, *, richardson: bool = True) -> Jet2:
     """Central-difference 2-jet of an arbitrary map, O(h^2); one Richardson
-    step (h and h/2) raises it to O(h^4).
+    step (h and h/2) raises it to O(h^4).  The map may return any four
+    components (a Vec4 or a 4-tuple); the jet is a Jet2 of Vec4s either way.
 
     The default step h = 1e-4 * max(1, |u|, |v|) balances truncation against
     round-off in double precision.  Domain errors raised by ``surface_map``
@@ -188,10 +189,7 @@ def fd_jet2(surface_map: Callable[[float, float], Vec4], u: float, v: float,
     if richardson:
         half = _fd_parts(surface_map, u, v, h / 2.0, z)
         parts = [(a * 4.0 - b) / 3.0 for a, b in zip(half, parts)]
-    return Jet2(z, *[Vec4(*parts[i::5]) for i in range(5)])
-
-
-_coords = attrgetter("x1", "x2", "x3", "x4")
+    return Jet2(Vec4(*z), *[Vec4(*parts[i::5]) for i in range(5)])
 
 
 def _fd_parts(m, u, v, h, z) -> list[float]:
@@ -201,12 +199,12 @@ def _fd_parts(m, u, v, h, z) -> list[float]:
         (pu - mu) / (2h),  (pu - z * 2 + mu) / (h h),  ((pp - pm) - (mp - mm)) / (4h h)
 
     and their v twins on Vec4s; the map is called in the order pu, mu, pv,
-    mv, pp, pm, mp, mm."""
+    mv, pp, pm, mp, mm, and each of its points is read by unpacking."""
     points = (z, m(u + h, v), m(u - h, v), m(u, v + h), m(u, v - h),
               m(u + h, v + h), m(u + h, v - h), m(u - h, v + h), m(u - h, v - h))
     d1, d2, d4 = 2.0 * h, h * h, 4.0 * h * h
     parts = []
-    for c, pu, mu, pv, mv, pp, pm, mp, mm in zip(*map(_coords, points)):
+    for c, pu, mu, pv, mv, pp, pm, mp, mm in zip(*points):
         parts += ((pu - mu) / d1, (pv - mv) / d1, (pu - c * 2.0 + mu) / d2,
                   ((pp - pm) - (mp - mm)) / d4, (pv - c * 2.0 + mv) / d2)
     return parts
@@ -256,7 +254,7 @@ def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tupl
 def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
     """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
     raises as :func:`_tangent_plane` does."""
-    t1, (w1, w2, w3, w4), nw = _tangent_plane(_coords(zu), _coords(zv))[3:]
+    t1, (w1, w2, w3, w4), nw = _tangent_plane(zu, zv)[3:]
     return Vec4(*t1), Vec4(w1 / nw, w2 / nw, w3 / nw, w4 / nw)
 
 

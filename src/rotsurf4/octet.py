@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .forms import _areas, _defect, _direction, _normal, _plane
-from .geometry import GeometryError, Jet2, _coords, _det3s
+from .geometry import GeometryError, Jet2, _det3s
 
 __all__ = [
     "FrenetOctet",
@@ -71,8 +71,11 @@ def gauge_flip(o: FrenetOctet) -> FrenetOctet:
     return FrenetOctet(*[-x if flip else x for x, flip in zip(_octet_values(o), _GAUGE_FLIPPED)])
 
 
-def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) -> FrenetOctet:
+def octet_generic(jet_at: Callable[[float, float], Jet2 | tuple], u: float,
+                  v: float) -> FrenetOctet:
     """The eight invariants at (u, v) from the jets of the map ``jet_at`` alone.
+    ``jet_at`` may return a :class:`Jet2` or the tuple form of a jet, six
+    4-tuples ``(z, z_u, z_v, z_uu, z_uv, z_vv)``; each jet is read by unpacking.
 
     beta1 and beta2 come from central finite differences of the b field
     along the coordinate directions (step ``_STEP``); everything else is
@@ -88,18 +91,17 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     """
     u_minus, u_plus, v_minus, v_plus = (jet_at(u - _STEP, v), jet_at(u + _STEP, v),
                                         jet_at(u, v - _STEP), jet_at(u, v + _STEP))
-    jet = jet_at(u, v)
-    plane = _plane(jet)
+    z, zu, zv, zuu, zuv, zvv = jet_at(u, v)
+    plane = _plane(zu, zv)
     (a1, a2, a3, a4), (c1, c2, c3, c4), ee, ff, gg, _ = plane
-    n11, n12, n22 = [_normal(plane, zij)[2] for zij in (jet.z_uu, jet.z_uv, jet.z_vv)]
+    n11, n12, n22 = _normal(plane, zuu)[2], _normal(plane, zuv)[2], _normal(plane, zvv)[2]
     defect = _defect(ee, ff, gg, *_areas(plane, n11, n12, n22))
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 
-    b = _direction(jet, plane, n11)
+    b = _direction(zuu, zvv, plane, n11)
     if b is None:
-        raise TotallyGeodesicError(
-            f"totally geodesic point at z={tuple(jet.z)!r}: b is undefined")
+        raise TotallyGeodesicError(f"totally geodesic point at z={tuple(z)!r}: b is undefined")
     b1, b2, b3, b4 = b
     se, sg = math.sqrt(ee), math.sqrt(gg)
     x1, x2, x3, x4 = x = a1 / se, a2 / se, a3 / se, a4 / se
@@ -108,7 +110,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     size = math.sqrt(l1 * l1 + l2 * l2 + l3 * l3 + l4 * l4)
     l1, l2, l3, l4 = -l1 / size, l2 / size, -l3 / size, l4 / size
 
-    (p1, p2, p3, p4), (q1, q2, q3, q4) = _coords(jet.z_uu), _coords(jet.z_vv)
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = zuu, zvv
     gamma1 = (p1 * y1 + p2 * y2 + p3 * y3 + p4 * y4) / ee
     gamma2 = (q1 * x1 + q2 * x2 + q3 * x3 + q4 * x4) / gg
     (p1, p2, p3, p4), (q1, q2, q3, q4) = n11, n22
@@ -119,16 +121,17 @@ def octet_generic(jet_at: Callable[[float, float], Jet2], u: float, v: float) ->
     lam = m1 * b1 + m2 * b2 + m3 * b3 + m4 * b4
     mu = m1 * l1 + m2 * l2 + m3 * l3 + m4 * l4
 
-    def b_at(stencil_jet: Jet2) -> tuple[float, ...]:
-        splane = _plane(stencil_jet)
-        bb = _direction(stencil_jet, splane, _normal(splane, stencil_jet.z_uu)[2])
+    def b_at(stencil_jet) -> tuple[float, ...]:
+        _, szu, szv, szuu, _, szvv = stencil_jet
+        splane = _plane(szu, szv)
+        bb = _direction(szuu, szvv, splane, _normal(splane, szuu)[2])
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         e1, e2, e3, e4 = bb
         # keep the field continuous across the sign convention
         return bb if e1 * b1 + e2 * b2 + e3 * b3 + e4 * b4 >= 0.0 else (-e1, -e2, -e3, -e4)
 
-    def beta(plus: Jet2, minus: Jet2) -> float:
+    def beta(plus, minus) -> float:
         """<(b(plus) - b(minus)) / (2 _STEP), l>."""
         (p1, p2, p3, p4), (m1, m2, m3, m4) = b_at(plus), b_at(minus)
         h = 2.0 * _STEP

@@ -102,19 +102,20 @@ class RotationalSurface:
         return f, f1, f2, g, g1, g2, ee, gg
 
     def as_map(self):
-        """The surface as a plain (u, v) -> Vec4 map,
-        ``rotate(meridian_at(u), rotation_trig(alpha, beta, v))``, that
-        remembers for its lifetime the meridian point of each u and the trig
-        of each v it has read: never of a zero, so 0.0 and -0.0 (equal keys)
-        keep their signs, and never a read that raised."""
+        """The surface as a plain (u, v) -> (x1, x2, x3, x4) map,
+        ``rotate(meridian_at(u), rotation_trig(alpha, beta, v))``, whose
+        points are 4-tuples and that remembers for its lifetime the meridian
+        point of each u and the trig of each v it has read: never of a zero,
+        so 0.0 and -0.0 (equal keys) keep their signs, and never a read that
+        raised."""
         meridian_at, alpha, beta = self.meridian_at, self.alpha, self.beta
-        points: dict[float, Vec4] = {}
+        points: dict[float, tuple[float, float, float, float]] = {}
         trigs: dict[float, tuple[float, float, float, float]] = {}
 
-        def surface_map(u: float, v: float) -> Vec4:
+        def surface_map(u: float, v: float) -> tuple[float, float, float, float]:
             p = points.get(u)
             if p is None:
-                p = meridian_at(u)
+                p = tuple(meridian_at(u))
                 if u:
                     points[u] = p
             t = trigs.get(v)

@@ -351,8 +351,8 @@ def reference_gram_schmidt_normals(jet):
 # The generic oracle's per-point kernels written with Vec4 arithmetic and a
 # dict of parts: the bit-for-bit and error-text oracle for the component
 # kernels of ``rotsurf4.geometry.fd_jet2`` and ``tangent_basis`` and for
-# ``rotsurf4.forms``' frame-free kernel under ``generic_at``, ``second_form``
-# and ``generic_invariants``.
+# ``rotsurf4.forms``' frame-free kernel under ``generic_at`` and
+# ``generic_invariants``.
 
 def reference_fd_jet2(surface_map, u, v, h=None, *, richardson=True):
     if h is None:
@@ -419,7 +419,7 @@ def reference_generic_parts(jet):
 
 
 def reference_second_form(jet, ff, n11, n12, n22):
-    """``rotsurf4.forms.second_form``: L, M, N by the det4 areas on Vec4s."""
+    """L, M, N of ``rotsurf4.forms.generic_invariants`` by the det4 areas on Vec4s."""
     zu, zv, w2 = jet.z_u, jet.z_v, ff.W * ff.W
     return SecondForm(2.0 * reference_det4(zu, zv, n11, n12) / w2,
                       reference_det4(zu, zv, n11, n22) / w2,
@@ -468,7 +468,7 @@ def reference_generic_invariants(ff, ct):
 
 # ---------------------------------------------------------------------------
 # ``export`` run one grid point at a time: each vertex through the surface map
-# (``rotate`` on Vec4s) and formatted number by number, each face by its own
+# (``rotate`` on 4-tuples) and formatted number by number, each face by its own
 # f-string, all lines joined at the end: the byte-for-byte and error-point
 # oracle for ``rotsurf4.cli.cmd_export``, which builds one vertex chunk and
 # one face chunk per u-row from the meridian read once per u and the rotation
@@ -487,8 +487,7 @@ def reference_export(args, parser) -> int:
                 point = surface_map(u, v)
             except (GeometryError, EvalDomainError) as exc:
                 raise _PointError(u, v, exc) from exc
-            kept = [x for i, x in enumerate((point.x1, point.x2, point.x3, point.x4), 1)
-                    if i != dropped]
+            kept = [x for i, x in enumerate(point, 1) if i != dropped]
             lines.append("v " + " ".join(num(x) for x in kept))
     for i in range(nu - 1):
         for j in range(nv if args.close_v else nv - 1):
@@ -600,7 +599,7 @@ def reference_write_csv(path, header, row_format, rows):
 # reads, and ``verify`` run one grid point at a time with every closed-side
 # value read again at each point and the Vec4 reference kernels on the
 # generic side: the bit-for-bit oracle for
-# ``rotsurf4.geometry.analytic_jet2_from`` and the byte-for-byte, error-point
+# ``rotsurf4.geometry.analytic_parts_from`` and the byte-for-byte, error-point
 # and exit-code oracle for ``rotsurf4.cli.cmd_verify``, which reads each of
 # them once per grid line.
 
@@ -637,7 +636,10 @@ def reference_octet_dev(a, b) -> float:
 
 def reference_verify(args, parser) -> int:
     surface, us, vs = _build_config(args, parser)
-    surface_map = surface.as_map()
+    tuple_map = surface.as_map()
+
+    def surface_map(u, v):  # the map's points as Vec4s, for the Vec4 arithmetic of the fd reference
+        return Vec4(*tuple_map(u, v))
 
     checks = {
         "jets": _Check("jets", args.tol_pipeline),

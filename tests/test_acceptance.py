@@ -197,8 +197,8 @@ def test_criterion_7_orientation_law():
     amap = s.as_map()
 
     def mirrored(u, v):
-        p = amap(u, v)
-        return Vec4(p.x1, p.x2, p.x3, -p.x4)
+        x1, x2, x3, x4 = amap(u, v)
+        return Vec4(x1, x2, x3, -x4)
 
     worst_kappa = 0.0
     worst_keep = 0.0

@@ -257,7 +257,7 @@ def test_verify_zero_tolerance_fails(capsys):
 def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
     # parabola on a 5x4 grid, an msc member, so the superconformal loop runs
     jets, abscissae, map_calls = [], [], []
-    jet_builder, meridian_at = cli.analytic_jet2_from, RotationalSurface.meridian_at
+    jet_builder, meridian_at = cli.analytic_parts_from, RotationalSurface.meridian_at
     as_map = RotationalSurface.as_map
 
     def counted_jet(*args):
@@ -277,7 +277,7 @@ def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
 
         return counted
 
-    monkeypatch.setattr(cli, "analytic_jet2_from", counted_jet)
+    monkeypatch.setattr(cli, "analytic_parts_from", counted_jet)
     monkeypatch.setattr(RotationalSurface, "meridian_at", counted_point)
     monkeypatch.setattr(RotationalSurface, "as_map", counted_map)
     assert main(["verify", *RUN, "--u", "1:2:5", "--v", "0:1:4"]) == 0
@@ -332,6 +332,38 @@ VERIFY_PINS = [
 def test_verify_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(["verify", *argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_SMALL = ["--alpha", "1", "--beta", "2", "--u", "1:2:2"]
+
+# exit code, stdout digest and stderr of the FAIL lines, the octet's n/a
+# path and the order in which a point's reads raise: the radii vanish, and
+# sqrt(u - 0.9999)'s derivative divides by zero, only at the octet's
+# stencil point u - 1e-4 = 0.9999, never on the fd map's stencil
+VERIFY_OUTCOME_PINS = [
+    pytest.param(["--f", "u", "--g", "900*u", "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:3", "--v", "0:1:2"], 1,
+                 "645c985c0fda89cbd51864b3669a5b952038086b5723f21f206fca2bd73bba37", "",
+                 id="fail-report"),
+    pytest.param(["--f", "u", "--g", "1e-200*u", *_SMALL], 0,
+                 "5766b61fab2adf4a89e8216845e913f09bd9e057154f3d795af722e8cc0d7eb8", "",
+                 id="octet-na"),
+    pytest.param(["--f", "u-0.9999", "--g", "u-0.9999", *_SMALL], 3, _EMPTY,
+                 "error: at (u, v) = (1.0, 0.0): rotation radii vanish at u=0.9999\n",
+                 id="stencil-radii-vanish"),
+    pytest.param(["--f", "u", "--g", "sqrt(u-0.9999)", *_SMALL], 3, _EMPTY,
+                 "error: at (u, v) = (1.0, 0.0): domain error in `1/(2*sqrt(u-0.9999))`: "
+                 "division by zero\n",
+                 id="stencil-deriv1-domain"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest, stderr", VERIFY_OUTCOME_PINS)
+def test_verify_outcomes_are_pinned(capsys, argv, code, digest, stderr):
+    assert main(["verify", *argv]) == code
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, stderr)
 
 
 @pytest.mark.xfail(strict=True, reason="fd_jet2's round-off at |z| of about 1 800 is "

@@ -15,7 +15,7 @@ from rotsurf4.forms import (CircleReport, FrameError, NonFiniteInvariantError,
                             generic_invariants, invariants,
                             is_circle, is_minimal, is_principal_params,
                             is_superconformal, lmn, mean_curvature_vector,
-                            principal_defect, second_form, second_form_value,
+                            principal_defect, second_form_value,
                             second_tensor, superconformal_residuals)
 from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, Vec4,
                                analytic_jet2, det4, dot, fd_jet2,
@@ -212,7 +212,8 @@ def test_is_principal_params(parabola):
     e1, e2 = gram_schmidt_normals(jet)
     sf = lmn(second_tensor(jet, e1, e2), ff.W)
     assert is_principal_params(ff, sf, 1e-12)
-    assert is_principal_params(ff, second_form(jet, *generic_at(jet)))
+    rec = generic_invariants(jet, *generic_at(jet))
+    assert is_principal_params(ff, SecondForm(rec.L, rec.M, rec.N))
     from rotsurf4.forms import FirstForm
     assert not is_principal_params(FirstForm(1.0, 0.5, 1.0, math.sqrt(0.75)), sf, 1e-12)
     assert is_principal_params(FirstForm(1.0, 0.0, 1.0, 1.0), SecondForm(1, 0, 1), 0.0)

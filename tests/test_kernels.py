@@ -1,18 +1,23 @@
 """The generic oracle's component kernels against their Vec4 references in
 ``helpers``, bit for bit: every float by ``float.hex`` (so signed zeros
-count), every error by class and message."""
+count), every error by class and message; the same kernels on the tuple
+form of a jet, six 4-tuples ``(z, z_u, z_v, z_uu, z_uv, z_vv)``, against the
+same references; and Wintgen's inequality on the generic side."""
 
 import math
+import sys
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_surface
 from helpers import (field_values, octet_tuple, reference_fd_jet2, reference_frame_free_invariants,
                      reference_generic_parts, reference_octet_generic, reference_tangent_basis,
                      reference_tangent_form)
-from rotsurf4.forms import _plane, generic_at, generic_invariants
-from rotsurf4.geometry import Jet2, RegularityError, Vec4, analytic_jet2, fd_jet2, tangent_basis
+from rotsurf4.forms import (_plane, generic_at, generic_invariants, generic_values,
+                            mean_curvature_vector)
+from rotsurf4.geometry import (Jet2, RegularityError, Vec4, analytic_jet2, analytic_parts_from,
+                               dot, fd_jet2, rotation_trig, tangent_basis)
 from rotsurf4.octet import _STEP, octet_generic
 
 special_floats = st.one_of(
@@ -68,8 +73,17 @@ def kernel_jets(draw):
                 draw(special_vecs()))
 
 
+def _jet_parts(jet):
+    return jet.z, jet.z_u, jet.z_v, jet.z_uu, jet.z_uv, jet.z_vv
+
+
 def _jet_values(jet):
-    return [x for part in (jet.z, jet.z_u, jet.z_v, jet.z_uu, jet.z_uv, jet.z_vv) for x in part]
+    return [x for part in _jet_parts(jet) for x in part]
+
+
+def _tuple_jet(jet):
+    """The tuple form of a Jet2."""
+    return tuple(tuple(part) for part in _jet_parts(jet))
 
 
 def _fd_outcome(fd, points, fail_at, u, v, h, richardson):
@@ -90,14 +104,36 @@ def _fd_outcome(fd, points, fail_at, u, v, h, richardson):
 _POINTS = [Vec4(1.0 + i, 2.0 - i * i, 0.5 * i, -1.0 / (i + 1)) * 1e-300 for i in range(17)]
 
 
+fd_cases = given(st.lists(special_vecs(), min_size=17, max_size=17),
+                 st.one_of(st.just(-1), st.integers(0, 16)), special_floats, special_floats,
+                 st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1.0), special_floats),
+                 st.booleans())
+subnormal_step = example(_POINTS, -1, 1.0, 2.0, 3e-161, True)  # h h subnormal: 4 h h is (4 h) h
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(special_vecs(), min_size=17, max_size=17),
-       st.one_of(st.just(-1), st.integers(0, 16)), special_floats, special_floats,
-       st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1.0), special_floats),
-       st.booleans())
-@example(_POINTS, -1, 1.0, 2.0, 3e-161, True)  # h h is subnormal: 4 h h is (4 h) h
+@fd_cases
+@subnormal_step
 def test_fd_jet2_is_the_vec4_reference(points, fail_at, u, v, h, richardson):
     assert (_fd_outcome(fd_jet2, points, fail_at, u, v, h, richardson)
+            == _fd_outcome(reference_fd_jet2, points, fail_at, u, v, h, richardson))
+
+
+def _fd_jet2_of_vec4s(*args, **kwargs):
+    """fd_jet2, which returns a Jet2 of Vec4s whatever its map returns."""
+    jet = fd_jet2(*args, **kwargs)
+    assert type(jet) is Jet2 and all(type(part) is Vec4 for part in _jet_parts(jet))
+    return jet
+
+
+@settings(max_examples=300, deadline=None)
+@fd_cases
+@subnormal_step
+def test_fd_jet2_on_a_tuple_map_is_the_vec4_reference(points, fail_at, u, v, h, richardson):
+    # the map returns 4-tuples, as RotationalSurface.as_map does; the
+    # reference reads the same points as Vec4s
+    tuples = [tuple(p) for p in points]
+    assert (_fd_outcome(_fd_jet2_of_vec4s, tuples, fail_at, u, v, h, richardson)
             == _fd_outcome(reference_fd_jet2, points, fail_at, u, v, h, richardson))
 
 
@@ -117,7 +153,7 @@ def test_tangent_guard_is_the_vec4_reference(pair):
     jet = Jet2(ZERO, zu, zv, ZERO, ZERO, ZERO)
     assert (_outcome(lambda: [x for t in tangent_basis(zu, zv) for x in t])
             == _outcome(lambda: [x for t in reference_tangent_basis(zu, zv) for x in t]))
-    assert (_outcome(lambda: _plane(jet)[2:])
+    assert (_outcome(lambda: _plane(zu, zv)[2:])
             == _outcome(lambda: _form_values(reference_tangent_form(jet))))
 
 
@@ -201,3 +237,108 @@ def test_octet_centre_is_the_vec4_reference(meridian, u, v, drawn, data):
 
     assert (_outcome(lambda: octet_tuple(octet_generic(jet_at, u, v)))
             == _outcome(lambda: octet_tuple(reference_octet_generic(jet_at, u, v))))
+
+
+# ---------------------------------------------------------------------------
+# the tuple form of a jet, which verify's per-point loop reads (the tuple
+# analytic jet's law is test_geometry's test_jet_builder_is_the_analytic_jet)
+
+def _analytic_parts(surface, u, v):
+    a, b = surface.alpha, surface.beta
+    return analytic_parts_from(a, b, surface.meridian_jet(u), rotation_trig(a, b, v))
+
+
+@st.composite
+def surface_jets(draw):
+    """The analytic or the fd jet of a surface at a drawn point."""
+    surface = make_surface(*draw(st.sampled_from(_MERIDIANS)), 1.0, 2.0)
+    u, v = draw(st.floats(min_value=0.5, max_value=2.0)), draw(st.floats(-3.0, 3.0))
+    return fd_jet2(surface.as_map(), u, v) if draw(st.booleans()) else analytic_jet2(surface, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_jets(), surface_jets()))
+def test_generic_values_is_generic_invariants(jet):
+    # verify's float record, on the tuple form and on the Jet2 alike
+    expected = _outcome(lambda: field_values(generic_invariants(jet, *generic_at(jet)))[:9])
+    assert _outcome(lambda: generic_values(_tuple_jet(jet))) == expected
+    assert _outcome(lambda: generic_values(jet)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MERIDIANS), st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.lists(st.one_of(st.none(), kernel_jets()), min_size=4, max_size=4), st.data())
+def test_octet_on_tuple_jets_is_the_vec4_reference(meridian, u, v, drawn, data):
+    # verify's jets: the surface's in the tuple form of analytic_parts_from,
+    # the drawn centre and stencil jets as tuples of their Vec4s' components
+    surface = make_surface(*meridian, 1.0, 2.0)
+    points = {(u + du, v + dv): jet for (du, dv), jet in zip(_STENCIL, drawn)}
+    points[u, v] = _centre(data, analytic_jet2(surface, u, v))
+
+    def jet_at(uu, vv):
+        return points.get((uu, vv)) or analytic_jet2(surface, uu, vv)
+
+    def tuple_jet_at(uu, vv):
+        jet = points.get((uu, vv))
+        return _analytic_parts(surface, uu, vv) if jet is None else _tuple_jet(jet)
+
+    assert (_outcome(lambda: octet_tuple(octet_generic(tuple_jet_at, u, v)))
+            == _outcome(lambda: octet_tuple(reference_octet_generic(jet_at, u, v))))
+
+
+# ---------------------------------------------------------------------------
+# Wintgen's inequality K + |kappa| <= |H|^2 on the generic side, with H from
+# mean_curvature_vector and K, kappa from verify's float record, and its gap
+# |H|^2 - K = (nu1 - nu2)^2 / 4 + lambda^2 + mu^2 against the octet.  Each is
+# scaled by max(1, |H|^2, |K|, |kappa|), the identity's also by its right
+# side.  On analytic jets each side is a few dozen roundings of the jet's
+# components, so the bound is 64 eps; on fd jets it is verify's default
+# pipeline tolerance.  The msc members are the equality case, where rounding
+# alone decides the gap's sign.
+
+WINTGEN_ROUNDING = 64 * sys.float_info.epsilon
+PIPELINE_TOL = 1e-6
+_SPEEDS = st.floats(min_value=0.25, max_value=4.0)
+_MSC_MEMBERS = (("u", "u^2", 1.0, 2.0), ("u", "u^-2", 1.0, 2.0), ("u", "3*u^0.5", 2.0, 1.0))
+
+
+@st.composite
+def surface_points(draw):
+    """(surface, u, v): an msc member, or a meridian of _MERIDIANS at drawn speeds."""
+    if draw(st.booleans()):
+        f, g, alpha, beta = draw(st.sampled_from(_MSC_MEMBERS))
+    else:
+        (f, g), alpha, beta = draw(st.sampled_from(_MERIDIANS)), draw(_SPEEDS), draw(_SPEEDS)
+        assume(alpha != beta)
+    u, v = draw(st.floats(min_value=0.5, max_value=2.0)), draw(st.floats(-3.0, 3.0))
+    return make_surface(f, g, alpha, beta), u, v
+
+
+def _mean_square(jet):
+    h = mean_curvature_vector(*generic_at(jet))
+    return dot(h, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_points(), st.booleans())
+def test_wintgen_inequality_on_the_generic_side(point, fd):
+    surface, u, v = point
+    jet = fd_jet2(surface.as_map(), u, v) if fd else _analytic_parts(surface, u, v)
+    *_, kappa, gauss = generic_values(jet)
+    mean2 = _mean_square(jet)
+    gap = (mean2 - gauss - abs(kappa)) / max(1.0, mean2, abs(gauss), abs(kappa))
+    assert gap >= -(PIPELINE_TOL if fd else WINTGEN_ROUNDING)
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_points())
+def test_wintgen_gap_is_the_octets(point):
+    surface, u, v = point
+    jet = _analytic_parts(surface, u, v)
+    *_, kappa, gauss = generic_values(jet)
+    mean2 = _mean_square(jet)
+    o = octet_generic(lambda uu, vv: _analytic_parts(surface, uu, vv), u, v)
+    gap = (o.nu1 - o.nu2) * (o.nu1 - o.nu2) / 4.0 + o.lam * o.lam + o.mu * o.mu
+    scale = max(1.0, mean2, abs(gauss), abs(kappa), gap)
+    assert abs(mean2 - gauss - gap) <= WINTGEN_ROUNDING * scale

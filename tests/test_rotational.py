@@ -352,8 +352,8 @@ def test_ambient_mirror_flips_kappa_spot_check(parabola):
     amap = parabola.as_map()
 
     def mirrored(u, v):
-        p = amap(u, v)
-        return Vec4(p.x1, p.x2, p.x3, -p.x4)
+        x1, x2, x3, x4 = amap(u, v)
+        return Vec4(x1, x2, x3, -x4)
 
     def record(m, u, v):
         jet = fd_jet2(m, u, v)
