@@ -31,9 +31,8 @@ from itertools import chain, repeat
 
 from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
-from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_at,
-                    generic_invariants, generic_values, is_circle, superconformal_residuals,
-                    superconformal_verdict)
+from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_values,
+                    is_circle, superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, analytic_jet2, analytic_parts_from, dot, fd_jet2,
                        gram_schmidt_normals, norm, rotation_trig)
 from .octet import (_GAUGE_FLIPPED, FrenetOctet, TotallyGeodesicError, _octet_values,
@@ -393,11 +392,9 @@ def cmd_verify(args, parser) -> int:
         for u in us:
             with _at(u, vs[0]):
                 jet = jet_at(u, vs[0])
-                parts = generic_at(jet)
-                rec = generic_invariants(jet, *parts)
-                minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
+                minimal, conformal, scale = superconformal_residuals(*generic_values(jet)[6:])
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
-                report = is_circle(ellipse_samples(*parts, 16), args.tol_circle)
+                report = is_circle(ellipse_samples(jet, 16), args.tol_circle)
                 center_dev = norm(report.center) / max(1.0, report.radius)
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),
@@ -581,7 +578,7 @@ def cmd_plot(args, parser) -> int:
         with _at(u0, v0):
             jet = analytic_jet2(surface, u0, v0)
             e1, e2 = gram_schmidt_normals(jet)  # the drawing plane
-            samples = ellipse_samples(*generic_at(jet), args.samples)
+            samples = ellipse_samples(jet, args.samples)
             report = is_circle(samples, 1e-6)
             if not all(math.isfinite(x) for p in (report.center, *samples) for x in p):
                 raise NonFiniteInvariantError("curvature ellipse is not finite")

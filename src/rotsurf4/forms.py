@@ -1,10 +1,10 @@
 """First/second fundamental forms, curvature invariants, point
-classification, Christoffel symbols, mean curvature vector, and the
-ellipse of normal curvature.
+classification, mean curvature vector, and the ellipse of normal curvature.
 
 With the normal parts n_ij = z_ij - G^u_ij z_u - G^v_ij z_v of the second
-derivatives (G from ``christoffel``) and W = sqrt(EG - F^2), the generic
-pipeline (``generic_at``, ``generic_invariants``) needs no normal frame:
+derivatives, where [[E, F], [F, G]] (G^u_ij, G^v_ij) = (<z_ij, z_u>, <z_ij, z_v>),
+and W = sqrt(EG - F^2), the generic pipeline (``generic_values``) needs no
+normal frame:
 
     L = 2 det4(z_u, z_v, n11, n12) / W^2,  M = det4(z_u, z_v, n11, n22) / W^2,
     N = 2 det4(z_u, z_v, n12, n22) / W^2,  K = (<n11, n22> - |n12|^2) / W^2,
@@ -21,15 +21,14 @@ its sign follows the ambient orientation, which det4 supplies.
 
 One frame-free kernel on float components computes each value by the float
 operations of its Vec4 expression: ``_plane`` (a jet's tangent plane behind
-the guard of ``geometry.tangent_basis``), ``_normal`` (the normal part of a
+the guard of ``geometry._tangent_plane``), ``_normal`` (the normal part of a
 z_ij), ``_areas`` (L, M, N), ``_invariants`` (L, M, N, k, kappa, K and the
 point type) and ``_direction`` (the octet's b).  Its callers read a jet by
 unpacking, ``z, z_u, z_v, z_uu, z_uv, z_vv = jet``, so a ``Jet2`` of Vec4s
-and the tuple form of a jet (six 4-tuples) go through the same code.  The
-records of ``generic_at`` and ``generic_invariants`` wrap it,
-``generic_values`` returns the invariant record's nine numbers as plain
-floats (``verify``'s fd record), and ``octet.octet_generic`` reads it at
-its centre and its b-field stencil.
+and the tuple form of a jet (six 4-tuples) go through the same code:
+``generic_values`` (E, F, G, L, M, N, k, kappa, K as plain floats),
+``mean_curvature_vector`` and ``ellipse_samples`` (on the normal parts as
+Vec4s), and ``octet.octet_generic`` at its centre and its b-field stencil.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "FirstForm",
     "SecondTensor",
     "SecondForm",
-    "Christoffel",
     "InvariantRecord",
     "PointType",
     "CircleReport",
@@ -53,21 +51,13 @@ __all__ = [
     "NonFiniteInvariantError",
     "first_form",
     "second_tensor",
-    "generic_at",
-    "generic_invariants",
     "generic_values",
-    "christoffel",
     "lmn",
     "classify",
     "invariants",
     "gauss_curvature",
-    "second_form_value",
-    "principal_defect",
-    "is_principal_params",
     "superconformal_residuals",
     "superconformal_verdict",
-    "is_minimal",
-    "is_superconformal",
     "mean_curvature_vector",
     "ellipse_samples",
     "is_circle",
@@ -113,16 +103,6 @@ class SecondForm:
     L: float
     M: float
     N: float
-
-
-@dataclass(frozen=True)
-class Christoffel:
-    uu_u: float
-    uu_v: float
-    uv_u: float
-    uv_v: float
-    vv_u: float
-    vv_v: float
 
 
 class PointType(str, Enum):
@@ -179,13 +159,6 @@ def second_tensor(jet: Jet2, e1: Vec4, e2: Vec4) -> SecondTensor:
         dot(jet.z_uv, e1), dot(jet.z_uv, e2),
         dot(jet.z_vv, e1), dot(jet.z_vv, e2),
     )
-
-
-def christoffel(jet: Jet2) -> Christoffel:
-    """Tangential decomposition coefficients of z_uu, z_uv, z_vv."""
-    plane = _form_plane(jet, first_form(jet))
-    return Christoffel(*[g for zij in (jet.z_uu, jet.z_uv, jet.z_vv)
-                         for g in _normal(plane, zij)[:2]])
 
 
 def lmn(ct: SecondTensor, w: float) -> SecondForm:
@@ -252,24 +225,24 @@ def _curvatures(ee: float, ff: float, gg: float, big_l: float, big_m: float, big
 
 def _plane(zu, zv) -> tuple:
     """(z_u, z_v, E, F, G, W), the tangent vectors as 4-tuples, behind the
-    tangent-plane guard of :func:`geometry.tangent_basis`, which leaves
+    tangent-plane guard of ``geometry._tangent_plane``, which leaves
     first_form's check nothing to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
     zu, zv = tuple(zu), tuple(zv)
     ee, ff, gg = _tangent_plane(zu, zv)[:3]
     return zu, zv, ee, ff, gg, math.sqrt(ee * gg - ff * ff)
 
 
-def _normal(plane: tuple, zij) -> tuple[float, float, tuple[float, float, float, float]]:
-    """(G^u, G^v, n): the 2x2 system [[E, F], [F, G]] (G^u, G^v) = (<z_ij, z_u>,
-    <z_ij, z_v>) and the components of n = z_ij - G^u z_u - G^v z_v."""
+def _normal(plane: tuple, zij) -> tuple[float, float, float, float]:
+    """The components of n = z_ij - G^u z_u - G^v z_v, the normal part of z_ij,
+    with [[E, F], [F, G]] (G^u, G^v) = (<z_ij, z_u>, <z_ij, z_v>)."""
     (a1, a2, a3, a4), (b1, b2, b3, b4), ee, ff, gg, w = plane
     c1, c2, c3, c4 = zij
     a = c1 * a1 + c2 * a2 + c3 * a3 + c4 * a4
     b = c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
     det = w * w
     gu, gv = (gg * a - ff * b) / det, (ee * b - ff * a) / det
-    return gu, gv, (c1 - gu * a1 - gv * b1, c2 - gu * a2 - gv * b2,
-                    c3 - gu * a3 - gv * b3, c4 - gu * a4 - gv * b4)
+    return (c1 - gu * a1 - gv * b1, c2 - gu * a2 - gv * b2,
+            c3 - gu * a3 - gv * b3, c4 - gu * a4 - gv * b4)
 
 
 def _areas(plane: tuple, n11: tuple, n12: tuple, n22: tuple) -> tuple[float, float, float]:
@@ -295,7 +268,7 @@ def _unit(n: tuple, zij, e: float) -> tuple[float, float, float, float] | None:
 def _direction(zuu, zvv, plane: tuple, n11: tuple) -> tuple[float, float, float, float] | None:
     """The direction of sigma(x,x) = n11/E, or of sigma(y,y) = n22/G where
     the first vanishes; n22 is built from z_vv on that fallback only."""
-    return _unit(n11, zuu, plane[2]) or _unit(_normal(plane, zvv)[2], zvv, plane[4])
+    return _unit(n11, zuu, plane[2]) or _unit(_normal(plane, zvv), zvv, plane[4])
 
 
 def _check_ew(ee: float, w: float) -> None:
@@ -320,33 +293,14 @@ def _invariants(plane: tuple, n11: tuple, n12: tuple,
 
 
 def generic_values(jet) -> tuple[float, ...]:
-    """(E, F, G, L, M, N, k, kappa, K) of ``generic_invariants(jet,
-    *generic_at(jet))`` as plain floats, raising as those two raise."""
+    """(E, F, G, L, M, N, k, kappa, K) of a :class:`Jet2` or the tuple form
+    of a jet; raises :class:`DegenerateMetricError` where the tangent plane
+    is degenerate, and :class:`NonFiniteInvariantError` where E W^2
+    underflows to 0 or where :func:`classify` would raise."""
     _, zu, zv, zuu, zuv, zvv = jet
     plane = _plane(zu, zv)
-    return (*plane[2:5], *_invariants(plane, _normal(plane, zuu)[2], _normal(plane, zuv)[2],
-                                      _normal(plane, zvv)[2])[:6])
-
-
-def generic_at(jet: Jet2) -> tuple[FirstForm, Vec4, Vec4, Vec4]:
-    """First form and the normal parts n11, n12, n22 of z_uu, z_uv, z_vv."""
-    _, zu, zv, zuu, zuv, zvv = jet
-    plane = _plane(zu, zv)
-    return (FirstForm(*plane[2:]), *[Vec4(*_normal(plane, zij)[2]) for zij in (zuu, zuv, zvv)])
-
-
-def _form_plane(jet: Jet2, ff: FirstForm) -> tuple:
-    """The plane tuple of :func:`_plane` from ``jet`` and its first form."""
-    _, zu, zv, _, _, _ = jet
-    return tuple(zu), tuple(zv), ff.E, ff.F, ff.G, ff.W
-
-
-def generic_invariants(jet: Jet2, ff: FirstForm, n11: Vec4, n12: Vec4,
-                       n22: Vec4) -> InvariantRecord:
-    """The invariant record of ``jet`` from what :func:`generic_at` returns;
-    raises where E W^2 underflows to 0."""
-    *values, kind = _invariants(_form_plane(jet, ff), tuple(n11), tuple(n12), tuple(n22))
-    return InvariantRecord(ff.E, ff.F, ff.G, *values, _POINT_TYPES[kind])
+    return (*plane[2:5], *_invariants(plane, _normal(plane, zuu), _normal(plane, zuv),
+                                      _normal(plane, zvv))[:6])
 
 
 def gauss_curvature(ff: FirstForm, ct: SecondTensor) -> float:
@@ -355,30 +309,11 @@ def gauss_curvature(ff: FirstForm, ct: SecondTensor) -> float:
             - (ct.c12_1 * ct.c12_1 + ct.c12_2 * ct.c12_2)) / (ff.W * ff.W)
 
 
-def second_form_value(sf: SecondForm, a: float, b: float) -> float:
-    """Normal curvature form L a^2 + 2 M a b + N b^2 of the tangent
-    direction a z_u + b z_v."""
-    if a == 0.0 and b == 0.0:
-        raise ValueError("direction must be nonzero")
-    return sf.L * a * a + 2.0 * sf.M * a * b + sf.N * b * b
-
-
-def principal_defect(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> str | None:
-    """None where the parameter lines are principal, |F| <= tol max(1, E, G)
-    and |M| <= tol max(1, |L|, |N|); else ``"F = <F>"`` or ``"M = <M>"``."""
-    return _defect(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N, tol)
-
-
 def _defect(ee: float, ff: float, gg: float, big_l: float, big_m: float, big_n: float,
             tol: float = PRINCIPAL_TOL) -> str | None:
     if abs(ff) > tol * max(1.0, ee, gg):
         return f"F = {ff!r}"
     return f"M = {big_m!r}" if abs(big_m) > tol * max(1.0, abs(big_l), abs(big_n)) else None
-
-
-def is_principal_params(ff: FirstForm, sf: SecondForm, tol: float = PRINCIPAL_TOL) -> bool:
-    """True iff the parameter lines are principal by :func:`principal_defect`."""
-    return principal_defect(ff, sf, tol) is None
 
 
 def superconformal_residuals(k: float, kappa: float, gauss: float) -> tuple[float, float, float]:
@@ -399,37 +334,39 @@ def superconformal_verdict(k: float, kappa: float, gauss: float,
     return minimal, minimal and conformal <= tol * scale
 
 
-def is_minimal(rec: InvariantRecord, tol: float) -> bool:
-    """Minimal surfaces satisfy kappa^2 - k = 0."""
-    return superconformal_verdict(rec.k, rec.kappa, rec.K, tol)[0]
+def _normal_vectors(jet) -> tuple:
+    """(E, F, G, W, n11, n12, n22) of a jet, with the normal parts as Vec4s."""
+    _, zu, zv, zuu, zuv, zvv = jet
+    plane = _plane(zu, zv)
+    return (*plane[2:], *[Vec4(*_normal(plane, zij)) for zij in (zuu, zuv, zvv)])
 
 
-def is_superconformal(rec: InvariantRecord, tol: float) -> bool:
-    """Minimal super-conformal points satisfy kappa^2 - k = 0 and
-    K^2 - kappa^2 = 0.  Flat points pass degenerately; the record's
-    ``point_type`` carries that flag."""
-    return superconformal_verdict(rec.k, rec.kappa, rec.K, tol)[1]
+def _mean(ee, ff, gg, w, n11: Vec4, n12: Vec4, n22: Vec4) -> Vec4:
+    return (n11 * gg - n12 * (2.0 * ff) + n22 * ee) / (2.0 * w * w)
 
 
-def mean_curvature_vector(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4) -> Vec4:
-    """H = (sigma(x,x) + sigma(y,y)) / 2 = (G n11 - 2 F n12 + E n22) / (2 W^2)."""
-    return (n11 * ff.G - n12 * (2.0 * ff.F) + n22 * ff.E) / (2.0 * ff.W * ff.W)
+def mean_curvature_vector(jet) -> Vec4:
+    """H = (sigma(x,x) + sigma(y,y)) / 2 = (G n11 - 2 F n12 + E n22) / (2 W^2)
+    of a :class:`Jet2` or the tuple form of a jet."""
+    return _mean(*_normal_vectors(jet))
 
 
-def ellipse_samples(ff: FirstForm, n11: Vec4, n12: Vec4, n22: Vec4, n: int) -> list[Vec4]:
-    """Points sigma(w, w) on the ellipse of normal curvature from what
-    :func:`generic_at` returns, for unit tangents w at angles j pi / n,
-    j < n, to x = z_u/sqrt(E); with y = (E z_v - F z_u)/(sqrt(E) W), psi in
-    [0, pi) traces the whole ellipse, as the angle doubles inside sigma:
+def ellipse_samples(jet, n: int) -> list[Vec4]:
+    """Points sigma(w, w) on the ellipse of normal curvature of a jet, for
+    unit tangents w at angles j pi / n, j < n, to x = z_u/sqrt(E); with
+    y = (E z_v - F z_u)/(sqrt(E) W), psi in [0, pi) traces the whole
+    ellipse, as the angle doubles inside sigma:
 
         sigma(w, w) = H + cos(2 psi) (sigma(x,x) - H) + sin(2 psi) sigma(x,y).
     """
+    parts = _normal_vectors(jet)
     if n < 3:
         raise ValueError("need at least 3 samples")
-    _check_ew(ff.E, ff.W)
-    h = mean_curvature_vector(ff, n11, n12, n22)
-    a = n11 / ff.E - h
-    sxy = (n12 * ff.E - n11 * ff.F) / (ff.E * ff.W)
+    ee, ff, _, w, n11, n12, _ = parts
+    _check_ew(ee, w)
+    h = _mean(*parts)
+    a = n11 / ee - h
+    sxy = (n12 * ee - n11 * ff) / (ee * w)
     return [h + a * math.cos(t) + sxy * math.sin(t)
             for t in (2.0 * math.pi * j / n for j in range(n))]
 

@@ -20,13 +20,11 @@ __all__ = [
     "dot",
     "norm",
     "det4",
-    "cross4",
     "rotation_trig",
     "rotate",
     "analytic_jet2",
     "analytic_parts_from",
     "fd_jet2",
-    "tangent_basis",
     "gram_schmidt_normals",
 ]
 
@@ -106,12 +104,6 @@ def det4(a, b, c, d) -> float:
     a1, a2, a3, a4 = a
     t1, t2, t3, t4 = _det3s(b, c, d)
     return 0.0 + a1 * t1 + -a2 * t2 + a3 * t3 + -a4 * t4
-
-
-def cross4(a: Vec4, b: Vec4, c: Vec4) -> Vec4:
-    """The vector d with dot(d, w) == det4(a, b, c, w) for every w."""
-    t1, t2, t3, t4 = _det3s(a, b, c)
-    return Vec4(-t1, t2, -t3, t4)
 
 
 @dataclass(slots=True)
@@ -230,7 +222,7 @@ def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
 def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tuple, float]:
     """(E, F, G, t1, w, |w|) of the tangent vectors with components ``a``
     and ``b``: t1 = a/|a| and the residual w = b - <b, t1> t1, which
-    :func:`tangent_basis` scales to t2; raises
+    :func:`gram_schmidt_normals` scales to t2; raises
     :class:`DegenerateMetricError` where EG - F^2 is not positive (NaN
     included) or w is rounding, |w| <= _FLOOR |b|."""
     a1, a2, a3, a4 = a
@@ -251,23 +243,18 @@ def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tupl
     return ee, ff, gg, (t1, t2, t3, t4), (w1, w2, w3, w4), nw
 
 
-def tangent_basis(zu: Vec4, zv: Vec4) -> tuple[Vec4, Vec4]:
-    """Orthonormal basis (zu/|zu|, t2) of the tangent plane by Gram-Schmidt;
-    raises as :func:`_tangent_plane` does."""
-    t1, (w1, w2, w3, w4), nw = _tangent_plane(zu, zv)[3:]
-    return Vec4(*t1), Vec4(w1 / nw, w2 / nw, w3 / nw, w4 / nw)
-
-
 def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
     """Orthonormal normal frame (e1, e2) with det4(z_u, z_v, e1, e2) > 0.
 
     Seeds are the standard basis vectors with the largest residual norm
-    after removing the components along :func:`tangent_basis`, ties broken
-    by lowest index, so the frame is deterministic; e2 is negated when the
-    orientation comes out negative.
+    after removing the components along the tangent basis (z_u/|z_u|, t2)
+    of Gram-Schmidt, ties broken by lowest index, so the frame is
+    deterministic; e2 is negated when the orientation comes out negative.
+    Raises as :func:`_tangent_plane` does.
     """
     zu, zv = jet.z_u, jet.z_v
-    t1, t2 = tangent_basis(zu, zv)
+    t1, (w1, w2, w3, w4), nw = _tangent_plane(zu, zv)[3:]
+    t1, t2 = Vec4(*t1), Vec4(w1 / nw, w2 / nw, w3 / nw, w4 / nw)
     e1 = _unit_seed((t1, t2))
     e2 = _unit_seed((t1, t2, e1))
     if det4(zu, zv, e1, e2) < 0.0:

@@ -94,7 +94,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2 | tuple], u: float,
     z, zu, zv, zuu, zuv, zvv = jet_at(u, v)
     plane = _plane(zu, zv)
     (a1, a2, a3, a4), (c1, c2, c3, c4), ee, ff, gg, _ = plane
-    n11, n12, n22 = _normal(plane, zuu)[2], _normal(plane, zuv)[2], _normal(plane, zvv)[2]
+    n11, n12, n22 = _normal(plane, zuu), _normal(plane, zuv), _normal(plane, zvv)
     defect = _defect(ee, ff, gg, *_areas(plane, n11, n12, n22))
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
@@ -106,7 +106,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2 | tuple], u: float,
     se, sg = math.sqrt(ee), math.sqrt(gg)
     x1, x2, x3, x4 = x = a1 / se, a2 / se, a3 / se, a4 / se
     y1, y2, y3, y4 = y = c1 / sg, c2 / sg, c3 / sg, c4 / sg
-    l1, l2, l3, l4 = _det3s(x, y, b)  # cross4(x, y, b) is (-l1, l2, -l3, l4)
+    l1, l2, l3, l4 = _det3s(x, y, b)  # l = (-l1, l2, -l3, l4): <l, w> = det4(x, y, b, w)
     size = math.sqrt(l1 * l1 + l2 * l2 + l3 * l3 + l4 * l4)
     l1, l2, l3, l4 = -l1 / size, l2 / size, -l3 / size, l4 / size
 
@@ -124,7 +124,7 @@ def octet_generic(jet_at: Callable[[float, float], Jet2 | tuple], u: float,
     def b_at(stencil_jet) -> tuple[float, ...]:
         _, szu, szv, szuu, _, szvv = stencil_jet
         splane = _plane(szu, szv)
-        bb = _direction(szuu, szvv, splane, _normal(splane, szuu)[2])
+        bb = _direction(szuu, szvv, splane, _normal(splane, szuu))
         if bb is None:
             raise TotallyGeodesicError("totally geodesic stencil point")
         e1, e2, e3, e4 = bb

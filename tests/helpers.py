@@ -22,9 +22,8 @@ from rotsurf4.cli import (_INVARIANT_HEADER, _OCTET_HEADER, EXIT_OK, EXIT_VERIFY
                           cmd_plot)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (NonFiniteInvariantError, SecondForm, ellipse_samples, first_form,
-                            invariants, is_circle, lmn, principal_defect, second_tensor,
-                            superconformal_residuals)
+from rotsurf4.forms import (NonFiniteInvariantError, SecondForm, _defect, first_form,
+                            invariants, is_circle, lmn, second_tensor, superconformal_residuals)
 from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2,
                                RegularityError, Vec4, dot, gram_schmidt_normals, norm,
                                rotation_trig)
@@ -280,8 +279,8 @@ def reference_folded_differentiate(e, _memo=None):
 
 # ---------------------------------------------------------------------------
 # The frame kernel written with Vec4 arithmetic throughout: the bit-for-bit
-# oracle for the scalar ``rotsurf4.geometry`` det4 and cross4, and for its
-# gram_schmidt_normals.
+# oracle for the scalar ``rotsurf4.geometry`` det4 and gram_schmidt_normals,
+# and for the minors that give the octet's l.
 
 def _reference_det3(r1, r2, r3) -> float:
     return (r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
@@ -350,9 +349,9 @@ def reference_gram_schmidt_normals(jet):
 # ---------------------------------------------------------------------------
 # The generic oracle's per-point kernels written with Vec4 arithmetic and a
 # dict of parts: the bit-for-bit and error-text oracle for the component
-# kernels of ``rotsurf4.geometry.fd_jet2`` and ``tangent_basis`` and for
-# ``rotsurf4.forms``' frame-free kernel under ``generic_at`` and
-# ``generic_invariants``.
+# kernels of ``rotsurf4.geometry.fd_jet2`` and its tangent-plane guard and
+# for ``rotsurf4.forms``' frame-free kernel under ``generic_values``,
+# ``mean_curvature_vector`` and ``ellipse_samples``.
 
 def reference_fd_jet2(surface_map, u, v, h=None, *, richardson=True):
     if h is None:
@@ -413,13 +412,13 @@ def reference_normal_part(zij, jet, ff):
 
 
 def reference_generic_parts(jet):
-    """(first form, n11, n12, n22), as ``rotsurf4.forms.generic_at`` returns."""
+    """(first form, n11, n12, n22): the first form and the normal parts of the kernel."""
     ff = reference_tangent_form(jet)
     return (ff, *(reference_normal_part(zij, jet, ff) for zij in (jet.z_uu, jet.z_uv, jet.z_vv)))
 
 
 def reference_second_form(jet, ff, n11, n12, n22):
-    """L, M, N of ``rotsurf4.forms.generic_invariants`` by the det4 areas on Vec4s."""
+    """L, M, N of ``rotsurf4.forms.generic_values`` by the det4 areas on Vec4s."""
     zu, zv, w2 = jet.z_u, jet.z_v, ff.W * ff.W
     return SecondForm(2.0 * reference_det4(zu, zv, n11, n12) / w2,
                       reference_det4(zu, zv, n11, n22) / w2,
@@ -427,21 +426,38 @@ def reference_second_form(jet, ff, n11, n12, n22):
 
 
 def reference_frame_free_invariants(jet, ff, n11, n12, n22):
-    """``rotsurf4.forms.generic_invariants`` on Vec4s: the invariant record
-    from what ``reference_generic_parts`` returns, refused where E W^2
-    underflows to 0."""
+    """``rotsurf4.forms.generic_values`` on Vec4s, with the point type: the
+    invariant record from what ``reference_generic_parts`` returns, refused
+    where E W^2 underflows to 0."""
     if ff.E * ff.W * ff.W == 0.0:  # although E, W > 0
         raise NonFiniteInvariantError(f"E W underflows to 0 at E={ff.E!r}, W={ff.W!r}")
     gauss = (dot(n11, n22) - dot(n12, n12)) / (ff.W * ff.W)
     return invariants(ff, reference_second_form(jet, ff, n11, n12, n22), gauss)
 
 
+def reference_mean_curvature_vector(ff, n11, n12, n22):
+    """``rotsurf4.forms.mean_curvature_vector`` from what ``reference_generic_parts`` returns."""
+    return (n11 * ff.G - n12 * (2.0 * ff.F) + n22 * ff.E) / (2.0 * ff.W * ff.W)
+
+
+def reference_ellipse_samples(ff, n11, n12, n22, n):
+    """``rotsurf4.forms.ellipse_samples`` from what ``reference_generic_parts`` returns."""
+    if n < 3:
+        raise ValueError("need at least 3 samples")
+    if ff.E * ff.W * ff.W == 0.0:  # although E, W > 0
+        raise NonFiniteInvariantError(f"E W underflows to 0 at E={ff.E!r}, W={ff.W!r}")
+    h = reference_mean_curvature_vector(ff, n11, n12, n22)
+    a = n11 / ff.E - h
+    sxy = (n12 * ff.E - n11 * ff.F) / (ff.E * ff.W)
+    return [h + a * math.cos(t) + sxy * math.sin(t)
+            for t in (2.0 * math.pi * j / n for j in range(n))]
+
+
 # ---------------------------------------------------------------------------
 # The generic pipeline through an orthonormal normal frame: the rounding-bound
-# and error-text oracle for the frame-free ``rotsurf4.forms.generic_at`` and
-# ``generic_invariants``.
+# and error-text oracle for the frame-free ``rotsurf4.forms.generic_values``.
 
-def reference_generic_at(jet):
+def reference_framed_forms(jet):
     """Normal frame (e1, e2), first form and second tensor of ``jet``; the
     frame comes first, so a degenerate jet raises its error message."""
     e1, e2 = gram_schmidt_normals(jet)
@@ -449,8 +465,8 @@ def reference_generic_at(jet):
     return e1, e2, ff, second_tensor(jet, e1, e2)
 
 
-def reference_generic_invariants(ff, ct):
-    """The invariant record of the forms that ``reference_generic_at`` returns,
+def reference_framed_invariants(ff, ct):
+    """The invariant record of the forms that ``reference_framed_forms`` returns,
     with K = <sigma(x,x), sigma(y,y)> - |sigma(x,y)|^2 on the orthonormalized
     tangent pair x = z_u/sqrt(E), y = (E z_v - F z_u)/(sqrt(E) W)."""
     E, F, W = ff.E, ff.F, ff.W
@@ -699,7 +715,7 @@ def reference_verify(args, parser) -> int:
                 rec = reference_frame_free_invariants(jet, *parts)
                 minimal, conformal, scale = superconformal_residuals(rec.k, rec.kappa, rec.K)
                 checks["superconformal"].update(max(minimal, conformal) / scale, (u, vs[0]))
-                report = is_circle(ellipse_samples(*parts, 16), args.tol_circle)
+                report = is_circle(reference_ellipse_samples(*parts, 16), args.tol_circle)
                 center_dev = norm(report.center) / max(1.0, report.radius)
                 checks["ellipse-circle"].update(
                     max(report.max_deviation / max(1.0, report.radius), center_dev),
@@ -746,7 +762,8 @@ def reference_octet_generic(jet_at, u, v):
     ff, n11, n12, n22 = reference_generic_parts(jet)
     sxx, syy = n11 / ff.E, n22 / ff.G
     sxy = n12 / (math.sqrt(ff.E) * math.sqrt(ff.G))
-    defect = principal_defect(ff, reference_second_form(jet, ff, n11, n12, n22))
+    sf = reference_second_form(jet, ff, n11, n12, n22)
+    defect = _defect(ff.E, ff.F, ff.G, sf.L, sf.M, sf.N)
     if defect is not None:
         raise NonPrincipalParamsError(f"{defect}: parameters are not principal")
 

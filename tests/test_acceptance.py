@@ -9,9 +9,8 @@ import time
 from helpers import (central_diff, curve_frenet_oracle, octet_dev, random_expr, rel_dev,
                      tame_at, vline_curvatures, vline_derivatives)
 from rotsurf4.expr import Profile, differentiate, evaluate
-from rotsurf4.forms import (PointType, ellipse_samples, first_form,
-                            gauss_curvature, generic_at, invariants, is_circle,
-                            is_superconformal, lmn, second_tensor)
+from rotsurf4.forms import (PointType, ellipse_samples, first_form, gauss_curvature,
+                            invariants, is_circle, lmn, second_tensor, superconformal_verdict)
 from rotsurf4.geometry import (Vec4, analytic_jet2, fd_jet2,
                                gram_schmidt_normals, norm)
 from rotsurf4.msc import MscParams, msc_residual, msc_surface
@@ -132,7 +131,7 @@ def test_criterion_3_msc_characterization():
             worst_identity = max(worst_identity,
                                  abs(rec.kappa ** 2 - rec.k) / s_norm,
                                  abs(rec.K ** 2 - rec.kappa ** 2) / s_norm)
-            report = is_circle(ellipse_samples(*generic_at(jet), 16), 1e-6)
+            report = is_circle(ellipse_samples(jet, 16), 1e-6)
             worst_circle = max(worst_circle,
                                report.max_deviation / max(1.0, report.radius))
             worst_center = max(worst_center, norm(report.center))
@@ -147,9 +146,10 @@ def test_criterion_4_negative_control():
     s = _surface("u", "u^3", 1.0, 2.0)
     residual = msc_residual(s, 1.0, 1)
     rec = _generic_record(analytic_jet2(s, 1.0, 0.0))
-    ok = abs(residual - (-3.0)) <= 1e-12 and not is_superconformal(rec, 1e-6)
+    superconformal = superconformal_verdict(rec.k, rec.kappa, rec.K, 1e-6)[1]
+    ok = abs(residual - (-3.0)) <= 1e-12 and not superconformal
     _report("criterion 4: cubic meridian is rejected", ok,
-            f"residual {residual!r}, superconformal {is_superconformal(rec, 1e-6)}")
+            f"residual {residual!r}, superconformal {superconformal}")
 
 
 def test_criterion_5_helix_oracle():

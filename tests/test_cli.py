@@ -631,6 +631,37 @@ def test_plot_ellipse(tmp_path):
     assert "<polygon" in text
 
 
+# the ellipse SVG's bytes as SHA-256 digests: its samples, centre and drawing plane
+_ELLIPSE_PINS = [
+    pytest.param(["--f", "u", "--g", "u^2"],
+                 "e5122b1306885158f7a0bf8e3b33869266a005ff70b8e598470a32eece4c8a10",
+                 id="parabola"),
+    pytest.param(["--msc-c", "1", "--eps", "1"],
+                 "e5122b1306885158f7a0bf8e3b33869266a005ff70b8e598470a32eece4c8a10",
+                 id="msc"),
+    pytest.param(["--f", "u", "--g", "0"],
+                 "e4fb6475b215770e28e763f4223c396e3fa974025c779a3ff7ae7b6a377d5f28",
+                 id="flat"),
+    pytest.param(["--f", "u", "--g", "u^3"],
+                 "80cda10fe31e8b08ea7bd7463e746086d8f070cb43881b3d93a3112cc9e8877e",
+                 id="cubic"),
+    pytest.param(["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)"],
+                 "b7c1de9aa53c3d9a508a1ee587d0b9d232993bb07c06274aa7a5ce0779590d4e",
+                 id="transcendental"),
+    pytest.param(["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--samples", "3"],
+                 "eab77c33422af45484274d1d36591df8f2d90c38485aae8fbbf2e5af20ec82f0",
+                 id="transcendental-3-samples"),
+]
+
+
+@pytest.mark.parametrize("source, digest", _ELLIPSE_PINS)
+def test_plot_ellipse_bytes_are_pinned(tmp_path, source, digest):
+    out = tmp_path / "e.svg"
+    assert main(["plot", *source, "--alpha", "1", "--beta", "2", "--quantity", "ellipse",
+                 "--point", "1.3", "0.7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_plot_ellipse_needs_no_u_grid(tmp_path):
     # the ellipse reads only --point; the bytes equal those of a run with a grid
     out, with_grid = tmp_path / "e.svg", tmp_path / "g.svg"

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from helpers import (field_values, frames_at, jet_dev, reference_analytic_jet2,
                      reference_cross4, reference_det4, reference_gram_schmidt_normals, vec_dev)
 from rotsurf4.expr import EvalDomainError, Profile
-from rotsurf4.forms import generic_at
+from rotsurf4.forms import generic_values
 from rotsurf4.geometry import (DegenerateMetricError, GeometryError, Jet2, RegularityError,
-                               Vec4, analytic_jet2, analytic_parts_from, cross4, det4, dot,
+                               Vec4, _det3s, analytic_jet2, analytic_parts_from, det4, dot,
                                fd_jet2, gram_schmidt_normals, norm, rotate, rotation_trig)
 from rotsurf4.rotational import RotationalSurface, closed_forms_at
 
@@ -27,7 +27,7 @@ def _vec(rng):
 
 
 # ---------------------------------------------------------------------------
-# dot / norm / det4 / cross4
+# dot / norm / det4
 
 def test_dot_basis_orthogonal():
     assert dot(E1, E2) == 0.0
@@ -47,18 +47,6 @@ def test_det4_against_numpy():
         rows = [_vec(rng) for _ in range(4)]
         expected = np.linalg.det(np.array([tuple(r) for r in rows]))
         assert det4(*rows) == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-
-def test_cross4_defines_determinant():
-    rng = random.Random(12)
-    for _ in range(50):
-        a, b, c, w = (_vec(rng) for _ in range(4))
-        assert dot(cross4(a, b, c), w) == pytest.approx(det4(a, b, c, w),
-                                                        rel=1e-12, abs=1e-12)
-
-
-def test_cross4_basis():
-    assert tuple(cross4(E1, E2, E3)) == (0.0, 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +319,7 @@ def test_exact_multiples_are_collinear(zu, c):
     # of z_v a few ulps of |z_v| long; no frame and no forms come from that
     z = Vec4(0.0, 0.0, 0.0, 0.0)
     jet = Jet2(z, zu, zu * c, z, z, z)
-    for build in (gram_schmidt_normals, generic_at):
+    for build in (gram_schmidt_normals, generic_values):
         with pytest.raises(DegenerateMetricError):
             build(jet)
 
@@ -384,7 +372,9 @@ def test_gram_schmidt_axis_ties_pick_lowest_index():
        st.one_of(kernel_vecs, axis_vecs), st.one_of(kernel_vecs, axis_vecs))
 def test_det4_cross4_bit_identical_to_reference(a, b, c, d):
     assert float.hex(det4(a, b, c, d)) == float.hex(reference_det4(a, b, c, d))
-    assert _hex(cross4(a, b, c)) == _hex(reference_cross4(a, b, c))
+    # the minors that give the octet's l = (-t1, t2, -t3, t4)
+    t1, t2, t3, t4 = _det3s(a, b, c)
+    assert _hex((-t1, t2, -t3, t4)) == _hex(reference_cross4(a, b, c))
 
 
 def test_vec4_value_semantics():

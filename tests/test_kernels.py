@@ -2,7 +2,8 @@
 ``helpers``, bit for bit: every float by ``float.hex`` (so signed zeros
 count), every error by class and message; the same kernels on the tuple
 form of a jet, six 4-tuples ``(z, z_u, z_v, z_uu, z_uv, z_vv)``, against the
-same references; and Wintgen's inequality on the generic side."""
+same references; and Wintgen's inequality and the ellipse's semi-axes on
+the generic side."""
 
 import math
 import sys
@@ -11,13 +12,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_surface
-from helpers import (field_values, octet_tuple, reference_fd_jet2, reference_frame_free_invariants,
-                     reference_generic_parts, reference_octet_generic, reference_tangent_basis,
-                     reference_tangent_form)
-from rotsurf4.forms import (_plane, generic_at, generic_invariants, generic_values,
-                            mean_curvature_vector)
+from helpers import (field_values, octet_tuple, reference_ellipse_samples, reference_fd_jet2,
+                     reference_frame_free_invariants, reference_generic_parts,
+                     reference_mean_curvature_vector, reference_octet_generic,
+                     reference_tangent_basis, reference_tangent_form)
+from rotsurf4.cli import _linspace
+from rotsurf4.forms import (SecondForm, _normal, _plane, classify, ellipse_samples,
+                            generic_values, is_circle, mean_curvature_vector)
 from rotsurf4.geometry import (Jet2, RegularityError, Vec4, analytic_jet2, analytic_parts_from,
-                               dot, fd_jet2, rotation_trig, tangent_basis)
+                               dot, fd_jet2, gram_schmidt_normals, rotation_trig)
+from rotsurf4.msc import MscParams, msc_surface
 from rotsurf4.octet import _STEP, octet_generic
 
 special_floats = st.one_of(
@@ -51,6 +55,15 @@ def _outcome(fn):
         return _hex(fn())
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _error(fn):
+    """The class and message of the error ``fn`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @st.composite
@@ -148,11 +161,12 @@ _ZU = Vec4(0.6715302078397394, -0.13446586418989326, 0.524560164915884, -0.99578
 @given(tangent_pairs())
 @example((_ZU, _ZU * -0.3276768356711912))  # EG - F^2 > 0, but the residual is rounding
 def test_tangent_guard_is_the_vec4_reference(pair):
-    # also: wherever the guard passes, first_form's own check passes
+    # the frame's guard and the kernel's plane; also: wherever the guard
+    # passes, first_form's own check passes
     zu, zv = pair
     jet = Jet2(ZERO, zu, zv, ZERO, ZERO, ZERO)
-    assert (_outcome(lambda: [x for t in tangent_basis(zu, zv) for x in t])
-            == _outcome(lambda: [x for t in reference_tangent_basis(zu, zv) for x in t]))
+    assert (_error(lambda: gram_schmidt_normals(jet))
+            == _error(lambda: reference_tangent_basis(zu, zv)))
     assert (_outcome(lambda: _plane(zu, zv)[2:])
             == _outcome(lambda: _form_values(reference_tangent_form(jet))))
 
@@ -162,19 +176,36 @@ def _parts_values(parts):
     return [*_form_values(ff), *(x for n in normals for x in n)]
 
 
+def _kernel_parts(jet):
+    """E, F, G, W and the normal parts n11, n12, n22 of the kernel, flat."""
+    _, zu, zv, zuu, zuv, zvv = jet
+    plane = _plane(zu, zv)
+    return [*plane[2:], *(x for zij in (zuu, zuv, zvv) for x in _normal(plane, zij))]
+
+
+def _reference_record(jet):
+    return field_values(reference_frame_free_invariants(jet, *reference_generic_parts(jet)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_jets())
 def test_generic_at_is_the_vec4_reference(jet):
-    assert (_outcome(lambda: _parts_values(generic_at(jet)))
+    # the kernel's first form and normal parts at a jet
+    assert (_outcome(lambda: _kernel_parts(jet))
             == _outcome(lambda: _parts_values(reference_generic_parts(jet))))
+
+
+def _typed_values(jet):
+    """generic_values with the point type that classify reads from them."""
+    values = generic_values(jet)
+    return [*values, classify(values[6], values[7], SecondForm(*values[3:6]))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_jets())
 def test_generic_invariants_is_the_vec4_reference(jet):
-    assert (_outcome(lambda: field_values(generic_invariants(jet, *generic_at(jet))))
-            == _outcome(lambda: field_values(
-                reference_frame_free_invariants(jet, *reference_generic_parts(jet)))))
+    # the invariant record, point type included, from generic_values
+    assert _outcome(lambda: _typed_values(jet)) == _outcome(lambda: _reference_record(jet))
 
 
 _STENCIL = ((-_STEP, 0.0), (_STEP, 0.0), (0.0, -_STEP), (0.0, _STEP))
@@ -260,9 +291,30 @@ def surface_jets(draw):
 @given(st.one_of(kernel_jets(), surface_jets()))
 def test_generic_values_is_generic_invariants(jet):
     # verify's float record, on the tuple form and on the Jet2 alike
-    expected = _outcome(lambda: field_values(generic_invariants(jet, *generic_at(jet)))[:9])
+    expected = _outcome(lambda: _reference_record(jet)[:9])
     assert _outcome(lambda: generic_values(_tuple_jet(jet))) == expected
     assert _outcome(lambda: generic_values(jet)) == expected
+
+
+def _ellipse_values(jet, n):
+    """The samples of the ellipse of ``jet``, then its centre H, flat."""
+    samples = ellipse_samples(jet, n)
+    return [*mean_curvature_vector(jet), *(x for p in samples for x in p)]
+
+
+def _reference_ellipse_values(jet, n):
+    parts = reference_generic_parts(jet)
+    samples = reference_ellipse_samples(*parts, n)
+    return [*reference_mean_curvature_vector(*parts), *(x for p in samples for x in p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_jets(), surface_jets()), st.integers(min_value=2, max_value=17))
+def test_ellipse_is_the_vec4_reference(jet, n):
+    # H and the ellipse samples of a jet, on the tuple form and on the Jet2 alike
+    expected = _outcome(lambda: _reference_ellipse_values(jet, n))
+    assert _outcome(lambda: _ellipse_values(_tuple_jet(jet), n)) == expected
+    assert _outcome(lambda: _ellipse_values(jet, n)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,7 +368,7 @@ def surface_points(draw):
 
 
 def _mean_square(jet):
-    h = mean_curvature_vector(*generic_at(jet))
+    h = mean_curvature_vector(jet)
     return dot(h, h)
 
 
@@ -342,3 +394,51 @@ def test_wintgen_gap_is_the_octets(point):
     gap = (o.nu1 - o.nu2) * (o.nu1 - o.nu2) / 4.0 + o.lam * o.lam + o.mu * o.mu
     scale = max(1.0, mean2, abs(gauss), abs(kappa), gap)
     assert abs(mean2 - gauss - gap) <= WINTGEN_ROUNDING * scale
+
+
+# ---------------------------------------------------------------------------
+# the ellipse of normal curvature and Wintgen's gap.  With the conjugate
+# half-diameters A = sigma(x,x) - H and B = sigma(x,y), sigma(y,y) = H - A,
+# so |H|^2 - K = |A|^2 + |B|^2 = a^2 + b^2 and |kappa| = 2 |A ^ B| = 2 a b
+# for the semi-axes a >= b; the gap is then (a - b)^2, zero exactly on a
+# circle.  A and B come from ellipse_samples at n = 4 (angles 0 and pi/2 of
+# 2 psi) and mean_curvature_vector; K and kappa from generic_values.  Each
+# side is a few dozen roundings of terms of size at most S = max(1, |H|^2,
+# |K|, |kappa|, |A|^2 + |B|^2), so it carries 64 eps S; X = |A|^2 |B|^2 -
+# <A, B>^2 carries 64 eps S^2, which sqrt turns into at most
+# min(sqrt(64 eps) S, 64 eps S^2 / sqrt(X)), as |sqrt(p) - sqrt(q)| <=
+# min(sqrt|p - q|, |p - q| / sqrt(p)).
+
+def _semi_axis_gap(jet):
+    """(|H|^2 - K - |kappa|, (a - b)^2 from A and B, S, sqrt(X))."""
+    *_, kappa, gauss = generic_values(jet)
+    h = mean_curvature_vector(jet)
+    s0, s1 = ellipse_samples(jet, 4)[:2]
+    a, b = s0 - h, s1 - h
+    aa, bb, ab = dot(a, a), dot(b, b), dot(a, b)
+    root = math.sqrt(max(0.0, aa * bb - ab * ab))
+    mean2 = dot(h, h)
+    scale = max(1.0, mean2, abs(gauss), abs(kappa), aa + bb)
+    return mean2 - gauss - abs(kappa), aa + bb - 2.0 * root, scale, root
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_points())
+def test_wintgen_gap_is_the_ellipse_semi_axis_gap(point):
+    surface, u, v = point
+    gap, axes, scale, root = _semi_axis_gap(_analytic_parts(surface, u, v))
+    slack = WINTGEN_ROUNDING * scale * scale
+    sqrt_bound = math.sqrt(slack) if root == 0.0 else min(math.sqrt(slack), slack / root)
+    assert abs(gap - axes) <= WINTGEN_ROUNDING * scale + 2.0 * sqrt_bound
+
+
+def test_the_crosscheck_msc_member_has_a_circle_at_every_grid_point():
+    # verify's crosscheck-msc grid: --msc-c 1 --eps 1 --alpha 1 --beta 2
+    # --u 0.25:4.0:20 --v 0:6.283185307179586:10, at its default --tol-circle 1e-6
+    surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1))
+    for u in _linspace(0.25, 4.0, 20):
+        for v in _linspace(0.0, 6.283185307179586, 10):
+            jet = _analytic_parts(surface, u, v)
+            assert is_circle(ellipse_samples(jet, 16), 1e-6), (u, v)
+            gap, _, scale, _ = _semi_axis_gap(jet)
+            assert abs(gap) <= WINTGEN_ROUNDING * scale, (u, v)

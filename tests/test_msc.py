@@ -4,9 +4,8 @@ import random
 import pytest
 
 from rotsurf4.expr import Binary, Constant, Profile, Variable
-from rotsurf4.forms import (ellipse_samples, first_form, gauss_curvature, generic_at,
-                            invariants, is_circle, is_minimal,
-                            is_superconformal, lmn, second_tensor)
+from rotsurf4.forms import (ellipse_samples, first_form, gauss_curvature, invariants,
+                            is_circle, lmn, second_tensor, superconformal_verdict)
 from rotsurf4.geometry import analytic_jet2, gram_schmidt_normals, norm
 from rotsurf4.msc import (MscParams, identity_profile, msc_invariants,
                           msc_profile, msc_profile_text, msc_residual,
@@ -234,8 +233,7 @@ def test_msc_surface_is_minimal_superconformal_everywhere():
     for i in range(10):
         u = 0.5 + 1.5 * i / 9
         rec = _record(surface, u)
-        assert is_minimal(rec, 1e-10)
-        assert is_superconformal(rec, 1e-10)
+        assert superconformal_verdict(rec.k, rec.kappa, rec.K, 1e-10) == (True, True)
 
 
 def test_msc_surface_negative_branch_is_member():
@@ -244,14 +242,13 @@ def test_msc_surface_negative_branch_is_member():
     assert surface.g.deriv1(1.0) < 0.0  # decreasing profile
     for u in (0.5, 1.0, 2.0):
         rec = _record(surface, u)
-        assert is_superconformal(rec, 1e-10)
+        assert superconformal_verdict(rec.k, rec.kappa, rec.K, 1e-10)[1]
 
 
 def test_msc_surface_ellipse_is_centered_circle():
     surface = msc_surface(MscParams(1.0, 1.0, 2.0, 1))
     for u in (0.5, 1.0, 2.0):
-        report = is_circle(ellipse_samples(*generic_at(analytic_jet2(surface, u, 0.0)), 16),
-                           1e-10)
+        report = is_circle(ellipse_samples(analytic_jet2(surface, u, 0.0), 16), 1e-10)
         assert report.ok
         assert norm(report.center) <= 1e-10
 
@@ -335,7 +332,7 @@ def test_characterization_members_and_nonmembers():
         max_residual = max(min(abs(msc_residual(surface, u, 1)),
                                abs(msc_residual(surface, u, -1))) for u in us)
         sc_everywhere = all(
-            is_minimal(_record(surface, u), 1e-8) and is_superconformal(_record(surface, u), 1e-8)
-            for u in us)
+            superconformal_verdict(rec.k, rec.kappa, rec.K, 1e-8) == (True, True)
+            for rec in (_record(surface, u) for u in us))
         assert (max_residual <= 1e-8) == expected
         assert sc_everywhere == expected
