@@ -33,9 +33,9 @@ from . import msc as msc_mod
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_values,
                     is_circle, superconformal_residuals, superconformal_verdict)
-from .geometry import (GeometryError, analytic_jet2, analytic_parts_from, dot, fd_jet2,
-                       gram_schmidt_normals, norm, rotation_trig)
-from .octet import (_GAUGE_FLIPPED, FrenetOctet, TotallyGeodesicError, _octet_values,
+from .geometry import (GeometryError, _fd_step, analytic_jet2, analytic_parts_from, dot,
+                       fd_jet2, gram_schmidt_normals, norm, rotation_trig)
+from .octet import (_GAUGE_FLIPPED, _STEP, FrenetOctet, TotallyGeodesicError, _octet_values,
                     invariants_from_octet, octet_generic)
 from .rotational import (RotationalSurface, _closed_forms, _closed_gauss, _closed_invariants,
                          _closed_octet)
@@ -331,14 +331,27 @@ def cmd_verify(args, parser) -> int:
     # the meridian jet and the closed side depend on u alone, the rotation on v
     # alone: each is read once per distinct value, where the per-point loop
     # would first read it, so a read that raises (and is not cached) names the
-    # same point.  0.0 and -0.0 would share a cache key, but never meet: a grid
-    # holds -0.0 only as its one point, and x -+ octet._STEP is never -0.0.
-    # The fd oracle's surface_map remembers its meridian points and trig the
-    # same way (RotationalSurface.as_map), and the octet, which reads its
-    # centre jet after its stencil, is handed the jets check's jet_a there.
-    # Analytic jets are in the tuple form, six 4-tuples (z, z_u, ..., z_vv)
+    # same point; 0.0 and -0.0 share a key but never meet (a grid holds -0.0
+    # only as its one point, x -+ octet._STEP is never -0.0).  The fd map keeps
+    # its meridian points and trig the same way (RotationalSurface.as_map), and
+    # the octet reads the jets check's jet_a as its centre.  Every abscissa is
+    # known first: each profile is read in a value column at fd_jet2's u, u -+ h
+    # and u -+ h/2, which seeds the map's memo, and a jet column at u and
+    # u -+ _STEP, which meridian() checks by _regular_jet at its first read of
+    # u.  A column that misses seeds nothing, so the scalar reads meet the
+    # first error as before.  Analytic jets are six 4-tuples (z, z_u, ..., z_vv)
     alpha, beta = surface.alpha, surface.beta
-    meridian = cache(surface.meridian_jet)
+    fd_us = list(dict.fromkeys(x for u in us for v in vs for h in (_fd_step(u, v),)
+                               for x in (u, u + h, u - h, u + h / 2.0, u - h / 2.0)))
+    f = surface.f.values(fd_us)
+    if f is not None and (g := surface.g.values(fd_us)) is not None:  # no zero, as in the map
+        surface_map.points.update((u, (x, 0.0, y, 0.0)) for u, x, y in zip(fd_us, f, g) if u)
+    jet_us = list(dict.fromkeys(x for u in us for x in (u, u - _STEP, u + _STEP)))
+    f, reads = surface.f.grid(jet_us), {}
+    if f is not None and (g := surface.g.grid(jet_us)) is not None:
+        reads = dict(zip(jet_us, zip(*f, *g)))
+    meridian = cache(lambda u: surface._regular_jet(u, *reads[u]) if u in reads
+                     else surface.meridian_jet(u))
     trig = cache(partial(rotation_trig, alpha, beta))
 
     def jet_at(u, v):

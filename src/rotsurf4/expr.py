@@ -595,16 +595,17 @@ class _Tape:
         self.derived[i] = d
         return d
 
-    def dag(self, roots: list[int]) -> tuple[list[tuple], list[int], list[int | None]]:
-        """The entries, ``roots`` and the position of each entry's last
-        reader (None for a root and an unread entry)."""
-        last = [None] * len(self.nodes)
-        for j, (op, a, b) in enumerate(self.nodes):
+    def dag(self, roots: list[int], end: int | None = None) -> tuple[list, list, list]:
+        """The entries before ``end`` (all by default), ``roots`` and the position
+        of each entry's last reader among them (None for a root and an unread entry)."""
+        nodes = self.nodes if end is None else self.nodes[:end]
+        last = [None] * len(nodes)
+        for j, (op, a, b) in enumerate(nodes):
             if op != "u" and op != "const":
                 last[a] = last[a if b is None else b] = j
         for r in roots:
             last[r] = None
-        return self.nodes, roots, last
+        return nodes, roots, last
 
 
 def _tape(trees) -> tuple[_Tape, list[int]]:
@@ -727,6 +728,15 @@ class Profile:
         if not (self._whole_line or all(map(self.domain.contains, us))):
             return None
         return _run_columns(*self._dag, us)
+
+    def values(self, us: list[float]) -> list[float] | None:
+        """The values of ``grid(us)``, None only where ``value`` raises at some
+        u: a run of the tape's prefix up to the value root, ``expr``'s entries."""
+        if not (self._whole_line or all(map(self.domain.contains, us))):
+            return None
+        root = self._dag[1][0]
+        columns = _run_columns(*self._tape.dag([root], root + 1), us)
+        return None if columns is None else columns[0]
 
 
 class _Lazy:

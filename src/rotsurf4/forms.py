@@ -21,7 +21,7 @@ its sign follows the ambient orientation, which det4 supplies.
 
 One frame-free kernel on float components computes each value by the float
 operations of its Vec4 expression: ``_plane`` (a jet's tangent plane behind
-the guard of ``geometry._tangent_plane``), ``_normal`` (the normal part of a
+the screened guard of ``geometry._tangent_plane``), ``_normal`` (the normal part of a
 z_ij), ``_areas`` (L, M, N), ``_invariants`` (L, M, N, k, kappa, K and the
 point type) and ``_direction`` (the octet's b).  Its callers read a jet by
 unpacking, ``z, z_u, z_v, z_uu, z_uv, z_vv = jet``, so a ``Jet2`` of Vec4s
@@ -66,6 +66,7 @@ __all__ = [
 _FRAME_TOL = 1e-10  # largest residual second_tensor accepts for its frame
 PRINCIPAL_TOL = 1e-8  # relative size of F and M below which parameters are principal
 CLASS_TOL = 1e-8  # normalised |k| and |kappa| at or below which classify reads zero
+_SCREEN, _NORMAL = 2.0 ** -26, 2.0 ** -1022  # _plane's screen; the least normal float
 
 
 class FrameError(GeometryError):
@@ -226,10 +227,19 @@ def _curvatures(ee: float, ff: float, gg: float, big_l: float, big_m: float, big
 def _plane(zu, zv) -> tuple:
     """(z_u, z_v, E, F, G, W), the tangent vectors as 4-tuples, behind the
     tangent-plane guard of ``geometry._tangent_plane``, which leaves
-    first_form's check nothing to reject: E > 0 and EG - F^2 > 0 imply G > 0."""
-    zu, zv = tuple(zu), tuple(zv)
-    ee, ff, gg = _tangent_plane(zu, zv)[:3]
-    return zu, zv, ee, ff, gg, math.sqrt(ee * gg - ff * ff)
+    first_form's check nothing to reject: E > 0 and EG - F^2 > 0 imply G > 0.
+    The guard runs only where the screen EG - F^2 > c EG (c = 2^-26) with E, G
+    and EG normal fails, inf and NaN included.  Under it EG - F^2 > 0, and E,
+    F^2 and EG are within a few eps of exact, so the guard's |w| / sqrt(G) =
+    sin(angle) > 2^-13 - 16 eps >> _FLOOR (a subnormal G would void this)."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4) = zu, zv = tuple(zu), tuple(zv)
+    ee = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
+    ff = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+    gg = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
+    disc = (eg := ee * gg) - ff * ff
+    if not (disc > _SCREEN * eg and ee >= _NORMAL and gg >= _NORMAL and eg >= _NORMAL):
+        _tangent_plane(zu, zv)
+    return zu, zv, ee, ff, gg, math.sqrt(disc)
 
 
 def _normal(plane: tuple, zij) -> tuple[float, float, float, float]:
@@ -309,11 +319,12 @@ def gauss_curvature(ff: FirstForm, ct: SecondTensor) -> float:
             - (ct.c12_1 * ct.c12_1 + ct.c12_2 * ct.c12_2)) / (ff.W * ff.W)
 
 
-def _defect(ee: float, ff: float, gg: float, big_l: float, big_m: float, big_n: float,
-            tol: float = PRINCIPAL_TOL) -> str | None:
-    if abs(ff) > tol * max(1.0, ee, gg):
+def _defect(ee: float, ff: float, gg: float, big_l: float, big_m: float,
+            big_n: float) -> str | None:
+    if abs(ff) > PRINCIPAL_TOL * max(1.0, ee, gg):
         return f"F = {ff!r}"
-    return f"M = {big_m!r}" if abs(big_m) > tol * max(1.0, abs(big_l), abs(big_n)) else None
+    scale = max(1.0, abs(big_l), abs(big_n))
+    return f"M = {big_m!r}" if abs(big_m) > PRINCIPAL_TOL * scale else None
 
 
 def superconformal_residuals(k: float, kappa: float, gauss: float) -> tuple[float, float, float]:

@@ -162,18 +162,23 @@ def analytic_parts_from(a: float, b: float, meridian: tuple, trig: tuple) -> tup
             (-a * a * f * ca, -a * a * f * sa, -b * b * g * cb, -b * b * g * sb))
 
 
+def _fd_step(u: float, v: float) -> float:
+    """fd_jet2's default step at (u, v); its map reads at u, u -+ h and u -+ h/2."""
+    return 1e-4 * max(1.0, abs(u), abs(v))
+
+
 def fd_jet2(surface_map: Callable[[float, float], Vec4 | tuple], u: float, v: float,
             h: float | None = None, *, richardson: bool = True) -> Jet2:
     """Central-difference 2-jet of an arbitrary map, O(h^2); one Richardson
     step (h and h/2) raises it to O(h^4).  The map may return any four
     components (a Vec4 or a 4-tuple); the jet is a Jet2 of Vec4s either way.
 
-    The default step h = 1e-4 * max(1, |u|, |v|) balances truncation against
-    round-off in double precision.  Domain errors raised by ``surface_map``
-    on the stencil propagate.
+    The default step, :func:`_fd_step`, balances truncation against round-off
+    in double precision.  Domain errors raised by ``surface_map`` on the
+    stencil propagate.
     """
     if h is None:
-        h = 1e-4 * max(1.0, abs(u), abs(v))
+        h = _fd_step(u, v)
     if h <= 0.0:
         raise ValueError("step must be positive")
     z = surface_map(u, v)
@@ -219,9 +224,9 @@ def _unit_seed(frame: tuple[Vec4, ...]) -> Vec4:
     return best / best_norm
 
 
-def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tuple, float]:
-    """(E, F, G, t1, w, |w|) of the tangent vectors with components ``a``
-    and ``b``: t1 = a/|a| and the residual w = b - <b, t1> t1, which
+def _tangent_plane(a: tuple, b: tuple) -> tuple[tuple, tuple, float]:
+    """(t1, w, |w|) of the tangent vectors with components ``a`` and ``b``:
+    t1 = a/|a| and the residual w = b - <b, t1> t1, which
     :func:`gram_schmidt_normals` scales to t2; raises
     :class:`DegenerateMetricError` where EG - F^2 is not positive (NaN
     included) or w is rounding, |w| <= _FLOOR |b|."""
@@ -240,7 +245,7 @@ def _tangent_plane(a: tuple, b: tuple) -> tuple[float, float, float, tuple, tupl
     nw = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
     if nw / math.sqrt(gg) <= _FLOOR:  # false for inf / inf, where |b| overflows
         raise DegenerateMetricError("tangent vectors are collinear")
-    return ee, ff, gg, (t1, t2, t3, t4), (w1, w2, w3, w4), nw
+    return (t1, t2, t3, t4), (w1, w2, w3, w4), nw
 
 
 def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
@@ -253,7 +258,7 @@ def gram_schmidt_normals(jet: Jet2) -> tuple[Vec4, Vec4]:
     Raises as :func:`_tangent_plane` does.
     """
     zu, zv = jet.z_u, jet.z_v
-    t1, (w1, w2, w3, w4), nw = _tangent_plane(zu, zv)[3:]
+    t1, (w1, w2, w3, w4), nw = _tangent_plane(zu, zv)
     t1, t2 = Vec4(*t1), Vec4(w1 / nw, w2 / nw, w3 / nw, w4 / nw)
     e1 = _unit_seed((t1, t2))
     e2 = _unit_seed((t1, t2, e1))

@@ -103,11 +103,11 @@ class RotationalSurface:
 
     def as_map(self):
         """The surface as a plain (u, v) -> (x1, x2, x3, x4) map,
-        ``rotate(meridian_at(u), rotation_trig(alpha, beta, v))``, whose
-        points are 4-tuples and that remembers for its lifetime the meridian
-        point of each u and the trig of each v it has read: never of a zero,
-        so 0.0 and -0.0 (equal keys) keep their signs, and never a read that
-        raised."""
+        ``rotate(meridian_at(u), rotation_trig(alpha, beta, v))``, of 4-tuples,
+        that remembers the meridian point of each u (its attribute ``points``,
+        for a caller to seed; ``functools.wraps`` hands it on) and the trig of
+        each v it reads: never of a zero, so 0.0 and -0.0 (equal keys) keep
+        their signs, and never a read that raised."""
         meridian_at, alpha, beta = self.meridian_at, self.alpha, self.beta
         points: dict[float, tuple[float, float, float, float]] = {}
         trigs: dict[float, tuple[float, float, float, float]] = {}
@@ -125,6 +125,7 @@ class RotationalSurface:
                     trigs[v] = t
             return rotate(p, t)
 
+        surface_map.points = points
         return surface_map
 
 

@@ -316,7 +316,7 @@ def reference_gram_schmidt_normals(jet):
     ee = dot(zu, zu)
     ff = dot(zu, zv)
     gg = dot(zv, zv)
-    if ee <= 0.0 or ee * gg - ff * ff <= 0.0:
+    if not (ee > 0.0 and ee * gg - ff * ff > 0.0):  # also rejects NaN
         raise DegenerateMetricError(
             f"tangent plane degenerate: EG-F^2 = {ee * gg - ff * ff!r}")
     t1 = zu / math.sqrt(ee)

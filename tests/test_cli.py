@@ -6,7 +6,7 @@ import os
 import struct
 import subprocess
 import sys
-from functools import partial
+from functools import partial, partialmethod, wraps
 from pathlib import Path
 
 import pytest
@@ -256,9 +256,9 @@ def test_verify_zero_tolerance_fails(capsys):
 
 def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
     # parabola on a 5x4 grid, an msc member, so the superconformal loop runs
-    jets, abscissae, map_calls = [], [], []
+    jets, abscissae, map_calls, columns = [], [], [], []
     jet_builder, meridian_at = cli.analytic_parts_from, RotationalSurface.meridian_at
-    as_map = RotationalSurface.as_map
+    as_map, values, grid = RotationalSurface.as_map, Profile.values, Profile.grid
 
     def counted_jet(*args):
         jets.append(args)
@@ -268,9 +268,14 @@ def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
         abscissae.append(u)
         return meridian_at(surface, u)
 
+    def counted_column(profile, read, us):
+        columns.append((read.__name__, id(profile), len(us)))
+        return read(profile, us)
+
     def counted_map(surface):
         surface_map = as_map(surface)
 
+        @wraps(surface_map)  # shares the map's memo of meridian points
         def counted(u, v):
             map_calls.append((u, v))
             return surface_map(u, v)
@@ -280,14 +285,20 @@ def test_verify_reads_each_jet_and_meridian_point_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "analytic_parts_from", counted_jet)
     monkeypatch.setattr(RotationalSurface, "meridian_at", counted_point)
     monkeypatch.setattr(RotationalSurface, "as_map", counted_map)
+    monkeypatch.setattr(Profile, "values", partialmethod(counted_column, values))
+    monkeypatch.setattr(Profile, "grid", partialmethod(counted_column, grid))
     assert main(["verify", *RUN, "--u", "1:2:5", "--v", "0:1:4"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     # 4 octet stencil jets and the jets check's centre jet at each of the 20
     # points, which the octet reuses, then one centre jet per u
     assert len(jets) == 20 * 5 + 5
-    # fd_jet2 meets u, u -+ h and u -+ h/2 at each u: 25 distinct abscissae,
-    # each read once by the surface map although the stencils read 340 points
-    assert len(abscissae) == len(set(abscissae)) == 25
+    # one value column per profile over the 25 distinct abscissae that
+    # fd_jet2 meets (u, u -+ h and u -+ h/2 at each u), then one jet column
+    # per profile over u and u -+ octet._STEP: the map's 340 calls read no
+    # meridian point of their own
+    f, g = columns[0][1], columns[1][1]
+    assert columns == [("values", f, 25), ("values", g, 25), ("grid", f, 15), ("grid", g, 15)]
+    assert abscissae == []
     assert len(map_calls) == 17 * 20
 
 
@@ -340,7 +351,9 @@ _SMALL = ["--alpha", "1", "--beta", "2", "--u", "1:2:2"]
 # exit code, stdout digest and stderr of the FAIL lines, the octet's n/a
 # path and the order in which a point's reads raise: the radii vanish, and
 # sqrt(u - 0.9999)'s derivative divides by zero, only at the octet's
-# stencil point u - 1e-4 = 0.9999, never on the fd map's stencil
+# stencil point u - 1e-4 = 0.9999, never on the fd map's stencil; and g's
+# value raises only at 0.99985 = u - h/2, where h = 3e-4 at v = 3, so the
+# value column misses and the fd map's scalar reads meet the error at (1, 3)
 VERIFY_OUTCOME_PINS = [
     pytest.param(["--f", "u", "--g", "900*u", "--alpha", "1", "--beta", "2",
                   "--u", "1:2:3", "--v", "0:1:2"], 1,
@@ -356,6 +369,11 @@ VERIFY_OUTCOME_PINS = [
                  "error: at (u, v) = (1.0, 0.0): domain error in `1/(2*sqrt(u-0.9999))`: "
                  "division by zero\n",
                  id="stencil-deriv1-domain"),
+    pytest.param(["--f", "u", "--g", "sqrt((u-0.99985)^2-1e-12)", "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:2", "--v", "0:3:2"], 3, _EMPTY,
+                 "error: at (u, v) = (1.0, 3.0): domain error in `sqrt((u-0.99985)^2-1e-12)`: "
+                 "square root of negative value -1e-12\n",
+                 id="fd-stencil-value-domain"),
 ]
 
 

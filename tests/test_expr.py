@@ -473,6 +473,27 @@ def test_profile_grid_matches_its_scalar_reads(e, us):
         (unparse(e), us)
 
 
+@settings(max_examples=300)
+@given(expr_trees, u_grids)
+def test_profile_values_are_its_scalar_value_reads(e, us):
+    # the value column runs the tape's prefix up to the value root only: a
+    # derivative that raises where the value does not leaves it whole
+    for p in (Profile.from_expr(e), Profile.from_text(unparse(e))):
+        try:
+            want = [p.value(u).hex() for u in us]
+        except EvalDomainError:
+            want = None
+        got = p.values(us)
+        assert (None if got is None else [x.hex() for x in got]) == want, (unparse(e), us)
+
+
+def test_profile_values_need_no_derivative():
+    p = Profile.from_text("sqrt(u-0.9999)")
+    assert p.grid([0.9999]) is None and p.values([0.9999]) == [0.0]
+    assert p.values([0.5, 1.0]) is None
+    assert Profile.from_text("u", domain=Interval(0.0, 1.0)).values([0.5, 1.5]) is None
+
+
 @pytest.mark.parametrize("text", [
     "exp(709.5)+exp(709.5)", "exp(709)*(u+3)", "exp(709)/0.25", "1/(u-u)", "exp(1000*u)",
     "log(u-3)", "sqrt(u-3)", "(u+3)^1000", "(u-3)^0.5", "(u-u)^-1", "u^3", "(u-1)^3",
@@ -507,6 +528,8 @@ def test_tape_records_last_readers_and_keeps_roots():
     assert [n[0] for n in nodes] == ["u", "*", "+", "sin"]
     assert roots == [2, 1, 3]
     assert last == [3, None, None, None]  # u is read last by sin; roots are kept
+    # the prefix up to the value root: u's last reader there is the sum
+    assert tape.dag([2], 3) == (nodes[:3], [2], [2, 2, None])
     p = Profile(parse("u*u + u"), parse("u*u"), parse("sin(u)"))
     assert p.grid([2.0, 3.0]) == [[6.0, 12.0], [4.0, 9.0], [math.sin(2.0), math.sin(3.0)]]
 

@@ -350,8 +350,14 @@ def _frame_or_error(fn, jet):
     return _hex(e1), _hex(e2)
 
 
+# a NaN or an infinite component, which the guard must reject as the reference does
+nonfinite_vecs = st.builds(Vec4, *[st.one_of(kernel_floats, st.sampled_from(
+    (math.nan, math.inf, -math.inf)))] * 4)
+
+
 @settings(max_examples=400)
-@given(st.one_of(kernel_vecs, axis_vecs), st.one_of(kernel_vecs, axis_vecs))
+@given(st.one_of(kernel_vecs, axis_vecs, nonfinite_vecs),
+       st.one_of(kernel_vecs, axis_vecs, nonfinite_vecs))
 def test_gram_schmidt_bit_identical_to_reference(zu, zv):
     zero = Vec4(0.0, 0.0, 0.0, 0.0)
     jet = Jet2(zero, zu, zv, zero, zero, zero)

@@ -66,16 +66,31 @@ def _error(fn):
     return None
 
 
+# decimal exponents of a vector's scale: the whole range, and the band where squares are subnormal
+exponents = st.one_of(st.integers(-300, 300), st.integers(-162, -154))
+units = st.floats(min_value=-1.0, max_value=1.0)
+
+
 @st.composite
 def tangent_pairs(draw):
-    """(z_u, z_v) drawn independently, with z_v an exact multiple of z_u, or
-    with z_u zero."""
+    """(z_u, z_v) drawn independently, with z_v an exact multiple of z_u, with
+    z_u zero, or nearly collinear: z_v = c z_u + delta |c| m r, with m the
+    largest |component| of z_u, r a vector of units and a relative offset
+    delta of 1e-18 to 1e-2, either side of _plane's screen; z_u and c z_u
+    are each drawn at a scale of 10^-300 to 10^300."""
     zu, zv = draw(special_vecs()), draw(special_vecs())
-    shape = draw(st.sampled_from(("free", "free", "free", "collinear", "zero")))
+    shape = draw(st.sampled_from(("free", "free", "free", "collinear", "zero", "near", "near")))
     if shape == "collinear":
         zv = zu * draw(plain_floats)
     elif shape == "zero":
         zu = draw(st.sampled_from((ZERO, -ZERO)))
+    elif shape == "near":
+        scale = 10.0 ** draw(exponents)
+        zu = Vec4(*(draw(units) for _ in range(4))) * scale
+        c = draw(units) * 10.0 ** draw(exponents) / scale
+        delta = 10.0 ** draw(st.floats(min_value=-18.0, max_value=-2.0))
+        m = max(map(abs, zu))
+        zv = zu * c + Vec4(*(draw(units) for _ in range(4))) * (delta * abs(c) * m)
     return zu, zv
 
 
@@ -160,6 +175,10 @@ _ZU = Vec4(0.6715302078397394, -0.13446586418989326, 0.524560164915884, -0.99578
 @settings(max_examples=500, deadline=None)
 @given(tangent_pairs())
 @example((_ZU, _ZU * -0.3276768356711912))  # EG - F^2 > 0, but the residual is rounding
+# EG is normal but G is subnormal: EG - F^2 > 2^-26 EG, yet the residual is rounding
+@example((Vec4(-22867926.846975807, 662599055.4491916, -130245542.0035853, -344559750.0102211),
+          Vec4(3.8366835521053636e-163, -1.1116849158262796e-161, 2.1853201313121128e-162,
+               5.780782873945392e-162)))
 def test_tangent_guard_is_the_vec4_reference(pair):
     # the frame's guard and the kernel's plane; also: wherever the guard
     # passes, first_form's own check passes
