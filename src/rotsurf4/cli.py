@@ -25,11 +25,11 @@ import os
 import sys
 import warnings
 from contextlib import AbstractContextManager
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, repeat
 
 from . import msc as msc_mod
+from ._record import Record
 from .expr import EvalDomainError, ExprSyntaxError, Profile
 from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_values,
                     is_circle, superconformal_residuals, superconformal_verdict)
@@ -297,13 +297,13 @@ def _octet_dev(a, b) -> float:
                            _rel(x, y), _rel(x, -y if _GAUGE_FLIPPED[0] else y)))
 
 
-@dataclass
-class _Check:
-    name: str
-    tol: float
-    dev: float = 0.0
-    worst: tuple[float, float] | None = None
-    note: str | None = None  # set => not applicable
+class _Check(Record):
+    __match_args__ = ("name", "tol", "dev", "worst", "note")
+
+    def __init__(self, name: str, tol: float, dev: float = 0.0,
+                 worst: tuple[float, float] | None = None, note: str | None = None):
+        self.name, self.tol, self.dev, self.worst = name, tol, dev, worst
+        self.note = note  # set => not applicable
 
     def update(self, dev: float, point: tuple[float, float]) -> None:
         if dev > self.dev:
@@ -696,6 +696,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         # parsing, differentiating and evaluating recurse once per tree level
         print("error: expression nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # --out opens after the grid and its rows: a grid too large writes none
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except (_PointError, EvalDomainError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

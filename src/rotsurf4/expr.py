@@ -11,7 +11,7 @@ Accepted grammar, lowest to highest precedence::
 ``NAME`` is one of ``sin cos exp log sqrt`` and ``u`` is the only variable.
 ``NUMBER`` covers decimal and scientific notation.
 
-Trees are immutable dataclasses compared structurally.  ``differentiate``
+Trees are immutable records compared structurally.  ``differentiate``
 runs on the tape of its input (below), so it differentiates each distinct
 subtree once and returns a tree that shares subtrees, with its input and
 within itself.  It folds only the identities that evaluate to the same
@@ -46,9 +46,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Union
+
+from ._record import FrozenRecord, set_field
 
 __all__ = [
     "Constant",
@@ -102,27 +103,32 @@ class EvalDomainError(ExprError):
         self.node = node
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: float
+class Constant(FrozenRecord):
+    __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # neg, sin, cos, exp, log, sqrt
-    child: "Expr"
+class Unary(FrozenRecord):
+    __match_args__ = ("op", "child")
+
+    def __init__(self, op: str, child: "Expr"):  # op: neg, sin, cos, exp, log, sqrt
+        set_field(self, "op", op)
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Binary(FrozenRecord):
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):  # op: + - * / ^
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 Expr = Union[Constant, Variable, Unary, Binary]
@@ -633,13 +639,15 @@ def differentiate(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # profiles
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(FrozenRecord):
     """A real interval, closed at ``hi``; bounds default to the whole line."""
 
-    lo: float = -math.inf
-    hi: float = math.inf
-    open_lo: bool = False
+    __match_args__ = ("lo", "hi", "open_lo")
+
+    def __init__(self, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "open_lo", open_lo)
 
     def contains(self, u: float) -> bool:
         if self.open_lo:
@@ -650,8 +658,32 @@ class Interval:
         return not u > self.hi  # true for NaN, like the lower tests
 
 
-@dataclass(frozen=True)
-class Profile:
+_TREES, _CLOSURES = ("expr", "d1", "d2"), ("_value", "_deriv1", "_deriv2")
+
+
+class _Lazy:
+    """Until the first read, a profile's ``name`` finds this non-data
+    descriptor on the class.  It makes what ``make`` makes of the profile's
+    tape (``_Tape.fill``'s trees or ``_closures``), stores the item of each
+    root under ``names`` as plain instance attributes, which shadow it from
+    then on, and returns its own.  So a later read costs what it would after
+    an eager build, a grid-only profile builds nothing, and ``==``, ``hash``
+    and ``repr`` see the trees.  (A ``__getattr__`` hook would slow every
+    attribute read of the class.)"""
+
+    def __init__(self, make: Callable, names: tuple[str, ...], name: str):
+        self.make, self.names, self.name = make, names, name
+
+    def __get__(self, profile: Profile | None, owner: type | None = None):
+        if profile is None:
+            return self
+        made = self.make(profile._tape)
+        for name, root in zip(self.names, profile._dag[1]):
+            set_field(profile, name, made[root])
+        return getattr(profile, self.name)
+
+
+class Profile(FrozenRecord):
     """A scalar function of ``u`` with exact symbolic first and second
     derivatives, carried as expression trees.  The three trees share one
     tape (``_Tape``): ``from_text`` and ``from_expr`` derive d1 and d2 on
@@ -660,23 +692,25 @@ class Profile:
     are made on the first read of one or of a scalar (``value``, ``deriv1``,
     ``deriv2``), which also builds the closures (``_Lazy``)."""
 
-    expr: Expr
-    d1: Expr
-    d2: Expr
-    domain: Interval = Interval()
-    _tape: _Tape = field(init=False, repr=False, compare=False)
-    _dag: tuple = field(init=False, repr=False, compare=False)  # _Tape.dag's (nodes, roots, last)
-    # the closed whole line contains every float (NaN too, as contains()
-    # says), so evaluation can skip the interval test
-    _whole_line: bool = field(init=False, repr=False, compare=False)
+    __match_args__ = (*_TREES, "domain")
+    expr, d1, d2 = (_Lazy(_Tape.fill, _TREES, name) for name in _TREES)
+    # ``_closures`` is looked up at each build, as a call in a method would be
+    _value, _deriv1, _deriv2 = (_Lazy(lambda tape: _closures(tape), _CLOSURES, name)
+                                for name in _CLOSURES)
 
-    def __post_init__(self) -> None:
-        self._set_tape(*_tape((self.expr, self.d1, self.d2)))
+    def __init__(self, expr: Expr, d1: Expr, d2: Expr, domain: Interval = Interval()):
+        set_field(self, "expr", expr)
+        set_field(self, "d1", d1)
+        set_field(self, "d2", d2)
+        set_field(self, "domain", domain)
+        self._set_tape(*_tape((expr, d1, d2)))
 
     def _set_tape(self, tape: _Tape, roots: list[int]) -> None:
-        object.__setattr__(self, "_tape", tape)
-        object.__setattr__(self, "_dag", tape.dag(roots))
-        object.__setattr__(self, "_whole_line", self.domain == Interval())
+        set_field(self, "_tape", tape)
+        set_field(self, "_dag", tape.dag(roots))  # _Tape.dag's (nodes, roots, last)
+        # the closed whole line contains every float (NaN too, as contains()
+        # says), so evaluation can skip the interval test
+        set_field(self, "_whole_line", self.domain == Interval())
 
     @classmethod
     def from_expr(cls, expr: Expr, domain: Interval = Interval()) -> "Profile":
@@ -697,7 +731,7 @@ class Profile:
         for _ in range(2):
             roots.append(tape.entry(tape.derive(roots[-1])))
         profile = object.__new__(cls)  # __init__ would need the trees
-        object.__setattr__(profile, "domain", domain)  # vars() would slow every read
+        set_field(profile, "domain", domain)  # vars() would slow every read
         profile._set_tape(tape, roots)
         return profile
 
@@ -737,34 +771,3 @@ class Profile:
         root = self._dag[1][0]
         columns = _run_columns(*self._tape.dag([root], root + 1), us)
         return None if columns is None else columns[0]
-
-
-class _Lazy:
-    """Until the first read, a profile's ``name`` finds this non-data
-    descriptor on the class.  It makes what ``make`` makes of the profile's
-    tape (``_Tape.fill``'s trees or ``_closures``), stores the item of each
-    root under ``names`` as plain instance attributes, which shadow it from
-    then on, and returns its own.  So a later read costs what it would after
-    an eager build, a grid-only profile builds nothing, and ``==``, ``hash``
-    and ``repr`` see the trees.  (A ``__getattr__`` hook would slow every
-    attribute read of the class.)"""
-
-    def __init__(self, make: Callable, names: tuple[str, ...], name: str):
-        self.make, self.names, self.name = make, names, name
-
-    def __get__(self, profile: Profile | None, owner: type | None = None):
-        if profile is None:
-            return self
-        made = self.make(profile._tape)
-        for name, root in zip(self.names, profile._dag[1]):
-            object.__setattr__(profile, name, made[root])
-        return getattr(profile, self.name)
-
-
-# set after the dataclass is made, which would take the trees' for defaults;
-# ``_closures`` is looked up at each build, as a call in a method would be
-for _make, _names in ((_Tape.fill, ("expr", "d1", "d2")),
-                      (lambda tape: _closures(tape), ("_value", "_deriv1", "_deriv2"))):
-    for _name in _names:
-        setattr(Profile, _name, _Lazy(_make, _names, _name))
-del _make, _names, _name

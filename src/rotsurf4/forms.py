@@ -34,9 +34,9 @@ Vec4s), and ``octet.octet_generic`` at its centre and its b-field stencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import FrozenRecord, Record, set_field
 from .geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2, Vec4, _tangent_plane,
                        det4, dot, norm)
 
@@ -78,32 +78,30 @@ class NonFiniteInvariantError(GeometryError):
     curvature ellipse is inf or NaN, so there is nothing to classify or draw."""
 
 
-# FirstForm, SecondTensor, SecondForm and InvariantRecord are per-point value
-# types by the convention of Vec4: nothing assigns their fields after construction
+# FirstForm, SecondTensor, SecondForm and InvariantRecord are per-point value types
+# like Vec4; no hot path makes them, so their constructors assign fields in tuples
 
-@dataclass(slots=True)
-class FirstForm:
-    E: float
-    F: float
-    G: float
-    W: float  # sqrt(EG - F^2)
+class FirstForm(Record):
+    __slots__ = __match_args__ = ("E", "F", "G", "W")
 
-
-@dataclass(slots=True)
-class SecondTensor:
-    c11_1: float
-    c11_2: float
-    c12_1: float
-    c12_2: float
-    c22_1: float
-    c22_2: float
+    def __init__(self, E: float, F: float, G: float, W: float):
+        self.E, self.F, self.G, self.W = E, F, G, W  # W = sqrt(EG - F^2)
 
 
-@dataclass(slots=True)
-class SecondForm:
-    L: float
-    M: float
-    N: float
+class SecondTensor(Record):
+    __slots__ = __match_args__ = ("c11_1", "c11_2", "c12_1", "c12_2", "c22_1", "c22_2")
+
+    def __init__(self, c11_1: float, c11_2: float, c12_1: float, c12_2: float, c22_1: float,
+                 c22_2: float):
+        self.c11_1, self.c11_2, self.c12_1 = c11_1, c11_2, c12_1
+        self.c12_2, self.c22_1, self.c22_2 = c12_2, c22_1, c22_2
+
+
+class SecondForm(Record):
+    __slots__ = __match_args__ = ("L", "M", "N")
+
+    def __init__(self, L: float, M: float, N: float):
+        self.L, self.M, self.N = L, M, N
 
 
 class PointType(str, Enum):
@@ -116,18 +114,13 @@ class PointType(str, Enum):
 _POINT_TYPES = {t.value: t for t in PointType}  # a dict lookup, 25x cheaper than PointType(text)
 
 
-@dataclass(slots=True)
-class InvariantRecord:
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
-    k: float
-    kappa: float
-    K: float
-    point_type: PointType
+class InvariantRecord(Record):
+    __slots__ = __match_args__ = ("E", "F", "G", "L", "M", "N", "k", "kappa", "K", "point_type")
+
+    def __init__(self, E: float, F: float, G: float, L: float, M: float, N: float, k: float,
+                 kappa: float, K: float, point_type: PointType):
+        self.E, self.F, self.G, self.L, self.M, self.N = E, F, G, L, M, N
+        self.k, self.kappa, self.K, self.point_type = k, kappa, K, point_type
 
 
 def first_form(jet: Jet2) -> FirstForm:
@@ -382,16 +375,19 @@ def ellipse_samples(jet, n: int) -> list[Vec4]:
             for t in (2.0 * math.pi * j / n for j in range(n))]
 
 
-@dataclass(frozen=True)
-class CircleReport:
+class CircleReport(FrozenRecord):
     """Outcome of the circle test; a radius below tolerance is reported as
     a degenerate circle (flat-point case), not a failure."""
 
-    ok: bool
-    degenerate: bool
-    center: Vec4
-    radius: float
-    max_deviation: float
+    __match_args__ = ("ok", "degenerate", "center", "radius", "max_deviation")
+
+    def __init__(self, ok: bool, degenerate: bool, center: Vec4, radius: float,
+                 max_deviation: float):
+        set_field(self, "ok", ok)
+        set_field(self, "degenerate", degenerate)
+        set_field(self, "center", center)
+        set_field(self, "radius", radius)
+        set_field(self, "max_deviation", max_deviation)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+from ._record import Record
 
 if TYPE_CHECKING:
     from .rotational import RotationalSurface
@@ -44,16 +45,18 @@ class RegularityError(GeometryError):
     """A regularity condition of the surface family fails at the point."""
 
 
-@dataclass(slots=True)
-class Vec4:
+class Vec4(Record):
     """A point or vector of R^4.  A value type by convention: nothing
     assigns its fields after construction (slots, not ``frozen``, keep
     construction cheap on the hot paths)."""
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    __slots__ = __match_args__ = ("x1", "x2", "x3", "x4")
+
+    def __init__(self, x1: float, x2: float, x3: float, x4: float):
+        self.x1 = x1
+        self.x2 = x2
+        self.x3 = x3
+        self.x4 = x4
 
     def __add__(self, other: "Vec4") -> "Vec4":
         return Vec4(self.x1 + other.x1, self.x2 + other.x2,
@@ -106,19 +109,21 @@ def det4(a, b, c, d) -> float:
     return 0.0 + a1 * t1 + -a2 * t2 + a3 * t3 + -a4 * t4
 
 
-@dataclass(slots=True)
-class Jet2:
+class Jet2(Record):
     """Position plus first and second partial derivatives at one
     parameter point of a map (u, v) -> R^4; a value type like :class:`Vec4`.
     It unpacks, as the tuple form of a jet does, to
     ``z, z_u, z_v, z_uu, z_uv, z_vv``."""
 
-    z: Vec4
-    z_u: Vec4
-    z_v: Vec4
-    z_uu: Vec4
-    z_uv: Vec4
-    z_vv: Vec4
+    __slots__ = __match_args__ = ("z", "z_u", "z_v", "z_uu", "z_uv", "z_vv")
+
+    def __init__(self, z: Vec4, z_u: Vec4, z_v: Vec4, z_uu: Vec4, z_uv: Vec4, z_vv: Vec4):
+        self.z = z
+        self.z_u = z_u
+        self.z_v = z_v
+        self.z_uu = z_uu
+        self.z_uv = z_uv
+        self.z_vv = z_vv
 
     def __iter__(self):
         return iter((self.z, self.z_u, self.z_v, self.z_uu, self.z_uv, self.z_vv))

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, set_field
 from .expr import Interval, Profile, format_number
 from .rotational import ClosedFormRangeError, RotationalSurface, _check_speeds
 
@@ -43,26 +43,26 @@ __all__ = [
 DEFAULT_U_DOMAIN = (0.25, 4.0)
 
 
-@dataclass(frozen=True)
-class MscParams:
+class MscParams(FrozenRecord):
     """Parameters of a power-law member: g = c u^p with p = eps*beta/alpha.
 
     c = 0 is the degenerate flat branch (g identically zero); it is allowed
     but flagged with a warning when a profile is built from it.
     """
 
-    c: float
-    alpha: float
-    beta: float
-    eps: int
+    __match_args__ = ("c", "alpha", "beta", "eps")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c):
-            raise ValueError(f"power-law constant c must be finite, got {self.c!r}")
-        _check_speeds(self.alpha, self.beta)
-        if self.alpha == self.beta:
+    def __init__(self, c: float, alpha: float, beta: float, eps: int):
+        set_field(self, "c", c)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "eps", eps)
+        if not math.isfinite(c):
+            raise ValueError(f"power-law constant c must be finite, got {c!r}")
+        _check_speeds(alpha, beta)
+        if alpha == beta:
             raise ValueError("rotation speeds must differ")
-        if self.eps not in (1, -1):
+        if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         if self.p == 0.0 or not math.isfinite(self.p):  # beta/alpha under- or overflows
             raise ValueError(f"exponent beta/alpha must be finite and nonzero, got "

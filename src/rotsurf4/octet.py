@@ -21,10 +21,10 @@ leaves the other four fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
+from ._record import Record
 from .forms import _areas, _defect, _direction, _normal, _plane
 from .geometry import GeometryError, Jet2, _det3s
 
@@ -48,21 +48,24 @@ class TotallyGeodesicError(GeometryError):
     """sigma(x,x) and sigma(y,y) both vanish, so b is undefined."""
 
 
-@dataclass(slots=True)
-class FrenetOctet:
+class FrenetOctet(Record):
     """A value type like :class:`Vec4`."""
 
-    gamma1: float
-    gamma2: float
-    nu1: float
-    nu2: float
-    lam: float
-    mu: float
-    beta1: float
-    beta2: float
+    __slots__ = __match_args__ = ("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+
+    def __init__(self, gamma1: float, gamma2: float, nu1: float, nu2: float, lam: float,
+                 mu: float, beta1: float, beta2: float):
+        self.gamma1 = gamma1
+        self.gamma2 = gamma2
+        self.nu1 = nu1
+        self.nu2 = nu2
+        self.lam = lam
+        self.mu = mu
+        self.beta1 = beta1
+        self.beta2 = beta2
 
 
-_octet_values = attrgetter("gamma1", "gamma2", "nu1", "nu2", "lam", "mu", "beta1", "beta2")
+_octet_values = attrgetter(*FrenetOctet.__match_args__)
 _GAUGE_FLIPPED = (False, False, True, True, True, True, False, False)  # per _octet_values
 
 

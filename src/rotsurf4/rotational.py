@@ -14,11 +14,11 @@ rather than return inf or nan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 from sys import float_info
 from typing import Iterator
 
+from ._record import FrozenRecord, set_field
 from .expr import Profile
 from .forms import FirstForm, SecondForm
 from .geometry import GeometryError, RegularityError, Vec4, rotate, rotation_trig
@@ -51,20 +51,20 @@ def _check_speeds(alpha: float, beta: float) -> None:
                              f"alpha={alpha!r}, beta={beta!r}")
 
 
-@dataclass(frozen=True)
-class RotationalSurface:
+class RotationalSurface(FrozenRecord):
     """The family above; profiles f, g are expression trees, so arbitrary
     meridians can be probed, and the regularity conditions
     a^2 f^2 + b^2 g^2 > 0, f'^2 + g'^2 > 0 are checked pointwise."""
 
-    f: Profile
-    g: Profile
-    alpha: float
-    beta: float
+    __match_args__ = ("f", "g", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        _check_speeds(self.alpha, self.beta)
-        if self.alpha == self.beta:
+    def __init__(self, f: Profile, g: Profile, alpha: float, beta: float):
+        set_field(self, "f", f)
+        set_field(self, "g", g)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        _check_speeds(alpha, beta)
+        if alpha == beta:
             raise ValueError(
                 "equal rotation speeds are excluded (every v-line degenerates to a circle)")
 

@@ -10,7 +10,6 @@ csv-module CSV writer, the canonical frame of the family and the Frenet
 curvatures of its v-lines)."""
 
 import csv
-import dataclasses
 import math
 import random
 import sys
@@ -34,9 +33,9 @@ from rotsurf4.rotational import (ClosedFormRangeError, closed_forms_at, closed_i
 
 
 def field_values(record) -> list:
-    """The field values of a dataclass record in field order (slotted records
-    have no ``vars``)."""
-    return [getattr(record, f.name) for f in dataclasses.fields(record)]
+    """The field values of a record in field order, its ``__match_args__``
+    (slotted records have no ``vars``)."""
+    return [getattr(record, name) for name in type(record).__match_args__]
 
 
 def rel_dev(a: float, b: float) -> float:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -998,6 +999,24 @@ def test_deepest_texts_export_in_a_fresh_interpreter(tmp_path, g_text):
 def test_deepest_texts_read_their_second_derivative_in_a_fresh_interpreter(g_text):
     # making the tree objects of a tape must not recurse
     assert _d2_in_a_fresh_interpreter(g_text) == (0, b"")
+
+
+def _cap_address_space():
+    # 256 MiB: the interpreter starts in about 20, and the grid fails long
+    # before the cap, so the child touches little memory
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_a_grid_too_large_for_memory_is_a_usage_error(tmp_path):
+    out = tmp_path / "x.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "rotsurf4", "invariants", *RUN,
+                           "--u", "0.5:2:200000000", "--out", str(out)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=_cap_address_space, check=False)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: out of memory\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

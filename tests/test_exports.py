@@ -7,6 +7,8 @@ behind."""
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -125,3 +127,15 @@ def test_no_module_imports_a_name_it_never_reads(path):
     unread = [name for name, guarded in _imports(tree)
               if name not in read and not (guarded and name in annotated)]
     assert unread == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # records are plain classes, so a cold start loads none of these; ``-S``
+    # because ``site`` may load other modules (typing, enum) itself
+    src = str(Path(rotsurf4.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rotsurf4.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -670,7 +669,7 @@ def test_profile_is_freed_without_the_cycle_collector():
 
 # ---------------------------------------------------------------------------
 # value semantics: nodes and profiles compare, hash, print and match as
-# frozen dataclasses, however their trees were made
+# frozen records, however their trees were made
 
 _U2_TREES = (
     "expr=Binary(op='^', left=Variable(), right=Constant(value=2.0)), "
@@ -711,9 +710,9 @@ def test_profile_repr_prints_its_trees_and_domain():
 def test_profile_fields_are_frozen_before_and_after_their_first_read(name):
     for p in _profiles_of("sin(u)*u"):
         for _ in range(2):  # unread, then read
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(p, name, Variable())
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(p, name)
             assert getattr(p, name) != Variable()
         assert p == Profile.from_text("sin(u)*u")
@@ -730,7 +729,7 @@ def test_nodes_compare_hash_print_and_freeze_as_values():
         "right=Variable()), right=Constant(value=-0.0))")
     for node, name in ((Constant(1.0), "value"), (Unary("sin", Variable()), "child"),
                        (parse("u*u"), "left"), (parse("u*u"), "op")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(node, name, None)
 
 
