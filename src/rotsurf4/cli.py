@@ -617,6 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rotsurf4",
         description="Curvature invariants of two-plane rotational surfaces in 4-space.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's parser, by name
 
     inv = sub.add_parser("invariants", help="CSV grid of forms, invariants and point type")
     inv.set_defaults(run=cmd_invariants, parser=inv)
@@ -684,7 +685,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    """Run one command line; an ``argv`` that starts with a subcommand's name
+    is parsed once, by that subcommand's parser, and any other by the top level."""
+    parser, argv = _parser(), sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
         args = parser.parse_args(argv)
         return args.run(args, args.parser)
@@ -708,7 +713,7 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Console entry point; a stdout closed early exits 141 (128 + SIGPIPE)."""
     try:
-        code = main(sys.argv[1:])
+        code = main()
         sys.stdout.flush()
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; let that write go nowhere

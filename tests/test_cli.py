@@ -886,17 +886,180 @@ def test_vertex_format_writes_what_num_writes(x):
         "v " + " ".join(map(num, xs)) + "\n" for xs in ((x, -x, 0.5), (0.5, x, -x)))
 
 
-@pytest.mark.parametrize("argv", [
-    ["msc", "--alpha", "nan", "--beta", "2"],
-    ["invariants", "--f", "u", "--alpha", "1", "--beta", "2", "--u", "1:1:1"],
-    ["export", "--msc-c", "inf", "--eps", "1", "--alpha", "1", "--beta", "2", "--out", "m.obj"],
-    ["plot", *RUN, "--u", "1:1:1", "--quantity", "ellipse", "--out", "x.svg"],
-])
-def test_usage_error_prints_subcommand_usage(capsys, argv):
+# one valid, cheap line per subcommand; the ``--out`` file is relative
+VALID_LINES = {
+    "invariants": ["invariants", *RUN, "--u", "1:2:2", "--out", "inv.csv"],
+    "octet": ["octet", *RUN, "--u", "1:2:2", "--out", "oct.csv"],
+    "verify": ["verify", *RUN, "--u", "1:2:2", "--v", "0:1:2"],
+    "msc": ["msc", "--alpha", "1", "--beta", "2", "--u", "1:2:2", "--out", "msc.csv"],
+    "export": ["export", *RUN, "--u", "1:2:2", "--v", "0:1:2", "--out", "m.obj"],
+    "plot": ["plot", *RUN, "--u", "1:2:3", "--quantity", "k", "--out", "k.svg"],
+}
+BOGUS = ["--bogus", "x"]
+
+
+USAGE_ERRORS = [
+    (["msc", "--alpha", "nan", "--beta", "2"],
+     "rotation speed alpha must be finite and positive, got nan"),
+    (["invariants", "--f", "u", "--alpha", "1", "--beta", "2", "--u", "1:1:1"],
+     "an expression surface needs both --f and --g"),
+    (["export", "--msc-c", "inf", "--eps", "1", "--alpha", "1", "--beta", "2", "--out", "m.obj"],
+     "power-law constant c must be finite, got inf"),
+    (["plot", *RUN, "--u", "1:1:1", "--quantity", "ellipse", "--out", "x.svg"],
+     "--point U V is required for the ellipse plot"),
+    # an unrecognized argument after a valid line
+    *(([*line, *BOGUS], "unrecognized arguments: --bogus x") for line in VALID_LINES.values()),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_error_prints_subcommand_usage(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"usage: rotsurf4 {argv[0]} ")
-    assert f"rotsurf4 {argv[0]}: error: " in err
+    assert err.endswith(f"rotsurf4 {argv[0]}: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unrecognized_argument_names_its_subcommand_in_a_fresh_interpreter(tmp_path):
+    # python -m rotsurf4 reads its argv through main(None)
+    proc = _rotsurf4([*VALID_LINES["octet"], *BOGUS], cwd=tmp_path, stdout=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.startswith(b"usage: rotsurf4 octet ")
+    assert err.endswith(b"rotsurf4 octet: error: unrecognized arguments: --bogus x\n")
+
+
+# ---------------------------------------------------------------------------
+# the parser's answers, pinned: what argparse prints at COLUMNS=80 for an
+# argv that stops at parsing, whichever parser reads it
+
+TOP_USAGE = "usage: rotsurf4 [-h] {invariants,octet,verify,msc,export,plot} ...\n"
+TOP_HELP = TOP_USAGE + """
+Curvature invariants of two-plane rotational surfaces in 4-space.
+
+positional arguments:
+  {invariants,octet,verify,msc,export,plot}
+    invariants          CSV grid of forms, invariants and point type
+    octet               CSV grid of the eight frame invariants
+    verify              cross-validate closed forms against the generic
+                        pipeline
+    msc                 generate and check a minimal super-conformal member
+    export              OBJ mesh of a 3-coordinate projection
+    plot                SVG plot of a quantity along u, or the curvature
+                        ellipse
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHOICES = "(choose from 'invariants', 'octet', 'verify', 'msc', 'export', 'plot')"
+SUB_USAGE = {
+    "invariants": (
+        "usage: rotsurf4 invariants [-h] [--f F] [--g G] --alpha ALPHA --beta BETA\n"
+        "                           [--msc-c MSC_C] [--eps {1,-1}] [--u U] [--v V]\n"
+        "                           [--out OUT] [--tol-class TOL_CLASS]\n"),
+    "octet": (
+        "usage: rotsurf4 octet [-h] [--f F] [--g G] --alpha ALPHA --beta BETA\n"
+        "                      [--msc-c MSC_C] [--eps {1,-1}] [--u U] [--v V]\n"
+        "                      [--out OUT]\n"),
+    "verify": (
+        "usage: rotsurf4 verify [-h] [--f F] [--g G] --alpha ALPHA --beta BETA\n"
+        "                       [--msc-c MSC_C] [--eps {1,-1}] [--u U] [--v V]\n"
+        "                       [--tol-pipeline TOL_PIPELINE] [--tol-octet TOL_OCTET]\n"
+        "                       [--tol-relations TOL_RELATIONS]\n"
+        "                       [--tol-residual TOL_RESIDUAL]\n"
+        "                       [--tol-superconformal TOL_SUPERCONFORMAL]\n"
+        "                       [--tol-circle TOL_CIRCLE]\n"),
+    "msc": (
+        "usage: rotsurf4 msc [-h] [--c C] --alpha ALPHA --beta BETA [--eps {1,-1}]\n"
+        "                    [--u U] [--out OUT]\n"
+        "                    [--tol-superconformal TOL_SUPERCONFORMAL]\n"),
+    "export": (
+        "usage: rotsurf4 export [-h] [--f F] [--g G] --alpha ALPHA --beta BETA\n"
+        "                       [--msc-c MSC_C] [--eps {1,-1}] [--u U] [--v V]\n"
+        "                       [--projection {drop1,drop2,drop3,drop4}] [--close-v]\n"
+        "                       --out OUT\n"),
+    "plot": (
+        "usage: rotsurf4 plot [-h] [--f F] [--g G] --alpha ALPHA --beta BETA\n"
+        "                     [--msc-c MSC_C] [--eps {1,-1}] [--u U] [--v V] --quantity\n"
+        "                     {k,kappa,K,nu1,nu2,mu,gamma2,beta2,ellipse} [--point U V]\n"
+        "                     [--samples SAMPLES] --out OUT\n"),
+}
+# what each subcommand still misses with --beta alone
+MISSING = {"invariants": "--alpha", "octet": "--alpha", "verify": "--alpha", "msc": "--alpha",
+           "export": "--alpha, --out", "plot": "--alpha, --quantity, --out"}
+SPEEDS = ["--alpha", "1", "--beta", "2"]
+
+
+def _sub_error(command, message):
+    return SUB_USAGE[command] + f"rotsurf4 {command}: error: {message}\n"
+
+
+PARSE_PINS = [
+    pytest.param([], 2, "", TOP_USAGE + "rotsurf4: error: the following arguments are "
+                 "required: command\n", id="empty"),
+    pytest.param(["-h"], 0, TOP_HELP, "", id="-h"),
+    pytest.param(["--help"], 0, TOP_HELP, "", id="--help"),
+    pytest.param(["bogus"], 2, "", TOP_USAGE + "rotsurf4: error: argument command: invalid "
+                 f"choice: 'bogus' {CHOICES}\n", id="unknown-command"),
+    pytest.param(["--alpha", "1", "invariants"], 2, "", TOP_USAGE + "rotsurf4: error: "
+                 f"argument command: invalid choice: '1' {CHOICES}\n", id="option-first"),
+    *(pytest.param([command, *argv], 2, "", _sub_error(command, message),
+                   id=f"{command}-{case}")
+      for command in SUB_USAGE for case, argv, message in (
+          ("no-alpha", ["--beta", "2"],
+           f"the following arguments are required: {MISSING[command]}"),
+          ("u-1:2", [*SPEEDS, "--u", "1:2"],
+           "argument --u: expected min:max:count, got '1:2'"),
+          ("eps-2", [*SPEEDS, "--eps", "2"],
+           "argument --eps: invalid choice: 2 (choose from 1, -1)"))),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSE_PINS)
+def test_parser_answers_are_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # the width usage and help wrap to
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+# sha256 of each subcommand's --help text at COLUMNS=80
+HELP_SHA256 = {
+    "invariants": "84658e326a725a7b94f15b8898b6000461442b3cb96f9f21aa7393754d011817",
+    "octet": "9a66ecd83d44327f24285655c9e3dd3faaea9a9942d36789f4065bb7d0a777f5",
+    "verify": "1ff1ccea2fcaf6191b38c8a74fb453412c64d28a08a94f68e252b34e24e49082",
+    "msc": "c1c8880ee15d4a2a411b753a7fcf5ae7831e62da8a9d31a68969dff977dbbe55",
+    "export": "17e6d3750d3a957c57fb2a198a9fb9e46aa0f6d302a82e2c19fadfc3d17d0830",
+    "plot": "5c8fcbe686f0a0490b0776aa9411d9f5eeb5a9508825aae4491852d1f876693e",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_subcommand_help_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(SUB_USAGE[command] + "\n")
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (HELP_SHA256[command], "")
+
+
+def test_a_valid_command_never_runs_the_top_level_parser(tmp_path, monkeypatch, capsys):
+    # a command line that names its subcommand is parsed once, by that subcommand's parser
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a valid command line")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    monkeypatch.chdir(tmp_path)
+    codes = {command: main(argv) for command, argv in VALID_LINES.items()}
+    assert codes == dict.fromkeys(VALID_LINES, 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "inv.csv", "k.svg", "m.obj", "msc.csv", "oct.csv"]
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

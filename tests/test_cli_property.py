@@ -6,7 +6,8 @@ member (``--msc-c``/``--eps``), with speeds, grid bounds, power-law
 constants, ellipse points and tolerances drawn from the edges of the
 double range (NaN, +-inf, 0, negative values, +-1e308).  Each run must exit 0 (or 1, the verdict of
 ``verify`` and ``msc``) with every number it wrote finite, or exit 2 or 3,
-and no exception may escape ``main``.
+and no exception may escape ``main``.  The named subcommand's parser alone,
+which ``main`` runs, must read each draw as the top-level parser does.
 
 On the same draws, ``export`` (one vertex and one face chunk per u-row)
 must answer exactly as the per-point command over the surface map does,
@@ -141,6 +142,32 @@ def test_cli_answers_finitely_or_exits_2_or_3(argv):
         if code in verdicts:
             text = stdout.getvalue() + (out.read_text() if out.exists() else "")
             assert not NON_FINITE.search(text), text
+
+
+def _parsed(parser, argv):
+    """(the namespace as a dict of value reprs, so that NaN equals NaN and
+    -0.0 differs from 0.0, or the exit code, and stderr) of
+    ``parser.parse_args(argv)``."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            parsed = {name: repr(x) for name, x in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            parsed = exc.code
+    return parsed, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_subcommand_parser_reads_what_the_top_level_parser_reads(argv):
+    # main parses a line that names its subcommand with that subcommand's
+    # parser alone; the top level would hand it the same strings
+    if argv[0] != "verify":
+        argv = [*argv, "--out", "out"]
+    parser = cli.build_parser()
+    top, top_err = _parsed(parser, argv)
+    if isinstance(top, dict):
+        assert top.pop("command") == repr(argv[0])
+    assert _parsed(parser.commands[argv[0]], argv[1:]) == (top, top_err)
 
 
 @st.composite
