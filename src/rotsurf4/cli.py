@@ -163,6 +163,12 @@ def _power_law(parser: argparse.ArgumentParser, c: float, alpha: float, beta: fl
     return params, surface, (lo, hi, count)
 
 
+# the profile of each recent --f/--g text, oldest first: a profile is a pure function of
+# its text, and its lazily built trees and closures are the same whenever they are made
+_PROFILES: dict[str, Profile] = {}
+_PROFILES_KEPT = 16  # the f and g of the last 8 surfaces
+
+
 def _build_surface(args: argparse.Namespace, parser: argparse.ArgumentParser,
                    u_range: _Range | None = None) -> tuple[RotationalSurface, _Range | None]:
     """The surface of ``args`` and its u grid: ``u_range``, or for None a
@@ -180,8 +186,16 @@ def _build_surface(args: argparse.Namespace, parser: argparse.ArgumentParser,
         return _power_law(parser, args.msc_c, args.alpha, args.beta, args.eps, u_range)[1:]
     if args.f is None or args.g is None:
         parser.error("an expression surface needs both --f and --g")
-    return RotationalSurface(Profile.from_text(args.f), Profile.from_text(args.g),
-                             args.alpha, args.beta), u_range
+    profiles = []
+    for text in (args.f, args.g):  # inline: a frame here would count against the depth limit
+        profile = _PROFILES.get(text)
+        if profile is None:
+            profile = Profile.from_text(text)  # a text that fails raises before the store
+            if len(_PROFILES) >= _PROFILES_KEPT:
+                del _PROFILES[next(iter(_PROFILES))]
+            _PROFILES[text] = profile
+        profiles.append(profile)
+    return RotationalSurface(*profiles, args.alpha, args.beta), u_range
 
 
 def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,

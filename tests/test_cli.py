@@ -1318,6 +1318,8 @@ def test_grid_commands_build_no_scalar_closures(tmp_path, monkeypatch, capsys, a
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(rotsurf4.expr, "_closures", refuse)
+    # a fresh memo: a kept profile whose closures an earlier command built would pass
+    monkeypatch.setattr(cli, "_PROFILES", {})
     g = ["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--alpha", "1", "--beta", "2"]
     assert main([argv[0], *g, *argv[1:]]) == 0
 
@@ -1370,3 +1372,98 @@ def test_invariants_evaluates_each_profile_term_once_per_u(tmp_path, monkeypatch
                  "--out", str(tmp_path / "inv.csv")])
     assert code == 0
     assert len(calls) == 6 * nu
+
+
+# ---------------------------------------------------------------------------
+# one profile per --f/--g text: main keeps the profiles of its recent texts
+
+TRANSCENDENTAL = ["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--alpha", "1", "--beta", "2"]
+CUBIC = ["--f", "u", "--g", "u^3", "--alpha", "1", "--beta", "2"]
+# one expression-source command per subcommand, each argv starting with its
+# --f and --g, and its exit code; the verify line of the cubic prints PASS,
+# FAIL (the octet at tolerance 0) and n/a lines
+REUSE_RUNS = [
+    pytest.param(["invariants", *TRANSCENDENTAL, "--u", "0.5:2:4", "--v", "0:1:2",
+                  "--out", "out"], 0, id="invariants"),
+    pytest.param(["octet", *TRANSCENDENTAL, "--u", "0.5:2:4"], 0, id="octet"),
+    pytest.param(["verify", *CUBIC, "--u", "0.5:2:4", "--v", "0:1:2", "--tol-octet", "0"], 1,
+                 id="verify"),
+    pytest.param(["export", *TRANSCENDENTAL, "--u", "0.5:2:4", "--v", "0:1:3", "--out", "out"],
+                 0, id="export"),
+    pytest.param(["plot", *TRANSCENDENTAL, "--u", "0.5:2:4", "--quantity", "nu1",
+                  "--out", "out"], 0, id="plot"),
+    pytest.param(["plot", *TRANSCENDENTAL, "--quantity", "ellipse", "--point", "1.3", "0.7",
+                  "--out", "out"], 0, id="ellipse"),
+    # texts that fail: to parse (exit 2), to name a function, by depth, or at
+    # a point (exit 3, a text that parses)
+    pytest.param(["invariants", "--f", "u", "--g", "u^*2", "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:3"], 2, id="syntax-error"),
+    pytest.param(["invariants", "--f", "u", "--g", "foo(u)", "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:3"], 2, id="unknown-name"),
+    pytest.param(["invariants", "--f", "u", "--g", DEEP_SUM, "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:3"], 2, id="deep-sum"),
+    pytest.param(["verify", "--f", "u", "--g", DEEP_PARENS, "--alpha", "1", "--beta", "2",
+                  "--u", "1:2:3"], 2, id="deep-parens"),
+    pytest.param(["octet", "--f", "u", "--g", "sqrt(u-2)", "--alpha", "1", "--beta", "2",
+                  "--u", "0.5:3:6"], 3, id="domain-error"),
+]
+
+
+def _outcome(argv, capfd, out):
+    """Exit code, stdout, stderr and the ``--out`` bytes of one ``main`` run."""
+    code = main(argv)
+    captured = capfd.readouterr()
+    data = out.read_bytes() if out.exists() else None
+    if out.exists():
+        out.unlink()
+    return code, captured.out, captured.err, data
+
+
+@pytest.mark.parametrize("argv, code", REUSE_RUNS)
+def test_reused_profiles_change_no_output_byte(tmp_path, monkeypatch, capfd, argv, code):
+    monkeypatch.chdir(tmp_path)
+    memo = {}
+    monkeypatch.setattr(cli, "_PROFILES", memo, raising=False)
+    run = partial(_outcome, capfd=capfd, out=tmp_path / "out")
+    fresh = run(argv)
+    assert fresh[0] == code
+    assert run(argv) == fresh  # twice in a row
+    # after a command on another surface, and one that reads the same texts
+    # through the scalar closures (export's meridian points)
+    run(["invariants", *CUBIC, "--u", "1:2:3"])
+    run(["export", "--f", argv[2], "--g", argv[4], "--alpha", "1", "--beta", "2",
+         "--u", "0.5:2:2", "--v", "0:1:2", "--out", "out"])
+    assert run(argv) == fresh
+    memo.clear()
+    assert run(argv) == fresh
+    if code == 2:  # a text that fails to parse leaves no entry
+        assert argv[4] not in memo
+
+
+def test_a_repeated_text_is_parsed_once(tmp_path, monkeypatch):
+    class Parsed(Exception):
+        pass
+
+    def refuse(cls, text, *args):
+        raise Parsed(text)
+
+    monkeypatch.setattr(cli, "_PROFILES", {})
+    argv = ["invariants", *RUN, "--u", "1:2:3", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    monkeypatch.setattr(Profile, "from_text", classmethod(refuse))
+    assert main(argv) == 0
+    assert main(["octet", *RUN, "--u", "0.5:1:2", "--out", str(tmp_path / "out.csv")]) == 0
+    with pytest.raises(Parsed, match=r"^u\^5$"):
+        main(["invariants", "--f", "u", "--g", "u^5", "--alpha", "1", "--beta", "2",
+              "--u", "1:2:3", "--out", str(tmp_path / "out.csv")])
+
+
+def test_the_profile_memo_stays_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_PROFILES", {})
+    texts = [f"u^2+{i}" for i in range(40)]
+    for text in texts:
+        assert main(["invariants", "--f", "u", "--g", text, "--alpha", "1", "--beta", "2",
+                     "--u", "1:1:1", "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(cli._PROFILES) <= cli._PROFILES_KEPT
+    # the oldest texts leave first, so the latest stay
+    assert texts[-1] in cli._PROFILES and texts[0] not in cli._PROFILES

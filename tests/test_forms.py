@@ -520,6 +520,29 @@ def test_frame_free_forms_agree_with_the_framed_reference(jet):
         assert abs(rec[name] - getattr(ref, name)) <= limit, name
 
 
+# a jet of the law's domain that one random draw met, so that the law's
+# outcome hung on the example database: its tangents are nearly collinear
+# (W about 5e-141), z_uu = 0 and z_uv = z_u, and the framed reference reads a
+# flat point
+_COLLINEAR_U = Vec4(0.0, 1.949688826777266e-16, 0.09375, 0.0)
+NEARLY_COLLINEAR_JET = Jet2(_ZERO, _COLLINEAR_U,
+                            Vec4(0.0, 5.424304097621919e-140, 0.0, 2.8412538135624134e-182),
+                            _ZERO, _COLLINEAR_U, Vec4(1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.xfail(strict=True, raises=NonFiniteInvariantError,
+                   reason="ROADMAP item 10: generic_values reads kappa = inf (N about 8.7e65) "
+                          "where the framed reference reads a flat point")
+def test_nearly_collinear_tangents_give_the_framed_references_flat_point():
+    jet = NEARLY_COLLINEAR_JET
+    ref = reference_framed_invariants(*reference_framed_forms(jet)[2:])
+    names = ("L", "M", "N", "k", "kappa", "K")
+    assert [getattr(ref, name) for name in names] == [0.0] * 6
+    assert ref.point_type is PointType.FLAT
+    rec = dict(zip(("E", "F", "G", *names), generic_values(jet)))
+    assert [rec[name] for name in names] == [0.0] * 6
+
+
 _special = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
