@@ -31,14 +31,14 @@ from itertools import chain, repeat
 from . import msc as msc_mod
 from ._record import Record
 from .expr import EvalDomainError, ExprSyntaxError, Profile
-from .forms import (NonFiniteInvariantError, _classify, ellipse_samples, generic_values,
-                    is_circle, superconformal_residuals, superconformal_verdict)
+from .forms import (NonFiniteInvariantError, ellipse_samples, generic_values, is_circle,
+                    superconformal_residuals, superconformal_verdict)
 from .geometry import (GeometryError, _fd_step, analytic_jet2, analytic_parts_from, dot,
                        fd_jet2, gram_schmidt_normals, norm, rotation_trig)
 from .octet import (_GAUGE_FLIPPED, _STEP, FrenetOctet, TotallyGeodesicError, _octet_values,
                     invariants_from_octet, octet_generic)
-from .rotational import (RotationalSurface, _closed_forms, _closed_gauss, _closed_invariants,
-                         _closed_octet)
+from .rotational import (_INVARIANT_COLUMNS, _OCTET_COLUMNS, RotationalSurface, _invariant_rows,
+                         _octet_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,7 +49,7 @@ EXIT_BROKEN_PIPE = 141
 # CSV formats as csv.writer writes them ("," between fields, "\r\n" ends a line, no quotes);
 # %.17g is lossless, and F, M, gamma1, lambda and beta1 are +0.0 here, which it writes as 0
 _INVARIANT_HEADER = "u,v,E,F,G,L,M,N,k,kappa,K,type\r\n"
-_INVARIANT_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0," + "%.17g," * 4 + "%s\r\n"
+_INVARIANT_ROW = "%.17g,{v},%.17g,0,%.17g,%.17g,0," + "%.17g," * 4 + "%s\r\n"  # v per format
 _OCTET_HEADER = "u,gamma1,gamma2,nu1,nu2,lambda,mu,beta1,beta2\r\n"
 _OCTET_ROW = "%.17g,0,%.17g,%.17g,%.17g,0,%.17g,0,%.17g\r\n"
 _MSC_HEADER = "u,k,kappa,K,residual,minimal,superconformal\r\n"
@@ -207,12 +207,14 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     return surface, _linspace(*u_range), _linspace(*(args.v or default_v))
 
 
-def _write_csv(path: str | None, header: str, row_format: str, rows) -> None:
-    """``header`` and ``row_format % row`` for each row on ``path``, or on
-    stdout for None or "-", one ``write`` per line as each is formatted (one
-    large ``write`` to a pipe closed early can drop the text without raising
+def _write_csv(path: str | None, header: str, row_formats: list[str], rows) -> None:
+    """``header`` and ``row_format % row`` for each row and, in turn, each of
+    ``row_formats`` (``rows`` is read once per format) on ``path``, or on stdout
+    for None or "-", one ``write`` per line as each is formatted (one large
+    ``write`` to a pipe closed early can drop the text without raising
     BrokenPipeError)."""
-    lines = chain((header,), (row_format % row for row in rows))
+    lines = chain((header,), chain.from_iterable(zip(*[map(fmt.__mod__, rows)
+                                                       for fmt in row_formats])))
     if path is None or path == "-":
         sys.stdout.writelines(lines)
         return
@@ -232,39 +234,29 @@ def _write_out(path: str, chunks) -> None:
 # ---------------------------------------------------------------------------
 # invariants / octet grids
 
-def _grid_rows(surface: RotationalSurface, us: list[float], v: float, row) -> list:
-    """[row(u, jet) for u in us] over ``meridian_jets(us)``; an error names (u, v) for its u."""
+def _grid_table(kernel, surface: RotationalSurface, us: list[float], v: float, **parts) -> list:
+    """The rows of the grid kernel ``kernel`` over ``meridian_jets(us)``; an error names
+    (u, v) for its u, the first that the kernel has no row for."""
     rows, jets = [], surface.meridian_jets(us)
     try:
-        for u in us:
-            rows.append(row(u, next(jets)))
+        return kernel(surface, us, jets, rows, **parts)
     except (GeometryError, EvalDomainError) as exc:
-        raise _PointError(u, v, exc) from exc
-    return rows
-
-
-def _invariant_row(surface: RotationalSurface, tol: float, u: float, jet) -> tuple:
-    """(E, G, L, N, k, kappa, K, type) at u, k and kappa by the float operations
-    of ``forms.invariants`` less its F = M = 0.0 terms (x - 0.0 is x bit for bit)."""
-    ee, gg, _, big_l, big_n = _closed_forms(surface, u, jet)
-    k, kappa = big_l * big_n / (ee * gg), (ee * big_n + gg * big_l) / (2.0 * (ee * gg))
-    return (ee, gg, big_l, big_n, k, kappa, _closed_gauss(surface, u, jet),
-            _classify(k, kappa, big_l, 0.0, big_n, tol))
+        raise _PointError(us[len(rows)], v, exc) from exc
 
 
 def cmd_invariants(args, parser) -> int:
-    """The CSV rows of each (u, v), from one row tuple per u (``_invariant_row``)."""
+    """The CSV rows of each (u, v), from one row tuple per u and one row format per v."""
     surface, us, vs = _build_config(args, parser)
-    rows = _grid_rows(surface, us, vs[0], partial(_invariant_row, surface, args.tol_class))
-    _write_csv(args.out, _INVARIANT_HEADER, _INVARIANT_ROW,
-               ((u, v, *row) for u, row in zip(us, rows) for v in vs))
+    rows = _grid_table(_invariant_rows, surface, us, vs[0], forms=True, gauss=True,
+                      tol=args.tol_class)
+    _write_csv(args.out, _INVARIANT_HEADER,
+               [_INVARIANT_ROW.replace("{v}", "%.17g" % v) for v in vs], rows)
     return EXIT_OK
 
 
 def cmd_octet(args, parser) -> int:
     surface, us, vs = _build_config(args, parser)
-    rows = _grid_rows(surface, us, vs[0], partial(_closed_octet, surface))
-    _write_csv(args.out, _OCTET_HEADER, _OCTET_ROW, ((u, *row) for u, row in zip(us, rows)))
+    _write_csv(args.out, _OCTET_HEADER, [_OCTET_ROW], _grid_table(_octet_rows, surface, us, vs[0]))
     return EXIT_OK
 
 
@@ -376,11 +368,11 @@ def cmd_verify(args, parser) -> int:
 
     residuals = []
     for u in us:
-        with _at(u, vs[0]):
-            data = meridian(u)
-            ec, gc_, _, lc, nc = _closed_forms(surface, u, data)
-            kc, xc, gc = _closed_invariants(surface, u, data)
-            gamma2, nu1, nu2, mu, beta2 = _closed_octet(surface, u, data)
+        with _at(u, vs[0]):  # the forms, then k and kappa, then K, then the octet
+            point, data = (u,), (meridian(u),)
+            _, ec, gc_, lc, nc, kc, xc, gc = _invariant_rows(
+                surface, point, data, [], forms=True, closed=True, gauss=True)[0]
+            _, gamma2, nu1, nu2, mu, beta2 = _octet_rows(surface, point, data, [])[0]
             oc = FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
             ko, xo, go = invariants_from_octet(oc)
             checks["octet-vs-invariants"].update(
@@ -465,7 +457,7 @@ def cmd_msc(args, parser) -> int:
         rows.append((u, k, kappa, gauss, residual, str(minimal).lower(),
                      str(superconformal).lower()))
 
-    _write_csv(args.out, _MSC_HEADER, _MSC_ROW, rows)
+    _write_csv(args.out, _MSC_HEADER, [_MSC_ROW], rows)
     print(f"minimal super-conformal at {npass}/{len(rows)} grid points")
     return EXIT_OK if npass == len(rows) else EXIT_VERIFY
 
@@ -534,22 +526,23 @@ def _svg_line_plot(xs: list[float], ys: list[float], ylabel: str) -> str:
     xmin, xmax = _axis_range(xs)
     ymin, ymax = _axis_range(ys)
 
-    def sx(x):
-        return margin + (x - xmin) / (xmax - xmin) * (width - 2 * margin)
+    def sx(values):
+        span, length = xmax - xmin, width - 2 * margin
+        return [margin + (x - xmin) / span * length for x in values]
 
-    def sy(y):
-        return height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
+    def sy(values):
+        span, length = ymax - ymin, height - 2 * margin
+        return [height - margin - (y - ymin) / span * length for y in values]
 
+    tick_xs = [xmin + i * (xmax - xmin) / 4 for i in range(5)]
+    tick_ys = [ymin + i * (ymax - ymin) / 4 for i in range(5)]
     body = [
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
     ]
-    for i in range(5):
-        xv = xmin + i * (xmax - xmin) / 4
-        yv = ymin + i * (ymax - ymin) / 4
-        px, py = sx(xv), sy(yv)
+    for xv, yv, px, py in zip(tick_xs, tick_ys, sx(tick_xs), sy(tick_ys)):
         body.append(f'<line x1="{px:.2f}" y1="{height - margin}" x2="{px:.2f}" '
                     f'y2="{height - margin + 6}" stroke="black"/>')
         body.append(f'<text x="{px:.2f}" y="{height - margin + 20}" font-size="11" '
@@ -558,7 +551,7 @@ def _svg_line_plot(xs: list[float], ys: list[float], ylabel: str) -> str:
                     f'y2="{py:.2f}" stroke="black"/>')
         body.append(f'<text x="{margin - 10}" y="{py + 4:.2f}" font-size="11" '
                     f'text-anchor="end">{yv:.6g}</text>')
-    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    points = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs), sy(ys))))
     body.append(f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
     body.append(f'<text x="{width // 2}" y="{height - 16}" font-size="13" '
                 f'text-anchor="middle">u</text>')
@@ -613,11 +606,12 @@ def cmd_plot(args, parser) -> int:
         text = _svg_ellipse_plot(points, (dot(report.center, e1), dot(report.center, e2)))
     else:
         surface, us, vs = _build_config(args, parser)
-        if args.quantity in ("k", "kappa", "K"):
-            closed, i = _closed_invariants, ("k", "kappa", "K").index(args.quantity)
+        if args.quantity in ("k", "kappa", "K"):  # k and kappa, then K: no forms
+            rows = _grid_table(_invariant_rows, surface, us, vs[0], closed=True, gauss=True)
+            i = _INVARIANT_COLUMNS.index(args.quantity)
         else:
-            closed, i = _closed_octet, ("gamma2", "nu1", "nu2", "mu", "beta2").index(args.quantity)
-        rows = _grid_rows(surface, us, vs[0], partial(closed, surface))
+            rows = _grid_table(_octet_rows, surface, us, vs[0])
+            i = _OCTET_COLUMNS.index(args.quantity)
         text = _svg_line_plot(us, [row[i] for row in rows], args.quantity)
     _write_out(args.out, (text,))
     return EXIT_OK

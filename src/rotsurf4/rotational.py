@@ -10,6 +10,14 @@ Shorthand used throughout: E = f'^2 + g'^2, G = a^2 f^2 + b^2 g^2 (F = 0
 identically for this family).  Where a closed form divides by zero or
 leaves the double range, it raises :class:`ClosedFormRangeError` naming u
 rather than return inf or nan.
+
+Each formula is written once, in one of two grid kernels that walk a
+u-grid's meridian jets in one loop, a row per u that starts with u
+(columns: ``_INVARIANT_COLUMNS``, ``_OCTET_COLUMNS``), checking only the parts
+asked for: ``_invariant_rows`` (read by ``invariants``: the forms, then K; by
+``plot`` of k, kappa or K: k and kappa, then K; by ``verify``: the forms, k
+and kappa, then K) and ``_octet_rows`` (``octet``, the other plots,
+``verify`` last).  The scalar ``closed_*_at`` read them on a one-point grid.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Iterator
 
 from ._record import FrozenRecord, set_field
 from .expr import Profile
-from .forms import FirstForm, SecondForm
+from .forms import FirstForm, SecondForm, _classify
 from .geometry import GeometryError, RegularityError, Vec4, rotate, rotation_trig
 from .octet import FrenetOctet
 
@@ -135,23 +143,9 @@ def closed_forms_at(s: RotationalSurface, u: float) -> tuple[FirstForm, SecondFo
         L = 2 a b (g f' - f g')(g' f'' - f' g'') / (G E)
         N = -2 a b (g f' - f g')(b^2 g f' - a^2 f g') / (G E)
     """
-    ee, gg, w, big_l, big_n = _closed_forms(s, u, s.meridian_jet(u))
-    return FirstForm(ee, 0.0, gg, w), SecondForm(big_l, 0.0, big_n)
-
-
-def _closed_forms(s: RotationalSurface, u: float, data) -> tuple[float, float, float, float, float]:
-    """(E, G, W, L, N) from the meridian jet of u; W = sqrt(EG) is finite only if E and G are."""
-    f, f1, f2, g, g1, g2, ee, gg = data
-    a, b = s.alpha, s.beta
-    try:
-        big_l = 2.0 * a * b * (g * f1 - f * g1) * (g1 * f2 - f1 * g2) / (gg * ee)
-        big_n = -2.0 * a * b * (g * f1 - f * g1) * (b * b * g * f1 - a * a * f * g1) / (gg * ee)
-    except ZeroDivisionError:
-        raise ClosedFormRangeError(u, "zero divisor") from None
-    w = sqrt(ee * gg)
-    if not (isfinite(w) and isfinite(big_l) and isfinite(big_n)):
-        raise ClosedFormRangeError(u, "non-finite result")
-    return ee, gg, w, big_l, big_n
+    _, ee, gg, big_l, big_n, _, _, _ = _invariant_rows(s, (u,), (s.meridian_jet(u),), [],
+                                                       forms=True)[0]
+    return FirstForm(ee, 0.0, gg, sqrt(ee * gg)), SecondForm(big_l, 0.0, big_n)
 
 
 def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, float]:
@@ -164,42 +158,67 @@ def closed_invariants_at(s: RotationalSurface, u: float) -> tuple[float, float, 
         K     = [G (b^2 g f' - a^2 f g')(g' f'' - f' g'') - a^2 b^2 E (g f' - f g')^2]
                 / (G^2 E^2)
     """
-    return _closed_invariants(s, u, s.meridian_jet(u))
+    return _invariant_rows(s, (u,), (s.meridian_jet(u),), [], closed=True, gauss=True)[0][5:]
 
 
-def _closed_invariants(s: RotationalSurface, u: float, data) -> tuple[float, float, float]:
-    f, f1, f2, g, g1, g2, ee, gg = data
+_INVARIANT_COLUMNS = ("u", "E", "G", "L", "N", "k", "kappa", "K")
+_OCTET_COLUMNS = ("u", "gamma2", "nu1", "nu2", "mu", "beta2")
+
+
+def _invariant_rows(s: RotationalSurface, us, jets, rows: list, *, forms: bool = False,
+                    closed: bool = False, gauss: bool = False, tol: float | None = None) -> list:
+    """``rows`` with a row (u, E, G, L, N, k, kappa, K) appended per u of ``us`` from its
+    meridian jet in ``jets``, in order, each part computed and checked only where asked
+    (None elsewhere): ``forms`` (L and N, refused where G E is 0 or G E, L or N is not
+    finite, and k and kappa from them by ``forms.invariants``' float operations less its
+    F = M = 0.0 terms, x - 0.0 being x bit for bit), ``closed`` (k and kappa in closed form
+    in their place, refused where a divisor is 0, G^3 or E^3 overflows or one is not finite)
+    and ``gauss`` (refused where (G E)^2 is 0 or inf, K is not finite or a numerator term,
+    G radial bend or a^2 b^2 E mixed^2, is 0 or subnormal with no zero factor).  A ``tol``
+    (with ``forms``) appends the type of ``_classify`` to each row.  An error leaves the
+    rows before its u, which is so ``us[len(rows)]``."""
     a, b = s.alpha, s.beta
-    mixed = g * f1 - f * g1
-    bend = g1 * f2 - f1 * g2
-    radial = b * b * g * f1 - a * a * f * g1
-    try:
-        k = -4.0 * a * a * b * b * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
-        kappa = a * b * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
-    except ZeroDivisionError:
-        raise ClosedFormRangeError(u, "zero divisor") from None
-    except OverflowError:  # float ** raises where * would give inf
-        raise ClosedFormRangeError(u, "non-finite result") from None
-    if not (isfinite(k) and isfinite(kappa)):
-        raise ClosedFormRangeError(u, "non-finite result")
-    return k, kappa, _closed_gauss(s, u, data)
-
-
-def _closed_gauss(s: RotationalSurface, u: float, data) -> float:
-    """K of ``closed_invariants_at``, refused where (G E)^2 is 0 or inf, K is not finite, or a
-    numerator term (G radial bend, a^2 b^2 E mixed^2) is 0 or subnormal with no zero factor."""
-    f, f1, f2, g, g1, g2, ee, gg = data
-    a, b, mixed, den = s.alpha, s.beta, g * f1 - f * g1, gg * gg * ee * ee
-    if 0.0 < den < inf:
-        radial, bend = b * b * g * f1 - a * a * f * g1, g1 * f2 - f1 * g2
-        bent, twisted = gg * radial * bend, a * a * b * b * ee * mixed * mixed
-        if (abs(bent) < float_info.min and radial and bend
-                or abs(twisted) < float_info.min and mixed):
-            raise ClosedFormRangeError(u, "a term of K's numerator underflows")
-        gauss = (bent - twisted) / den
-        if isfinite(gauss):
-            return gauss
-    raise ClosedFormRangeError(u, "non-finite result" if den else "zero divisor")
+    aa, bb, ab, aabb = a * a, b * b, a * b, a * a * b * b
+    l_scale, n_scale, k_scale = 2.0 * a * b, -2.0 * a * b, -4.0 * a * a * b * b
+    append, tiny = rows.append, float_info.min
+    big_l = big_n = k = kappa = big_k = None
+    for u, (f, f1, f2, g, g1, g2, ee, gg) in zip(us, jets):
+        mixed, bend, radial = g * f1 - f * g1, g1 * f2 - f1 * g2, bb * g * f1 - aa * f * g1
+        if forms:
+            de = gg * ee
+            if not de:
+                raise ClosedFormRangeError(u, "zero divisor")
+            big_l, big_n = l_scale * mixed * bend / de, n_scale * mixed * radial / de
+            if not (isfinite(de) and isfinite(big_l) and isfinite(big_n)):
+                raise ClosedFormRangeError(u, "non-finite result")
+        if closed:
+            try:
+                k = k_scale * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
+                kappa = ab * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
+            except ZeroDivisionError:
+                raise ClosedFormRangeError(u, "zero divisor") from None
+            except OverflowError:  # float ** raises where * would give inf
+                raise ClosedFormRangeError(u, "non-finite result") from None
+            if not (isfinite(k) and isfinite(kappa)):
+                raise ClosedFormRangeError(u, "non-finite result")
+        elif forms:
+            k, kappa = big_l * big_n / de, (ee * big_n + gg * big_l) / (2.0 * de)
+        if gauss:
+            den = gg * gg * ee * ee
+            if not 0.0 < den < inf:
+                raise ClosedFormRangeError(u, "non-finite result" if den else "zero divisor")
+            bent, twisted = gg * radial * bend, aabb * ee * mixed * mixed
+            if abs(bent) < tiny and radial and bend or abs(twisted) < tiny and mixed:
+                raise ClosedFormRangeError(u, "a term of K's numerator underflows")
+            big_k = (bent - twisted) / den
+            if not isfinite(big_k):
+                raise ClosedFormRangeError(u, "non-finite result")
+        if tol is None:
+            append((u, ee, gg, big_l, big_n, k, kappa, big_k))
+        else:
+            append((u, ee, gg, big_l, big_n, k, kappa, big_k,
+                    _classify(k, kappa, big_l, 0.0, big_n, tol)))
+    return rows
 
 
 def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
@@ -212,23 +231,29 @@ def closed_octet_at(s: RotationalSurface, u: float) -> FrenetOctet:
         mu    = a b (g f' - f g') / (sqrt(E) G)
         beta2 = a b (f f' + g g') / (sqrt(E) sqrt(G))
     """
-    gamma2, nu1, nu2, mu, beta2 = _closed_octet(s, u, s.meridian_jet(u))
+    _, gamma2, nu1, nu2, mu, beta2 = _octet_rows(s, (u,), (s.meridian_jet(u),), [])[0]
     return FrenetOctet(0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2)
 
 
-def _closed_octet(s: RotationalSurface, u: float, data) -> tuple[float, float, float, float, float]:
-    f, f1, f2, g, g1, g2, ee, gg = data
+def _octet_rows(s: RotationalSurface, us, jets, rows: list) -> list:
+    """``rows`` with (u, gamma2, nu1, nu2, mu, beta2) appended per u of ``us``, from its
+    meridian jet in ``jets``, in order, refused where a divisor is 0 or a value is not finite;
+    an error leaves the rows before its u, as ``_invariant_rows`` does."""
     a, b = s.alpha, s.beta
-    sqrt_e = sqrt(ee)
-    try:
-        nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
-        gamma2 = -(a * a * f * f1 + b * b * g * g1) / (sqrt_e * gg)
-        nu2 = (b * b * g * f1 - a * a * f * g1) / (sqrt_e * gg)
-        mu = a * b * (g * f1 - f * g1) / (sqrt_e * gg)
-        beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * sqrt(gg))
-    except ZeroDivisionError:
-        raise ClosedFormRangeError(u, "zero divisor") from None
-    if not (isfinite(nu1) and isfinite(gamma2) and isfinite(nu2) and isfinite(mu)
-            and isfinite(beta2)):
-        raise ClosedFormRangeError(u, "non-finite result")
-    return gamma2, nu1, nu2, mu, beta2
+    aa, bb, ab = a * a, b * b, a * b
+    append = rows.append
+    for u, (f, f1, f2, g, g1, g2, ee, gg) in zip(us, jets):
+        sqrt_e = sqrt(ee)
+        try:
+            nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
+            gamma2 = -(aa * f * f1 + bb * g * g1) / (sqrt_e * gg)
+            nu2 = (bb * g * f1 - aa * f * g1) / (sqrt_e * gg)
+            mu = ab * (g * f1 - f * g1) / (sqrt_e * gg)
+            beta2 = ab * (f * f1 + g * g1) / (sqrt_e * sqrt(gg))
+        except ZeroDivisionError:
+            raise ClosedFormRangeError(u, "zero divisor") from None
+        if not (isfinite(nu1) and isfinite(gamma2) and isfinite(nu2) and isfinite(mu)
+                and isfinite(beta2)):
+            raise ClosedFormRangeError(u, "non-finite result")
+        append((u, gamma2, nu1, nu2, mu, beta2))
+    return rows

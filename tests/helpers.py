@@ -4,7 +4,8 @@ tree-walking evaluator, the unfolded and the folded tree differentiators,
 the Vec4-based frame kernel, the Vec4 forms of the generic oracle's
 per-point kernels: fd_jet2, the tangent guard, the normal parts, the
 second form and the invariant record, the framed generic pipeline, the
-per-point ``export``, closed-form row and ``verify`` loops, the deviation
+per-point ``export``, closed-form row and ``verify`` loops, the closed
+formulas as one function per table part, the deviation
 expressions, the octet with both normal parts built up front, the
 csv-module CSV writer, the canonical frame of the family and the Frenet
 curvatures of its v-lines)."""
@@ -21,7 +22,7 @@ from rotsurf4.cli import (_INVARIANT_HEADER, _OCTET_HEADER, EXIT_OK, EXIT_VERIFY
                           cmd_plot)
 from rotsurf4.expr import (Binary, Constant, EvalDomainError, Unary, Variable, _finite, _power,
                            evaluate)
-from rotsurf4.forms import (NonFiniteInvariantError, SecondForm, _defect, first_form,
+from rotsurf4.forms import (NonFiniteInvariantError, SecondForm, _defect, classify, first_form,
                             invariants, is_circle, lmn, second_tensor, superconformal_residuals)
 from rotsurf4.geometry import (_FLOOR, DegenerateMetricError, GeometryError, Jet2,
                                RegularityError, Vec4, dot, gram_schmidt_normals, norm,
@@ -521,7 +522,7 @@ def reference_export(args, parser) -> int:
 # byte-for-byte and error-point oracle for ``rotsurf4.cli``'s
 # ``cmd_invariants``, ``cmd_octet`` and line ``cmd_plot``, which compute
 # their rows in one loop over the whole-grid meridian jets, and for its
-# one-format-per-row ``_write_csv``.
+# ``_write_csv``.
 
 def _reference_rows(us, v, closed):
     rows = []
@@ -595,7 +596,7 @@ def reference_plot(args, parser) -> int:
     return EXIT_OK
 
 
-def reference_write_csv(path, header, row_format, rows):
+def reference_write_csv(path, header, row_formats, rows):
     def write(stream):
         writer = csv.writer(stream)
         writer.writerow(header.rstrip("\r\n").split(","))
@@ -607,6 +608,99 @@ def reference_write_csv(path, header, row_format, rows):
     else:
         with open(path, "w", newline="") as stream:
             write(stream)
+
+
+# ---------------------------------------------------------------------------
+# The closed formulas as one function per table part over one u's meridian
+# jet, and the grid rows composed from them one call per u: the bit-for-bit
+# and first-error oracle for the grid kernels ``rotational._invariant_rows``
+# and ``_octet_rows`` and for ``cli._grid_table``.
+
+def reference_row_forms(s, u, data):
+    """(E, G, W, L, N) from the meridian jet of u; W = sqrt(EG) is finite only if E and G are."""
+    f, f1, f2, g, g1, g2, ee, gg = data
+    a, b = s.alpha, s.beta
+    try:
+        big_l = 2.0 * a * b * (g * f1 - f * g1) * (g1 * f2 - f1 * g2) / (gg * ee)
+        big_n = -2.0 * a * b * (g * f1 - f * g1) * (b * b * g * f1 - a * a * f * g1) / (gg * ee)
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    w = math.sqrt(ee * gg)
+    if not (math.isfinite(w) and math.isfinite(big_l) and math.isfinite(big_n)):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return ee, gg, w, big_l, big_n
+
+
+def reference_row_invariants(s, u, data):
+    """The closed (k, kappa, K): k and kappa, then ``reference_row_gauss``."""
+    f, f1, f2, g, g1, g2, ee, gg = data
+    a, b = s.alpha, s.beta
+    mixed = g * f1 - f * g1
+    bend = g1 * f2 - f1 * g2
+    radial = b * b * g * f1 - a * a * f * g1
+    try:
+        k = -4.0 * a * a * b * b * mixed * mixed * bend * radial / (gg ** 3 * ee ** 3)
+        kappa = a * b * mixed / (gg * gg * ee * ee) * (gg * bend - ee * radial)
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    except OverflowError:
+        raise ClosedFormRangeError(u, "non-finite result") from None
+    if not (math.isfinite(k) and math.isfinite(kappa)):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return k, kappa, reference_row_gauss(s, u, data)
+
+
+def reference_row_gauss(s, u, data):
+    f, f1, f2, g, g1, g2, ee, gg = data
+    a, b, mixed, den = s.alpha, s.beta, g * f1 - f * g1, gg * gg * ee * ee
+    if 0.0 < den < math.inf:
+        radial, bend = b * b * g * f1 - a * a * f * g1, g1 * f2 - f1 * g2
+        bent, twisted = gg * radial * bend, a * a * b * b * ee * mixed * mixed
+        if (abs(bent) < sys.float_info.min and radial and bend
+                or abs(twisted) < sys.float_info.min and mixed):
+            raise ClosedFormRangeError(u, "a term of K's numerator underflows")
+        gauss = (bent - twisted) / den
+        if math.isfinite(gauss):
+            return gauss
+    raise ClosedFormRangeError(u, "non-finite result" if den else "zero divisor")
+
+
+def reference_row_octet(s, u, data):
+    """(gamma2, nu1, nu2, mu, beta2)."""
+    f, f1, f2, g, g1, g2, ee, gg = data
+    a, b = s.alpha, s.beta
+    sqrt_e = math.sqrt(ee)
+    try:
+        nu1 = (g1 * f2 - f1 * g2) / (ee * sqrt_e)
+        gamma2 = -(a * a * f * f1 + b * b * g * g1) / (sqrt_e * gg)
+        nu2 = (b * b * g * f1 - a * a * f * g1) / (sqrt_e * gg)
+        mu = a * b * (g * f1 - f * g1) / (sqrt_e * gg)
+        beta2 = a * b * (f * f1 + g * g1) / (sqrt_e * math.sqrt(gg))
+    except ZeroDivisionError:
+        raise ClosedFormRangeError(u, "zero divisor") from None
+    if not all(map(math.isfinite, (nu1, gamma2, nu2, mu, beta2))):
+        raise ClosedFormRangeError(u, "non-finite result")
+    return gamma2, nu1, nu2, mu, beta2
+
+
+def reference_invariant_row(s, tol, u, data):
+    """(E, G, L, N, k, kappa, K, type) of an ``invariants`` row: the forms, k and kappa by
+    the float operations of ``forms.invariants`` less its F = M = 0.0 terms, K, the type."""
+    ee, gg, _, big_l, big_n = reference_row_forms(s, u, data)
+    k, kappa = big_l * big_n / (ee * gg), (ee * big_n + gg * big_l) / (2.0 * (ee * gg))
+    return (ee, gg, big_l, big_n, k, kappa, reference_row_gauss(s, u, data),
+            classify(k, kappa, SecondForm(big_l, 0.0, big_n), tol).value)
+
+
+def reference_grid_rows(surface, us, v, row):
+    """[row(u, jet) for u in us] over ``meridian_jets(us)``; an error names (u, v) for its u."""
+    rows, jets = [], surface.meridian_jets(us)
+    try:
+        for u in us:
+            rows.append(row(u, next(jets)))
+    except (GeometryError, EvalDomainError) as exc:
+        raise _PointError(u, v, exc) from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------

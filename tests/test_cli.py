@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotsurf4 import cli
+from rotsurf4 import cli, rotational
 from helpers import field_values, num, reference_jet_dev, reference_octet_dev
 from rotsurf4.cli import main
 from rotsurf4.expr import Profile
@@ -104,7 +105,7 @@ def test_invariants_out_of_range_point_names_it(tmp_path, capsys, f, g, reason):
 def test_invariants_classification_error_names_its_point(tmp_path, monkeypatch, capsys):
     # no CLI input is known to reach this once the closed forms are finite,
     # so the scalar classification core is made to fail at the second u
-    classify_point, calls = cli._classify, []
+    classify_point, calls = rotational._classify, []
 
     def fail_second(k, kappa, big_l, big_m, big_n, tol):
         calls.append(k)
@@ -112,7 +113,7 @@ def test_invariants_classification_error_names_its_point(tmp_path, monkeypatch, 
             raise NonFiniteInvariantError(f"cannot classify: k={k!r}")
         return classify_point(k, kappa, big_l, big_m, big_n, tol)
 
-    monkeypatch.setattr(cli, "_classify", fail_second)
+    monkeypatch.setattr(rotational, "_classify", fail_second)
     out = tmp_path / "inv.csv"
     code = main(["invariants", *RUN, "--u", "0.5:1.5:3", "--v", "0.25:1:2", "--out", str(out)])
     assert code == 3
@@ -493,7 +494,7 @@ def test_csv_lines_are_written_as_they_are_formatted(monkeypatch):
             yield (u,)
 
     monkeypatch.setattr(sys, "stdout", Recorder())
-    cli._write_csv(None, "u\r\n", "%.17g\r\n", rows())
+    cli._write_csv(None, "u\r\n", ["%.17g\r\n"], rows())
     assert seen == [1, 2, 3]
     assert written == ["u\r\n", "0.5\r\n", "1\r\n", "2\r\n"]
 
@@ -1281,12 +1282,12 @@ SURFACES = [
 
 
 def _invariant_row(surface, u, v_first, class_tol):
-    """One ``invariants`` row through the CLI's row path, on a one-point grid,
+    """One ``invariants`` row through the CLI's grid kernel, on a one-point grid,
     as the fields of an InvariantRecord; F and M, which the row format writes
     as 0, are 0.0."""
-    (row,) = cli._grid_rows(surface, [u], v_first,
-                            partial(cli._invariant_row, surface, class_tol))
-    ee, gg, big_l, big_n, k, kappa, gauss, point_type = row
+    (row,) = cli._grid_table(rotational._invariant_rows, surface, [u], v_first, forms=True,
+                             gauss=True, tol=class_tol)
+    _, ee, gg, big_l, big_n, k, kappa, gauss, point_type = row
     return [ee, 0.0, gg, big_l, 0.0, big_n, k, kappa, gauss, PointType(point_type)]
 
 
@@ -1322,6 +1323,41 @@ def test_grid_commands_build_no_scalar_closures(tmp_path, monkeypatch, capsys, a
     monkeypatch.setattr(cli, "_PROFILES", {})
     g = ["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--alpha", "1", "--beta", "2"]
     assert main([argv[0], *g, *argv[1:]]) == 0
+
+
+@pytest.mark.parametrize("argv, per_row", [
+    pytest.param(["invariants"], 2, id="invariants"),  # the jet's regularity check, the type
+    pytest.param(["invariants", "--v", "0:1:3"], 2, id="invariants-v3"),
+    pytest.param(["octet"], 1, id="octet"),
+    pytest.param(["plot", "--quantity", "k"], 1, id="plot-k"),
+    pytest.param(["plot", "--quantity", "mu"], 1, id="plot-mu"),
+])
+def test_a_table_makes_a_bounded_number_of_python_calls_per_row(tmp_path, argv, per_row):
+    # Python-level calls (profile "call" events, generator resumes included) on a 10- and a
+    # 110-point grid, after a warm run: the rows are built in one loop, not a call per value;
+    # the collector is off while counting, so no finalizer of other tests' garbage is counted
+    g = ["--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)", "--alpha", "1", "--beta", "2"]
+
+    def calls(n):
+        command, count = [argv[0], *g, "--u", f"0.5:2:{n}", *argv[1:], "--out",
+                          str(tmp_path / "out")], 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        assert main(command) == 0
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            assert main(command) == 0
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return count
+
+    assert calls(110) - calls(10) <= 100 * per_row
 
 
 def test_invariant_row_exact_values():

@@ -7,8 +7,11 @@ several v values per u, a -0.0 one-point grid, a zero classification
 tolerance, a power-law source, three plotted quantities, and the errors a
 grid can meet: a vanishing radius at an interior u, a closed form that
 divides by zero or overflows (``**`` raises there), a divisor (G E)^2 of K
-that overflows (``verify`` reads the same closed K), and a profile domain
-error, which makes the whole-grid profile read miss."""
+that overflows (``verify`` reads the same closed K), a closed-form error
+before a vanishing radius, forms that overflow where the closed k divides
+by zero (each command names its own first error), and a profile domain
+error, which makes the whole-grid profile read miss.  The octet rows at the
+edge of the double range pin its divisors."""
 
 import hashlib
 import json
@@ -31,6 +34,11 @@ HUGE = ["--f", "1e110*u^9", "--g", "u^2", "--alpha", "1", "--beta", "2", "--u", 
 GAUSS = ["--f", "1e40", "--g", "1e40*u", "--alpha", "1", "--beta", "2", "--u", "1:2:2"]
 # the whole-grid read misses at u = 0.5, so every jet is read per point
 SQRT = ["--f", "u", "--g", "sqrt(u-1)", "--alpha", "1", "--beta", "2", "--u", "0.5:2:4"]
+# E and G overflow at u = -1, so every closed table refuses it before the radii vanish at u = 0
+STEEP = ["--f", "u", "--g", "1e160*u^2", "--alpha", "1", "--beta", "2"]
+# L overflows at u = 0, where G E is finite and (G E)^3 underflows: the forms read "non-finite
+# result" and the closed k "zero divisor", so a plot of k (which reads no forms) names the latter
+BENT = ["--f", "1e-150+u", "--g", "u+5e157*u^2", "--alpha", "1", "--beta", "2", "--u", "0:1:2"]
 
 CASES = {
     "invariants-v3": (["invariants", "--f", "u", "--g", "sin(u)*exp(-u^2)+sqrt(u)",
@@ -83,6 +91,30 @@ CASES = {
         "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
     "verify-gauss-overflow": (["verify", *GAUSS], False,
         "629d06f0d538061ef808f9d9df0843e6e3db74214f74eae6ac6c7bb656e56fbb"),
+    # rows at the edge of the double range: the octet's divisors E^(3/2), sqrt(E) G and
+    # sqrt(E) sqrt(G) stay finite where the invariants' (G E)^2 or G^3 do not
+    "octet-huge": (["octet", *HUGE], True,
+        "d976f57465acfd3d57279b93e1f43c3eb4c3e21939f37b626b438caff51ab9bf"),
+    "octet-gauss": (["octet", *GAUSS], True,
+        "f8910b176d690559bfeb975fa360ed29bd9d0daf473597603e500181f5e2ecd9"),
+    "plot-mu-gauss": (["plot", *GAUSS, "--quantity", "mu"], True,
+        "b251233fbf51a8e327975bee600ffb797d25385f93565f48f6715c55735adb14"),
+    "verify-zero-divisor": (["verify", *TINY], False,
+        "2b68b77c60d32b52739f60a46cc60f12d121b29889b7db32ed3f7e5a430bfaa3"),
+    "invariants-steep": (["invariants", *STEEP, "--u=-1:1:3"], True,
+        "88781e48d51cab6a18a4c7abd4908612a9515715383a7e3b7d52825a2483f391"),
+    "octet-steep": (["octet", *STEEP, "--u=-1:1:3"], True,
+        "88781e48d51cab6a18a4c7abd4908612a9515715383a7e3b7d52825a2483f391"),
+    "plot-steep": (["plot", *STEEP, "--u=-1:1:3", "--quantity", "nu2"], True,
+        "88781e48d51cab6a18a4c7abd4908612a9515715383a7e3b7d52825a2483f391"),
+    "invariants-steep-radii-vanish": (["invariants", *STEEP, "--u=0:1:2"], True,
+        "c90978da9055e70962d9ea1078c87ae8f4534f2aeb07bcf4527ad288e81ad8ff"),
+    "invariants-bent": (["invariants", *BENT], False,
+        "62d77402cb3ddc205a41db5ef0b3a963480242c95d9b7145022c462f664c0767"),
+    "verify-bent": (["verify", *BENT], False,
+        "62d77402cb3ddc205a41db5ef0b3a963480242c95d9b7145022c462f664c0767"),
+    "plot-k-bent": (["plot", *BENT, "--quantity", "k"], True,
+        "cb7a5d2823abe7ed216f6c2c5400c58135c7670925b15403b7729fdef0df322b"),
     "invariants-grid-miss": (["invariants", *SQRT], True,
         "f79833778f08fd45813793d6b986b0b8afbea34ad447c22323ac410c7a4946d7"),
     "octet-grid-miss": (["octet", *SQRT], True,

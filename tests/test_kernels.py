@@ -7,6 +7,7 @@ the generic side, with its identity also against the closed side."""
 
 import math
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 from conftest import make_surface
 from helpers import (field_values, octet_tuple, reference_ellipse_samples, reference_fd_jet2,
                      reference_frame_free_invariants, reference_generic_parts,
+                     reference_grid_rows, reference_invariant_row,
                      reference_mean_curvature_vector, reference_octet_generic,
+                     reference_row_forms, reference_row_invariants, reference_row_octet,
                      reference_tangent_basis, reference_tangent_form)
+from rotsurf4 import cli
 from rotsurf4.cli import _linspace
 from rotsurf4.forms import (SecondForm, _normal, _plane, classify, ellipse_samples,
                             generic_values, is_circle, mean_curvature_vector)
@@ -24,7 +28,8 @@ from rotsurf4.geometry import (Jet2, RegularityError, Vec4, analytic_jet2, analy
                                dot, fd_jet2, gram_schmidt_normals, rotation_trig)
 from rotsurf4.msc import DEFAULT_U_DOMAIN, MscParams, msc_surface
 from rotsurf4.octet import _STEP, octet_generic
-from rotsurf4.rotational import closed_invariants_at, closed_octet_at
+from rotsurf4.rotational import (_invariant_rows, _octet_rows, closed_forms_at,
+                                 closed_invariants_at, closed_octet_at)
 from test_profile_pins import SWEEP
 
 special_floats = st.one_of(
@@ -528,3 +533,100 @@ def test_the_crosscheck_msc_member_has_a_circle_at_every_grid_point():
             assert is_circle(ellipse_samples(jet, 16), 1e-6), (u, v)
             gap, _, scale, _ = _semi_axis_gap(jet)
             assert abs(gap) <= WINTGEN_ROUNDING * scale, (u, v)
+
+
+# ---------------------------------------------------------------------------
+# The closed side's grid kernels against the per-row composition in
+# ``helpers`` (one function per formula, one call per u), bit for bit: each
+# table's rows by ``float.hex``, and its first error by the class and
+# message of its cause and the (u, v) that it names; the scalar closed_*_at
+# the same way at each u.  Meridians mix coefficients from the whole double
+# range with terms that vanish, blow up or leave their domain on the grid,
+# so many grids fail, at some u, in the profiles, the regularity checks or
+# a closed formula.
+
+_COEFFS = ("1", "-1", "0.5", "3", "1e-150", "1e-30", "1e-120", "1e40", "1e110", "1e160", "5e157")
+_TERMS = ("1", "u", "u^2", "u^3", "u^-2", "u^9", "u^0.5", "sin(u)", "exp(-u^2)", "sqrt(u-1)",
+          "log(u)")
+_closed_terms = st.builds("{}*{}".format, st.sampled_from(_COEFFS), st.sampled_from(_TERMS))
+closed_meridians = st.one_of(_closed_terms, st.builds("{}+{}".format, _closed_terms,
+                                                      _closed_terms))
+
+
+@st.composite
+def closed_grids(draw):
+    """(surface, us, v, tol): a drawn meridian at drawn speeds on a u-grid of 1 to 5 points."""
+    alpha, beta = draw(st.tuples(st.sampled_from((0.5, 1.0, 2.0, 3.0)) | _SPEEDS,
+                                 st.sampled_from((0.5, 1.0, 2.0, 3.0)) | _SPEEDS)
+                       .filter(lambda ab: ab[0] != ab[1]))
+    count = draw(st.integers(1, 5))
+    lo = draw(st.sampled_from((-1.0, -0.0, 0.0, 1e-10, 0.5, 1.0)))
+    span = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    surface = make_surface(draw(closed_meridians), draw(closed_meridians), alpha, beta)
+    return (surface, _linspace(lo, lo + span, count), draw(st.sampled_from((0.0, -1.5))),
+            draw(st.sampled_from((1e-8, 0.0))))
+
+
+def _rows_outcome(rows):
+    """The hex of each row's floats, or the cause, (u, v) and message of its point error."""
+    try:
+        return [_hex(row) for row in rows()]
+    except cli._PointError as exc:
+        return type(exc.cause), exc.u.hex(), exc.v, str(exc)
+
+
+def _grid_cases(surface, us, v, tol):
+    """(kernel rows, reference rows) of the invariants and octet tables, a plot of an
+    invariant and verify's closed side."""
+    def grid(kernel, **parts):
+        return lambda: cli._grid_table(kernel, surface, us, v, **parts)
+
+    def reference(row, table=False):
+        rows = partial(reference_grid_rows, surface, us, v, row)
+        return (lambda: [(u, *r) for u, r in zip(us, rows())]) if table else rows
+
+    def closed(u, jet):
+        ee, gg, _, big_l, big_n = reference_row_forms(surface, u, jet)
+        return (u, ee, gg, big_l, big_n, *reference_row_invariants(surface, u, jet))
+
+    return [
+        (grid(_invariant_rows, forms=True, gauss=True, tol=tol),
+         reference(partial(reference_invariant_row, surface, tol), table=True)),
+        (grid(_octet_rows), reference(partial(reference_row_octet, surface), table=True)),
+        (lambda: [row[5:] for row in grid(_invariant_rows, closed=True, gauss=True)()],
+         reference(partial(reference_row_invariants, surface))),
+        (grid(_invariant_rows, forms=True, closed=True, gauss=True), reference(closed)),
+    ]
+
+
+def _form_fields(ee, gg, w, big_l, big_n):
+    return ee, 0.0, gg, w, big_l, 0.0, big_n
+
+
+def _octet_fields(gamma2, nu1, nu2, mu, beta2):
+    return 0.0, gamma2, nu1, nu2, 0.0, mu, 0.0, beta2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(closed_grids())
+# the pinned grids of the grid-command pins: TINY, HUGE, GAUSS, STEEP and BENT
+@example((make_surface("1e-30*u^-2", "1e-120", 1.0, 2.0), [1e-10, 1.0], 0.0, 1e-8))
+@example((make_surface("1e110*u^9", "u^2", 1.0, 2.0), [1e-10, 1.0], 0.0, 1e-8))
+@example((make_surface("1e40", "1e40*u", 1.0, 2.0), [1.0, 2.0], 0.0, 1e-8))
+@example((make_surface("u", "1e160*u^2", 1.0, 2.0), [-1.0, 0.0, 1.0], 0.0, 1e-8))
+@example((make_surface("1e-150+u", "u+5e157*u^2", 1.0, 2.0), [0.0, 1.0], 0.0, 1e-8))
+def test_grid_kernels_are_the_per_row_composition(grid):
+    surface, us, v, tol = grid
+    for kernel, reference in _grid_cases(surface, us, v, tol):
+        assert _rows_outcome(kernel) == _rows_outcome(reference)
+    for u in us:
+        def jet():
+            return surface.meridian_jet(u)
+
+        assert (_outcome(lambda: [x for form in closed_forms_at(surface, u)
+                                  for x in field_values(form)])
+                == _outcome(lambda: _form_fields(*reference_row_forms(surface, u, jet()))))
+        assert (_outcome(lambda: closed_invariants_at(surface, u))
+                == _outcome(lambda: reference_row_invariants(surface, u, jet())))
+        assert (_outcome(lambda: octet_tuple(closed_octet_at(surface, u)))
+                == _outcome(lambda: _octet_fields(*reference_row_octet(surface, u, jet()))))

@@ -9,7 +9,7 @@ from helpers import curve_frenet_oracle, frames_at, rel_dev, vline_curvatures, v
 from rotsurf4.expr import EvalDomainError, Profile
 from rotsurf4.geometry import GeometryError, RegularityError, Vec4, fd_jet2
 from rotsurf4.octet import invariants_from_octet
-from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface, _closed_gauss,
+from rotsurf4.rotational import (ClosedFormRangeError, RotationalSurface, _invariant_rows,
                                  closed_forms_at, closed_invariants_at, closed_octet_at)
 
 SQRT5 = math.sqrt(5.0)
@@ -164,12 +164,16 @@ def test_closed_invariants_power_overflow_raises_with_u():
 ])
 def test_closed_gauss_refuses_a_numerator_term_that_underflows(f, g, u, refused):
     s = RotationalSurface(Profile.from_text(f), Profile.from_text(g), 1.0, 2.0)
+
+    def gauss():  # K's part of the kernel alone
+        return _invariant_rows(s, [u], [s.meridian_jet(u)], [], gauss=True)[0][7]
+
     if refused:
         with pytest.raises(ClosedFormRangeError, match="K's numerator underflows") as err:
-            _closed_gauss(s, u, s.meridian_jet(u))
+            gauss()
         assert err.value.u == u
     else:
-        assert math.isfinite(_closed_gauss(s, u, s.meridian_jet(u)))
+        assert math.isfinite(gauss())
 
 
 def test_closed_invariants_running_example(parabola):
